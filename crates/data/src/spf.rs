@@ -243,19 +243,22 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, SpfError> {
+        // At most ten bytes carry 64 bits; scanning the remaining slice
+        // checks the bound once per value instead of once per byte.
+        let rest = &self.buf[self.pos..];
         let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = self.u8()?;
-            v |= ((b & 0x7f) as u64) << shift;
+        for (i, &b) in rest.iter().take(10).enumerate() {
+            v |= ((b & 0x7f) as u64) << (7 * i);
             if b & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(v);
             }
-            shift += 7;
-            if shift >= 64 {
-                return Err(SpfError::Corrupt("varint overflow"));
-            }
         }
+        Err(SpfError::Corrupt(if rest.len() < 10 {
+            "unexpected end of buffer"
+        } else {
+            "varint overflow"
+        }))
     }
 
     fn string(&mut self) -> Result<String, SpfError> {
@@ -912,6 +915,30 @@ mod tests {
     use super::*;
     use crate::columnar::{date, Field};
     use proptest::prelude::*;
+
+    #[test]
+    fn delta_varint_round_trips_extremes_and_rejects_damage() {
+        let values = vec![0, -1, 1, i64::MAX, i64::MIN, 127, 128, -64, -65, 1 << 35];
+        let (bytes, encoding, _) = encode_column(&Column::Int64(values.clone()));
+        assert_eq!(encoding, Encoding::DeltaVarint);
+        assert_eq!(
+            decode_column(&bytes, encoding, values.len()),
+            Ok(Column::Int64(values.clone()))
+        );
+        // Every proper prefix is a truncated chunk, never a panic.
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decode_column(&bytes[..cut], encoding, values.len()),
+                Err(SpfError::Corrupt("unexpected end of buffer")),
+                "cut at {cut}"
+            );
+        }
+        // Ten continuation bytes cannot be a 64-bit varint.
+        assert_eq!(
+            decode_column(&[0xff; 12], encoding, 1),
+            Err(SpfError::Corrupt("varint overflow"))
+        );
+    }
 
     fn sample_batch(n: usize) -> Batch {
         let schema = Schema::new(vec![

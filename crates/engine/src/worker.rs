@@ -471,6 +471,10 @@ pub async fn run_worker(
             let empty = Batch::empty(Rc::clone(&schema));
             let n_groups = n_buckets.div_ceil(combine);
             let mut puts = Vec::with_capacity(n_groups);
+            // (bucket count, size) of the last file of empty buckets encoded:
+            // every group but possibly the last has the same count, so this
+            // is encoded once or twice, not once per group.
+            let mut empty_file = (0, 0.0);
             for (group, chunk) in buckets.chunks(combine).enumerate() {
                 // Write combining: `combine` consecutive buckets share one
                 // (larger) multiplexed object. The per-bucket directory in
@@ -481,8 +485,14 @@ pub async fn run_worker(
                 // ~the same byte volume instead of the front bucket's
                 // reader re-reading nearly whole segments.
                 let rotation = task.fragment as usize % chunk.len().max(1);
-                let empties = vec![Batch::empty(Rc::clone(&empty.schema)); chunk.len()];
-                let overhead = spf::write_bucketed(&empties, 8192).len() as f64;
+                if empty_file.0 != chunk.len() {
+                    let empties = vec![empty.clone(); chunk.len()];
+                    empty_file = (
+                        chunk.len(),
+                        spf::write_bucketed(&empties, 8192).len() as f64,
+                    );
+                }
+                let overhead = empty_file.1;
                 let encoded = spf::write_bucketed_rotated(chunk, 8192, rotation);
                 let len = encoded.len() as f64;
                 let logical = overhead + stream_scale.max(1.0) * (len - overhead).max(0.0);
@@ -603,8 +613,6 @@ pub async fn run_worker(
     Ok(report)
 }
 
-/// Inefficient partitioning above recomputes buckets per iteration; keep
-/// the allocation-friendly path for wide fan-outs.
 async fn read_scan(
     client: &RetryingClient,
     opts: &RequestOpts,

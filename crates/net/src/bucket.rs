@@ -166,6 +166,53 @@ impl RateLimiter {
         );
     }
 
+    /// The earliest instant after `now` at which [`RateLimiter::advance`]
+    /// could raise the spendable budget, absent consumption: for every `t`
+    /// in `(now, quiet_until(now, slice))`, `advance(t)` leaves `tokens`,
+    /// `oneoff` and `refilled` bit-identical. Call `advance(now)` first.
+    /// `slice` is the period at which the caller would otherwise poll.
+    ///
+    /// What other users of the bucket consume in the meantime only lowers
+    /// `tokens` and pushes `last_use` (and with it the idle refill) later,
+    /// so for a **slotted** bucket the answer — its next slot boundary or
+    /// idle refill, whichever is first — holds whatever they do.
+    ///
+    /// A **continuous** bucket accrues `rate * dt` in `f64`, and one
+    /// `advance` over `2 dt` is not bit-identical to two over `dt`, so a
+    /// draining one is never quiet (the answer is `now`). A full one is
+    /// quiet for ever — but a sibling may drain it mid-wait, and the polls
+    /// the caller then skips would have split the refill into other steps.
+    /// So only a full bucket that cannot carry a deficit from one poll to
+    /// the next counts as quiet: one that refills from empty within a
+    /// `slice` (`pure_rate`: `tokens` is back at exactly `capacity` a slice
+    /// after any consumption; only the `refilled` ledger, a sum of deltas,
+    /// can keep a last-bit difference), or one no `u64` byte count can
+    /// dent (`unlimited`). A deep EC2-style bucket is never quiet.
+    pub fn quiet_until(&self, now: SimTime, slice: SimDuration) -> SimTime {
+        let refill = match self.refill {
+            RefillPolicy::Continuous { rate } => {
+                let full = self.tokens >= self.capacity;
+                let shallow = rate * slice.as_secs_f64() >= self.capacity;
+                let inexhaustible = self.tokens - u64::MAX as f64 == self.tokens;
+                if rate == 0.0 || (full && (shallow || inexhaustible)) {
+                    SimTime::MAX
+                } else {
+                    now
+                }
+            }
+            RefillPolicy::Slotted { slot, .. } => {
+                let slot_ns = slot.as_nanos();
+                SimTime::from_nanos((now.as_nanos() / slot_ns + 1).saturating_mul(slot_ns))
+            }
+        };
+        match self.idle_refill {
+            Some(idle) if self.tokens < idle.fraction * self.capacity => {
+                refill.min(self.last_use.saturating_add(idle.threshold))
+            }
+            _ => refill,
+        }
+    }
+
     /// Maximum bytes grantable over the next `slice` starting at `now`.
     /// Call [`RateLimiter::advance`] first (or use [`RateLimiter::grant`]).
     pub fn peek(&self, slice: SimDuration) -> f64 {
@@ -552,6 +599,149 @@ mod tests {
         c.consume(SimTime::ZERO, mib(50.0) - mib(100.0) * 0.01 / 2.0);
         let s = c.saturation(SLICE);
         assert!(s > 0.4 && s < 0.6, "saturation {s}");
+    }
+
+    fn ms(x: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(x)
+    }
+
+    #[test]
+    fn quiet_until_slotted_is_next_slot_boundary() {
+        let mut b = lambda_bucket();
+        b.grant(SimTime::ZERO, SimDuration::from_secs(1), f64::MAX); // drain
+        b.advance(ms(70));
+        assert_eq!(b.quiet_until(ms(70), SLICE), ms(100));
+        // Three 10 ms slices from 70 ms land exactly on the boundary, and
+        // the advance there is the one that refills.
+        let before = b.tokens();
+        b.advance(ms(100));
+        assert_eq!(b.tokens(), before + mib(7.5));
+        // On a boundary the refill is already in; the next one is a slot on.
+        assert_eq!(b.quiet_until(ms(100), SLICE), ms(200));
+    }
+
+    #[test]
+    fn quiet_until_honours_idle_refill_only_below_its_level() {
+        let idle = IdleRefill {
+            threshold: SimDuration::from_millis(470),
+            fraction: 0.5,
+        };
+        let mk = || {
+            RateLimiter::lambda_style(
+                mib(1000.0),
+                mib(100.0),
+                0.0,
+                SimDuration::from_millis(100),
+                mib(7.5),
+                idle,
+            )
+        };
+        // Drained at t = 0: the idle refill (470 ms) precedes the slot (500 ms).
+        let mut b = mk();
+        b.grant(SimTime::ZERO, SimDuration::from_secs(1), f64::MAX);
+        b.advance(ms(420));
+        assert_eq!(b.quiet_until(ms(420), SLICE), ms(470));
+        let mut just_before = b.clone();
+        just_before.advance(SimTime::from_nanos(ms(470).as_nanos() - 1));
+        assert_eq!(just_before.tokens(), b.tokens());
+        b.advance(ms(470));
+        assert_eq!(b.tokens(), mib(50.0), "restored to fraction * capacity");
+        // At or above that level the idle refill adds nothing: slots only.
+        assert_eq!(b.quiet_until(ms(470), SLICE), ms(500));
+        assert_eq!(mk().quiet_until(SimTime::ZERO, SLICE), ms(100));
+    }
+
+    #[test]
+    fn quiet_until_continuous_is_never_or_for_ever() {
+        let now = ms(30);
+        // A deep bucket is never skipped: draining it accrues in f64
+        // steps, and a full one keeps the deficit a sibling leaves in it.
+        let mut deep = RateLimiter::continuous(mib(100.0), mib(10.0), mib(50.0));
+        deep.advance(now);
+        assert_eq!(deep.quiet_until(now, SLICE), now, "full but deep");
+        deep.consume(now, mib(1.0));
+        assert_eq!(deep.quiet_until(now, SLICE), now, "draining");
+        // A pure rate limit is full again a slice after any consumption,
+        // so it is quiet while full — at the slice it was built for.
+        let mut pure = RateLimiter::pure_rate(mib(100.0), SLICE);
+        pure.advance(now);
+        assert_eq!(pure.quiet_until(now, SLICE), SimTime::MAX);
+        assert_eq!(
+            pure.quiet_until(now, SLICE / 2),
+            now,
+            "deep at a finer poll"
+        );
+        pure.consume(now, 1.0);
+        assert_eq!(pure.quiet_until(now, SLICE), now, "draining");
+        // No refill at all is quiet for ever, however empty.
+        let mut dry = RateLimiter::continuous(mib(100.0), 0.0, mib(50.0));
+        dry.grant(now, SimDuration::from_secs(1), f64::MAX);
+        assert_eq!(dry.quiet_until(now, SLICE), SimTime::MAX);
+        // The unlimited pool absorbs whatever is taken out of it.
+        let mut svc = RateLimiter::unlimited(f64::MAX / 8.0);
+        svc.grant(now, SLICE, mib(64.0));
+        assert_eq!(svc.quiet_until(now, SLICE), SimTime::MAX);
+    }
+
+    mod quiet_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn limiter() -> impl Strategy<Value = RateLimiter> {
+            prop_oneof![
+                3 => (1u64..4, 0u64..3, 1u64..80, 0.0f64..1.0).prop_map(|(slot, oneoff, thr, fraction)| {
+                    RateLimiter::lambda_style(
+                        mib(800.0),
+                        mib(20.0),
+                        mib(10.0) * oneoff as f64,
+                        SimDuration::from_millis(50 * slot),
+                        mib(7.5),
+                        IdleRefill { threshold: SimDuration::from_millis(10 * thr), fraction },
+                    )
+                }),
+                2 => (0u64..3).prop_map(|r| RateLimiter::continuous(mib(800.0), mib(40.0) * r as f64, mib(20.0))),
+                1 => Just(RateLimiter::pure_rate(mib(90.0), SLICE)),
+                1 => Just(RateLimiter::unlimited(f64::MAX / 8.0)),
+            ]
+        }
+
+        proptest! {
+            /// Per-slice polling between `now` and `quiet_until(now)` finds
+            /// the bucket exactly as it left it.
+            #[test]
+            fn advance_is_identity_before_quiet_until(
+                fresh in limiter(),
+                phase in 0u64..10_000_000,
+                // (gap in slices, MiB wanted; 0 = only advance)
+                history in prop::collection::vec((1u64..60, 0u64..12), 0..40),
+            ) {
+                let mut b = fresh;
+                let mut now = SimTime::from_nanos(phase);
+                for (gap, want) in history {
+                    now += SLICE * gap;
+                    b.grant(now, SLICE, mib(want as f64));
+                }
+                b.advance(now);
+                let quiet = b.quiet_until(now, SLICE);
+                prop_assert!(quiet >= now);
+                let mut polled = b.clone();
+                let mut t = now + SLICE;
+                for _ in 0..200 {
+                    if t >= quiet {
+                        break;
+                    }
+                    polled.advance(t);
+                    let mut jumped = b.clone();
+                    jumped.advance(t);
+                    for l in [&polled, &jumped] {
+                        prop_assert_eq!(l.tokens().to_bits(), b.tokens().to_bits(), "tokens at {}", t);
+                        prop_assert_eq!(l.oneoff().to_bits(), b.oneoff().to_bits(), "oneoff at {}", t);
+                        prop_assert_eq!(l.refilled().to_bits(), b.refilled().to_bits(), "refilled at {}", t);
+                    }
+                    t += SLICE;
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! events in it.
 //!
 //! The executor is deliberately deterministic: tasks are woken in FIFO
-//! order, timers with equal deadlines fire in registration order, and the
-//! only randomness available to tasks flows through the seeded [`SimRng`]
-//! accessible via [`SimCtx::with_rng`].
+//! order, timers with equal deadlines fire in registration order (a
+//! [`SimCtx::sleep_slices`] where the last sleep of the chain it replaces
+//! would have), and the only randomness available to tasks flows through
+//! the seeded [`SimRng`] accessible via [`SimCtx::with_rng`].
 //!
 //! ## Hot-path layout
 //!
@@ -314,7 +315,8 @@ impl Sim {
                     self.state.now.set(deadline);
                     stats.advances.set(stats.advances.get() + 1);
                     // Fire every timer at this deadline, in registration
-                    // order (the heap breaks deadline ties by insertion seq).
+                    // order (the heap breaks deadline ties by armed-at
+                    // instant, then insertion seq).
                     let mut timers = self.state.timers.borrow_mut();
                     while let Some(waker) = timers.pop_due(deadline) {
                         stats.timer_fires.set(stats.timer_fires.get() + 1);
@@ -535,11 +537,7 @@ impl SimCtx {
 
     /// Sleep for a span of virtual time.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
-        Sleep {
-            ctx: self.clone(),
-            deadline: self.now().saturating_add(d),
-            timer: None,
-        }
+        self.sleep_until(self.now().saturating_add(d))
     }
 
     /// Sleep until an absolute virtual instant (no-op if already past).
@@ -547,6 +545,31 @@ impl SimCtx {
         Sleep {
             ctx: self.clone(),
             deadline,
+            armed_at: None,
+            timer: None,
+        }
+    }
+
+    /// Sleep for `k` back-to-back slices of length `slice` with one timer.
+    ///
+    /// Equivalent to awaiting `sleep(slice)` `k` times in a row when nothing
+    /// happens in the task between them: the wake-up is at `now + k * slice`
+    /// and, among timers with that same deadline, it fires where the *last*
+    /// of those `k` sleeps would have — after everything armed before
+    /// `deadline - slice`, before everything armed later. `k` of 0 or 1 is
+    /// exactly `sleep(slice)`.
+    ///
+    /// Residual: against another timer armed at exactly `deadline - slice`
+    /// for exactly `deadline`, the chain's last link would have sorted by
+    /// the poll order at that instant, which a single timer cannot know;
+    /// this one sorts first.
+    pub fn sleep_slices(&self, slice: SimDuration, k: u64) -> Sleep {
+        let span = SimDuration::from_nanos(slice.as_nanos().saturating_mul(k.max(1)));
+        let deadline = self.now().saturating_add(span);
+        Sleep {
+            ctx: self.clone(),
+            deadline,
+            armed_at: Some(deadline - slice),
             timer: None,
         }
     }
@@ -564,12 +587,19 @@ impl SimCtx {
         f(&mut hooks.rng)
     }
 
-    fn register_timer(&self, deadline: SimTime, waker: Waker) -> TimerKey {
+    /// `armed_at` of `None` is an ordinary sleep, armed as it registers.
+    fn register_timer(
+        &self,
+        deadline: SimTime,
+        armed_at: Option<SimTime>,
+        waker: Waker,
+    ) -> TimerKey {
         let state = self.state();
         let stats = &state.stats;
         stats.timer_inserts.set(stats.timer_inserts.get() + 1);
-        let key = state.timers.borrow_mut().insert(deadline, waker);
-        key
+        let armed_at = armed_at.unwrap_or_else(|| state.now.get());
+        let key = state.timers.borrow_mut().insert(deadline, armed_at, waker);
+        key // named so the `timers` borrow ends before `state` drops
     }
 
     /// Refresh the waker of a pending timer; false when the timer already
@@ -635,7 +665,8 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Future returned by [`SimCtx::sleep`].
+/// Future returned by [`SimCtx::sleep`], [`SimCtx::sleep_until`] and
+/// [`SimCtx::sleep_slices`].
 ///
 /// Holds a [`TimerKey`] into the cancellation-aware timer heap: dropping
 /// or completing the sleep removes the entry immediately, so abandoned
@@ -644,6 +675,8 @@ impl<T> Future for JoinHandle<T> {
 pub struct Sleep {
     ctx: SimCtx,
     deadline: SimTime,
+    /// Tie-break instant among equal deadlines; `None` = when registered.
+    armed_at: Option<SimTime>,
     timer: Option<TimerKey>,
 }
 
@@ -666,8 +699,9 @@ impl Future for Sleep {
             }
             self.timer = None;
         }
-        let deadline = self.deadline;
-        let key = self.ctx.register_timer(deadline, cx.waker().clone());
+        let key = self
+            .ctx
+            .register_timer(self.deadline, self.armed_at, cx.waker().clone());
         self.timer = Some(key);
         Poll::Pending
     }
@@ -850,6 +884,80 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// One task sleeps `k` slices — as `k` chained `sleep`s or as one
+    /// `sleep_slices` — among unrelated tasks whose timers share every
+    /// deadline of the chain to the nanosecond: armed before the chain
+    /// starts (`early`), between its links (`between`), and after the link
+    /// they tie with (`late`). Each wake-up logs the clock and an RNG draw,
+    /// so a flipped firing order shows. Returns the log and the timer count.
+    fn slices_among_unrelated_timers(k: u64, fused: bool) -> (Vec<(u64, String, u64)>, u64) {
+        const SLICE: SimDuration = SimDuration::from_millis(10);
+        let start = SimTime::ZERO + SimDuration::from_millis(5);
+        let grid = move |i: u64| start + SLICE * i;
+        let mut sim = Sim::new(11);
+        let reg = sim.install_metrics();
+        let log: Rc<RefCell<Vec<(u64, String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+        // (name, instant to arm at, deadline)
+        let mut sleepers = Vec::new();
+        for i in 0..=k {
+            sleepers.push((format!("early{i}"), SimTime::ZERO, grid(i)));
+        }
+        for i in 1..=k {
+            let armed = grid(i) - SimDuration::from_millis(3);
+            sleepers.push((format!("late{i}"), armed, grid(i)));
+        }
+        if k > 1 {
+            let armed = grid(k - 1) - SimDuration::from_millis(5);
+            sleepers.push(("between".to_string(), armed, grid(k)));
+        }
+        sleepers.push(("chain".to_string(), start, grid(k)));
+        for (name, arm_at, deadline) in sleepers {
+            let (ctx, log) = (sim.ctx(), Rc::clone(&log));
+            sim.spawn(async move {
+                ctx.sleep_until(arm_at).await;
+                if name != "chain" {
+                    ctx.sleep_until(deadline).await;
+                } else if fused {
+                    ctx.sleep_slices(SLICE, k).await;
+                } else {
+                    for _ in 0..k {
+                        ctx.sleep(SLICE).await;
+                    }
+                }
+                let draw = ctx.with_rng(|r| r.gen_range_u64(0, u64::MAX));
+                log.borrow_mut().push((ctx.now().as_nanos(), name, draw));
+            });
+        }
+        sim.run();
+        let inserts = reg.snapshot().counters["sim.timer.inserts"];
+        let log = log.borrow().clone();
+        (log, inserts)
+    }
+
+    #[test]
+    fn sleep_slices_fires_where_the_last_chained_sleep_would() {
+        for k in [1, 2, 4, 9] {
+            let (chained, chained_inserts) = slices_among_unrelated_timers(k, false);
+            let (fused, fused_inserts) = slices_among_unrelated_timers(k, true);
+            assert_eq!(chained, fused, "k = {k}");
+            assert_eq!(chained_inserts - fused_inserts, k - 1, "one timer, not {k}");
+            // At the shared final deadline: everything armed before the last
+            // link, in registration order; then the chain; then the rest.
+            let end = chained.last().expect("log").0;
+            let at_end: Vec<&str> = chained
+                .iter()
+                .filter(|e| e.0 == end)
+                .map(|e| e.1.as_str())
+                .collect();
+            let (early, late) = (format!("early{k}"), format!("late{k}"));
+            if k > 1 {
+                assert_eq!(at_end, [early.as_str(), "between", "chain", late.as_str()]);
+            } else {
+                assert_eq!(at_end, [early.as_str(), "chain", late.as_str()]);
+            }
+        }
     }
 
     #[test]

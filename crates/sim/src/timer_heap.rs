@@ -16,9 +16,14 @@
 //! the index vector — measurably faster for the sift-down-heavy pop loop
 //! (see `sim_bench`, BENCH_sim.json).
 //!
-//! Ordering is `(deadline, seq)` where `seq` is an insertion counter:
-//! timers with equal deadlines fire in registration order, exactly like
-//! the old heap — the determinism sweep depends on it.
+//! Ordering is `(deadline, armed_at, seq)` where `seq` is an insertion
+//! counter. An ordinary sleep is armed at the instant it registers, and
+//! `seq` grows with the clock, so among ordinary timers equal deadlines
+//! fire in registration order, exactly like the old heap — the determinism
+//! sweep depends on it. A sleep that stands for a chain of shorter sleeps
+//! (`SimCtx::sleep_slices`) registers early but passes the instant at which
+//! the *last* link of the chain would have registered, and so fires where
+//! that link would have.
 
 use crate::time::SimTime;
 
@@ -41,11 +46,13 @@ struct TimerSlot<T> {
     /// Index into `heap`, or `NO_POS` when free.
     pos: u32,
     deadline: SimTime,
+    armed_at: SimTime,
     seq: u64,
     payload: Option<T>,
 }
 
-/// 4-ary min-heap over `(deadline, seq)` with O(log n) cancellation.
+/// 4-ary min-heap over `(deadline, armed_at, seq)` with O(log n)
+/// cancellation.
 pub struct TimerHeap<T> {
     slots: Vec<TimerSlot<T>>,
     free: Vec<u32>,
@@ -82,13 +89,14 @@ impl<T> TimerHeap<T> {
     }
 
     #[inline]
-    fn rank_of(&self, slot: usize) -> (SimTime, u64) {
+    fn rank_of(&self, slot: usize) -> (SimTime, SimTime, u64) {
         let s = &self.slots[slot];
-        (s.deadline, s.seq)
+        (s.deadline, s.armed_at, s.seq)
     }
 
-    /// Register a timer. Equal deadlines fire in insertion order.
-    pub fn insert(&mut self, deadline: SimTime, payload: T) -> TimerKey {
+    /// Register a timer. Equal deadlines fire in `armed_at` order, and
+    /// equal `(deadline, armed_at)` in insertion order.
+    pub fn insert(&mut self, deadline: SimTime, armed_at: SimTime, payload: T) -> TimerKey {
         let seq = self.next_seq;
         self.next_seq += 1;
         let pos = self.heap.len() as u32;
@@ -97,6 +105,7 @@ impl<T> TimerHeap<T> {
                 let slot = &mut self.slots[index as usize];
                 slot.pos = pos;
                 slot.deadline = deadline;
+                slot.armed_at = armed_at;
                 slot.seq = seq;
                 slot.payload = Some(payload);
                 index
@@ -108,6 +117,7 @@ impl<T> TimerHeap<T> {
                     generation: 0,
                     pos,
                     deadline,
+                    armed_at,
                     seq,
                     payload: Some(payload),
                 });
@@ -236,10 +246,10 @@ mod tests {
     #[test]
     fn pops_in_deadline_then_insertion_order() {
         let mut h = TimerHeap::new();
-        h.insert(t(30), "c");
-        h.insert(t(10), "a1");
-        h.insert(t(10), "a2");
-        h.insert(t(20), "b");
+        h.insert(t(30), t(0), "c");
+        h.insert(t(10), t(0), "a1");
+        h.insert(t(10), t(0), "a2");
+        h.insert(t(20), t(0), "b");
         assert_eq!(h.peek_deadline(), Some(t(10)));
         assert_eq!(h.pop_due(t(100)), Some("a1"));
         assert_eq!(h.pop_due(t(100)), Some("a2"));
@@ -249,9 +259,24 @@ mod tests {
     }
 
     #[test]
+    fn equal_deadlines_pop_in_armed_then_insertion_order() {
+        let mut h = TimerHeap::new();
+        // A chained sleep registers first but is armed last.
+        h.insert(t(40), t(30), "chain");
+        h.insert(t(40), t(5), "early");
+        h.insert(t(40), t(30), "same-instant");
+        h.insert(t(40), t(35), "late");
+        let mut popped = Vec::new();
+        while let Some(v) = h.pop_due(t(40)) {
+            popped.push(v);
+        }
+        assert_eq!(popped, ["early", "chain", "same-instant", "late"]);
+    }
+
+    #[test]
     fn pop_due_respects_now() {
         let mut h = TimerHeap::new();
-        h.insert(t(50), ());
+        h.insert(t(50), t(0), ());
         assert_eq!(h.pop_due(t(49)), None);
         assert_eq!(h.pop_due(t(50)), Some(()));
     }
@@ -259,8 +284,8 @@ mod tests {
     #[test]
     fn cancel_removes_immediately() {
         let mut h = TimerHeap::new();
-        let a = h.insert(t(10), "a");
-        h.insert(t(20), "b");
+        let a = h.insert(t(10), t(0), "a");
+        h.insert(t(20), t(0), "b");
         assert_eq!(h.len(), 2);
         assert_eq!(h.cancel(a), Some("a"));
         assert_eq!(h.len(), 1, "no tombstone left behind");
@@ -271,9 +296,9 @@ mod tests {
     #[test]
     fn stale_key_after_reuse_misses() {
         let mut h = TimerHeap::new();
-        let a = h.insert(t(10), 1u32);
+        let a = h.insert(t(10), t(0), 1u32);
         assert_eq!(h.pop_due(t(10)), Some(1));
-        let b = h.insert(t(20), 2u32);
+        let b = h.insert(t(20), t(0), 2u32);
         // Slot reused: same index, newer generation.
         assert_eq!(a & INDEX_MASK, b & INDEX_MASK);
         assert_eq!(h.cancel(a), None);
@@ -284,7 +309,7 @@ mod tests {
     #[test]
     fn interleaved_cancel_keeps_order() {
         let mut h = TimerHeap::new();
-        let keys: Vec<_> = (0..100u64).map(|i| h.insert(t(i % 10), i)).collect();
+        let keys: Vec<_> = (0..100u64).map(|i| h.insert(t(i % 10), t(0), i)).collect();
         for (i, k) in keys.iter().enumerate() {
             if i % 3 == 0 {
                 assert!(h.cancel(*k).is_some());

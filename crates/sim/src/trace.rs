@@ -297,7 +297,7 @@ pub fn chrome_trace_json_multi(runs: &[(String, &Tracer)]) -> String {
     let mut pid_names: Vec<String> = Vec::new();
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
-    let mut push_ev = |out: &mut String, first: &mut bool, v: serde_json::Value| {
+    let push_ev = |out: &mut String, first: &mut bool, v: serde_json::Value| {
         if !*first {
             out.push(',');
         }

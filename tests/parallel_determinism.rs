@@ -121,8 +121,9 @@ mod scheduler_props {
     /// A random interleaving of timer operations.
     #[derive(Debug, Clone)]
     enum TimerOp {
-        /// Insert a timer at `now + delta`.
-        Insert(u64),
+        /// Insert a timer at `now + delta`, armed at `now` (an ordinary
+        /// sleep) or, for a chained sleep, `lead` before its deadline.
+        Insert(u64, Option<u64>),
         /// Cancel the i-th live key (modulo the live set), if any.
         Cancel(usize),
         /// Advance `now` by `delta` and drain everything due.
@@ -132,7 +133,8 @@ mod scheduler_props {
     fn timer_ops() -> impl Strategy<Value = Vec<TimerOp>> {
         prop::collection::vec(
             prop_oneof![
-                3 => (0u64..1_000).prop_map(TimerOp::Insert),
+                3 => (0u64..1_000).prop_map(|d| TimerOp::Insert(d, None)),
+                2 => (0u64..1_000, 0u64..300).prop_map(|(d, lead)| TimerOp::Insert(d, Some(lead))),
                 1 => (0usize..64).prop_map(TimerOp::Cancel),
                 2 => (0u64..500).prop_map(TimerOp::Fire),
             ],
@@ -142,13 +144,14 @@ mod scheduler_props {
 
     proptest! {
         /// The quaternary heap pops the same payloads at the same virtual
-        /// times as a `BinaryHeap<Reverse<(deadline, seq)>>` oracle with
-        /// tombstone cancellation — including ties, which must fire in
-        /// insertion order.
+        /// times as a `BinaryHeap<Reverse<(deadline, armed_at, seq)>>`
+        /// oracle with tombstone cancellation — including ties on the
+        /// deadline, which must fire in armed-at order, and ties on both,
+        /// which must fire in insertion order.
         #[test]
         fn timer_heap_matches_binary_heap_oracle(ops in timer_ops()) {
             let mut heap: TimerHeap<u64> = TimerHeap::new();
-            let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut oracle: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
             let mut cancelled: std::collections::BTreeSet<u64> = Default::default();
             // seq -> heap key, insertion-ordered; payload is the seq itself.
             let mut live: Vec<(u64, skyrise::sim::TimerKey)> = Vec::new();
@@ -156,10 +159,15 @@ mod scheduler_props {
             let mut now = 0u64;
             for op in ops {
                 match op {
-                    TimerOp::Insert(delta) => {
+                    TimerOp::Insert(delta, lead) => {
                         let deadline = now + delta;
-                        let key = heap.insert(SimTime::from_nanos(deadline), seq);
-                        oracle.push(Reverse((deadline, seq)));
+                        let armed_at = lead.map_or(now, |l| deadline.saturating_sub(l).max(now));
+                        let key = heap.insert(
+                            SimTime::from_nanos(deadline),
+                            SimTime::from_nanos(armed_at),
+                            seq,
+                        );
+                        oracle.push(Reverse((deadline, armed_at, seq)));
                         live.push((seq, key));
                         seq += 1;
                     }
@@ -180,12 +188,12 @@ mod scheduler_props {
                             // Drain the oracle's tombstones first.
                             let due = oracle
                                 .peek()
-                                .map(|Reverse((d, _))| *d <= now)
+                                .map(|Reverse((d, _, _))| *d <= now)
                                 .unwrap_or(false);
                             if !due {
                                 break;
                             }
-                            let Reverse((_, s)) = oracle.pop().expect("peeked");
+                            let Reverse((_, _, s)) = oracle.pop().expect("peeked");
                             if cancelled.contains(&s) {
                                 continue;
                             }
