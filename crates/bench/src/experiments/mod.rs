@@ -18,10 +18,13 @@ pub use reliability::reliability;
 pub use static_tables::{table01, table02, table03, table07, table08};
 pub use storage_figs::{fig08, fig09, fig10, fig11, fig12, fig13};
 
-/// The complete suite, in paper order. The single source of truth for
-/// `all_experiments`, the determinism sweep, and the parallel-determinism
+/// A registry entry: the name `skyrise-bench` selects it by, and its body.
+pub type Experiment = (&'static str, fn() -> ExperimentResult);
+
+/// The complete suite, in paper order. The single source of truth for the
+/// `skyrise-bench` CLI, the determinism sweep, and the parallel-determinism
 /// test — so none of them can drift out of sync with a new experiment.
-pub const ALL: &[(&str, fn() -> ExperimentResult)] = &[
+pub const ALL: &[Experiment] = &[
     ("table01", table01),
     ("table02", table02),
     ("table03", table03),

@@ -18,6 +18,7 @@
 //!   of scheduling. `tests/parallel_determinism.rs` pins the contract:
 //!   `--jobs 1` and `--jobs 4` produce byte-identical digests and JSON.
 
+use crate::experiments::{Experiment, ALL};
 use crate::{capture_runs, finish, results_dir};
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport};
@@ -39,8 +40,8 @@ pub struct ExperimentJob {
     /// completed job for the reporter to write at this path.
     pub trace_out: Option<PathBuf>,
     /// When set, a metric registry is installed in every simulation and
-    /// the merged snapshot is returned in the completed job (the suite
-    /// binaries merge further across experiments for `--metrics-out`).
+    /// the merged snapshot is returned in the completed job (the CLI
+    /// merges further across experiments for `--metrics-out`).
     pub metrics: bool,
 }
 
@@ -161,7 +162,7 @@ pub fn report(done: &CompletedExperiment) {
         done.result.id
     )];
     if let Some(trace) = &done.trace {
-        match write_trace_strings(&trace.path, &trace.chrome_json, &trace.jsonl) {
+        match write_with_sidecar(&trace.path, &trace.chrome_json, "jsonl", &trace.jsonl) {
             Ok(jsonl_path) => {
                 outputs.push(trace.path.display().to_string());
                 outputs.push(jsonl_path.display().to_string());
@@ -185,42 +186,86 @@ pub fn report(done: &CompletedExperiment) {
     );
 }
 
-/// Write pre-serialized trace strings: Chrome JSON at `path`, JSONL at
-/// `<path>.jsonl`. Returns the JSONL path.
-pub fn write_trace_strings(
+/// Write `body` at `path` (creating its directory) and `sidecar` alongside
+/// at `<path>.<ext>`: a Chrome trace with its `.jsonl` event log, a
+/// telemetry JSONL with its `.prom` exposition. Returns the sidecar path.
+pub fn write_with_sidecar(
     path: &Path,
-    chrome_json: &str,
-    jsonl: &str,
+    body: &str,
+    ext: &str,
+    sidecar: &str,
 ) -> std::io::Result<PathBuf> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, chrome_json)?;
-    let mut jsonl_path = path.as_os_str().to_owned();
-    jsonl_path.push(".jsonl");
-    let jsonl_path = PathBuf::from(jsonl_path);
-    std::fs::write(&jsonl_path, jsonl)?;
-    Ok(jsonl_path)
+    std::fs::write(path, body)?;
+    let mut sidecar_path = path.as_os_str().to_owned();
+    sidecar_path.push(format!(".{ext}"));
+    let sidecar_path = PathBuf::from(sidecar_path);
+    std::fs::write(&sidecar_path, sidecar)?;
+    Ok(sidecar_path)
 }
 
 // ---------------------------------------------------------------------------
-// Suite CLI arguments
+// CLI arguments
 // ---------------------------------------------------------------------------
 
-/// Arguments shared by the suite binaries: `--trace-out <path>`,
-/// `--metrics-out <path>`, `--jobs N` (0 or omitted → [`default_jobs`]),
-/// and `--shard i/n` (run only every n-th experiment, offset i).
+/// What `skyrise-bench` was asked to do: `<name>… | all`, `--trace-out
+/// <path>`, `--metrics-out <path>`, `--jobs N` (0 or omitted →
+/// [`default_jobs`]), and `--shard i/n` (run only every n-th selected
+/// experiment, offset i).
 pub struct SuiteArgs {
-    /// Base path for per-experiment trace files, when tracing.
+    /// The selected experiments, each once, in paper order.
+    pub experiments: Vec<Experiment>,
+    /// Trace path: used as given for a single experiment, as the base of
+    /// per-experiment `stem-<name>.ext` files for several.
     pub trace_out: Option<PathBuf>,
-    /// Path for the suite-merged telemetry JSONL (+ `.prom` sidecar).
+    /// Path for the merged telemetry JSONL (+ `.prom` sidecar).
     pub metrics_out: Option<PathBuf>,
     /// Worker thread count.
     pub jobs: usize,
     /// `(index, count)` shard selector; `None` runs everything.
     pub shard: Option<(usize, usize)>,
+}
+
+impl SuiteArgs {
+    /// The jobs this invocation runs: the selection, with its trace paths,
+    /// cut down to this shard.
+    pub fn plan(&self) -> Vec<ExperimentJob> {
+        let single = self.experiments.len() == 1;
+        let jobs = self
+            .experiments
+            .iter()
+            .map(|&(name, run)| ExperimentJob {
+                name,
+                run,
+                trace_out: self.trace_out.as_ref().map(|base| {
+                    if single {
+                        base.clone()
+                    } else {
+                        trace_path_for(base, name)
+                    }
+                }),
+                metrics: self.metrics_out.is_some(),
+            })
+            .collect();
+        apply_shard(jobs, self.shard)
+    }
+}
+
+/// Derive a per-experiment trace path: `dir/stem-name.ext`.
+fn trace_path_for(base: &Path, name: &str) -> PathBuf {
+    let stem = base
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "trace".into());
+    let ext = base
+        .extension()
+        .map(|s| format!(".{}", s.to_string_lossy()))
+        .unwrap_or_default();
+    base.with_file_name(format!("{stem}-{name}{ext}"))
 }
 
 /// Parse an `i/n` shard spec: `i < n`, `n >= 1`.
@@ -246,61 +291,72 @@ pub fn apply_shard(jobs: Vec<ExperimentJob>, shard: Option<(usize, usize)>) -> V
     }
 }
 
-/// Parse suite arguments; unknown arguments abort with a usage message.
-pub fn parse_suite_args<I: IntoIterator<Item = String>>(args: I) -> SuiteArgs {
+/// Parse the command line (flags space- or `=`-separated). `Err` carries
+/// what to print before exiting with status 2: the complaint, the usage
+/// line, and the registry's names.
+pub fn parse_suite_args<I: IntoIterator<Item = String>>(args: I) -> Result<SuiteArgs, String> {
+    parse(args.into_iter()).map_err(|complaint| {
+        let names: Vec<&str> = ALL.iter().map(|&(name, _)| name).collect();
+        format!(
+            "{complaint}\nusage: skyrise-bench <name>... | all [--jobs N] [--shard i/n] \
+             [--trace-out <path>] [--metrics-out <path>]\nexperiments: {}",
+            names.join(" ")
+        )
+    })
+}
+
+fn parse(mut iter: impl Iterator<Item = String>) -> Result<SuiteArgs, String> {
     let mut out = SuiteArgs {
+        experiments: Vec::new(),
         trace_out: None,
         metrics_out: None,
         jobs: default_jobs(),
         shard: None,
     };
-    let mut iter = args.into_iter();
-    let usage = "usage: [--trace-out <path>] [--metrics-out <path>] [--jobs N] [--shard i/n]";
-    let set_jobs = |v: &str| match v.parse::<usize>() {
-        Ok(0) => default_jobs(),
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("--jobs requires a non-negative integer; {usage}");
-            std::process::exit(2);
-        }
-    };
-    let set_shard = |v: &str| match parse_shard(v) {
-        Some(shard) => shard,
-        None => {
-            eprintln!("--shard requires `i/n` with i < n; {usage}");
-            std::process::exit(2);
-        }
-    };
+    let mut names: Vec<String> = Vec::new();
     while let Some(arg) = iter.next() {
-        let mut take = |flag: &str| -> Option<String> {
+        let mut take = |flag: &str| -> Result<Option<String>, String> {
             if arg == flag {
-                match iter.next() {
-                    Some(v) => Some(v),
-                    None => {
-                        eprintln!("{flag} requires an argument; {usage}");
-                        std::process::exit(2);
-                    }
-                }
+                iter.next()
+                    .map(Some)
+                    .ok_or_else(|| format!("{flag} requires an argument"))
             } else {
-                arg.strip_prefix(flag)
+                Ok(arg
+                    .strip_prefix(flag)
                     .and_then(|rest| rest.strip_prefix('='))
-                    .map(str::to_string)
+                    .map(str::to_string))
             }
         };
-        if let Some(path) = take("--trace-out") {
+        if let Some(path) = take("--trace-out")? {
             out.trace_out = Some(PathBuf::from(path));
-        } else if let Some(path) = take("--metrics-out") {
+        } else if let Some(path) = take("--metrics-out")? {
             out.metrics_out = Some(PathBuf::from(path));
-        } else if let Some(v) = take("--jobs") {
-            out.jobs = set_jobs(&v);
-        } else if let Some(v) = take("--shard") {
-            out.shard = Some(set_shard(&v));
+        } else if let Some(v) = take("--jobs")? {
+            out.jobs = match v.parse::<usize>() {
+                Ok(0) => default_jobs(),
+                Ok(n) => n,
+                Err(_) => return Err("--jobs requires a non-negative integer".into()),
+            };
+        } else if let Some(v) = take("--shard")? {
+            out.shard = Some(parse_shard(&v).ok_or("--shard requires `i/n` with i < n")?);
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown argument `{arg}`"));
+        } else if arg == "all" || ALL.iter().any(|&(name, _)| name == arg) {
+            names.push(arg);
         } else {
-            eprintln!("unknown argument `{arg}`; {usage}");
-            std::process::exit(2);
+            return Err(format!("unknown experiment `{arg}`"));
         }
     }
-    out
+    if names.is_empty() {
+        return Err("no experiment named".into());
+    }
+    let all = names.iter().any(|n| n == "all");
+    out.experiments = ALL
+        .iter()
+        .filter(|&&(name, _)| all || names.iter().any(|n| n == name))
+        .copied()
+        .collect();
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -373,26 +429,95 @@ mod tests {
         }
     }
 
+    fn parsed(args: &[&str]) -> SuiteArgs {
+        parse_suite_args(args.iter().map(|a| a.to_string())).expect("arguments parse")
+    }
+
+    fn names(args: &SuiteArgs) -> Vec<&'static str> {
+        args.experiments.iter().map(|&(name, _)| name).collect()
+    }
+
     #[test]
     fn suite_args_parsing() {
-        let args = parse_suite_args(vec!["--jobs".into(), "4".into()]);
+        let args = parsed(&["fig05", "--jobs", "4"]);
         assert_eq!(args.jobs, 4);
         assert_eq!(args.trace_out, None);
         assert_eq!(args.metrics_out, None);
         assert_eq!(args.shard, None);
-        let args = parse_suite_args(vec!["--jobs=2".into(), "--trace-out=/tmp/t.json".into()]);
+        let args = parsed(&["all", "--jobs=2", "--trace-out=/tmp/t.json"]);
         assert_eq!(args.jobs, 2);
         assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/t.json")));
         // 0 falls back to the hardware default.
-        let args = parse_suite_args(vec!["--jobs=0".into()]);
+        let args = parsed(&["all", "--jobs=0"]);
         assert!(args.jobs >= 1);
-        let args = parse_suite_args(vec![
-            "--metrics-out=/tmp/m.jsonl".into(),
-            "--shard".into(),
-            "1/3".into(),
+        let args = parsed(&[
+            "--trace-out",
+            "/tmp/t.json",
+            "--metrics-out=/tmp/m.jsonl",
+            "--shard",
+            "1/3",
+            "all",
         ]);
+        assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(args.metrics_out, Some(PathBuf::from("/tmp/m.jsonl")));
         assert_eq!(args.shard, Some((1, 3)));
+    }
+
+    #[test]
+    fn names_select_from_the_registry_in_paper_order() {
+        let registry: Vec<&str> = ALL.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names(&parsed(&["all"])), registry);
+        for &name in &registry {
+            assert_eq!(names(&parsed(&[name])), [name]);
+        }
+        // Paper order, not argument order; a repeated name runs once, and
+        // `all` absorbs whatever else was named.
+        assert_eq!(
+            names(&parsed(&["fig05", "table01", "fig05"])),
+            ["table01", "fig05"]
+        );
+        assert_eq!(names(&parsed(&["fig05", "all"])), registry);
+    }
+
+    #[test]
+    fn trace_path_kept_for_one_experiment_suffixed_for_several() {
+        let one = parsed(&["fig05", "--trace-out=/tmp/t.json"]).plan();
+        assert_eq!(one[0].trace_out, Some(PathBuf::from("/tmp/t.json")));
+        let two = parsed(&["fig05", "fig14", "--trace-out=/tmp/t.json"]).plan();
+        let paths: Vec<_> = two.iter().map(|j| j.trace_out.clone().unwrap()).collect();
+        assert_eq!(
+            paths,
+            [
+                PathBuf::from("/tmp/t-fig05.json"),
+                PathBuf::from("/tmp/t-fig14.json")
+            ]
+        );
+        assert!(two.iter().all(|j| !j.metrics));
+        // No flag, no capture.
+        let plain = parsed(&["fig05"]).plan();
+        assert_eq!(plain[0].trace_out, None);
+        assert!(parsed(&["fig05", "--metrics-out=/tmp/m.jsonl"]).plan()[0].metrics);
+    }
+
+    #[test]
+    fn bad_command_lines_list_the_registry() {
+        for args in [
+            &[][..],
+            &["--jobs", "2"],
+            &["fig99"],
+            &["fig05", "--frobnicate"],
+            &["fig05", "--jobs"],
+            &["fig05", "--jobs=many"],
+            &["fig05", "--shard=3/3"],
+        ] {
+            let err = parse_suite_args(args.iter().map(|a| a.to_string()))
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} should be rejected"));
+            assert!(err.contains("usage: skyrise-bench"), "{err}");
+            for &(name, _) in ALL {
+                assert!(err.contains(name), "{name} missing from: {err}");
+            }
+        }
     }
 
     #[test]

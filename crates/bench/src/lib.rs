@@ -1,8 +1,9 @@
 //! # skyrise-bench — the experiment harness
 //!
-//! One module per paper table/figure (see DESIGN.md §4). Each experiment
-//! is a function returning an [`ExperimentResult`]; the `bin/` wrappers
-//! print it and persist JSON/CSV under `results/`.
+//! One function per paper table/figure (see DESIGN.md §4), each returning
+//! an [`ExperimentResult`] and registered in [`experiments::ALL`]. The one
+//! binary, `skyrise-bench <name>... | all`, runs the selection through
+//! [`harness`], prints each result and persists JSON/CSV under `results/`.
 //!
 //! Two profiles:
 //! * **fast** (default) — time-scaled variants of the long-running
@@ -11,10 +12,11 @@
 //!   wall time for the whole suite.
 //! * **full** (`SKYRISE_FULL=1`) — paper-scale durations.
 //!
-//! Every binary accepts `--trace-out <path>`: the experiment then runs
-//! with virtual-time tracing enabled in every simulation, and the merged
-//! trace is written as Chrome-trace JSON at `<path>` (open in Perfetto)
-//! plus a flat JSONL log at `<path>.jsonl`. Traces are byte-identical
+//! With `--trace-out <path>` every simulation runs with virtual-time
+//! tracing enabled, and each experiment's merged trace is written as
+//! Chrome-trace JSON (open in Perfetto) plus a flat JSONL log alongside at
+//! `.jsonl`: at `<path>` when one experiment is selected, at
+//! `stem-<name>.ext` next to it when several are. Traces are byte-identical
 //! across runs with identical seeds.
 
 // Host-side harness crate: wall-clock timing and OS threads are its job
@@ -30,7 +32,7 @@ pub mod harness;
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport, Tracer};
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 static RESULTS_DIR: OnceLock<PathBuf> = OnceLock::new();
@@ -305,165 +307,6 @@ pub fn in_sim_traced<T: 'static>(
     h.try_take().expect("experiment completed")
 }
 
-// ---------------------------------------------------------------------------
-// CLI entry points
-// ---------------------------------------------------------------------------
-
-/// Output options shared by every experiment binary.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct RunOpts {
-    /// `--trace-out <path>`: Chrome-trace JSON (+ `.jsonl` sidecar).
-    pub trace_out: Option<PathBuf>,
-    /// `--metrics-out <path>`: telemetry JSONL (+ `.prom` sidecar).
-    pub metrics_out: Option<PathBuf>,
-}
-
-/// Parse `--trace-out` / `--metrics-out` (space- or `=`-separated) from an
-/// argument list. Unknown arguments abort with a usage message.
-pub fn parse_run_opts<I: IntoIterator<Item = String>>(args: I) -> RunOpts {
-    let mut opts = RunOpts::default();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let slot = if arg == "--trace-out" || arg.starts_with("--trace-out=") {
-            &mut opts.trace_out
-        } else if arg == "--metrics-out" || arg.starts_with("--metrics-out=") {
-            &mut opts.metrics_out
-        } else {
-            eprintln!(
-                "unknown argument `{arg}`; usage: [--trace-out <path>] [--metrics-out <path>]"
-            );
-            std::process::exit(2);
-        };
-        *slot = match arg.split_once('=') {
-            Some((_, path)) => Some(PathBuf::from(path)),
-            None => match iter.next() {
-                Some(path) => Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("{arg} requires a path argument");
-                    std::process::exit(2);
-                }
-            },
-        };
-    }
-    opts
-}
-
-/// Parse `--trace-out <path>` / `--trace-out=<path>` from an argument list.
-/// Unknown arguments abort with a usage message.
-pub fn parse_trace_out<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf> {
-    let mut out = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--trace-out" {
-            match iter.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--trace-out requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-            out = Some(PathBuf::from(path));
-        } else {
-            eprintln!("unknown argument `{arg}`; usage: [--trace-out <path>]");
-            std::process::exit(2);
-        }
-    }
-    out
-}
-
-/// Write a captured trace: Chrome-trace JSON at `path`, JSONL alongside at
-/// `<path>.jsonl`. Returns the JSONL path.
-pub fn write_traces(path: &Path, summary: &RunSummary) -> std::io::Result<PathBuf> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, summary.chrome_json())?;
-    let mut jsonl_path = path.as_os_str().to_owned();
-    jsonl_path.push(".jsonl");
-    let jsonl_path = PathBuf::from(jsonl_path);
-    std::fs::write(&jsonl_path, summary.jsonl())?;
-    Ok(jsonl_path)
-}
-
-/// Write a telemetry snapshot: JSONL at `path`, Prometheus text exposition
-/// alongside at `<path>.prom`. Returns the Prometheus path.
-pub fn write_metrics(path: &Path, snapshot: &MetricsSnapshot) -> std::io::Result<PathBuf> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, snapshot.to_jsonl())?;
-    let mut prom_path = path.as_os_str().to_owned();
-    prom_path.push(".prom");
-    let prom_path = PathBuf::from(prom_path);
-    std::fs::write(&prom_path, snapshot.to_prometheus())?;
-    Ok(prom_path)
-}
-
-/// Run one experiment with optional tracing/telemetry and print its
-/// summary line: virtual time simulated, wall-clock elapsed, events
-/// traced, metrics registered, and where the outputs went.
-pub fn run_experiment(
-    name: &str,
-    run: impl FnOnce() -> ExperimentResult,
-    trace_out: Option<&Path>,
-    metrics_out: Option<&Path>,
-) {
-    // Wall time for the human-facing summary line only, never fed into
-    // the simulation.
-    let wall = std::time::Instant::now();
-    let (result, summary) = capture_runs(trace_out.is_some(), metrics_out.is_some(), 0, run);
-    finish(&result);
-    let mut outputs = vec![format!("{}/{}.json", results_dir().display(), result.id)];
-    if let Some(path) = trace_out {
-        match write_traces(path, &summary) {
-            Ok(jsonl_path) => {
-                outputs.push(path.display().to_string());
-                outputs.push(jsonl_path.display().to_string());
-            }
-            Err(e) => eprintln!("  (could not write trace to {}: {e})", path.display()),
-        }
-    }
-    if let Some(path) = metrics_out {
-        match write_metrics(path, &summary.metrics) {
-            Ok(prom_path) => {
-                outputs.push(path.display().to_string());
-                outputs.push(prom_path.display().to_string());
-            }
-            Err(e) => eprintln!("  (could not write metrics to {}: {e})", path.display()),
-        }
-    }
-    println!(
-        "[{name}] virtual {:.1}s across {} sims, {} events traced, {} metrics, wall {:.1}s -> {}",
-        summary.virtual_secs,
-        summary.sims,
-        summary.events(),
-        summary.metrics.counters.len()
-            + summary.metrics.gauges.len()
-            + summary.metrics.histograms.len()
-            + summary.metrics.timelines.len(),
-        wall.elapsed().as_secs_f64(),
-        outputs.join(", ")
-    );
-}
-
-/// Standard `main` body for the single-experiment binaries: parses
-/// `--trace-out` / `--metrics-out` and runs the experiment with a
-/// summary line.
-pub fn run_cli(name: &str, run: impl FnOnce() -> ExperimentResult) {
-    let opts = parse_run_opts(std::env::args().skip(1));
-    run_experiment(
-        name,
-        run,
-        opts.trace_out.as_deref(),
-        opts.metrics_out.as_deref(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,31 +401,6 @@ mod tests {
         assert!(a.digests[0].1.events > 0);
         assert_eq!(a.digests, b.digests, "same seed, same digest trail");
         assert_eq!(a.digests[0].1.first_divergence(&b.digests[0].1), None);
-    }
-
-    #[test]
-    fn trace_out_parsing() {
-        assert_eq!(parse_trace_out(Vec::<String>::new()), None);
-        assert_eq!(
-            parse_trace_out(vec!["--trace-out".into(), "/tmp/t.json".into()]),
-            Some(PathBuf::from("/tmp/t.json"))
-        );
-        assert_eq!(
-            parse_trace_out(vec!["--trace-out=/tmp/t.json".into()]),
-            Some(PathBuf::from("/tmp/t.json"))
-        );
-    }
-
-    #[test]
-    fn run_opts_parsing() {
-        assert_eq!(parse_run_opts(Vec::<String>::new()), RunOpts::default());
-        let opts = parse_run_opts(vec![
-            "--trace-out".into(),
-            "/tmp/t.json".into(),
-            "--metrics-out=/tmp/m.jsonl".into(),
-        ]);
-        assert_eq!(opts.trace_out, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(opts.metrics_out, Some(PathBuf::from("/tmp/m.jsonl")));
     }
 
     #[test]

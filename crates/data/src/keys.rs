@@ -249,8 +249,8 @@ impl Iterator for SelIter<'_> {
 #[derive(Debug, Default)]
 pub struct DictCache {
     pins: RefCell<Vec<Rc<Batch>>>,
-    pinned_cols: RefCell<BTreeSet<(usize, usize)>>,
-    entries: RefCell<BTreeMap<(usize, usize), Rc<Vec<String>>>>,
+    pinned_cols: RefCell<BTreeSet<ColKey>>,
+    entries: RefCell<BTreeMap<ColKey, Rc<Vec<String>>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -320,8 +320,11 @@ impl DictCache {
     }
 }
 
+/// A column's identity: `(data pointer, length)`.
+type ColKey = (usize, usize);
+
 #[inline]
-fn col_key(col: &[String]) -> (usize, usize) {
+fn col_key(col: &[String]) -> ColKey {
     (col.as_ptr() as usize, col.len())
 }
 

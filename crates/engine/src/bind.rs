@@ -32,9 +32,9 @@
 //! Every kernel reproduces the legacy path bit-for-bit: group output
 //! order equals the old `BTreeMap<Vec<ScalarKey>, _>` iteration order,
 //! per-group float accumulation order equals the old stream-row order,
-//! and join match lists keep build-row order. The legacy path stays
-//! available as the property-test oracle and as a benchmark baseline via
-//! [`set_legacy_kernels`].
+//! and join match lists keep build-row order. The legacy path stays as
+//! the property-test oracle and runs what cannot be bound: a chain over an
+//! input without batches, or one that builds from input 0.
 
 use crate::arena::{Arena, ArenaReport};
 use crate::error::EngineError;
@@ -43,23 +43,7 @@ use crate::operators::{self, column_from_values, OpChainStats};
 use crate::plan::{AggExpr, AggFunc, AggMode, Op};
 use skyrise_data::keys::{DictCache, SelSpec};
 use skyrise_data::{Batch, Column, Field, KeyBuffer, Schema, Value};
-use std::cell::Cell;
 use std::rc::Rc;
-
-thread_local! {
-    static FORCE_LEGACY: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Force [`execute_chain`] through the legacy `ScalarKey` operators
-/// (used by `kernel_bench` to time the pre-optimisation baseline).
-pub fn set_legacy_kernels(on: bool) {
-    FORCE_LEGACY.with(|f| f.set(on));
-}
-
-/// Whether the legacy kernels are currently forced.
-pub fn legacy_kernels() -> bool {
-    FORCE_LEGACY.with(|f| f.get())
-}
 
 // ---------------------------------------------------------------------------
 // bound expressions
@@ -599,14 +583,13 @@ struct Ctx {
 /// selection vectors intact* so the caller (the worker's shuffle writer)
 /// can keep operating under the sel. Produces output bit-identical to
 /// [`crate::operators::execute_ops`] once materialised; falls back to it
-/// when the legacy mode is forced ([`set_legacy_kernels`]) or when an
-/// input stream carries no batches (no schema to bind against).
+/// when an input stream carries no batches (no schema to bind against).
 pub fn execute_chain_sel(
     ops: &[Op],
     inputs: &[Vec<Batch>],
     udfs: &UdfRegistry,
 ) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
-    if legacy_kernels() || inputs.is_empty() || inputs.iter().any(Vec::is_empty) {
+    if inputs.is_empty() || inputs.iter().any(Vec::is_empty) {
         let (out, stats) = operators::execute_ops(ops, inputs, udfs)?;
         let stream = out.into_iter().map(SelBatch::wrap).collect();
         return Ok((stream, stats, ArenaReport::default()));
@@ -653,8 +636,7 @@ pub fn execute_chain_sel_seeded(
     seeds: &[DictSeed],
     udfs: &UdfRegistry,
 ) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
-    if legacy_kernels()
-        || inputs.is_empty()
+    if inputs.is_empty()
         || inputs.iter().any(Vec::is_empty)
         || ops.iter().any(references_input_zero)
     {
@@ -1506,15 +1488,6 @@ mod tests {
             Op::Limit { n: 3 },
         ];
         assert_matches_oracle(&ops, &[lineitems(), orders]);
-    }
-
-    #[test]
-    fn legacy_toggle_forces_oracle_path() {
-        set_legacy_kernels(true);
-        let ops = vec![Op::Limit { n: 2 }];
-        let (out, _) = execute_chain(&ops, &[lineitems()], &udfs()).unwrap();
-        set_legacy_kernels(false);
-        assert_eq!(Batch::concat(&out).num_rows(), 2);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl QueryProfile {
                     && ev.name == "query"
                     && ev.kind == EventKind::Span
                     && attr_str(ev, "query") == Some(qid))
-                .then(|| (ev.ts, ev.dur))
+                .then_some((ev.ts, ev.dur))
             });
             let Some((t0, dur)) = window else { return };
             let t1 = dur.map(|d| t0.saturating_add(d));

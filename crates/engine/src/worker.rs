@@ -31,7 +31,6 @@ use skyrise_data::columnar::{Batch, Schema};
 use skyrise_data::spf;
 use skyrise_data::Value;
 use skyrise_storage::{Blob, RequestOpts, RetryPolicy, RetryingClient, Storage};
-use std::cell::Cell;
 use std::rc::Rc;
 
 /// Input assignment for one worker fragment, parallel to the pipeline's
@@ -149,32 +148,15 @@ fn default_combine() -> u32 {
     1
 }
 
-thread_local! {
-    /// Bench toggle: force whole-object shuffle reads (the pre-index
-    /// baseline) even when the bucket directory would allow ranged reads.
-    static LEGACY_SHUFFLE_READ: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Force (or stop forcing) whole-object demultiplexing shuffle reads on
-/// this thread. Benchmark baseline arm; production readers never set it.
-pub fn set_legacy_shuffle_read(v: bool) {
-    LEGACY_SHUFFLE_READ.with(|c| c.set(v));
-}
-
-/// Whether whole-object shuffle reads are being forced on this thread.
-pub fn legacy_shuffle_read() -> bool {
-    LEGACY_SHUFFLE_READ.with(|c| c.get())
-}
-
 /// Byte accounting for one pipeline's shuffle reads, folded into the
 /// `engine.shuffle.*` counters (DESIGN.md §10).
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleReadStats {
     /// Logical bytes actually transferred (suffix + footer + bucket ranges,
-    /// or whole objects on the baseline/fallback paths).
+    /// or whole objects on the whole-object path).
     pub bytes_read: u64,
     /// Logical bytes a whole-object read of the same segments would have
-    /// transferred — the demultiplexing baseline.
+    /// transferred.
     pub bytes_whole_object: u64,
     /// Logical bytes of this consumer's own bucket pages skipped by column
     /// projection and zone-map pruning (never decoded).
@@ -962,9 +944,8 @@ async fn read_shuffle(
     let group_buckets = combine
         .min(n_fragments.saturating_sub(my_group * combine))
         .max(1);
-    let whole_object = legacy_shuffle_read()
-        || !matches!(client.storage, Storage::S3(_))
-        || (group_buckets == 1 && predicates.is_empty());
+    let whole_object =
+        !matches!(client.storage, Storage::S3(_)) || (group_buckets == 1 && predicates.is_empty());
     // The first segment's tail and footer are probed inline — one small
     // suffix GET, no data pages — because its bucket directory reveals the
     // layout every sibling segment shares (the upstream fleet writes
@@ -1065,8 +1046,8 @@ async fn read_shuffle(
     Ok(outcome)
 }
 
-/// Decode a whole segment and keep this fragment's rows: the baseline path
-/// for unindexed objects, non-S3 shuffle stores, and the bench toggle.
+/// Decode a whole segment and keep this fragment's rows: the read path of
+/// non-S3 shuffle stores and of single-bucket groups without predicates.
 #[allow(clippy::too_many_arguments)]
 fn demux_segment(
     obj: &mut ShuffleObject,
@@ -1130,7 +1111,8 @@ fn projection_indices(
 /// byte-range GET when the guess fell short. With a good hint this is a
 /// single request per segment, the same count as a whole-object read, so
 /// rate-limit-bound shuffles pay fewer bytes without paying more requests.
-/// Never a whole-object GET while the segment carries a bucket directory.
+/// Never a whole-object GET: a segment without a bucket directory is
+/// refused as corrupt.
 ///
 /// `premeta` carries a tail + footer that the caller already probed (the
 /// layout-learning read of the first segment) together with its transfer
@@ -1202,25 +1184,11 @@ async fn read_shuffle_object(
     let out_schema = footer.schema.project(&proj);
     obj.schema = Some(Rc::clone(&out_schema));
 
-    let Some(index) = index else {
-        // Pre-index writer: fall back to the whole object and demultiplex.
-        let (blob, s) = client.get(key, 0, opts).await?;
-        obj.requests += s.attempts as u64;
-        obj.logical += blob.logical_len();
-        obj.payload += blob.len() as u64;
-        obj.stats.bytes_read += blob.logical_len();
-        obj.stats.bytes_decoded += blob.logical_len();
-        return demux_segment(
-            &mut obj,
-            &blob.bytes,
-            combine,
-            my_fragment,
-            n_fragments,
-            partition_by,
-            projection,
-        )
-        .map(|()| obj);
-    };
+    // Every segment is written by `spf::write_bucketed_rotated`, so one
+    // without a directory is not a shuffle segment of this program.
+    let index = index.ok_or(spf::SpfError::Corrupt(
+        "shuffle segment without bucket directory",
+    ))?;
 
     if index.buckets.len() <= my_bucket {
         return Err(spf::SpfError::Corrupt("bucket missing from segment directory").into());
@@ -1336,6 +1304,76 @@ mod tests {
         assert_eq!(shuffle_key("q1", 2, 3, 4), "shuffle/q1/p2/f3/b4");
         assert_eq!(result_key("q1", 0), "results/q1/part-00000.spf");
         assert_eq!(barrier_key("scan"), "barriers/scan");
+    }
+
+    /// A shuffle key holding a plain `spf::write` object — no bucket
+    /// directory — is not something this program's sink can have produced:
+    /// the ranged reader must refuse it, not guess at a demultiplex.
+    #[test]
+    fn shuffle_segment_without_directory_is_a_typed_error() {
+        use skyrise_data::{Column, DataType, Field};
+        let mut sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let storage = Storage::S3(skyrise_storage::S3Bucket::standard(&ctx, &meter));
+        let worker = sim.spawn(async move {
+            let env = ExecEnv {
+                ctx,
+                nic: skyrise_net::presets::lambda_nic(),
+                cold_start: false,
+                vcpus: 1.0,
+                memory_mib: 1024,
+                instance_id: 0,
+            };
+            let batch = Batch::new(
+                Schema::new(vec![Field::new("k", DataType::Int64)]),
+                vec![Column::Int64(vec![1, 2, 3])],
+            );
+            storage
+                .put(
+                    &shuffle_key("q", 0, 0, 0),
+                    Blob::new(spf::write(&[batch], 1024)),
+                    &RequestOpts::from_nic(&env.nic),
+                )
+                .await
+                .expect("segment stored");
+            let task = WorkerTask {
+                query_id: "q".into(),
+                pipeline: Pipeline {
+                    id: 1,
+                    inputs: vec![InputSpec::Shuffle { from_pipeline: 0 }],
+                    ops: vec![],
+                    sink: Sink::Result,
+                    fragments: None,
+                },
+                fragment: 0,
+                n_fragments: 2,
+                downstream_fragments: 1,
+                inputs: vec![InputAssignment::Shuffle {
+                    from_pipeline: 0,
+                    upstream_fragments: 1,
+                    partition_by: vec!["k".into()],
+                    combine: 2,
+                }],
+                expected_input_bytes: 0,
+                shuffle_read_fanin: 2,
+            };
+            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+        });
+        sim.run();
+        let err = worker
+            .try_take()
+            .expect("worker ran to completion")
+            .expect_err("an index-less segment must not be read");
+        assert!(
+            matches!(
+                err,
+                EngineError::Format(spf::SpfError::Corrupt(
+                    "shuffle segment without bucket directory"
+                ))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -594,7 +594,7 @@ proptest! {
         want.sort_by(|&a, &b| scalar_rows[a].cmp(&scalar_rows[b]));
         prop_assert_eq!(got, want);
         // Decode round-trips through the dictionary.
-        for (gi, &c) in cols.iter().enumerate() {
+        for gi in 0..cols.len() {
             for r in 0..batch.num_rows() {
                 prop_assert_eq!(
                     ScalarKey::try_from_value(&kb.value(r, gi)).unwrap(),

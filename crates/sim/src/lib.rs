@@ -18,8 +18,8 @@
 //! * [`sanitizer`] — runtime determinism checks + per-event state digest
 //! * [`faults`] — seeded fault-injection plan queried by the models
 //! * [`slab`] / [`timer_heap`] — the executor's generation-indexed task
-//!   table and cancellation-aware timer queue (exposed for oracle tests
-//!   and the `sim_bench` microbenchmark)
+//!   table and cancellation-aware timer queue (exposed for the oracle
+//!   property tests in `tests/parallel_determinism.rs`)
 
 #![warn(missing_docs)]
 

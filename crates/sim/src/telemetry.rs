@@ -455,10 +455,7 @@ impl MetricsSnapshot {
             }
         }
         for (k, h) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_insert_with(Histogram::new)
-                .merge(h);
+            self.histograms.entry(k.clone()).or_default().merge(h);
         }
         for (k, t) in &other.timelines {
             match self.timelines.get_mut(k) {

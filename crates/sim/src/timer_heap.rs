@@ -13,8 +13,8 @@
 //! (4-ary) implicit heap, so [`TimerHeap::cancel`] is a position lookup
 //! plus one sift. A 4-ary layout does the same work in half the tree
 //! height of a binary heap, with all four children on one cache line of
-//! the index vector — measurably faster for the sift-down-heavy pop loop
-//! (see `sim_bench`, BENCH_sim.json).
+//! the index vector, which suits the sift-down-heavy pop loop (the repo
+//! benchmark's `sim.probe.*_mev_s` probes measure it).
 //!
 //! Ordering is `(deadline, armed_at, seq)` where `seq` is an insertion
 //! counter. An ordinary sleep is armed at the instant it registers, and

@@ -71,27 +71,25 @@ pub fn rewrite(file: &str, src: &str, opts: &LintOptions, ctx: &FileCtx) -> Opti
     let blocked = toks
         .iter()
         .any(|t| t.kind == TokKind::Ident && SWAP_BLOCKERS.contains(&t.text.as_str()));
-    if has_hash_finding {
-        if !blocked {
-            let edits: Vec<Edit> = toks
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident)
-                .filter_map(|t| {
-                    let to = match t.text.as_str() {
-                        "HashMap" => "BTreeMap",
-                        "HashSet" => "BTreeSet",
-                        _ => return None,
-                    };
-                    Some(Edit {
-                        start: t.pos,
-                        end: t.end,
-                        text: to.to_string(),
-                    })
+    if has_hash_finding && !blocked {
+        let edits: Vec<Edit> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .filter_map(|t| {
+                let to = match t.text.as_str() {
+                    "HashMap" => "BTreeMap",
+                    "HashSet" => "BTreeSet",
+                    _ => return None,
+                };
+                Some(Edit {
+                    start: t.pos,
+                    end: t.end,
+                    text: to.to_string(),
                 })
-                .collect();
-            if !edits.is_empty() {
-                return Some(apply_edits(src, &edits));
-            }
+            })
+            .collect();
+        if !edits.is_empty() {
+            return Some(apply_edits(src, &edits));
         }
     }
     // Point-fix fallback. In a swap-blocked file, replacement edits are

@@ -360,10 +360,7 @@ mod tests {
             module_of("crates/bench/src/experiments/mod.rs"),
             ("bench".into(), vec!["experiments".into()])
         );
-        assert_eq!(
-            module_of("crates/bench/src/bin/sim_bench.rs").0,
-            "bench#bin/sim_bench.rs"
-        );
+        assert_eq!(module_of("crates/bench/src/main.rs").0, "bench#main.rs");
         assert_eq!(module_of("tests/integration.rs").0, "tests/integration.rs");
     }
 

@@ -352,7 +352,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         if let Some(j) = &d.justification {
             out.push_str(&format!(", \"justification\": \"{}\"", json_escape(j)));
         }
-        out.push_str("}");
+        out.push('}');
     }
     let unsuppressed = diags.iter().filter(|d| !d.suppressed).count();
     out.push_str(&format!("\n  ],\n  \"unsuppressed\": {unsuppressed}\n}}\n"));

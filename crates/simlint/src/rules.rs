@@ -998,43 +998,45 @@ fn rule_det003(file: &str, code: &[&Token], exempt: &[bool], diags: &mut Vec<Dia
                 {
                     let name = &code[idx + 2].text;
                     live.retain(|(n, _, _)| n != name);
-                } else if t.is_ident("await") && idx > 0 && code[idx - 1].is_punct('.') {
-                    if !exempt[idx] {
-                        if let Some(bline) = seg_borrow_line {
-                            diag(
-                                diags,
-                                file,
-                                t.line,
-                                "DET003",
-                                format!(
-                                    "RefCell borrow (line {bline}) is a temporary still live \
-                                     at this `.await`; bind and drop it before awaiting"
-                                ),
-                            );
-                        } else if let Some((name, _, bline)) = live.first() {
-                            diag(
-                                diags,
-                                file,
-                                t.line,
-                                "DET003",
-                                format!(
-                                    "RefCell borrow guard `{name}` (line {bline}) is held \
-                                     across this `.await`; scope it to a block that ends \
-                                     before the await"
-                                ),
-                            );
-                        } else if let Some((_, bline)) = temps.first() {
-                            diag(
-                                diags,
-                                file,
-                                t.line,
-                                "DET003",
-                                format!(
-                                    "RefCell borrow (line {bline}) in an enclosing match/for \
-                                     head is held across this `.await`"
-                                ),
-                            );
-                        }
+                } else if t.is_ident("await")
+                    && idx > 0
+                    && code[idx - 1].is_punct('.')
+                    && !exempt[idx]
+                {
+                    if let Some(bline) = seg_borrow_line {
+                        diag(
+                            diags,
+                            file,
+                            t.line,
+                            "DET003",
+                            format!(
+                                "RefCell borrow (line {bline}) is a temporary still live \
+                                 at this `.await`; bind and drop it before awaiting"
+                            ),
+                        );
+                    } else if let Some((name, _, bline)) = live.first() {
+                        diag(
+                            diags,
+                            file,
+                            t.line,
+                            "DET003",
+                            format!(
+                                "RefCell borrow guard `{name}` (line {bline}) is held \
+                                 across this `.await`; scope it to a block that ends \
+                                 before the await"
+                            ),
+                        );
+                    } else if let Some((_, bline)) = temps.first() {
+                        diag(
+                            diags,
+                            file,
+                            t.line,
+                            "DET003",
+                            format!(
+                                "RefCell borrow (line {bline}) in an enclosing match/for \
+                                 head is held across this `.await`"
+                            ),
+                        );
                     }
                 }
             }

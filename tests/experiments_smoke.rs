@@ -1,7 +1,7 @@
 //! Smoke tests over the experiment harness: the cheap experiments run end
 //! to end and produce the paper's qualitative findings. (The expensive
-//! figures are covered by unit tests inside `skyrise-bench` and by the
-//! `all_experiments` binary.)
+//! figures are covered by unit tests inside `skyrise-bench` and by
+//! `skyrise-bench all`.)
 
 use skyrise_bench::experiments as e;
 
