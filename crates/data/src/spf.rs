@@ -21,6 +21,7 @@
 
 use crate::columnar::{Batch, Column, DataType, Field, Schema, Value};
 use bytes::Bytes;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// File magic, present at both ends.
@@ -272,20 +273,25 @@ impl<'a> Cursor<'a> {
 // column chunk encode/decode
 // ---------------------------------------------------------------------------
 
-fn encode_column(col: &Column) -> (Vec<u8>, Encoding, Option<ChunkStats>) {
+/// Append the encoding of `col[rows]` to `out`.
+fn encode_column(
+    col: &Column,
+    rows: Range<usize>,
+    out: &mut Vec<u8>,
+) -> (Encoding, Option<ChunkStats>) {
     match col {
         Column::Int64(v) => {
-            let mut out = Vec::with_capacity(v.len() * 2);
+            let v = &v[rows];
+            out.reserve(v.len() * 2);
             let mut prev = 0i64;
             for &x in v {
-                put_varint(&mut out, zigzag(x.wrapping_sub(prev)));
+                put_varint(out, zigzag(x.wrapping_sub(prev)));
                 prev = x;
             }
             let stats = v.iter().copied().fold(None::<(i64, i64)>, |acc, x| {
                 Some(acc.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))))
             });
             (
-                out,
                 Encoding::DeltaVarint,
                 stats.map(|(lo, hi)| ChunkStats {
                     min: Value::Int64(lo),
@@ -294,7 +300,8 @@ fn encode_column(col: &Column) -> (Vec<u8>, Encoding, Option<ChunkStats>) {
             )
         }
         Column::Float64(v) => {
-            let mut out = Vec::with_capacity(v.len() * 8);
+            let v = &v[rows];
+            out.reserve(v.len() * 8);
             for &x in v {
                 out.extend_from_slice(&x.to_le_bytes());
             }
@@ -306,7 +313,6 @@ fn encode_column(col: &Column) -> (Vec<u8>, Encoding, Option<ChunkStats>) {
                     Some(acc.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))))
                 });
             (
-                out,
                 Encoding::FloatPlain,
                 stats.map(|(lo, hi)| ChunkStats {
                     min: Value::Float64(lo),
@@ -315,21 +321,25 @@ fn encode_column(col: &Column) -> (Vec<u8>, Encoding, Option<ChunkStats>) {
             )
         }
         Column::Utf8(v) => {
+            let v = &v[rows];
             // Dictionary-encode when it pays off. The dictionary keeps
             // first-occurrence order (part of the emitted bytes); the map
-            // only accelerates membership/position lookups.
+            // only accelerates the position lookup, made once per string
+            // and kept in `codes` for the emit pass.
             let mut dict: Vec<&str> = Vec::new();
             let mut index: std::collections::BTreeMap<&str, u64> =
                 std::collections::BTreeMap::new();
+            let mut codes: Vec<u64> = Vec::with_capacity(v.len());
             let mut distinct_small = true;
             for s in v {
-                if !index.contains_key(s.as_str()) {
-                    index.insert(s.as_str(), dict.len() as u64);
+                let code = *index.entry(s.as_str()).or_insert_with(|| {
                     dict.push(s);
-                    if dict.len() > 256 || dict.len() * 2 > v.len().max(8) {
-                        distinct_small = false;
-                        break;
-                    }
+                    dict.len() as u64 - 1
+                });
+                codes.push(code);
+                if dict.len() > 256 || dict.len() * 2 > v.len().max(8) {
+                    distinct_small = false;
+                    break;
                 }
             }
             let stats = {
@@ -351,34 +361,33 @@ fn encode_column(col: &Column) -> (Vec<u8>, Encoding, Option<ChunkStats>) {
                 })
             };
             if distinct_small && !v.is_empty() {
-                let mut out = Vec::new();
-                put_u32(&mut out, dict.len() as u32);
+                put_u32(out, dict.len() as u32);
                 for s in &dict {
-                    put_u32(&mut out, s.len() as u32);
+                    put_u32(out, s.len() as u32);
                     out.extend_from_slice(s.as_bytes());
                 }
-                for s in v {
-                    let idx = *index.get(s.as_str()).expect("in dict");
-                    put_varint(&mut out, idx);
+                for code in codes {
+                    put_varint(out, code);
                 }
-                (out, Encoding::Utf8Dict, stats)
+                (Encoding::Utf8Dict, stats)
             } else {
-                let mut out = Vec::new();
                 for s in v {
-                    put_u32(&mut out, s.len() as u32);
+                    put_u32(out, s.len() as u32);
                     out.extend_from_slice(s.as_bytes());
                 }
-                (out, Encoding::Utf8Plain, stats)
+                (Encoding::Utf8Plain, stats)
             }
         }
         Column::Bool(v) => {
-            let mut out = vec![0u8; v.len().div_ceil(8)];
+            let v = &v[rows];
+            let base = out.len();
+            out.resize(base + v.len().div_ceil(8), 0);
             for (i, &b) in v.iter().enumerate() {
                 if b {
-                    out[i / 8] |= 1 << (i % 8);
+                    out[base + i / 8] |= 1 << (i % 8);
                 }
             }
-            (out, Encoding::BoolBitmap, None)
+            (Encoding::BoolBitmap, None)
         }
     }
 }
@@ -487,40 +496,38 @@ fn read_stats(cur: &mut Cursor<'_>) -> Result<Option<ChunkStats>, SpfError> {
 // writer / reader
 // ---------------------------------------------------------------------------
 
-/// Append `batch` to `file` as row groups of `rows_per_group`, recording
-/// their directory entries. `force_group` emits one empty row group for an
-/// empty batch (legacy `write` behaviour) instead of none.
+/// Append `batch[rows]` to `file` as row groups of `rows_per_group`,
+/// recording their directory entries. `force_group` emits one empty row
+/// group for an empty range (legacy `write` behaviour) instead of none.
 fn encode_row_groups(
     file: &mut Vec<u8>,
     batch: &Batch,
+    rows: Range<usize>,
     rows_per_group: usize,
     force_group: bool,
     row_groups: &mut Vec<RowGroupMeta>,
 ) {
-    let total = batch.num_rows();
-    let mut start = 0usize;
-    let mut emitted = false;
-    while start < total || (total == 0 && force_group && !emitted) {
-        let end = (start + rows_per_group).min(total);
-        let rg = batch.slice(start, end);
-        let mut chunks = Vec::with_capacity(rg.columns.len());
-        for col in &rg.columns {
-            let (data, encoding, stats) = encode_column(col);
+    let mut start = rows.start;
+    while start < rows.end || (rows.is_empty() && force_group) {
+        let end = (start + rows_per_group).min(rows.end);
+        let group_rows = (end - start) as u32;
+        let mut chunks = Vec::with_capacity(batch.columns.len());
+        for col in &batch.columns {
+            let offset = file.len();
+            let (encoding, stats) = encode_column(col, start..end, file);
             chunks.push(ChunkMeta {
-                offset: file.len() as u64,
-                len: data.len() as u64,
+                offset: offset as u64,
+                len: (file.len() - offset) as u64,
                 encoding,
-                rows: rg.num_rows() as u32,
+                rows: group_rows,
                 stats,
             });
-            file.extend_from_slice(&data);
         }
         row_groups.push(RowGroupMeta {
-            rows: rg.num_rows() as u32,
+            rows: group_rows,
             chunks,
         });
-        emitted = true;
-        if total == 0 {
+        if rows.is_empty() {
             break;
         }
         start = end;
@@ -568,17 +575,33 @@ fn seal(mut file: Vec<u8>, footer: Vec<u8>) -> Bytes {
 
 /// Encode batches into an SPF file, re-chunking to `rows_per_group`.
 pub fn write(batches: &[Batch], rows_per_group: usize) -> Bytes {
+    match batches {
+        [] => panic!("write needs at least one batch"),
+        [one] => write_rows(one, 0..one.num_rows(), rows_per_group),
+        many => {
+            let all = Batch::concat(many);
+            write_rows(&all, 0..all.num_rows(), rows_per_group)
+        }
+    }
+}
+
+/// [`write`] for the rows `rows` of one batch, without materialising them:
+/// the bytes `write(&[batch.slice(rows.start, rows.end)], rows_per_group)`
+/// would produce.
+pub fn write_rows(batch: &Batch, rows: Range<usize>, rows_per_group: usize) -> Bytes {
     assert!(rows_per_group > 0, "rows_per_group must be positive");
-    let schema = batches
-        .first()
-        .map(|b| Rc::clone(&b.schema))
-        .expect("write needs at least one batch");
-    let all = Batch::concat(batches);
     let mut file = Vec::new();
     file.extend_from_slice(MAGIC);
     let mut row_groups = Vec::new();
-    encode_row_groups(&mut file, &all, rows_per_group, true, &mut row_groups);
-    let footer = encode_footer(&schema, &row_groups);
+    encode_row_groups(
+        &mut file,
+        batch,
+        rows,
+        rows_per_group,
+        true,
+        &mut row_groups,
+    );
+    let footer = encode_footer(&batch.schema, &row_groups);
     seal(file, footer)
 }
 
@@ -617,7 +640,15 @@ pub fn write_bucketed_rotated(buckets: &[Batch], rows_per_group: usize, rotation
         let bucket = &buckets[id];
         let first_group = row_groups.len() as u32;
         let byte_start = file.len() as u64;
-        encode_row_groups(&mut file, bucket, rows_per_group, false, &mut row_groups);
+        let rows = 0..bucket.num_rows();
+        encode_row_groups(
+            &mut file,
+            bucket,
+            rows,
+            rows_per_group,
+            false,
+            &mut row_groups,
+        );
         entries[id] = Some(BucketEntry {
             rows: bucket.num_rows() as u64,
             first_group,
@@ -919,7 +950,9 @@ mod tests {
     #[test]
     fn delta_varint_round_trips_extremes_and_rejects_damage() {
         let values = vec![0, -1, 1, i64::MAX, i64::MIN, 127, 128, -64, -65, 1 << 35];
-        let (bytes, encoding, _) = encode_column(&Column::Int64(values.clone()));
+        let mut bytes = Vec::new();
+        let column = Column::Int64(values.clone());
+        let (encoding, _) = encode_column(&column, 0..values.len(), &mut bytes);
         assert_eq!(encoding, Encoding::DeltaVarint);
         assert_eq!(
             decode_column(&bytes, encoding, values.len()),
@@ -962,6 +995,22 @@ mod tests {
                 ),
             ],
         )
+    }
+
+    #[test]
+    fn write_rows_matches_write_of_the_materialised_slice() {
+        let batch = sample_batch(1000);
+        // Whole, group-aligned, straddling groups, inside one group, empty.
+        for (start, end) in [(0, 1000), (256, 512), (100, 901), (3, 5), (700, 700)] {
+            let sliced = write(&[batch.slice(start, end)], 256);
+            assert_eq!(
+                write_rows(&batch, start..end, 256),
+                sliced,
+                "{start}..{end}"
+            );
+            let halves = [batch.slice(start, start), batch.slice(start, end)];
+            assert_eq!(write(&halves, 256), sliced, "concat of {start}..{end}");
+        }
     }
 
     #[test]
@@ -1116,7 +1165,8 @@ mod tests {
             vec!["z".into(), "a".into(), "m".into(), "a".into(), "z".into()],
         ];
         for v in cases {
-            let (got, _, _) = encode_column(&Column::Utf8(v.clone()));
+            let mut got = Vec::new();
+            encode_column(&Column::Utf8(v.clone()), 0..v.len(), &mut got);
             assert_eq!(got, encode_utf8_reference(&v), "bytes diverge for {v:?}");
         }
     }

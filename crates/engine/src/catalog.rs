@@ -95,9 +95,8 @@ pub fn load_dataset(
     for p in 0..parts {
         let start = (p * rows_per_part).min(rows);
         let end = ((p + 1) * rows_per_part).min(rows);
-        let slice = table.slice(start, end);
-        let payload_rows = slice.num_rows() as u64;
-        let encoded = spf::write(&[slice], layout.rows_per_group.max(1));
+        let payload_rows = (end - start) as u64;
+        let encoded = spf::write_rows(table, start..end, layout.rows_per_group.max(1));
         let payload_bytes = encoded.len() as u64;
         let scale = match layout.target_partition_logical_bytes {
             Some(target) if payload_bytes > 0 => (target as f64 / payload_bytes as f64).max(1.0),

@@ -24,8 +24,15 @@
 //! * timers live in a cancellation-aware quaternary [`TimerHeap`]: a
 //!   cancelled sleep is removed immediately instead of leaving a tombstone
 //!   that must bubble to the top of a `BinaryHeap`;
-//! * each task's [`Waker`] is created once and cached in its slab slot
-//!   (an `Arc` clone per poll instead of a fresh allocation);
+//! * a timer carries the [`TaskId`] of the task whose poll armed it, not a
+//!   [`Waker`]: a sleep costs no reference count, and a fired timer goes
+//!   straight onto the ready queue;
+//! * each task's [`Waker`] is created once, kept in its slab slot and lent
+//!   to the poll together with the future (no clone per poll); the wakes
+//!   that need one — [`JoinHandle`], `sync::*`, [`YieldNow`] — go through a
+//!   locked queue that the poll loop opens only when something was pushed;
+//! * the slot also holds the instant of the task's previous poll, which is
+//!   all the sanitizer's per-task monotonicity check needs;
 //! * the tracer, sanitizer, fault plan, and RNG sit behind a single
 //!   [`RefCell`] of scheduler hooks, borrowed once per step rather than
 //!   once per handle.
@@ -43,6 +50,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -53,12 +61,20 @@ type LocalBoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// ids of completed tasks are never resurrected by slot reuse.
 pub type TaskId = u64;
 
-/// The shared wake queue. `Waker` must be `Send + Sync`, so this small piece
-/// of state uses `Arc<Mutex<..>>` even though the executor itself is
-/// single-threaded.
+/// The queue of wakes raised through a [`Waker`]: a finished task waking
+/// its [`JoinHandle`], `sync::*` releasing a waiter, [`YieldNow`]. `Waker`
+/// must be `Send + Sync`, so this small piece of state uses `Arc`, a
+/// `Mutex` and an atomic even though the executor itself is single-threaded.
+/// Timers do not come through here (they carry a [`TaskId`], see
+/// [`Sim::run_until`]), which leaves most polls with nothing to collect:
+/// `pending` says so without taking the lock.
 #[derive(Default)]
 struct WakeQueue {
     woken: Mutex<Vec<TaskId>>,
+    /// True when `woken` is non-empty. Written only under the lock (set
+    /// with `Release` after a push, cleared by the drain), read with
+    /// `Acquire` before the drain decides to lock.
+    pending: AtomicBool,
 }
 
 struct TaskWaker {
@@ -68,11 +84,9 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.queue
-            .woken
-            .lock()
-            .expect("wake queue poisoned")
-            .push(self.id);
+        let mut woken = self.queue.woken.lock().expect("wake queue poisoned");
+        woken.push(self.id);
+        self.queue.pending.store(true, Ordering::Release);
     }
 }
 
@@ -80,8 +94,12 @@ impl Wake for TaskWaker {
 struct Task {
     /// The future, `None` only while it is being polled.
     fut: Option<LocalBoxFuture>,
-    /// Cached waker, created lazily on first poll and cloned thereafter.
+    /// The task's waker, created on first poll; it leaves the slot with the
+    /// future for each poll and returns with it.
     waker: Option<Waker>,
+    /// Instant of the previous poll (`ZERO` before the first), for the
+    /// sanitizer's per-task monotonicity check.
+    last_poll: SimTime,
 }
 
 /// Scheduler hooks behind one cell: everything the executor (and tasks,
@@ -129,7 +147,11 @@ struct SimState {
     now: Cell<SimTime>,
     tasks: RefCell<Slab<Task>>,
     ready: RefCell<VecDeque<TaskId>>,
-    timers: RefCell<TimerHeap<Waker>>,
+    /// Pending sleeps; the payload is the task whose poll last polled the
+    /// sleep, i.e. the one to make ready when it falls due.
+    timers: RefCell<TimerHeap<TaskId>>,
+    /// The task being polled, `None` between polls.
+    current: Cell<Option<TaskId>>,
     hooks: RefCell<Hooks>,
     wake_queue: Arc<WakeQueue>,
     /// Count of tasks that have been spawned but not yet completed.
@@ -176,6 +198,7 @@ impl Sim {
                 tasks: RefCell::new(Slab::new()),
                 ready: RefCell::new(VecDeque::new()),
                 timers: RefCell::new(TimerHeap::new()),
+                current: Cell::new(None),
                 hooks: RefCell::new(Hooks {
                     rng: SimRng::new(seed),
                     tracer: Tracer::disabled(),
@@ -316,11 +339,16 @@ impl Sim {
                     stats.advances.set(stats.advances.get() + 1);
                     // Fire every timer at this deadline, in registration
                     // order (the heap breaks deadline ties by armed-at
-                    // instant, then insertion seq).
+                    // instant, then insertion seq). `drain_ready` returned,
+                    // so `ready` and the wake queue are both empty and
+                    // pushing here is the order a trip through the wake
+                    // queue would give — a task with two timers due now is
+                    // queued, and polled, twice.
                     let mut timers = self.state.timers.borrow_mut();
-                    while let Some(waker) = timers.pop_due(deadline) {
+                    let mut ready = self.state.ready.borrow_mut();
+                    while let Some(task) = timers.pop_due(deadline) {
                         stats.timer_fires.set(stats.timer_fires.get() + 1);
-                        waker.wake();
+                        ready.push_back(task);
                     }
                 }
                 Some(_) => {
@@ -374,69 +402,55 @@ impl Sim {
 
     /// Poll every woken task until the ready queue is empty.
     fn drain_ready(&mut self, sanitizer: &Sanitizer) {
+        let state = &*self.state;
+        let queue = &*state.wake_queue;
         loop {
-            // Pull wakes accumulated since the last pass.
-            {
-                let mut woken = self
-                    .state
-                    .wake_queue
-                    .woken
-                    .lock()
-                    .expect("wake queue poisoned");
-                let mut ready = self.state.ready.borrow_mut();
-                ready.extend(woken.drain(..));
+            // Collect the wakes of the poll before (or, first time round,
+            // of whoever held a waker outside `run_until`). They follow
+            // what that poll spawned, which went onto `ready` directly.
+            if queue.pending.load(Ordering::Acquire) {
+                let mut woken = queue.woken.lock().expect("wake queue poisoned");
+                queue.pending.store(false, Ordering::Relaxed);
+                state.ready.borrow_mut().extend(woken.drain(..));
             }
-            let Some(id) = self.state.ready.borrow_mut().pop_front() else {
-                // Re-check: a wake may have raced in (not possible single-
-                // threaded, but cheap to verify emptiness once more).
-                let empty = self
-                    .state
-                    .wake_queue
-                    .woken
-                    .lock()
-                    .expect("wake queue poisoned")
-                    .is_empty();
-                if empty {
-                    return;
-                }
-                continue;
+            let Some(id) = state.ready.borrow_mut().pop_front() else {
+                return;
             };
             // Take the future out of its slot for the poll (a task may
             // spawn siblings mid-poll, which re-borrows the slab). The
             // generation check makes wakes for completed tasks miss.
-            let (mut fut, waker) = {
-                let mut tasks = self.state.tasks.borrow_mut();
+            let now = state.now.get();
+            let (mut fut, waker, last_poll) = {
+                let mut tasks = state.tasks.borrow_mut();
                 let Some(task) = tasks.get_mut(id) else {
                     continue; // task already completed; stale wake
                 };
                 let Some(fut) = task.fut.take() else {
                     continue; // duplicate wake already being handled
                 };
-                let waker = task
-                    .waker
-                    .get_or_insert_with(|| {
-                        Waker::from(Arc::new(TaskWaker {
-                            id,
-                            queue: Arc::clone(&self.state.wake_queue),
-                        }))
-                    })
-                    .clone();
-                (fut, waker)
+                let waker = task.waker.take().unwrap_or_else(|| {
+                    let queue = Arc::clone(&state.wake_queue);
+                    Waker::from(Arc::new(TaskWaker { id, queue }))
+                });
+                (fut, waker, std::mem::replace(&mut task.last_poll, now))
             };
-            sanitizer.on_poll(id, self.state.now.get());
-            let stats = &self.state.stats;
+            sanitizer.on_poll(id, last_poll, now);
+            let stats = &state.stats;
             stats.polls.set(stats.polls.get() + 1);
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
+            state.current.set(Some(id));
+            let polled = fut.as_mut().poll(&mut Context::from_waker(&waker));
+            state.current.set(None);
+            match polled {
                 Poll::Ready(()) => {
-                    self.state.tasks.borrow_mut().remove(id);
-                    self.state.live_tasks.set(self.state.live_tasks.get() - 1);
+                    state.tasks.borrow_mut().remove(id);
+                    state.live_tasks.set(state.live_tasks.get() - 1);
                     stats.completed.set(stats.completed.get() + 1);
                     sanitizer.on_complete(id);
                 }
                 Poll::Pending => {
-                    if let Some(task) = self.state.tasks.borrow_mut().get_mut(id) {
+                    if let Some(task) = state.tasks.borrow_mut().get_mut(id) {
                         task.fut = Some(fut);
+                        task.waker = Some(waker);
                     }
                 }
             }
@@ -530,6 +544,7 @@ impl SimCtx {
         let id = state.tasks.borrow_mut().insert(Task {
             fut: Some(wrapped),
             waker: None,
+            last_poll: SimTime::ZERO,
         });
         state.ready.borrow_mut().push_back(id);
         JoinHandle { slot }
@@ -586,36 +601,14 @@ impl SimCtx {
         let mut hooks = state.hooks.borrow_mut();
         f(&mut hooks.rng)
     }
+}
 
-    /// `armed_at` of `None` is an ordinary sleep, armed as it registers.
-    fn register_timer(
-        &self,
-        deadline: SimTime,
-        armed_at: Option<SimTime>,
-        waker: Waker,
-    ) -> TimerKey {
-        let state = self.state();
-        let stats = &state.stats;
-        stats.timer_inserts.set(stats.timer_inserts.get() + 1);
-        let armed_at = armed_at.unwrap_or_else(|| state.now.get());
-        let key = state.timers.borrow_mut().insert(deadline, armed_at, waker);
-        key // named so the `timers` borrow ends before `state` drops
-    }
-
-    /// Refresh the waker of a pending timer; false when the timer already
-    /// fired or was cancelled (its key went stale).
-    fn refresh_timer(&self, key: TimerKey, waker: Waker) -> bool {
-        self.state().timers.borrow_mut().update_payload(key, waker)
-    }
-
-    /// Cancel a pending timer. Tolerates stale keys and a dropped
-    /// simulation — [`Sleep`] calls this from `Drop`.
+impl SimState {
+    /// Cancel a pending timer; a stale key (fired, cancelled) is a no-op.
     fn cancel_timer(&self, key: TimerKey) {
-        if let Some(state) = self.state.upgrade() {
-            if state.timers.borrow_mut().cancel(key).is_some() {
-                let stats = &state.stats;
-                stats.timer_cancels.set(stats.timer_cancels.get() + 1);
-            }
+        if self.timers.borrow_mut().cancel(key).is_some() {
+            let stats = &self.stats;
+            stats.timer_cancels.set(stats.timer_cancels.get() + 1);
         }
     }
 }
@@ -682,27 +675,37 @@ pub struct Sleep {
 
 impl Future for Sleep {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.ctx.now() >= self.deadline {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let state = self.ctx.state();
+        let now = state.now.get();
+        if now >= self.deadline {
             if let Some(key) = self.timer.take() {
-                self.ctx.cancel_timer(key); // no-op if it just fired
+                state.cancel_timer(key); // no-op if it just fired
             }
             return Poll::Ready(());
         }
-        // Spurious wakes and waker migration across combinators both stay
-        // correct: refresh the pending entry's waker in place, or register
-        // anew when the entry is gone (first poll, or fired while the task
-        // was woken by something else).
+        // The timer wakes the task that is polling, by id; the `Waker` in
+        // `_cx` is not consulted. Every waker in this tree is a task's own,
+        // so the two agree whenever there is a polling task at all.
+        let task = state.current.get().expect(
+            "Sleep polled outside a simulation task: only futures spawned on \
+             its Sim may await it, there is no task for its timer to wake",
+        );
+        // Spurious wakes and migration across combinators and tasks all
+        // stay correct: re-point the pending entry at this task in place, or
+        // register anew when the entry is gone (first poll, or fired while
+        // the task was woken by something else).
+        let mut timers = state.timers.borrow_mut();
         if let Some(key) = self.timer {
-            if self.ctx.refresh_timer(key, cx.waker().clone()) {
+            if timers.update_payload(key, task) {
                 return Poll::Pending;
             }
-            self.timer = None;
         }
-        let key = self
-            .ctx
-            .register_timer(self.deadline, self.armed_at, cx.waker().clone());
-        self.timer = Some(key);
+        let stats = &state.stats;
+        stats.timer_inserts.set(stats.timer_inserts.get() + 1);
+        // `armed_at` of `None` is an ordinary sleep, armed as it registers.
+        let armed_at = self.armed_at.unwrap_or(now);
+        self.timer = Some(timers.insert(self.deadline, armed_at, task));
         Poll::Pending
     }
 }
@@ -710,7 +713,10 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(key) = self.timer.take() {
-            self.ctx.cancel_timer(key);
+            // The simulation may be gone (a sleep held past teardown).
+            if let Some(state) = self.ctx.state.upgrade() {
+                state.cancel_timer(key);
+            }
         }
     }
 }
@@ -1080,6 +1086,208 @@ mod tests {
             sim.state.timers.borrow().is_empty(),
             "cancelled sleep left an entry in the timer heap"
         );
+    }
+
+    /// A task body that appends `label` to `log` on every poll of the task:
+    /// the poll order of a scenario, as data.
+    struct Logged {
+        label: &'static str,
+        log: Rc<RefCell<Vec<&'static str>>>,
+        body: LocalBoxFuture,
+    }
+
+    impl Future for Logged {
+        type Output = ();
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.log.borrow_mut().push(self.label);
+            self.body.as_mut().poll(cx)
+        }
+    }
+
+    #[test]
+    fn two_timers_due_at_one_instant_poll_the_task_twice() {
+        let mut sim = Sim::new(1);
+        let reg = sim.install_metrics();
+        let ctx = sim.ctx();
+        sim.spawn(async move {
+            // Both arms register; at 10 ms both fire and the task is queued
+            // twice. The first poll settles the race and arms the next
+            // sleep, the second finds that sleep pending and re-points it.
+            let arm = || ctx.sleep(SimDuration::from_millis(10));
+            let _ = race(arm(), arm()).await;
+            ctx.sleep(SimDuration::from_millis(5)).await;
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_millis(15));
+        let snap = reg.snapshot();
+        // t = 0, twice at 10 ms, 15 ms.
+        assert_eq!(snap.counters["sim.executor.polls"], 4);
+        assert_eq!(snap.counters["sim.timer.fires"], 3);
+        assert_eq!(snap.counters["sim.timer.inserts"], 3);
+    }
+
+    #[test]
+    fn sleep_moved_to_another_task_wakes_that_task() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let parked: Rc<RefCell<Option<Sleep>>> = Rc::new(RefCell::new(None));
+        // The first task polls the sleep once, parks it and stays alive on a
+        // sleep of its own; the timer must not go on pointing at it.
+        let (ctx1, parked1) = (ctx.clone(), Rc::clone(&parked));
+        sim.spawn(async move {
+            let mut sleep = ctx1.sleep(SimDuration::from_millis(10));
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut sleep).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            *parked1.borrow_mut() = Some(sleep);
+            ctx1.sleep(SimDuration::from_secs(1)).await;
+        });
+        let woke_at = sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            let sleep = parked
+                .borrow_mut()
+                .take()
+                .expect("parked by the first task");
+            sleep.await;
+            ctx.now()
+        });
+        sim.run();
+        let woke_at = woke_at.try_take().expect("second task woke");
+        assert_eq!(woke_at, SimTime::ZERO + SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn timers_fire_by_rank_and_waker_wakes_queue_behind_the_ready() {
+        // Five timers share the deadline of 10 ms: `a` and `e` armed at 0 in
+        // that order, `b` at 2 ms, `d` at 4 ms, and `c` — registered at 0,
+        // before `b` and `d`, but as the last 5 ms slice of two. At 10 ms
+        // `a` finishes, which wakes `join_a` through a `Waker`; `b` releases
+        // the semaphore `sem_waiter` queues on and then spawns `child`.
+        let ms = SimDuration::from_millis;
+        let at = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
+        let sem = crate::sync::Semaphore::new(0);
+        let spawn = |ctx: &SimCtx, label, body: LocalBoxFuture| {
+            let log = Rc::clone(&log);
+            ctx.spawn(Logged { label, log, body })
+        };
+        let ctx = sim.ctx();
+        let c = ctx.clone();
+        let a = spawn(
+            &ctx,
+            "a",
+            Box::pin(async move { c.sleep_until(at(10)).await }),
+        );
+        let c = ctx.clone();
+        spawn(
+            &ctx,
+            "e",
+            Box::pin(async move { c.sleep_until(at(10)).await }),
+        );
+        let c = ctx.clone();
+        spawn(
+            &ctx,
+            "c",
+            Box::pin(async move { c.sleep_slices(ms(5), 2).await }),
+        );
+        let (c, sem_b, log_b) = (ctx.clone(), sem.clone(), Rc::clone(&log));
+        spawn(
+            &ctx,
+            "b",
+            Box::pin(async move {
+                c.sleep(ms(2)).await;
+                c.sleep_until(at(10)).await;
+                sem_b.release(1);
+                let (label, log, body) = ("child", log_b, Box::pin(async {}));
+                c.spawn(Logged { label, log, body });
+            }),
+        );
+        let c = ctx.clone();
+        spawn(
+            &ctx,
+            "d",
+            Box::pin(async move {
+                c.sleep(ms(4)).await;
+                c.sleep_until(at(10)).await;
+            }),
+        );
+        spawn(&ctx, "join_a", Box::pin(a));
+        spawn(
+            &ctx,
+            "sem_waiter",
+            Box::pin(async move { drop(sem.acquire().await) }),
+        );
+        sim.run();
+        // Recorded at commit 5ec9551, where every timer held a `Waker` and
+        // fired through the wake queue.
+        let recorded = [
+            // t = 0: spawn order.
+            "a",
+            "e",
+            "c",
+            "b",
+            "d",
+            "join_a",
+            "sem_waiter",
+            // 2 ms, 4 ms.
+            "b",
+            "d",
+            // 10 ms: timers by (deadline, armed_at, seq); then `join_a`, woken
+            // while `a` ran; then what `b` spawned; then what `b` woke.
+            "a",
+            "e",
+            "b",
+            "d",
+            "c",
+            "join_a",
+            "child",
+            "sem_waiter",
+        ];
+        assert_eq!(*log.borrow(), recorded);
+    }
+
+    #[test]
+    #[should_panic(expected = "Sleep polled outside a simulation task")]
+    fn sleep_polled_outside_a_task_panics() {
+        let sim = Sim::new(1);
+        let mut sleep = sim.ctx().sleep(SimDuration::from_millis(1));
+        let _ = Pin::new(&mut sleep).poll(&mut Context::from_waker(Waker::noop()));
+    }
+
+    #[test]
+    #[should_panic(expected = "polled at t=50ns after being polled at t=100ns")]
+    fn per_task_clock_regression_panics_through_the_executor() {
+        let mut sim = Sim::new(1);
+        sim.enable_sanitizer();
+        let (ctx, gate) = (sim.ctx(), crate::sync::Event::new());
+        let opened = gate.wait();
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(100)).await;
+            race(opened, ctx.sleep(SimDuration::from_secs(1))).await;
+        });
+        // Polled at 100 ns, the task waits on the gate (the timeout keeps
+        // the run from calling it a deadlock). Rewind, then wake it.
+        sim.run_until(SimTime::from_nanos(100));
+        sim.state.now.set(SimTime::from_nanos(50));
+        gate.set();
+        sim.run();
+    }
+
+    #[test]
+    fn reused_task_slot_starts_with_a_fresh_clock() {
+        let mut sim = Sim::new(1);
+        sim.enable_sanitizer();
+        let ctx = sim.ctx();
+        sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(100)).await });
+        sim.run();
+        // The finished task was last polled at 100 ns and its slot is free.
+        // Only a task is held to its past, not the slot the next one gets.
+        sim.state.now.set(SimTime::from_nanos(50));
+        let reused = sim.spawn(async {});
+        sim.run();
+        assert!(reused.is_finished());
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! Checked invariants:
 //! * the global virtual clock never moves backwards ([`Sanitizer::on_advance`]);
 //! * each task observes monotonically non-decreasing time across its polls
-//!   ([`Sanitizer::on_poll`]);
+//!   ([`Sanitizer::on_poll`]; the instant of a task's previous poll lives in
+//!   the executor's task slot, which hands it over with every poll, so the
+//!   sanitizer keeps no per-task state and a poll costs it two folds);
 //! * domain invariants wired in by other crates — token-bucket conservation
 //!   in `skyrise-net`, usage-meter cross-checks in `skyrise-compute` —
 //!   via [`Sanitizer::check`] / [`Sanitizer::check_close`].
@@ -23,7 +25,6 @@
 
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::{fnv1a64_fold, FNV64_OFFSET as FNV_OFFSET};
@@ -79,8 +80,6 @@ struct SanitizerState {
     events: Cell<u64>,
     digest: Cell<u64>,
     trail: RefCell<Vec<DigestCheckpoint>>,
-    /// Last virtual time each live task was polled at.
-    task_clock: RefCell<BTreeMap<u64, u64>>,
 }
 
 /// Handle onto the simulation's sanitizer. Cheap to clone; a disabled
@@ -98,7 +97,6 @@ impl Sanitizer {
                 events: Cell::new(0),
                 digest: Cell::new(FNV_OFFSET),
                 trail: RefCell::new(Vec::new()),
-                task_clock: RefCell::new(BTreeMap::new()),
             })),
         }
     }
@@ -125,29 +123,26 @@ impl Sanitizer {
         }
     }
 
-    /// Record a task poll. Asserts the task's virtual clock is monotone:
-    /// a task can never be polled at an earlier time than it last ran.
-    pub fn on_poll(&self, task: u64, now: SimTime) {
+    /// Record a task poll at `now`, `last` being the instant of the task's
+    /// previous poll (`SimTime::ZERO` before its first). Asserts the task's
+    /// virtual clock is monotone: a task can never be polled at an earlier
+    /// time than it last ran.
+    pub fn on_poll(&self, task: u64, last: SimTime, now: SimTime) {
         let Some(s) = &self.state else { return };
-        let now = now.as_nanos();
-        let mut clocks = s.task_clock.borrow_mut();
-        if let Some(&last) = clocks.get(&task) {
-            assert!(
-                now >= last,
-                "sanitizer: task {task} polled at t={now}ns after \
-                 being polled at t={last}ns — virtual time ran backwards"
-            );
-        }
-        clocks.insert(task, now);
-        drop(clocks);
+        let (last, now) = (last.as_nanos(), now.as_nanos());
+        assert!(
+            now >= last,
+            "sanitizer: task {task} polled at t={now}ns after \
+             being polled at t={last}ns — virtual time ran backwards"
+        );
         self.fold(s, task);
         self.fold(s, now);
     }
 
-    /// Record a task completion (frees its monotonicity slot).
+    /// Record a task completion. Its monotonicity clock dies with its task
+    /// slot.
     pub fn on_complete(&self, task: u64) {
         let Some(s) = &self.state else { return };
-        s.task_clock.borrow_mut().remove(&task);
         self.fold(s, task ^ 0x5eed_dead_beef_0000);
     }
 
@@ -212,7 +207,6 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
-    use std::rc::Rc;
 
     fn run_workload(seed: u64) -> SanitizerReport {
         let mut sim = Sim::new(seed);
@@ -265,19 +259,19 @@ mod tests {
     #[test]
     fn disabled_sanitizer_is_noop() {
         let san = Sanitizer::disabled();
-        san.on_poll(1, crate::SimTime::from_nanos(5));
-        san.on_poll(1, crate::SimTime::from_nanos(1)); // would panic if enabled
+        // Would panic if enabled.
+        san.on_poll(1, SimTime::from_nanos(5), SimTime::from_nanos(1));
         san.check(false, || unreachable!("message closure must not run"));
         assert!(san.report().is_none());
         assert!(!san.enabled());
     }
 
     #[test]
-    #[should_panic(expected = "virtual time ran backwards")]
+    #[should_panic(expected = "task 1 polled at t=50ns after being polled at t=100ns")]
     fn per_task_clock_regression_panics() {
         let san = Sanitizer::new();
-        san.on_poll(1, crate::SimTime::from_nanos(100));
-        san.on_poll(1, crate::SimTime::from_nanos(50));
+        san.on_poll(1, SimTime::ZERO, SimTime::from_nanos(100));
+        san.on_poll(1, SimTime::from_nanos(100), SimTime::from_nanos(50));
     }
 
     #[test]
@@ -335,18 +329,71 @@ mod tests {
     #[test]
     fn task_completion_frees_clock_slot() {
         let san = Sanitizer::new();
-        san.on_poll(1, crate::SimTime::from_nanos(100));
+        san.on_poll(1, SimTime::ZERO, SimTime::from_nanos(100));
         san.on_complete(1);
-        // Task id reuse after completion must not trip the monotonicity
-        // assert (the executor never reuses ids, but the sanitizer should
-        // not depend on that).
-        san.on_poll(1, crate::SimTime::from_nanos(50));
+        // The clock lived in the finished task's slot. Whatever runs under
+        // the same id next starts from zero (the executor never reuses ids,
+        // but the sanitizer should not depend on that).
+        san.on_poll(1, SimTime::ZERO, SimTime::from_nanos(50));
+    }
+
+    /// A little of everything that wakes a task: plain and sliced sleeps, a
+    /// race against a timeout whose loser is cancelled, a semaphore queue,
+    /// join handles awaited in order, detached children, RNG draws.
+    fn mixed_scenario(seed: u64) -> SanitizerReport {
+        use crate::executor::{join_all, race, Either};
+        let mut sim = Sim::new(seed);
+        let san = sim.enable_sanitizer();
+        let ctx = sim.ctx();
+        let sem = crate::sync::Semaphore::new(2);
+        let root = sim.spawn(async move {
+            let workers: Vec<_> = (0..6u64)
+                .map(|i| {
+                    let (ctx, sem) = (ctx.clone(), sem.clone());
+                    ctx.clone().spawn(async move {
+                        let _permit = sem.acquire().await;
+                        let d = ctx.with_rng(|r| r.gen_range_u64(1, 400));
+                        ctx.sleep(SimDuration::from_micros(d)).await;
+                        ctx.sleep_slices(SimDuration::from_micros(50), 1 + i % 3)
+                            .await;
+                        let work = ctx.sleep(SimDuration::from_micros(100 * (i + 1)));
+                        let timeout = ctx.sleep(SimDuration::from_micros(250));
+                        let timed_out = matches!(race(work, timeout).await, Either::Right(()));
+                        let detached = ctx.clone();
+                        drop(ctx.spawn(async move {
+                            detached.sleep(SimDuration::from_micros(3 * d)).await;
+                        }));
+                        ctx.sanitizer().observe("worker", i);
+                        timed_out
+                    })
+                })
+                .collect();
+            join_all(workers).await
+        });
+        sim.run();
+        let timed_out = root.try_take().expect("root finished");
+        assert_eq!(timed_out, [false, false, true, true, true, true]);
+        san.report().expect("enabled")
+    }
+
+    /// The digest of `mixed_scenario`, recorded at commit 5ec9551 (before
+    /// timers carried task ids and the per-task clock moved into the task
+    /// slot). A change that is meant to leave the schedule alone leaves
+    /// these two constants alone; one that means to move it re-pins them.
+    #[test]
+    fn scheduling_digest_is_pinned() {
+        let report = mixed_scenario(42);
+        assert_eq!(report.events, 141);
+        assert_eq!(
+            report.digest, 0x67c0_6b3e_1b2d_6285,
+            "{:#018x}",
+            report.digest
+        );
     }
 
     #[test]
     fn default_on_in_debug_builds() {
         let sim = Sim::new(1);
         assert_eq!(sim.sanitizer().enabled(), cfg!(debug_assertions));
-        let _ = Rc::new(()); // silence unused-import lint paths in release
     }
 }

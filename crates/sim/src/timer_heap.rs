@@ -8,13 +8,15 @@
 //! paid `O(log n)` twice per dead entry and held the heap artificially
 //! large.
 //!
-//! This heap removes cancelled entries *immediately*: every entry lives in
-//! a generation-indexed slot that tracks its position in a quaternary
+//! This heap removes cancelled entries *immediately*: every entry has a
+//! generation-indexed slot that tracks its position in a quaternary
 //! (4-ary) implicit heap, so [`TimerHeap::cancel`] is a position lookup
 //! plus one sift. A 4-ary layout does the same work in half the tree
-//! height of a binary heap, with all four children on one cache line of
-//! the index vector, which suits the sift-down-heavy pop loop (the repo
-//! benchmark's `sim.probe.*_mev_s` probes measure it).
+//! height of a binary heap, which suits the sift-down-heavy pop loop (the
+//! repo benchmark's `sim.probe.*_mev_s` probes measure it). The heap array
+//! holds each entry's rank inline, so a sift compares neighbours of one
+//! contiguous array (four children are 128 bytes) and writes to the slot
+//! table only the new position of an entry it moved.
 //!
 //! Ordering is `(deadline, armed_at, seq)` where `seq` is an insertion
 //! counter. An ordinary sleep is armed at the instant it registers, and
@@ -41,13 +43,20 @@ fn split(key: TimerKey) -> (usize, u32) {
     ((key & INDEX_MASK) as usize, (key >> INDEX_BITS) as u32)
 }
 
+/// A heap entry: the timer's rank and the slot holding the rest of it.
+/// Ranks live here and nowhere else, so sifting compares within one
+/// contiguous array and touches `slots` only to record a move.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// `(deadline, armed_at, seq)`; `seq` is unique, so ranks never tie.
+    rank: (SimTime, SimTime, u64),
+    slot: u32,
+}
+
 struct TimerSlot<T> {
     generation: u32,
     /// Index into `heap`, or `NO_POS` when free.
     pos: u32,
-    deadline: SimTime,
-    armed_at: SimTime,
-    seq: u64,
     payload: Option<T>,
 }
 
@@ -56,8 +65,8 @@ struct TimerSlot<T> {
 pub struct TimerHeap<T> {
     slots: Vec<TimerSlot<T>>,
     free: Vec<u32>,
-    /// Implicit heap of slot indices.
-    heap: Vec<u32>,
+    /// Implicit heap, ordered by `Entry::rank`.
+    heap: Vec<Entry>,
     next_seq: u64,
 }
 
@@ -88,58 +97,43 @@ impl<T> TimerHeap<T> {
         self.heap.is_empty()
     }
 
-    #[inline]
-    fn rank_of(&self, slot: usize) -> (SimTime, SimTime, u64) {
-        let s = &self.slots[slot];
-        (s.deadline, s.armed_at, s.seq)
-    }
-
     /// Register a timer. Equal deadlines fire in `armed_at` order, and
     /// equal `(deadline, armed_at)` in insertion order.
     pub fn insert(&mut self, deadline: SimTime, armed_at: SimTime, payload: T) -> TimerKey {
-        let seq = self.next_seq;
+        let rank = (deadline, armed_at, self.next_seq);
         self.next_seq += 1;
-        let pos = self.heap.len() as u32;
-        let index = match self.free.pop() {
+        let payload = Some(payload);
+        let (index, generation) = match self.free.pop() {
             Some(index) => {
                 let slot = &mut self.slots[index as usize];
-                slot.pos = pos;
-                slot.deadline = deadline;
-                slot.armed_at = armed_at;
-                slot.seq = seq;
-                slot.payload = Some(payload);
-                index
+                slot.payload = payload;
+                (index, slot.generation)
             }
             None => {
                 let index = self.slots.len();
                 assert!(index <= INDEX_MASK as usize, "timer heap slot overflow");
                 self.slots.push(TimerSlot {
                     generation: 0,
-                    pos,
-                    deadline,
-                    armed_at,
-                    seq,
-                    payload: Some(payload),
+                    pos: NO_POS,
+                    payload,
                 });
-                index as u32
+                (index as u32, 0)
             }
         };
-        self.heap.push(index);
-        self.sift_up(pos as usize);
-        let generation = self.slots[index as usize].generation;
+        self.heap.push(Entry { rank, slot: index });
+        self.sift_up(self.heap.len() - 1);
         ((generation as u64) << INDEX_BITS) | index as u64
     }
 
     /// Earliest pending deadline, if any.
     pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.heap.first().map(|&i| self.slots[i as usize].deadline)
+        self.heap.first().map(|e| e.rank.0)
     }
 
     /// Pop the earliest timer if its deadline is `<= now`, returning its
     /// payload. The freed slot is immediately reusable.
     pub fn pop_due(&mut self, now: SimTime) -> Option<T> {
-        let &top = self.heap.first()?;
-        if self.slots[top as usize].deadline > now {
+        if self.heap.first()?.rank.0 > now {
             return None;
         }
         self.remove_at(0)
@@ -159,8 +153,8 @@ impl<T> TimerHeap<T> {
     }
 
     /// Replace the payload of a pending timer (same deadline/seq — used to
-    /// refresh a sleeping task's waker without re-queueing). Returns false
-    /// when the key is stale.
+    /// re-point a sleep at the task now polling it without re-queueing).
+    /// Returns false when the key is stale.
     pub fn update_payload(&mut self, key: TimerKey, payload: T) -> bool {
         let (index, generation) = split(key);
         match self.slots.get_mut(index) {
@@ -175,40 +169,49 @@ impl<T> TimerHeap<T> {
     /// Remove the entry at heap position `pos`, restore the heap property,
     /// and free its slot.
     fn remove_at(&mut self, pos: usize) -> Option<T> {
-        let slot_index = self.heap[pos] as usize;
-        let last = self.heap.len() - 1;
-        self.heap.swap_remove(pos);
-        if pos < last {
-            let moved = self.heap[pos] as usize;
-            self.slots[moved].pos = pos as u32;
+        let slot_index = self.heap.swap_remove(pos).slot;
+        if pos < self.heap.len() {
             // The swapped-in entry may violate the property in either
-            // direction relative to its new neighbourhood.
+            // direction relative to its new neighbourhood; whichever sift
+            // does not apply leaves it where it is.
             self.sift_down(pos);
-            self.sift_up(self.slots[self.heap[pos] as usize].pos as usize);
+            self.sift_up(pos);
         }
-        let slot = &mut self.slots[slot_index];
+        let slot = &mut self.slots[slot_index as usize];
         slot.pos = NO_POS;
         slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(slot_index as u32);
+        self.free.push(slot_index);
         slot.payload.take()
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            let here = self.heap[pos] as usize;
-            let up = self.heap[parent] as usize;
-            if self.rank_of(here) >= self.rank_of(up) {
-                break;
-            }
-            self.heap.swap(pos, parent);
-            self.slots[self.heap[pos] as usize].pos = pos as u32;
-            self.slots[self.heap[parent] as usize].pos = parent as u32;
-            pos = parent;
-        }
+    /// Write `entry` at heap position `pos` and record the position in its
+    /// slot.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: Entry) {
+        self.heap[pos] = entry;
+        self.slots[entry.slot as usize].pos = pos as u32;
     }
 
+    /// Move the entry at `pos` towards the root until its parent ranks
+    /// no later, shifting the parents it passes down into the gap.
+    fn sift_up(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            let up = self.heap[parent];
+            if entry.rank >= up.rank {
+                break;
+            }
+            self.place(pos, up);
+            pos = parent;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Move the entry at `pos` towards the leaves until no child ranks
+    /// earlier, shifting the earliest child up into the gap each level.
     fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
         loop {
             let first_child = pos * ARITY + 1;
             if first_child >= self.heap.len() {
@@ -216,22 +219,19 @@ impl<T> TimerHeap<T> {
             }
             let last_child = (first_child + ARITY).min(self.heap.len());
             let mut best = first_child;
-            let mut best_rank = self.rank_of(self.heap[first_child] as usize);
             for c in first_child + 1..last_child {
-                let r = self.rank_of(self.heap[c] as usize);
-                if r < best_rank {
+                if self.heap[c].rank < self.heap[best].rank {
                     best = c;
-                    best_rank = r;
                 }
             }
-            if self.rank_of(self.heap[pos] as usize) <= best_rank {
+            let child = self.heap[best];
+            if entry.rank <= child.rank {
                 break;
             }
-            self.heap.swap(pos, best);
-            self.slots[self.heap[pos] as usize].pos = pos as u32;
-            self.slots[self.heap[best] as usize].pos = best as u32;
+            self.place(pos, child);
             pos = best;
         }
+        self.place(pos, entry);
     }
 }
 

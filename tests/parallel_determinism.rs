@@ -113,7 +113,7 @@ fn shuffle_counters_identical_across_jobs() {
 
 mod scheduler_props {
     use proptest::prelude::*;
-    use skyrise::sim::{SimTime, Slab, TimerHeap};
+    use skyrise::sim::{SimTime, Slab, TimerHeap, TimerKey};
     use std::cmp::Reverse;
     use std::collections::BTreeMap;
     use std::collections::BinaryHeap;
@@ -126,6 +126,11 @@ mod scheduler_props {
         Insert(u64, Option<u64>),
         /// Cancel the i-th live key (modulo the live set), if any.
         Cancel(usize),
+        /// Replace the payload of the i-th live key, if any.
+        Refresh(usize),
+        /// `n` times over: cancel the i-th live key and insert a timer at
+        /// `now + delta` straight away, which takes over the freed slot.
+        Recycle(usize, usize, u64),
         /// Advance `now` by `delta` and drain everything due.
         Fire(u64),
     }
@@ -136,10 +141,48 @@ mod scheduler_props {
                 3 => (0u64..1_000).prop_map(|d| TimerOp::Insert(d, None)),
                 2 => (0u64..1_000, 0u64..300).prop_map(|(d, lead)| TimerOp::Insert(d, Some(lead))),
                 1 => (0usize..64).prop_map(TimerOp::Cancel),
+                1 => (0usize..64).prop_map(TimerOp::Refresh),
+                1 => (0usize..64, 1usize..6, 0u64..1_000)
+                    .prop_map(|(i, n, d)| TimerOp::Recycle(i, n, d)),
                 2 => (0u64..500).prop_map(TimerOp::Fire),
             ],
             1..80,
         )
+    }
+
+    /// The heap under test beside its oracle.
+    #[derive(Default)]
+    struct HeapAndOracle {
+        heap: TimerHeap<u64>,
+        /// `(deadline, armed_at, seq)` of every insert; cancelled ones stay
+        /// behind as tombstones.
+        oracle: BinaryHeap<Reverse<(u64, u64, u64)>>,
+        /// seq -> (heap key, current payload) of every pending timer.
+        live: BTreeMap<u64, (TimerKey, u64)>,
+        /// Keys that fired or were cancelled.
+        stale: Vec<TimerKey>,
+        inserts: u64,
+    }
+
+    impl HeapAndOracle {
+        /// Insert under a payload no other timer has had.
+        fn insert(&mut self, deadline: u64, armed_at: u64) -> TimerKey {
+            let (seq, payload) = (self.inserts, 1_000_000 + self.inserts);
+            self.inserts += 1;
+            let (d, a) = (SimTime::from_nanos(deadline), SimTime::from_nanos(armed_at));
+            let key = self.heap.insert(d, a, payload);
+            self.oracle.push(Reverse((deadline, armed_at, seq)));
+            self.live.insert(seq, (key, payload));
+            key
+        }
+
+        /// Take the i-th pending timer (modulo their number) off the books.
+        fn forget_nth(&mut self, i: usize) -> Option<(TimerKey, u64)> {
+            let seq = *self.live.keys().nth(i % self.live.len().max(1))?;
+            let (key, payload) = self.live.remove(&seq)?;
+            self.stale.push(key);
+            Some((key, payload))
+        }
     }
 
     proptest! {
@@ -147,69 +190,69 @@ mod scheduler_props {
         /// times as a `BinaryHeap<Reverse<(deadline, armed_at, seq)>>`
         /// oracle with tombstone cancellation — including ties on the
         /// deadline, which must fire in armed-at order, and ties on both,
-        /// which must fire in insertion order.
+        /// which must fire in insertion order. Payloads are refreshed and
+        /// slots recycled on the way: a timer fires with the payload it was
+        /// last given, at the rank it was inserted with, whatever its slot
+        /// held before.
         #[test]
         fn timer_heap_matches_binary_heap_oracle(ops in timer_ops()) {
-            let mut heap: TimerHeap<u64> = TimerHeap::new();
-            let mut oracle: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-            let mut cancelled: std::collections::BTreeSet<u64> = Default::default();
-            // seq -> heap key, insertion-ordered; payload is the seq itself.
-            let mut live: Vec<(u64, skyrise::sim::TimerKey)> = Vec::new();
-            let mut seq = 0u64;
+            let mut m = HeapAndOracle::default();
             let mut now = 0u64;
             for op in ops {
                 match op {
                     TimerOp::Insert(delta, lead) => {
                         let deadline = now + delta;
                         let armed_at = lead.map_or(now, |l| deadline.saturating_sub(l).max(now));
-                        let key = heap.insert(
-                            SimTime::from_nanos(deadline),
-                            SimTime::from_nanos(armed_at),
-                            seq,
-                        );
-                        oracle.push(Reverse((deadline, armed_at, seq)));
-                        live.push((seq, key));
-                        seq += 1;
+                        m.insert(deadline, armed_at);
                     }
                     TimerOp::Cancel(i) => {
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let (s, key) = live.remove(i % live.len());
-                        prop_assert_eq!(heap.cancel(key), Some(s));
+                        let Some((key, payload)) = m.forget_nth(i) else { continue };
+                        prop_assert_eq!(m.heap.cancel(key), Some(payload));
                         // Double-cancel must be a no-op.
-                        prop_assert_eq!(heap.cancel(key), None);
-                        cancelled.insert(s);
+                        prop_assert_eq!(m.heap.cancel(key), None);
+                    }
+                    TimerOp::Refresh(i) => {
+                        let nth = i % m.live.len().max(1);
+                        let Some(entry) = m.live.values_mut().nth(nth) else { continue };
+                        entry.1 += 1_000_000_000;
+                        prop_assert!(m.heap.update_payload(entry.0, entry.1));
+                    }
+                    TimerOp::Recycle(i, n, delta) => {
+                        for round in 0..n {
+                            let Some((old, payload)) = m.forget_nth(i + round) else { break };
+                            prop_assert_eq!(m.heap.cancel(old), Some(payload));
+                            let new = m.insert(now + delta + round as u64, now);
+                            // Same slot, new generation: the old key is dead.
+                            prop_assert_eq!(new as u32, old as u32);
+                            prop_assert_ne!(new, old);
+                        }
                     }
                     TimerOp::Fire(delta) => {
                         now += delta;
                         let t = SimTime::from_nanos(now);
-                        loop {
-                            // Drain the oracle's tombstones first.
-                            let due = oracle
-                                .peek()
-                                .map(|Reverse((d, _, _))| *d <= now)
-                                .unwrap_or(false);
-                            if !due {
-                                break;
-                            }
-                            let Reverse((_, _, s)) = oracle.pop().expect("peeked");
-                            if cancelled.contains(&s) {
-                                continue;
-                            }
+                        while m.oracle.peek().is_some_and(|Reverse((d, _, _))| *d <= now) {
+                            let Reverse((_, _, seq)) = m.oracle.pop().expect("peeked");
+                            let Some((key, payload)) = m.live.remove(&seq) else {
+                                continue; // a cancelled timer's tombstone
+                            };
                             prop_assert_eq!(
-                                heap.pop_due(t),
-                                Some(s),
+                                m.heap.pop_due(t),
+                                Some(payload),
                                 "heap fired out of order at t={}",
                                 now
                             );
-                            live.retain(|&(ls, _)| ls != s);
+                            m.stale.push(key);
                         }
-                        prop_assert_eq!(heap.pop_due(t), None, "heap fired extra timer");
+                        prop_assert_eq!(m.heap.pop_due(t), None, "heap fired extra timer");
                     }
                 }
+                // A key that fired or was cancelled reaches nothing, not
+                // even the timer that now lives in its slot.
+                for &key in &m.stale {
+                    prop_assert!(!m.heap.update_payload(key, 0));
+                }
+                prop_assert_eq!(m.heap.len(), m.live.len());
             }
-            prop_assert_eq!(heap.len(), live.len());
         }
 
         /// Slab insert/remove/lookup behaves like a `HashMap` keyed by the
