@@ -4,7 +4,7 @@
 use crate::datasets::load_paper_datasets;
 use crate::in_sim;
 use skyrise::engine::{queries, Sink};
-use skyrise::micro::{text_table, ExperimentResult};
+use skyrise::micro::{open_loop_window, text_table, ExperimentResult};
 use skyrise::prelude::*;
 use skyrise::storage::RetryPolicy;
 use std::rc::Rc;
@@ -168,24 +168,20 @@ pub fn extra_observations() -> ExperimentResult {
                 let client =
                     RetryingClient::new(storage.clone(), ctx.clone(), RetryPolicy::eager());
                 // 4 minutes of sustained slight overload.
-                let start = ctx.now();
                 let mut handles = Vec::new();
-                let mut window_start = start;
                 for _ in 0..24 {
                     let rate = bucket.partition_count() as f64 * per_partition * 1.02;
                     let n = (rate * 10.0) as u64;
-                    for i in 0..n {
-                        let at = window_start + SimDuration::from_secs_f64(i as f64 / rate);
-                        let ctx2 = ctx.clone();
+                    handles.extend(open_loop_window(&ctx, ctx.now(), rate, n, |i| {
                         let client = client.clone();
                         let key = keys[(i % 64) as usize].clone();
-                        handles.push(ctx.spawn(async move {
-                            ctx2.sleep_until(at).await;
-                            let _ = client.get(&key, 1024, &RequestOpts::default()).await;
-                        }));
-                    }
-                    window_start += SimDuration::from_secs(10);
-                    ctx.sleep_until(window_start).await;
+                        async move {
+                            let _ = client
+                                .read(&key, ByteRange::Full, 1024, &RequestOpts::default())
+                                .await;
+                        }
+                    }));
+                    ctx.sleep(SimDuration::from_secs(10)).await;
                 }
                 join_all(handles).await;
                 bucket.partition_count() as f64

@@ -7,7 +7,8 @@
 
 use crate::{full_profile, in_sim};
 use skyrise::micro::{
-    ascii_chart, run_closed_loop, text_table, ExperimentResult, NamedSeries, StorageIoConfig,
+    ascii_chart, open_loop_window, run_closed_loop, text_table, ExperimentResult, NamedSeries,
+    StorageIoConfig,
 };
 use skyrise::prelude::*;
 use skyrise::pricing::{shared_meter, StoragePricing, StorageService};
@@ -388,20 +389,19 @@ pub fn fig11() -> ExperimentResult {
             // S3's sustained-overload detection — and would not happen
             // with the paper's independent client instances either).
             let mut all_handles = Vec::new();
-            let mut window_start = ctx.now();
             loop {
                 let capacity = bucket.partition_count() as f64 * per_partition;
                 let rate = (capacity * 1.02).max(per_partition * 0.95);
                 let n = (rate * 10.0) as u64;
-                for i in 0..n {
-                    let at = window_start + SimDuration::from_secs_f64(i as f64 / rate);
+                all_handles.extend(open_loop_window(&ctx, ctx.now(), rate, n, |_| {
                     let ctx2 = ctx.clone();
                     let client = client.clone();
                     let ok = Rc::clone(&ok);
                     let fail = Rc::clone(&fail);
-                    all_handles.push(ctx.spawn(async move {
-                        ctx2.sleep_until(at).await;
-                        let out = client.get("ramp/obj", 1024, &RequestOpts::default()).await;
+                    async move {
+                        let out = client
+                            .read("ramp/obj", ByteRange::Full, 1024, &RequestOpts::default())
+                            .await;
                         let now = ctx2.now();
                         match out {
                             Ok((_, stats)) => {
@@ -412,10 +412,9 @@ pub fn fig11() -> ExperimentResult {
                             }
                             Err(_) => fail.borrow_mut().record(now, 1.0),
                         }
-                    }));
-                }
-                window_start += SimDuration::from_secs(10);
-                ctx.sleep_until(window_start).await;
+                    }
+                }));
+                ctx.sleep(SimDuration::from_secs(10)).await;
                 parts.push((
                     (ctx.now() - start).as_secs_f64(),
                     bucket.partition_count() as f64,
@@ -503,19 +502,13 @@ pub fn fig12() -> ExperimentResult {
                 let rate = capacity * 1.05;
                 let window = 5.0f64;
                 let n = (rate * window) as u64;
-                let t0 = ctx.now();
-                let handles: Vec<_> = (0..n)
-                    .map(|i| {
-                        let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
-                        let ctx2 = ctx.clone();
-                        let storage = storage.clone();
-                        let opts = opts.clone();
-                        ctx.spawn(async move {
-                            ctx2.sleep_until(at).await;
-                            let _ = storage.get("ramp/obj", &opts).await;
-                        })
-                    })
-                    .collect();
+                let handles = open_loop_window(&ctx, ctx.now(), rate, n, |_| {
+                    let storage = storage.clone();
+                    let opts = opts.clone();
+                    async move {
+                        let _ = storage.get("ramp/obj", &opts).await;
+                    }
+                });
                 join_all(handles).await;
                 requests += n;
                 let parts = bucket.partition_count();
@@ -595,25 +588,13 @@ pub fn fig13() -> ExperimentResult {
                     // successful rate reveals surviving partitions.
                     let rate = 5.0 * per_partition * 1.2;
                     let n = (rate * 5.0) as u64;
-                    let t0 = ctx.now();
-                    let ok = Rc::new(std::cell::Cell::new(0u64));
-                    let handles: Vec<_> = (0..n)
-                        .map(|i| {
-                            let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
-                            let ctx2 = ctx.clone();
-                            let storage = storage.clone();
-                            let opts = opts.clone();
-                            let ok = Rc::clone(&ok);
-                            ctx.spawn(async move {
-                                ctx2.sleep_until(at).await;
-                                if storage.get("probe/obj", &opts).await.is_ok() {
-                                    ok.set(ok.get() + 1);
-                                }
-                            })
-                        })
-                        .collect();
-                    join_all(handles).await;
-                    let measured = ok.get() as f64 / 5.0;
+                    let handles = open_loop_window(&ctx, ctx.now(), rate, n, |_| {
+                        let storage = storage.clone();
+                        let opts = opts.clone();
+                        async move { storage.get("probe/obj", &opts).await.is_ok() }
+                    });
+                    let ok = join_all(handles).await.iter().filter(|&&ok| ok).count();
+                    let measured = ok as f64 / 5.0;
                     points.push((hour as f64 / 24.0, measured));
                 }
                 points

@@ -10,7 +10,7 @@
 //! * "In the EU, the startup of large function clusters takes
 //!   significantly longer, likely due to contention within the region" —
 //!   a lower sandbox-scaling rate and higher coldstart latency.
-//! * "the cold experiment show[s] yet higher variance than the warm one"
+//! * "the cold experiment show\[s\] yet higher variance than the warm one"
 //!   and "more frequent usage leads to pre-provisioning of resources and
 //!   more robustness" — coldstart latency carries the variance, amplified
 //!   by a diurnal load factor.

@@ -585,7 +585,7 @@ pub fn write(batches: &[Batch], rows_per_group: usize) -> Bytes {
     }
 }
 
-/// [`write`] for the rows `rows` of one batch, without materialising them:
+/// [`write()`] for the rows `rows` of one batch, without materialising them:
 /// the bytes `write(&[batch.slice(rows.start, rows.end)], rows_per_group)`
 /// would produce.
 pub fn write_rows(batch: &Batch, rows: Range<usize>, rows_per_group: usize) -> Bytes {
@@ -711,7 +711,7 @@ pub fn parse_footer(buf: &[u8]) -> Result<Footer, SpfError> {
 }
 
 /// Parse footer bytes together with the bucket-index section, when one is
-/// present ([`write_bucketed`] objects carry it; plain [`write`] objects
+/// present ([`write_bucketed`] objects carry it; plain [`write()`] objects
 /// return `None`).
 pub fn parse_footer_indexed(buf: &[u8]) -> Result<(Footer, Option<BucketIndex>), SpfError> {
     let mut cur = Cursor::new(buf);

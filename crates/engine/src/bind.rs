@@ -5,7 +5,7 @@
 //! key processing through per-row `Vec<ScalarKey>` allocations. This
 //! module runs the same operator chain several layers faster:
 //!
-//! 1. **Binding pass** — [`bind`-time] resolution of every `Op`/`Expr`
+//! 1. **Binding pass** — `bind`-time resolution of every `Op`/`Expr`
 //!    column name to a column index against the pipeline's input
 //!    schemas, done once per `WorkerTask`. Schema propagation needs only
 //!    field *names* (projections rename, joins append build columns,

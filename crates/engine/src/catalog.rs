@@ -14,7 +14,7 @@
 use crate::error::EngineError;
 use serde::{Deserialize, Serialize};
 use skyrise_data::{spf, Batch};
-use skyrise_storage::{Blob, RequestOpts, RetryingClient, Storage};
+use skyrise_storage::{Blob, ByteRange, RequestOpts, RetryingClient, Storage};
 
 /// One partition (object) of a dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -131,10 +131,10 @@ pub async fn fetch_dataset(
     name: &str,
     opts: &RequestOpts,
 ) -> Result<DatasetMeta, EngineError> {
-    let (blob, _) = client
-        .get(&DatasetMeta::catalog_key(name), 4096, opts)
+    let (read, _) = client
+        .read(&DatasetMeta::catalog_key(name), ByteRange::Full, 4096, opts)
         .await?;
-    let meta: DatasetMeta = serde_json::from_slice(&blob.bytes)?;
+    let meta: DatasetMeta = serde_json::from_slice(&read.blob.bytes)?;
     Ok(meta)
 }
 

@@ -17,7 +17,7 @@ use crate::worker::{result_key, InputAssignment, WorkerReport, WorkerTask};
 use serde::{Deserialize, Serialize};
 use skyrise_compute::{ComputePlatform, ExecEnv, FaasError};
 use skyrise_sim::{first_completed, race, Either, SimCtx, SimDuration};
-use skyrise_storage::{RequestOpts, RetryPolicy, RetryingClient, Storage};
+use skyrise_storage::{ByteRange, RequestOpts, RetryPolicy, RetryingClient, Storage};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -440,8 +440,8 @@ pub async fn run_coordinator(
     let result_pipeline = plan.result_pipeline();
     let key = result_key(&request.query_id, 0);
     let rows = if request.config.include_rows && fragments[&result_pipeline.id] == 1 {
-        let (blob, _) = client.get(&key, 64 * 1024, &opts).await?;
-        let batches = skyrise_data::spf::read_all(&blob.bytes, None)?;
+        let (read, _) = client.read(&key, ByteRange::Full, 64 * 1024, &opts).await?;
+        let batches = skyrise_data::spf::read_all(&read.blob.bytes, None)?;
         let all = skyrise_data::Batch::concat(&batches);
         if all.num_rows() <= 10_000 {
             Some(crate::worker::batch_to_rows(&all))

@@ -30,7 +30,9 @@ use skyrise_compute::ExecEnv;
 use skyrise_data::columnar::{Batch, Schema};
 use skyrise_data::spf;
 use skyrise_data::Value;
-use skyrise_storage::{Blob, RequestOpts, RetryPolicy, RetryingClient, Storage};
+use skyrise_storage::{
+    Blob, ByteRange, ObjectRead, RequestOpts, RetryPolicy, RetryStats, RetryingClient, Storage,
+};
 use std::rc::Rc;
 
 /// Input assignment for one worker fragment, parallel to the pipeline's
@@ -210,12 +212,54 @@ pub fn barrier_key(name: &str) -> String {
     format!("barriers/{name}")
 }
 
+/// What a worker's storage reads add up to; every fetch is folded in
+/// with [`ReadTally::add`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ReadTally {
+    /// Storage requests issued (including retries).
+    requests: u64,
+    /// Logical bytes the requests moved, as the service metered them: the
+    /// whole object per request on stores without native ranged reads.
+    transferred: u64,
+    /// Logical bytes of the ranges handed back.
+    logical: u64,
+    /// Payload bytes of the ranges handed back.
+    payload: u64,
+}
+
+impl ReadTally {
+    fn add(&mut self, read: &ObjectRead, stats: RetryStats) {
+        self.requests += stats.attempts as u64;
+        self.transferred += read.transferred;
+        self.logical += read.blob.logical_len();
+        self.payload += read.blob.len() as u64;
+    }
+
+    fn merge(&mut self, other: &ReadTally) {
+        self.requests += other.requests;
+        self.transferred += other.transferred;
+        self.logical += other.logical;
+        self.payload += other.payload;
+    }
+
+    /// logical/payload ratio of what was read (1.0 for unscaled data).
+    fn scale(&self) -> f64 {
+        if self.payload > 0 {
+            self.logical as f64 / self.payload as f64
+        } else {
+            1.0
+        }
+    }
+}
+
+fn bytes(offset: u64, len: u64) -> ByteRange {
+    ByteRange::Bytes { offset, len }
+}
+
+#[derive(Default)]
 struct ReadOutcome {
     batches: Vec<Batch>,
-    logical_bytes: u64,
-    requests: u64,
-    /// logical/payload ratio of what was read (1.0 for unscaled data).
-    scale: f64,
+    tally: ReadTally,
     /// Shuffle byte accounting (`None` for scans).
     shuffle: Option<ShuffleReadStats>,
     /// Storage-decoded dictionaries handed to the fused pipeline's
@@ -361,8 +405,8 @@ pub async fn run_worker(
                 .await?
             }
         };
-        report.logical_bytes_read += outcome.logical_bytes;
-        report.storage_requests += outcome.requests;
+        report.logical_bytes_read += outcome.tally.transferred;
+        report.storage_requests += outcome.tally.requests;
         if let Some(s) = &outcome.shuffle {
             match &mut shuffle_stats {
                 Some(total) => total.merge(s),
@@ -370,12 +414,12 @@ pub async fn run_worker(
             }
         }
         if idx == 0 {
-            stream_scale = outcome.scale;
+            stream_scale = outcome.tally.scale();
             seeds = std::mem::take(&mut outcome.seeds);
         }
         read_span
-            .attr("bytes", outcome.logical_bytes)
-            .attr("requests", outcome.requests);
+            .attr("bytes", outcome.tally.transferred)
+            .attr("requests", outcome.tally.requests);
         read_span.end();
         inputs.push(outcome.batches);
     }
@@ -604,15 +648,7 @@ async fn read_scan(
     predicate: Option<&crate::expr::Expr>,
     udfs: &UdfRegistry,
 ) -> Result<ReadOutcome, EngineError> {
-    let mut outcome = ReadOutcome {
-        batches: Vec::new(),
-        logical_bytes: 0,
-        requests: 0,
-        scale: 1.0,
-        shuffle: None,
-        seeds: Vec::new(),
-    };
-    let mut payload_bytes = 0u64;
+    let mut outcome = ReadOutcome::default();
 
     // Partitions are fetched concurrently ("divides large storage requests
     // into smaller chunks to process them in parallel"), but the worker
@@ -646,14 +682,9 @@ async fn read_scan(
         }));
     }
     for h in skyrise_sim::join_all(handles).await {
-        let (batches, logical, requests, payload) = h?;
+        let (batches, tally) = h?;
         outcome.batches.extend(batches);
-        outcome.logical_bytes += logical;
-        outcome.requests += requests;
-        payload_bytes += payload;
-    }
-    if payload_bytes > 0 {
-        outcome.scale = outcome.logical_bytes as f64 / payload_bytes as f64;
+        outcome.tally.merge(&tally);
     }
     Ok(outcome)
 }
@@ -669,10 +700,8 @@ async fn read_partition(
     predicate: Option<&crate::expr::Expr>,
     udfs: &UdfRegistry,
     chunk_gate: &Rc<skyrise_sim::sync::Semaphore>,
-) -> Result<(Vec<Batch>, u64, u64, u64), EngineError> {
-    let mut logical = 0u64;
-    let mut requests = 0u64;
-    let mut payload = 0u64;
+) -> Result<(Vec<Batch>, ReadTally), EngineError> {
+    let mut tally = ReadTally::default();
     // Ranged reads move `len x scale` logical bytes; timeouts must size
     // against that, not the payload length.
     let scale = (part.logical_bytes as f64 / part.payload_bytes.max(1) as f64).max(1.0);
@@ -680,28 +709,19 @@ async fn read_partition(
 
     // 1. Trailer.
     let file_len = part.payload_bytes;
+    let trailer = bytes(file_len - spf::TRAILER_LEN, spf::TRAILER_LEN);
     let (trailer, s1) = client
-        .get_range(
-            &part.key,
-            file_len - spf::TRAILER_LEN,
-            spf::TRAILER_LEN,
-            expected(spf::TRAILER_LEN),
-            opts,
-        )
+        .read(&part.key, trailer, expected(spf::TRAILER_LEN), opts)
         .await?;
-    requests += s1.attempts as u64;
-    logical += trailer.logical_len();
-    payload += trailer.len() as u64;
-    let (fstart, flen) = spf::footer_range(&trailer.bytes, file_len)?;
+    tally.add(&trailer, s1);
+    let (fstart, flen) = spf::footer_range(&trailer.blob.bytes, file_len)?;
 
     // 2. Footer.
-    let (footer_blob, s2) = client
-        .get_range(&part.key, fstart, flen, expected(flen), opts)
+    let (footer, s2) = client
+        .read(&part.key, bytes(fstart, flen), expected(flen), opts)
         .await?;
-    requests += s2.attempts as u64;
-    logical += footer_blob.logical_len();
-    payload += footer_blob.len() as u64;
-    let footer = spf::parse_footer(&footer_blob.bytes)?;
+    tally.add(&footer, s2);
+    let footer = spf::parse_footer(&footer.blob.bytes)?;
 
     // Column projection indices.
     let proj: Vec<usize> = if projection.is_empty() {
@@ -734,21 +754,20 @@ async fn read_partition(
             let key = part.key.clone();
             let gate = Rc::clone(chunk_gate);
             let exp = expected(meta.len);
+            let range = bytes(meta.offset, meta.len);
             chunk_handles.push(ctx.spawn(async move {
                 let _slot = gate.acquire().await;
                 client
-                    .get_range(&key, meta.offset, meta.len, exp, &opts)
+                    .read(&key, range, exp, &opts)
                     .await
-                    .map(|(blob, stats)| (meta, blob, stats))
+                    .map(|(read, stats)| (meta, read, stats))
             }));
         }
         let mut columns = Vec::with_capacity(proj.len());
         for h in skyrise_sim::join_all(chunk_handles).await {
-            let (meta, blob, stats) = h?;
-            requests += stats.attempts as u64;
-            logical += blob.logical_len();
-            payload += blob.len() as u64;
-            columns.push(spf::decode_chunk(&meta, &blob.bytes)?);
+            let (meta, read, stats) = h?;
+            tally.add(&read, stats);
+            columns.push(spf::decode_chunk(&meta, &read.blob.bytes)?);
         }
         let batch = Batch::new(footer.schema.project(&proj), columns);
         // Residual filter (zone maps are row-group granular).
@@ -769,11 +788,13 @@ async fn read_partition(
     }
 
     // Decode CPU charge for the logical bytes materialised.
-    ctx.sleep(cpu::decode_cost(logical as f64, vcpus)).await;
-    Ok((batches, logical, requests, payload))
+    ctx.sleep(cpu::decode_cost(tally.logical as f64, vcpus))
+        .await;
+    Ok((batches, tally))
 }
 
 /// What reading one shuffle segment produced.
+#[derive(Default)]
 struct ShuffleObject {
     batches: Vec<Batch>,
     /// `(local batch index, column index, sorted dict)` for dictionary
@@ -782,24 +803,9 @@ struct ShuffleObject {
     /// Projected schema of this segment (kept even when every row group is
     /// empty or pruned, so the caller can emit a typed marker batch).
     schema: Option<Rc<Schema>>,
-    requests: u64,
-    logical: u64,
-    payload: u64,
+    tally: ReadTally,
+    /// `bytes_read` is left to the caller, which takes it from `tally`.
     stats: ShuffleReadStats,
-}
-
-impl ShuffleObject {
-    fn new() -> Self {
-        ShuffleObject {
-            batches: Vec::new(),
-            seeds: Vec::new(),
-            schema: None,
-            requests: 0,
-            logical: 0,
-            payload: 0,
-            stats: ShuffleReadStats::default(),
-        }
-    }
 }
 
 /// Tail, footer, and bucket directory of one shuffle segment — everything
@@ -864,11 +870,10 @@ async fn read_segment_meta(
     suffix_len: u64,
     obj: &mut ShuffleObject,
 ) -> Result<SegmentMeta, EngineError> {
-    let (tail, s1) = client.get_suffix(key, suffix_len, 0, opts).await?;
-    obj.requests += s1.attempts as u64;
-    obj.logical += tail.transferred;
-    obj.payload += tail.blob.len() as u64;
-    obj.stats.bytes_read += tail.transferred;
+    let (tail, s1) = client
+        .read(key, ByteRange::Suffix(suffix_len), 0, opts)
+        .await?;
+    obj.tally.add(&tail, s1);
     let scale = tail.blob.logical_scale;
     obj.stats.bytes_whole_object += scaled(tail.object_len, scale);
     let object_len = tail.object_len;
@@ -883,11 +888,8 @@ async fn read_segment_meta(
         let a = (fstart - tail_start) as usize;
         spf::parse_footer_indexed(&tail_bytes[a..a + flen as usize])?
     } else {
-        let (fb, s2) = client.get_range_metered(key, fstart, flen, 0, opts).await?;
-        obj.requests += s2.attempts as u64;
-        obj.logical += fb.transferred;
-        obj.payload += fb.blob.len() as u64;
-        obj.stats.bytes_read += fb.transferred;
+        let (fb, s2) = client.read(key, bytes(fstart, flen), 0, opts).await?;
+        obj.tally.add(&fb, s2);
         spf::parse_footer_indexed(&fb.blob.bytes)?
     };
     Ok(SegmentMeta {
@@ -922,15 +924,7 @@ async fn read_shuffle(
 ) -> Result<ReadOutcome, EngineError> {
     let my_group = my_fragment / combine;
     let my_bucket = (my_fragment - my_group * combine) as usize;
-    let mut outcome = ReadOutcome {
-        batches: Vec::new(),
-        logical_bytes: 0,
-        requests: 0,
-        scale: 1.0,
-        shuffle: None,
-        seeds: Vec::new(),
-    };
-    let mut payload = 0u64;
+    let mut outcome = ReadOutcome::default();
     let mut stats = ShuffleReadStats::default();
     // Whole-object reads when nothing narrows the fetch: this group's
     // segments hold a single bucket (combine == 1, or the trailing group
@@ -959,7 +953,7 @@ async fn read_shuffle(
     let mut layout: Option<ShuffleLayout> = None;
     if !whole_object && upstream_fragments > 0 {
         let key = shuffle_key(query_id, from_pipeline, 0, my_group);
-        let mut probe = ShuffleObject::new();
+        let mut probe = ShuffleObject::default();
         let meta = read_segment_meta(client, opts, &key, SHUFFLE_TAIL_HINT, &mut probe).await?;
         layout = meta.layout(0);
         first = Some((meta, probe));
@@ -1005,9 +999,7 @@ async fn read_shuffle(
     }
     let mut schema: Option<Rc<Schema>> = None;
     for obj in collected {
-        outcome.requests += obj.requests;
-        outcome.logical_bytes += obj.logical;
-        payload += obj.payload;
+        outcome.tally.merge(&obj.tally);
         stats.merge(&obj.stats);
         let base = outcome.batches.len();
         for (b, c, dict) in obj.seeds {
@@ -1030,9 +1022,7 @@ async fn read_shuffle(
             outcome.batches.push(Batch::empty(s));
         }
     }
-    if payload > 0 {
-        outcome.scale = outcome.logical_bytes as f64 / payload as f64;
-    }
+    stats.bytes_read = outcome.tally.transferred;
     // Decompression + deserialisation CPU for what was actually decoded:
     // the whole segment on the demultiplexing path, only this bucket's kept
     // projected pages on the indexed path. Charged once against the
@@ -1135,17 +1125,14 @@ async fn read_shuffle_object(
     premeta: Option<(SegmentMeta, ShuffleObject)>,
 ) -> Result<ShuffleObject, EngineError> {
     if whole_object {
-        let mut obj = ShuffleObject::new();
-        let (blob, s) = client.get(key, 0, opts).await?;
-        obj.requests += s.attempts as u64;
-        obj.logical += blob.logical_len();
-        obj.payload += blob.len() as u64;
-        obj.stats.bytes_read += blob.logical_len();
-        obj.stats.bytes_whole_object += blob.logical_len();
-        obj.stats.bytes_decoded += blob.logical_len();
+        let mut obj = ShuffleObject::default();
+        let (whole, s) = client.read(key, ByteRange::Full, 0, opts).await?;
+        obj.tally.add(&whole, s);
+        obj.stats.bytes_whole_object += whole.transferred;
+        obj.stats.bytes_decoded += whole.transferred;
         demux_segment(
             &mut obj,
-            &blob.bytes,
+            &whole.blob.bytes,
             combine,
             my_fragment,
             n_fragments,
@@ -1159,7 +1146,7 @@ async fn read_shuffle_object(
     let (meta, mut obj) = match premeta {
         Some(x) => x,
         None => {
-            let mut obj = ShuffleObject::new();
+            let mut obj = ShuffleObject::default();
             let meta = read_segment_meta(
                 client,
                 opts,
@@ -1233,13 +1220,9 @@ async fn read_shuffle_object(
     let (base, data): (u64, &[u8]) = if lo >= tail_start {
         (tail_start, &tail_bytes)
     } else {
-        let (rb, s3) = client
-            .get_range_metered(key, lo, tail_start - lo, 0, opts)
-            .await?;
-        obj.requests += s3.attempts as u64;
-        obj.logical += rb.transferred;
-        obj.payload += rb.blob.len() as u64;
-        obj.stats.bytes_read += rb.transferred;
+        let prefix = bytes(lo, tail_start - lo);
+        let (rb, s3) = client.read(key, prefix, 0, opts).await?;
+        obj.tally.add(&rb, s3);
         let mut d = rb.blob.bytes.to_vec();
         d.extend_from_slice(&tail_bytes);
         fetched = d;
@@ -1374,6 +1357,80 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// EFS streams and bills the whole file for every ranged chunk read;
+    /// the worker's report must say what the meter says, not the sum of
+    /// the slices it asked for.
+    #[test]
+    fn scan_on_efs_reports_the_bytes_the_meter_billed() {
+        use skyrise_data::{Column, DataType, Field};
+        let mut sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let storage = Storage::Efs(skyrise_storage::EfsFilesystem::elastic(&ctx, &meter));
+        let worker = sim.spawn(async move {
+            let batch = Batch::new(
+                Schema::new(vec![
+                    Field::new("k", DataType::Int64),
+                    Field::new("v", DataType::Float64),
+                ]),
+                vec![
+                    Column::Int64((0..1_000).collect()),
+                    Column::Float64((0..1_000).map(|i| i as f64).collect()),
+                ],
+            );
+            let blob = Blob::new(spf::write(&[batch], 250));
+            let partition = PartitionMeta {
+                key: "t/part-0.spf".into(),
+                payload_bytes: blob.len() as u64,
+                logical_bytes: blob.logical_len(),
+                payload_rows: 1_000,
+                logical_rows: 1_000,
+            };
+            storage.backdoor_put(&partition.key, blob);
+            let env = ExecEnv {
+                ctx,
+                nic: skyrise_net::presets::lambda_nic(),
+                cold_start: false,
+                vcpus: 1.0,
+                memory_mib: 1024,
+                instance_id: 0,
+            };
+            let task = WorkerTask {
+                query_id: "q".into(),
+                pipeline: Pipeline {
+                    id: 0,
+                    inputs: vec![InputSpec::Scan {
+                        dataset: "t".into(),
+                        projection: vec![],
+                        predicate: None,
+                    }],
+                    ops: vec![],
+                    sink: Sink::Result,
+                    fragments: None,
+                },
+                fragment: 0,
+                n_fragments: 1,
+                downstream_fragments: 1,
+                inputs: vec![InputAssignment::Scan {
+                    partitions: vec![partition],
+                }],
+                expected_input_bytes: 0,
+                shuffle_read_fanin: 2,
+            };
+            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+        });
+        sim.run();
+        let report = worker
+            .try_take()
+            .expect("worker ran to completion")
+            .expect("scan succeeds");
+        assert_eq!(report.rows_in, 1_000);
+        let billed = meter.borrow().storage[&skyrise_pricing::StorageService::Efs].bytes_read;
+        // Trailer + footer + 4 row groups x 2 columns: 10 whole-file reads.
+        assert_eq!(report.storage_requests, 10 + 1);
+        assert_eq!(report.logical_bytes_read, billed);
     }
 
     #[test]

@@ -15,4 +15,4 @@ pub mod storageio;
 pub use minimal::{measure_startup, probe_idle_lifetime, StartupLatency};
 pub use netio::{analyze_burst, measure, BurstProbe, Direction, NetIoConfig};
 pub use report::{ascii_chart, text_table, ExperimentResult, NamedSeries};
-pub use storageio::{run_closed_loop, run_open_loop, StorageIoConfig, StorageIoResult};
+pub use storageio::{open_loop_window, run_closed_loop, StorageIoConfig, StorageIoResult};

@@ -7,9 +7,10 @@
 //! Behind Figs. 8–13.
 
 use skyrise_net::SharedNic;
-use skyrise_sim::{Histogram, IntervalSeries, SimCtx, SimDuration};
+use skyrise_sim::{Histogram, IntervalSeries, JoinHandle, SimCtx, SimDuration, SimTime};
 use skyrise_storage::{Blob, RequestOpts, Storage};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 /// One client VM's workload share.
@@ -78,6 +79,29 @@ pub fn populate(storage: &Storage, cfg: &StorageIoConfig) {
     }
 }
 
+/// What the closed-loop threads accumulate together.
+struct LoopTotals {
+    ok: Cell<u64>,
+    failed: Cell<u64>,
+    bytes: Cell<u64>,
+    latency: RefCell<Histogram>,
+    ok_series: RefCell<IntervalSeries>,
+    fail_series: RefCell<IntervalSeries>,
+}
+
+impl LoopTotals {
+    fn result(&self, elapsed: f64) -> StorageIoResult {
+        StorageIoResult {
+            ops_per_sec: self.ok.get() as f64 / elapsed,
+            failed_per_sec: self.failed.get() as f64 / elapsed,
+            bytes_per_sec: self.bytes.get() as f64 / elapsed,
+            latency: self.latency.borrow().clone(),
+            ops_series: self.ok_series.borrow().clone(),
+            fail_series: self.fail_series.borrow().clone(),
+        }
+    }
+}
+
 /// Closed-loop benchmark: every thread issues the next request as soon as
 /// the previous one completes, until the deadline.
 pub async fn run_closed_loop(
@@ -89,12 +113,15 @@ pub async fn run_closed_loop(
     let start = ctx.now();
     let deadline = start + cfg.duration;
     let second = SimDuration::from_secs(1);
-    let ok_series = Rc::new(RefCell::new(IntervalSeries::new(start, second)));
-    let fail_series = Rc::new(RefCell::new(IntervalSeries::new(start, second)));
-    let latency = Rc::new(RefCell::new(Histogram::new()));
-    let ok_count = Rc::new(RefCell::new(0u64));
-    let fail_count = Rc::new(RefCell::new(0u64));
-    let bytes = Rc::new(RefCell::new(0u64));
+    let totals = Rc::new(LoopTotals {
+        ok: Cell::new(0),
+        failed: Cell::new(0),
+        bytes: Cell::new(0),
+        latency: RefCell::new(Histogram::new()),
+        ok_series: RefCell::new(IntervalSeries::new(start, second)),
+        fail_series: RefCell::new(IntervalSeries::new(start, second)),
+    });
+    let (write, object_bytes) = (cfg.write, cfg.object_bytes);
 
     let mut handles = Vec::new();
     for c in 0..cfg.clients {
@@ -106,38 +133,35 @@ pub async fn run_closed_loop(
                 Some(n) => RequestOpts::from_nic(n),
                 None => RequestOpts::default(),
             };
-            let cfg = cfg.clone();
-            let ok_series = Rc::clone(&ok_series);
-            let fail_series = Rc::clone(&fail_series);
-            let latency = Rc::clone(&latency);
-            let ok_count = Rc::clone(&ok_count);
-            let fail_count = Rc::clone(&fail_count);
-            let bytes = Rc::clone(&bytes);
+            let keys: Vec<String> = (0..cfg.keyspace_per_thread)
+                .map(|i| bench_key(c, t, i))
+                .collect();
+            let totals = Rc::clone(&totals);
             handles.push(ctx.spawn(async move {
                 let mut i = 0usize;
                 while ctx2.now() < deadline {
-                    let key = bench_key(c, t, i % cfg.keyspace_per_thread);
+                    let key = &keys[i % keys.len()];
                     i += 1;
                     let t0 = ctx2.now();
-                    let outcome = if cfg.write {
+                    let outcome = if write {
                         storage
-                            .put(&key, Blob::synthetic(cfg.object_bytes), &opts)
+                            .put(key, Blob::synthetic(object_bytes), &opts)
                             .await
-                            .map(|()| cfg.object_bytes)
+                            .map(|()| object_bytes)
                     } else {
-                        storage.get(&key, &opts).await.map(|b| b.logical_len())
+                        storage.get(key, &opts).await.map(|b| b.logical_len())
                     };
                     let now = ctx2.now();
                     match outcome {
                         Ok(n) => {
-                            *ok_count.borrow_mut() += 1;
-                            *bytes.borrow_mut() += n;
-                            ok_series.borrow_mut().record(now, 1.0);
-                            latency.borrow_mut().record((now - t0).as_secs_f64());
+                            totals.ok.set(totals.ok.get() + 1);
+                            totals.bytes.set(totals.bytes.get() + n);
+                            totals.ok_series.borrow_mut().record(now, 1.0);
+                            totals.latency.borrow_mut().record((now - t0).as_secs_f64());
                         }
                         Err(_) => {
-                            *fail_count.borrow_mut() += 1;
-                            fail_series.borrow_mut().record(now, 1.0);
+                            totals.failed.set(totals.failed.get() + 1);
+                            totals.fail_series.borrow_mut().record(now, 1.0);
                         }
                     }
                 }
@@ -145,75 +169,37 @@ pub async fn run_closed_loop(
         }
     }
     skyrise_sim::join_all(handles).await;
-    let elapsed = (ctx.now() - start).as_secs_f64().max(1e-9);
-    let ok_total = *ok_count.borrow();
-    let fail_total = *fail_count.borrow();
-    let byte_total = *bytes.borrow();
-    let result = StorageIoResult {
-        ops_per_sec: ok_total as f64 / elapsed,
-        failed_per_sec: fail_total as f64 / elapsed,
-        bytes_per_sec: byte_total as f64 / elapsed,
-        latency: latency.borrow().clone(),
-        ops_series: ok_series.borrow().clone(),
-        fail_series: fail_series.borrow().clone(),
-    };
-    result
+    totals.result((ctx.now() - start).as_secs_f64().max(1e-9))
 }
 
-/// Open-loop load: issue requests on a fixed timetable at `rate` requests
-/// per second regardless of completions (the Fig. 11 ramp pattern, where
-/// Lambda instances generate a deterministic offered load). Returns
-/// (successes, failures) series in `bucket`-sized intervals.
-pub async fn run_open_loop(
+/// One window of open-loop load: `n` requests on the fixed timetable
+/// `t0 + i / rate`, each in its own task, issued whether or not earlier
+/// ones have completed (independent client instances generating a
+/// deterministic offered load, as in the paper's S3 scaling ramps).
+/// `request(i)` builds the i-th request; the handles come back in issue
+/// order for the caller to join when its experiment wants to.
+pub fn open_loop_window<T, Fut>(
     ctx: &SimCtx,
-    storage: &Storage,
-    cfg: &StorageIoConfig,
-    rate_per_sec: f64,
-    bucket: SimDuration,
-) -> (IntervalSeries, IntervalSeries, Histogram) {
-    populate(storage, cfg);
-    let start = ctx.now();
-    let ok_series = Rc::new(RefCell::new(IntervalSeries::new(start, bucket)));
-    let fail_series = Rc::new(RefCell::new(IntervalSeries::new(start, bucket)));
-    let latency = Rc::new(RefCell::new(Histogram::new()));
-    let total = (rate_per_sec * cfg.duration.as_secs_f64()) as u64;
-    let gap = SimDuration::from_secs_f64(1.0 / rate_per_sec.max(1e-9));
-
-    let mut handles = Vec::with_capacity(total as usize);
-    for i in 0..total {
-        let at = start + gap * i;
-        let ctx2 = ctx.clone();
-        let storage = storage.clone();
-        let cfg = cfg.clone();
-        let ok_series = Rc::clone(&ok_series);
-        let fail_series = Rc::clone(&fail_series);
-        let latency = Rc::clone(&latency);
-        handles.push(ctx.spawn(async move {
-            ctx2.sleep_until(at).await;
-            let key = bench_key(
-                (i % cfg.clients as u64) as usize,
-                (i as usize / cfg.clients) % cfg.threads_per_client,
-                i as usize % cfg.keyspace_per_thread,
-            );
-            let t0 = ctx2.now();
-            let outcome = storage.get(&key, &RequestOpts::default()).await;
-            let now = ctx2.now();
-            match outcome {
-                Ok(_) => {
-                    ok_series.borrow_mut().record(now, 1.0);
-                    latency.borrow_mut().record((now - t0).as_secs_f64());
-                }
-                Err(_) => fail_series.borrow_mut().record(now, 1.0),
-            }
-        }));
-    }
-    skyrise_sim::join_all(handles).await;
-    let out = (
-        ok_series.borrow().clone(),
-        fail_series.borrow().clone(),
-        latency.borrow().clone(),
-    );
-    out
+    t0: SimTime,
+    rate: f64,
+    n: u64,
+    request: impl Fn(u64) -> Fut,
+) -> Vec<JoinHandle<T>>
+where
+    T: 'static,
+    Fut: Future<Output = T> + 'static,
+{
+    (0..n)
+        .map(|i| {
+            let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
+            let ctx2 = ctx.clone();
+            let request = request(i);
+            ctx.spawn(async move {
+                ctx2.sleep_until(at).await;
+                request.await
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -281,19 +267,28 @@ mod tests {
         let h = sim.spawn(async move {
             let meter = shared_meter();
             let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
-            let cfg = StorageIoConfig {
-                clients: 4,
-                threads_per_client: 8,
-                duration: SimDuration::from_secs(10),
-                ..StorageIoConfig::default()
-            };
-            // Offer 8K IOPS against a single 5.5K partition.
-            run_open_loop(&ctx, &storage, &cfg, 8_000.0, SimDuration::from_secs(1)).await
+            storage.backdoor_put("k", Blob::synthetic(1024));
+            // Offer 8K IOPS for 10 s against a single 5.5K partition.
+            let t0 = ctx.now();
+            let handles = open_loop_window(&ctx, t0, 8_000.0, 80_000, |_| {
+                let (ctx, storage) = (ctx.clone(), storage.clone());
+                async move {
+                    let issued = ctx.now();
+                    let ok = storage.get("k", &RequestOpts::default()).await.is_ok();
+                    (issued, ok)
+                }
+            });
+            let outcomes = skyrise_sim::join_all(handles).await;
+            // Strictly on the timetable, whatever the completions do.
+            for i in [0u64, 1, 7_999, 79_999] {
+                let at = t0 + SimDuration::from_secs_f64(i as f64 / 8_000.0);
+                assert_eq!(outcomes[i as usize].0, at, "request {i}");
+            }
+            outcomes.iter().filter(|(_, ok)| *ok).count() as f64
         });
         sim.run();
-        let (ok, fail, _lat) = h.try_take().unwrap();
-        let ok_rate = ok.total() / 10.0;
-        let fail_rate = fail.total() / 10.0;
+        let ok_rate = h.try_take().unwrap() / 10.0;
+        let fail_rate = 8_000.0 - ok_rate;
         assert!((5_000.0..=6_500.0).contains(&ok_rate), "ok {ok_rate}");
         assert!(fail_rate > 1_000.0, "fail {fail_rate}");
     }

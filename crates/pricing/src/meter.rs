@@ -1,6 +1,6 @@
 //! Usage metering and cost estimation.
 //!
-//! The paper "track[s] service usage via a client hook that counts all
+//! The paper "track\[s\] service usage via a client hook that counts all
 //! requests, including failures and retries" and derives experiment cost
 //! from the price list (Sec. 4.1). [`UsageMeter`] is that hook: every
 //! simulated service records its consumption here, and [`UsageMeter::report`]

@@ -349,7 +349,7 @@ impl MetricRegistry {
 
 /// A downsampled export of a timeline: per-window totals at a (possibly
 /// coarsened) window width. Produced by [`MetricRegistry::snapshot`];
-/// windows beyond [`MAX_TIMELINE_POINTS`] are pair-summed until the series
+/// windows beyond `MAX_TIMELINE_POINTS` (512) are pair-summed until the series
 /// fits, doubling `interval_secs` each pass.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimelineSnapshot {

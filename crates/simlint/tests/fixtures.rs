@@ -746,11 +746,40 @@ fn cons002_metered_through_same_crate_helper() {
 }
 
 #[test]
+fn cons002_op_bypassing_the_request_lifecycle() {
+    // The storage lifecycle (`request`) is the one place that meters. A
+    // public op that samples latency and streams on its own, next to it,
+    // moves bytes nobody bills.
+    let src = |body: &str| {
+        format!(
+            r#"
+            async fn request(&self, key: &str, logical_bytes: u64) {{
+                self.meter_request(false, logical_bytes, false);
+                self.first_byte(false).await;
+                self.stream(false, logical_bytes).await;
+            }}
+            pub async fn read(&self, key: &str) -> Blob {{
+                let logical_bytes = self.size_of(key);
+                {body}
+                self.store.get(key)
+            }}
+            "#
+        )
+    };
+    let bypass = lint_metered(&src(
+        "self.first_byte(false).await; self.stream(false, logical_bytes).await;",
+    ));
+    assert!(rules_of(&bypass, false).contains(&"CONS002"), "{bypass:?}");
+    let routed = lint_metered(&src("self.request(key, logical_bytes).await;"));
+    assert!(!rules_of(&routed, false).contains(&"CONS002"), "{routed:?}");
+}
+
+#[test]
 fn cons002_suppressible_with_justification() {
     let diags = lint_metered(
         r#"
-        // simlint: allow(CONS002): metered by every caller before streaming.
-        pub async fn stream(&self, logical_bytes: u64) {
+        // simlint: allow(CONS002): warm-up copy between replicas, never billed.
+        pub async fn replicate(&self, logical_bytes: u64) {
             self.wire(logical_bytes).await;
         }
         "#,

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use skyrise_pricing::{shared_meter, StorageService, UsageMeter};
     pub use skyrise_sim::{join_all, Sim, SimCtx, SimDuration, SimTime, GIB, KIB, MIB};
     pub use skyrise_storage::{
-        Blob, DynamoTable, EfsFilesystem, RequestOpts, RetryingClient, S3Bucket, S3Class, S3Config,
-        Storage,
+        Blob, ByteRange, DynamoTable, EfsFilesystem, RequestOpts, RetryingClient, S3Bucket,
+        S3Class, S3Config, Storage,
     };
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper configures its S3 client with "a request timeout of 200 ms
 //! for retries and exponential backoff — an eager but not aggressive retry
-//! behavior" (Sec. 4.4.1), and its query engine "retrigger[s] straggling
+//! behavior" (Sec. 4.4.1), and its query engine "retrigger\[s\] straggling
 //! requests after a size-based timeout" (Sec. 3.2). [`RetryPolicy`] encodes
 //! both. Repeatedly rejected clients back off exponentially and become the
 //! stragglers responsible for the IOPS dips of Fig. 11.
@@ -12,8 +12,9 @@ use crate::core::{RequestOpts, REJECT_LATENCY};
 use crate::dynamodb::DynamoTable;
 use crate::efs::EfsFilesystem;
 use crate::error::{Result, StorageError};
-use crate::object::{Blob, ObjectMeta, RangedBlob, SuffixRead};
+use crate::object::{Blob, ByteRange, ObjectRead};
 use crate::s3::S3Bucket;
+use skyrise_pricing::StorageService;
 use skyrise_sim::faults::StorageFault;
 use skyrise_sim::telemetry::Counter;
 use skyrise_sim::{race, Either, SimCtx, SimDuration};
@@ -33,66 +34,34 @@ pub enum Storage {
 }
 
 impl Storage {
-    /// GET/read a whole object.
-    pub async fn get(&self, key: &str, opts: &RequestOpts) -> Result<Blob> {
-        match self {
-            Storage::S3(b) => b.get(key, opts).await,
-            Storage::Dynamo(t) => t.get(key, opts).await,
-            Storage::Efs(f) => f.read(key, opts).await,
-        }
-    }
-
-    /// GET a byte range.
+    /// Read `range` of an object.
     ///
-    /// Only S3 supports native ranged reads. DynamoDB and EFS fall back
-    /// to a **full** `get` and slice client-side: the service meters,
-    /// bills, and streams the *whole object's* logical size — the paper's
-    /// reason these backends only suit small exchange objects — and only
-    /// the requested slice is returned. Callers that account transferred
-    /// bytes must use [`Storage::get_range_metered`], which reports the
-    /// full payload on the fallback path rather than the slice length.
-    pub async fn get_range(
+    /// Only S3 serves ranges natively. DynamoDB and EFS meter, bill and
+    /// stream the *whole object's* logical size and cut the range
+    /// client-side; [`ObjectRead::transferred`] says what moved.
+    pub async fn read(
         &self,
         key: &str,
-        offset: u64,
-        len: u64,
+        range: ByteRange,
         opts: &RequestOpts,
-    ) -> Result<Blob> {
-        self.get_range_metered(key, offset, len, opts)
-            .await
-            .map(|r| r.blob)
-    }
-
-    /// GET a byte range, reporting the logical bytes the request actually
-    /// moved (see [`Storage::get_range`] for the fallback semantics).
-    pub async fn get_range_metered(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-        opts: &RequestOpts,
-    ) -> Result<RangedBlob> {
+    ) -> Result<ObjectRead> {
         match self {
-            Storage::S3(b) => {
-                let blob = b.get_range(key, offset, len, opts).await?;
-                let transferred = blob.logical_len();
-                Ok(RangedBlob { blob, transferred })
-            }
-            Storage::Dynamo(t) => ranged_from_full(t.get(key, opts).await?, offset, len),
-            Storage::Efs(f) => ranged_from_full(f.read(key, opts).await?, offset, len),
+            Storage::S3(b) => b.read(key, range, opts).await,
+            Storage::Dynamo(t) => t.read(key, range, opts).await,
+            Storage::Efs(f) => f.read(key, range, opts).await,
         }
     }
 
-    /// GET the last `len` bytes of an object plus its total payload length
-    /// (`Range: bytes=-len`). Same fallback semantics as
-    /// [`Storage::get_range`]: DynamoDB and EFS transfer the whole object
-    /// and slice client-side, and `transferred` reports the full payload.
-    pub async fn get_suffix(&self, key: &str, len: u64, opts: &RequestOpts) -> Result<SuffixRead> {
-        match self {
-            Storage::S3(b) => b.get_suffix(key, len, opts).await,
-            Storage::Dynamo(t) => suffix_from_full(t.get(key, opts).await?, len),
-            Storage::Efs(f) => suffix_from_full(f.read(key, opts).await?, len),
-        }
+    /// GET/read a whole object: `read(key, ByteRange::Full, opts)`, as one
+    /// future and not a wrapper around `read`'s (the closed-loop and ramp
+    /// drivers hold one per request in flight).
+    pub async fn get(&self, key: &str, opts: &RequestOpts) -> Result<Blob> {
+        let read = match self {
+            Storage::S3(b) => b.read(key, ByteRange::Full, opts).await,
+            Storage::Dynamo(t) => t.read(key, ByteRange::Full, opts).await,
+            Storage::Efs(f) => f.read(key, ByteRange::Full, opts).await,
+        };
+        read.map(|r| r.blob)
     }
 
     /// PUT/write an object.
@@ -101,24 +70,6 @@ impl Storage {
             Storage::S3(b) => b.put(key, blob, opts).await,
             Storage::Dynamo(t) => t.put(key, blob, opts).await,
             Storage::Efs(f) => f.write(key, blob, opts).await,
-        }
-    }
-
-    /// DELETE an object.
-    pub async fn delete(&self, key: &str) -> Result<()> {
-        match self {
-            Storage::S3(b) => b.delete(key).await,
-            Storage::Dynamo(t) => t.delete(key).await,
-            Storage::Efs(f) => f.remove(key).await,
-        }
-    }
-
-    /// LIST keys under a prefix.
-    pub async fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        match self {
-            Storage::S3(b) => b.list(prefix).await,
-            Storage::Dynamo(t) => t.query_prefix(prefix).await,
-            Storage::Efs(f) => f.list(prefix).await,
         }
     }
 
@@ -134,35 +85,11 @@ impl Storage {
     /// Service display name.
     pub fn name(&self) -> &'static str {
         match self {
-            Storage::S3(b) => match b.class() {
-                crate::s3::S3Class::Standard => "S3 Standard",
-                crate::s3::S3Class::Express => "S3 Express",
-            },
-            Storage::Dynamo(_) => "DynamoDB",
-            Storage::Efs(_) => "EFS",
+            Storage::S3(b) => b.service().name(),
+            Storage::Dynamo(_) => StorageService::DynamoDb.name(),
+            Storage::Efs(_) => StorageService::Efs.name(),
         }
     }
-}
-
-/// Fallback-path helper: slice a range out of a fully transferred object,
-/// accounting the whole logical payload as moved.
-fn ranged_from_full(full: Blob, offset: u64, len: u64) -> Result<RangedBlob> {
-    let transferred = full.logical_len();
-    let blob = full.slice(offset, len)?;
-    Ok(RangedBlob { blob, transferred })
-}
-
-/// Fallback-path helper: slice the tail out of a fully transferred object.
-fn suffix_from_full(full: Blob, len: u64) -> Result<SuffixRead> {
-    let transferred = full.logical_len();
-    let object_len = full.len() as u64;
-    let start = object_len.saturating_sub(len);
-    let blob = full.slice(start, object_len - start)?;
-    Ok(SuffixRead {
-        blob,
-        object_len,
-        transferred,
-    })
 }
 
 /// Retry policy: timeout, backoff, attempt cap.
@@ -257,7 +184,7 @@ pub struct RetryStats {
 
 /// A storage client applying timeouts, retries and exponential backoff.
 ///
-/// All operations share one retry driver ([`RetryingClient::with_retries`])
+/// All operations share one retry driver (`with_retries`)
 /// and therefore one failure classification:
 ///
 /// * success → return the value plus [`RetryStats`] (`attempts == 1` means
@@ -396,63 +323,18 @@ impl RetryingClient {
         }
     }
 
-    /// GET with retries. `expected_bytes` sizes the timeout.
-    pub async fn get(
+    /// Read `range` with retries. `expected_bytes` sizes the timeout; it
+    /// may differ from the range's length when the object is logically
+    /// scaled.
+    pub async fn read(
         &self,
         key: &str,
+        range: ByteRange,
         expected_bytes: u64,
         opts: &RequestOpts,
-    ) -> Result<(Blob, RetryStats)> {
-        self.with_retries(key, expected_bytes, || self.storage.get(key, opts))
+    ) -> Result<(ObjectRead, RetryStats)> {
+        self.with_retries(key, expected_bytes, || self.storage.read(key, range, opts))
             .await
-    }
-
-    /// GET a range with retries. `expected_bytes` sizes the timeout — it
-    /// may differ from `len` when the object is logically scaled.
-    pub async fn get_range(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-        expected_bytes: u64,
-        opts: &RequestOpts,
-    ) -> Result<(Blob, RetryStats)> {
-        self.with_retries(key, expected_bytes, || {
-            self.storage.get_range(key, offset, len, opts)
-        })
-        .await
-    }
-
-    /// GET a range with retries, reporting transferred logical bytes
-    /// (full-object on the Dynamo/EFS fallback — see
-    /// [`Storage::get_range`]).
-    pub async fn get_range_metered(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-        expected_bytes: u64,
-        opts: &RequestOpts,
-    ) -> Result<(RangedBlob, RetryStats)> {
-        self.with_retries(key, expected_bytes, || {
-            self.storage.get_range_metered(key, offset, len, opts)
-        })
-        .await
-    }
-
-    /// GET an object's trailing bytes with retries (see
-    /// [`Storage::get_suffix`]).
-    pub async fn get_suffix(
-        &self,
-        key: &str,
-        len: u64,
-        expected_bytes: u64,
-        opts: &RequestOpts,
-    ) -> Result<(SuffixRead, RetryStats)> {
-        self.with_retries(key, expected_bytes, || {
-            self.storage.get_suffix(key, len, opts)
-        })
-        .await
     }
 
     /// PUT with retries.
@@ -472,36 +354,54 @@ mod tests {
     use skyrise_pricing::shared_meter;
     use skyrise_sim::Sim;
 
+    /// Whole, ranged and suffix reads share one retry driver: each
+    /// throttles against a drained table, backs off, then succeeds.
     #[test]
-    fn retry_succeeds_after_throttles() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            // A tiny-capacity table: the first burst throttles, backoff
-            // waits for token refill, a later attempt succeeds.
-            let cfg = DynamoConfig {
-                read_iops: 2.0,
-                burst_seconds: 0.5,
-                ..DynamoConfig::default()
-            };
-            let table = DynamoTable::new(ctx.clone(), meter, cfg, None);
-            table.backdoor().put("k", Blob::new(vec![0u8; 64]));
-            let client = RetryingClient::new(
-                Storage::Dynamo(Rc::clone(&table)),
-                ctx.clone(),
-                RetryPolicy::default(),
+    fn read_counts_throttles_then_succeeds() {
+        for (seed, range, len) in [
+            (1, ByteRange::Full, 64),
+            (7, ByteRange::Bytes { offset: 0, len: 32 }, 32),
+            (14, ByteRange::Suffix(8), 8),
+        ] {
+            let mut sim = Sim::new(seed);
+            let ctx = sim.ctx();
+            let meter = shared_meter();
+            let h = sim.spawn(async move {
+                // A tiny-capacity table: the first burst throttles, backoff
+                // waits for token refill, a later attempt succeeds.
+                let cfg = DynamoConfig {
+                    read_iops: 2.0,
+                    burst_seconds: 0.5,
+                    ..DynamoConfig::default()
+                };
+                let table = DynamoTable::new(ctx.clone(), meter, cfg, None);
+                table.backdoor().put("k", Blob::new(vec![0u8; 64]));
+                let client = RetryingClient::new(
+                    Storage::Dynamo(Rc::clone(&table)),
+                    ctx.clone(),
+                    RetryPolicy::default(),
+                );
+                let opts = RequestOpts::default();
+                // Drain the tiny burst so the client's first attempts throttle.
+                let _ = table.read("k", ByteRange::Full, &opts).await;
+                let _ = table.read("k", ByteRange::Full, &opts).await;
+                client.read("k", range, 64, &opts).await
+            });
+            sim.run();
+            let (read, stats) = h.try_take().unwrap().unwrap();
+            assert_eq!(read.blob.len(), len, "{range:?}");
+            assert_eq!(read.transferred, 64, "{range:?}: DynamoDB moves the item");
+            assert!(
+                stats.attempts >= 2,
+                "{range:?}: attempts {}",
+                stats.attempts
             );
-            let opts = RequestOpts::default();
-            // Drain the burst first.
-            let _ = table.get("k", &opts).await;
-            let _ = table.get("k", &opts).await;
-            client.get("k", 64, &opts).await
-        });
-        sim.run();
-        let (blob, stats) = h.try_take().unwrap().unwrap();
-        assert_eq!(blob.len(), 64);
-        assert!(stats.attempts >= 1);
+            assert!(
+                stats.throttles >= 1,
+                "{range:?}: throttles {}",
+                stats.throttles
+            );
+        }
     }
 
     #[test]
@@ -515,7 +415,7 @@ mod tests {
                 RetryingClient::new(Storage::S3(bucket), ctx.clone(), RetryPolicy::default());
             let t0 = ctx.now();
             let err = client
-                .get("missing", 64, &RequestOpts::default())
+                .read("missing", ByteRange::Full, 64, &RequestOpts::default())
                 .await
                 .unwrap_err();
             ((ctx.now() - t0).as_secs_f64(), err)
@@ -545,7 +445,9 @@ mod tests {
                 ..RetryPolicy::default()
             };
             let client = RetryingClient::new(Storage::Dynamo(table), ctx.clone(), policy);
-            client.get("k", 64, &RequestOpts::default()).await
+            client
+                .read("k", ByteRange::Full, 64, &RequestOpts::default())
+                .await
         });
         sim.run();
         let err = h.try_take().unwrap().unwrap_err();
@@ -575,7 +477,9 @@ mod tests {
                 ..RetryPolicy::default()
             };
             let client = RetryingClient::new(Storage::Dynamo(table), ctx.clone(), policy);
-            client.get("k", 64, &RequestOpts::default()).await
+            client
+                .read("k", ByteRange::Full, 64, &RequestOpts::default())
+                .await
         });
         sim.run();
         assert!(h.try_take().unwrap().is_err());
@@ -586,37 +490,6 @@ mod tests {
         assert_eq!(snap.counters["storage.client.exhausted"], 1);
         // Per-backend core counters see the failed ops too.
         assert_eq!(snap.counters["storage.dynamodb.ops_failed"], 3);
-    }
-
-    #[test]
-    fn get_range_counts_throttles_then_succeeds() {
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let cfg = DynamoConfig {
-                read_iops: 2.0,
-                burst_seconds: 0.5,
-                ..DynamoConfig::default()
-            };
-            let table = DynamoTable::new(ctx.clone(), meter, cfg, None);
-            table.backdoor().put("k", Blob::new(vec![0u8; 64]));
-            let client = RetryingClient::new(
-                Storage::Dynamo(Rc::clone(&table)),
-                ctx.clone(),
-                RetryPolicy::default(),
-            );
-            let opts = RequestOpts::default();
-            // Drain the tiny burst so the client's first attempts throttle.
-            let _ = table.get("k", &opts).await;
-            let _ = table.get("k", &opts).await;
-            client.get_range("k", 0, 32, 64, &opts).await
-        });
-        sim.run();
-        let (blob, stats) = h.try_take().unwrap().unwrap();
-        assert_eq!(blob.len(), 32);
-        assert!(stats.attempts >= 2, "attempts {}", stats.attempts);
-        assert!(stats.throttles >= 1, "throttles {}", stats.throttles);
     }
 
     #[test]
@@ -646,35 +519,6 @@ mod tests {
         let stats = h.try_take().unwrap().unwrap();
         assert!(stats.attempts >= 2, "attempts {}", stats.attempts);
         assert!(stats.throttles >= 1, "throttles {}", stats.throttles);
-    }
-
-    #[test]
-    fn get_range_timeouts_exhaust_like_get() {
-        let mut sim = Sim::new(9);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let bucket = S3Bucket::standard(&ctx, &meter);
-            let opts = RequestOpts::default();
-            bucket
-                .put("k", Blob::new(vec![0u8; 64]), &opts)
-                .await
-                .unwrap();
-            let policy = RetryPolicy {
-                base_timeout: SimDuration::from_millis(1),
-                max_attempts: 4,
-                jitter: false,
-                ..RetryPolicy::default()
-            };
-            let client = RetryingClient::new(Storage::S3(bucket), ctx.clone(), policy);
-            client.get_range("k", 0, 32, 0, &opts).await
-        });
-        sim.run();
-        let err = h.try_take().unwrap().unwrap_err();
-        assert!(
-            matches!(&err, StorageError::RetriesExhausted { attempts: 4, last } if last.contains("timed out")),
-            "{err:?}"
-        );
     }
 
     #[test]
@@ -725,7 +569,7 @@ mod tests {
                 ..RetryPolicy::default()
             };
             let client = RetryingClient::new(Storage::S3(bucket), ctx.clone(), policy);
-            client.get("k", 64, &opts).await
+            client.read("k", ByteRange::Full, 64, &opts).await
         });
         sim.run();
         let err = h.try_take().unwrap().unwrap_err();
@@ -741,32 +585,38 @@ mod tests {
     #[test]
     fn timeout_triggers_retry_for_slow_tail() {
         // With a 1 ms timeout every attempt times out: the client must
-        // classify them as timeouts, back off, and eventually give up.
-        let mut sim = Sim::new(4);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let bucket = S3Bucket::standard(&ctx, &meter);
-            let opts = RequestOpts::default();
-            bucket
-                .put("k", Blob::new(vec![0u8; 64]), &opts)
-                .await
-                .unwrap();
-            let policy = RetryPolicy {
-                base_timeout: SimDuration::from_millis(1),
-                max_attempts: 4,
-                jitter: false,
-                ..RetryPolicy::default()
-            };
-            let client = RetryingClient::new(Storage::S3(bucket), ctx.clone(), policy);
-            client.get("k", 0, &opts).await
-        });
-        sim.run();
-        let err = h.try_take().unwrap().unwrap_err();
-        assert!(
-            matches!(&err, StorageError::RetriesExhausted { last, .. } if last.contains("timed out")),
-            "{err:?}"
-        );
+        // classify them as timeouts, back off, and eventually give up,
+        // whatever the range.
+        for (seed, range) in [
+            (4, ByteRange::Full),
+            (9, ByteRange::Bytes { offset: 0, len: 32 }),
+        ] {
+            let mut sim = Sim::new(seed);
+            let ctx = sim.ctx();
+            let meter = shared_meter();
+            let h = sim.spawn(async move {
+                let bucket = S3Bucket::standard(&ctx, &meter);
+                let opts = RequestOpts::default();
+                bucket
+                    .put("k", Blob::new(vec![0u8; 64]), &opts)
+                    .await
+                    .unwrap();
+                let policy = RetryPolicy {
+                    base_timeout: SimDuration::from_millis(1),
+                    max_attempts: 4,
+                    jitter: false,
+                    ..RetryPolicy::default()
+                };
+                let client = RetryingClient::new(Storage::S3(bucket), ctx.clone(), policy);
+                client.read("k", range, 0, &opts).await
+            });
+            sim.run();
+            let err = h.try_take().unwrap().unwrap_err();
+            assert!(
+                matches!(&err, StorageError::RetriesExhausted { attempts: 4, last } if last.contains("timed out")),
+                "{range:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -803,98 +653,6 @@ mod tests {
             "{}",
             big.as_secs_f64()
         );
-    }
-
-    #[test]
-    fn dynamo_range_fallback_reports_full_transfer() {
-        let mut sim = Sim::new(12);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let table = DynamoTable::on_demand(&ctx, &meter);
-            table.backdoor().put("k", Blob::new(vec![7u8; 256]));
-            let storage = Storage::Dynamo(table);
-            let opts = RequestOpts::default();
-            let ranged = storage.get_range_metered("k", 16, 4, &opts).await.unwrap();
-            let suffix = storage.get_suffix("k", 8, &opts).await.unwrap();
-            let billed =
-                meter.borrow().storage[&skyrise_pricing::StorageService::DynamoDb].bytes_read;
-            (ranged, suffix, billed)
-        });
-        sim.run();
-        let (ranged, suffix, billed) = h.try_take().unwrap();
-        // The slice is 4 bytes, but the fallback moved (and billed) all 256.
-        assert_eq!(ranged.blob.len(), 4);
-        assert_eq!(ranged.transferred, 256);
-        assert_eq!(suffix.blob.len(), 8);
-        assert_eq!(suffix.object_len, 256);
-        assert_eq!(suffix.transferred, 256);
-        assert_eq!(billed, 512, "both requests billed the full payload");
-    }
-
-    #[test]
-    fn s3_suffix_reports_sliced_transfer() {
-        let mut sim = Sim::new(13);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
-            let opts = RequestOpts::default();
-            let data: Vec<u8> = (0..=255u8).collect();
-            storage.put("k", Blob::new(data), &opts).await.unwrap();
-            let suffix = storage.get_suffix("k", 8, &opts).await.unwrap();
-            let whole = storage.get_suffix("k", 9999, &opts).await.unwrap();
-            let ranged = storage.get_range_metered("k", 16, 4, &opts).await.unwrap();
-            (suffix, whole, ranged)
-        });
-        sim.run();
-        let (suffix, whole, ranged) = h.try_take().unwrap();
-        assert_eq!(&suffix.blob.bytes[..], &(248..=255u8).collect::<Vec<_>>());
-        assert_eq!(suffix.object_len, 256);
-        assert_eq!(suffix.transferred, 8);
-        // Over-long suffix requests clamp to the whole object.
-        assert_eq!(whole.blob.len(), 256);
-        assert_eq!(whole.transferred, 256);
-        assert_eq!(ranged.blob.len(), 4);
-        assert_eq!(ranged.transferred, 4);
-    }
-
-    #[test]
-    fn client_suffix_and_metered_range_retry_like_get() {
-        let mut sim = Sim::new(14);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let cfg = DynamoConfig {
-                read_iops: 2.0,
-                burst_seconds: 0.5,
-                ..DynamoConfig::default()
-            };
-            let table = DynamoTable::new(ctx.clone(), meter, cfg, None);
-            table.backdoor().put("k", Blob::new(vec![0u8; 64]));
-            let client = RetryingClient::new(
-                Storage::Dynamo(Rc::clone(&table)),
-                ctx.clone(),
-                RetryPolicy::default(),
-            );
-            let opts = RequestOpts::default();
-            // Drain the tiny burst so the first attempts throttle.
-            let _ = table.get("k", &opts).await;
-            let _ = table.get("k", &opts).await;
-            let (suffix, s1) = client.get_suffix("k", 8, 64, &opts).await.unwrap();
-            let (ranged, _) = client
-                .get_range_metered("k", 0, 32, 64, &opts)
-                .await
-                .unwrap();
-            (suffix, s1, ranged)
-        });
-        sim.run();
-        let (suffix, stats, ranged) = h.try_take().unwrap();
-        assert_eq!(suffix.blob.len(), 8);
-        assert_eq!(suffix.transferred, 64);
-        assert!(stats.attempts >= 2, "attempts {}", stats.attempts);
-        assert_eq!(ranged.blob.len(), 32);
-        assert_eq!(ranged.transferred, 64);
     }
 
     #[test]

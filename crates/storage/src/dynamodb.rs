@@ -13,11 +13,14 @@
 //!   throughput" (an account-level ceiling, also modelled).
 //! * Latencies slightly below S3 Express but more variable (Fig. 10).
 
-use crate::core::{DirectionModel, OpsLimiter, RequestOpts, ServiceCore, REJECT_LATENCY};
-use crate::error::{Result, StorageError};
-use crate::object::{Blob, KeyedStore, ObjectMeta};
+use crate::core::{
+    PerDirection, RequestOpts, RwLimiters, ServiceCore, ServiceModel, TieredAdmission,
+};
+use crate::error::Result;
+use crate::object::{Blob, ByteRange, KeyedStore, ObjectRead};
 use skyrise_pricing::{SharedMeter, StorageService};
-use skyrise_sim::{LatencyDist, SimCtx, SimTime, MIB};
+use skyrise_sim::{LatencyDist, SimCtx, MIB};
+use std::future::Future;
 use std::rc::Rc;
 
 /// DynamoDB model parameters.
@@ -59,30 +62,22 @@ impl Default for DynamoConfig {
 
 /// A simulated DynamoDB table.
 pub struct DynamoTable {
-    core: ServiceCore,
-    cfg: DynamoConfig,
-    store: KeyedStore,
-    read_admission: OpsLimiter,
-    write_admission: OpsLimiter,
-    /// Account-level ceilings shared across tables (sharding over multiple
-    /// tables does not raise throughput).
-    account: Option<Rc<DynamoAccount>>,
+    core: ServiceCore<TieredAdmission>,
 }
 
-/// Account-wide throughput ceiling shared by all tables created from it.
-pub struct DynamoAccount {
-    read_admission: OpsLimiter,
-    write_admission: OpsLimiter,
-}
+/// Account-wide throughput ceiling shared by all tables created from it
+/// (sharding over multiple tables does not raise throughput).
+pub struct DynamoAccount(RwLimiters);
 
 impl DynamoAccount {
     /// An account whose aggregate matches a single table's ceilings —
     /// the paper's observation that extra tables do not help.
     pub fn new(cfg: &DynamoConfig) -> Rc<Self> {
-        Rc::new(DynamoAccount {
-            read_admission: OpsLimiter::new(cfg.read_iops, cfg.burst_seconds),
-            write_admission: OpsLimiter::new(cfg.write_iops, cfg.burst_seconds),
-        })
+        Rc::new(DynamoAccount(RwLimiters::new(
+            cfg.read_iops,
+            cfg.write_iops,
+            cfg.burst_seconds,
+        )))
     }
 }
 
@@ -94,29 +89,24 @@ impl DynamoTable {
         cfg: DynamoConfig,
         account: Option<Rc<DynamoAccount>>,
     ) -> Rc<Self> {
-        let core = ServiceCore::new(
-            ctx,
-            meter,
-            StorageService::DynamoDb,
-            DirectionModel {
-                latency: LatencyDist::from_quantiles(0.004, 0.009, 3e-4, 2.5),
-                per_request_bw: cfg.read_bw,
-            },
-            DirectionModel {
-                latency: LatencyDist::from_quantiles(0.005, 0.012, 3e-4, 2.5),
-                per_request_bw: cfg.write_bw,
-            },
-            cfg.read_bw,
-            cfg.write_bw,
-            None,
-        );
+        let model = ServiceModel {
+            service: StorageService::DynamoDb,
+            latency: PerDirection::rw(
+                LatencyDist::from_quantiles(0.004, 0.009, 3e-4, 2.5),
+                LatencyDist::from_quantiles(0.005, 0.012, 3e-4, 2.5),
+            ),
+            per_request_bw: PerDirection::rw(cfg.read_bw, cfg.write_bw),
+            aggregate_bw: PerDirection::rw(cfg.read_bw, cfg.write_bw),
+            max_object: cfg.max_item,
+            max_inflight: None,
+            native_ranges: false,
+        };
+        let admission = TieredAdmission {
+            own: RwLimiters::new(cfg.read_iops, cfg.write_iops, cfg.burst_seconds),
+            account: account.map(|a| a.0.clone()),
+        };
         Rc::new(DynamoTable {
-            core,
-            store: KeyedStore::new(),
-            read_admission: OpsLimiter::new(cfg.read_iops, cfg.burst_seconds),
-            write_admission: OpsLimiter::new(cfg.write_iops, cfg.burst_seconds),
-            cfg,
-            account,
+            core: ServiceCore::new(ctx, meter, model, admission),
         })
     }
 
@@ -125,98 +115,37 @@ impl DynamoTable {
         DynamoTable::new(ctx.clone(), Rc::clone(meter), DynamoConfig::default(), None)
     }
 
-    /// Model configuration.
-    pub fn config(&self) -> &DynamoConfig {
-        &self.cfg
-    }
-
     /// Dataset setup without billing.
     pub fn backdoor(&self) -> &KeyedStore {
-        &self.store
+        &self.core.store
     }
 
-    fn admit(&self, now: SimTime, write: bool) -> bool {
-        let table_ok = if write {
-            self.write_admission.try_admit(now)
-        } else {
-            self.read_admission.try_admit(now)
-        };
-        if !table_ok {
-            return false;
-        }
-        match &self.account {
-            Some(acc) => {
-                if write {
-                    acc.write_admission.try_admit(now)
-                } else {
-                    acc.read_admission.try_admit(now)
-                }
-            }
-            None => true,
-        }
-    }
-
-    async fn reject(&self, write: bool, logical: u64) -> StorageError {
-        self.core.meter_request(write, logical, true);
-        self.core.ctx.sleep(REJECT_LATENCY).await;
-        StorageError::Throttled
-    }
-
-    /// GetItem.
-    pub async fn get(&self, key: &str, opts: &RequestOpts) -> Result<Blob> {
-        let now = self.core.ctx.now();
-        let blob = self.store.get(key)?;
-        let logical = blob.logical_len();
-        if !self.admit(now, false) {
-            return Err(self.reject(false, logical).await);
-        }
-        self.core.meter_request(false, logical, false);
-        self.core.first_byte(false).await;
-        self.core.stream(false, logical, opts).await;
-        self.core.record_op(now);
-        Ok(blob)
+    /// GetItem. DynamoDB has no ranged reads: any `range` transfers and
+    /// bills the whole item.
+    pub fn read<'a>(
+        &'a self,
+        key: &'a str,
+        range: ByteRange,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<ObjectRead>> + 'a {
+        self.core.read(key, range, opts)
     }
 
     /// PutItem. Items above 400 KiB are rejected before any I/O.
-    pub async fn put(&self, key: &str, blob: Blob, opts: &RequestOpts) -> Result<()> {
-        let now = self.core.ctx.now();
-        let logical = blob.logical_len();
-        if logical > self.cfg.max_item {
-            return Err(StorageError::TooLarge {
-                limit: self.cfg.max_item,
-                got: logical,
-            });
-        }
-        if !self.admit(now, true) {
-            return Err(self.reject(true, logical).await);
-        }
-        self.core.meter_request(true, logical, false);
-        self.core.first_byte(true).await;
-        self.core.stream(true, logical, opts).await;
-        self.store.put(key, blob);
-        self.core.record_op(now);
-        Ok(())
-    }
-
-    /// DeleteItem.
-    pub async fn delete(&self, key: &str) -> Result<()> {
-        self.core.meter_request(true, 0, false);
-        self.core.first_byte(true).await;
-        self.store.delete(key);
-        Ok(())
-    }
-
-    /// Key-condition query over a prefix (billed as one read request).
-    pub async fn query_prefix(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.core.meter_request(false, 0, false);
-        self.core.first_byte(false).await;
-        Ok(self.store.list(prefix))
+    pub fn put<'a>(
+        &'a self,
+        key: &'a str,
+        blob: Blob,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<()>> + 'a {
+        self.core.write(key, blob, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use skyrise_pricing::shared_meter;
     use skyrise_sim::{join_all, Sim, SimDuration};
 
@@ -262,7 +191,10 @@ mod tests {
                     let at = t0 + SimDuration::from_nanos(i * 40_000);
                     ctx.spawn(async move {
                         ctx2.sleep_until(at).await;
-                        table.get("k", &RequestOpts::default()).await.is_ok()
+                        table
+                            .read("k", ByteRange::Full, &RequestOpts::default())
+                            .await
+                            .is_ok()
                     })
                 })
                 .collect();
@@ -305,7 +237,10 @@ mod tests {
                     let at = t0 + SimDuration::from_nanos(i * 33_000);
                     ctx.spawn(async move {
                         ctx2.sleep_until(at).await;
-                        table.get("k", &RequestOpts::default()).await.is_ok()
+                        table
+                            .read("k", ByteRange::Full, &RequestOpts::default())
+                            .await
+                            .is_ok()
                     })
                 })
                 .collect();
@@ -334,7 +269,12 @@ mod tests {
             let handles: Vec<_> = (0..100)
                 .map(|_| {
                     let table = Rc::clone(&table);
-                    ctx.spawn(async move { table.get("k", &RequestOpts::default()).await.is_ok() })
+                    ctx.spawn(async move {
+                        table
+                            .read("k", ByteRange::Full, &RequestOpts::default())
+                            .await
+                            .is_ok()
+                    })
                 })
                 .collect();
             join_all(handles).await.iter().filter(|&&b| !b).count()
@@ -345,25 +285,5 @@ mod tests {
         let m = meter.borrow();
         assert_eq!(m.storage[&StorageService::DynamoDb].read_requests, 100);
         assert!(m.storage[&StorageService::DynamoDb].failed_requests >= 90);
-    }
-
-    #[test]
-    fn query_prefix_lists_items() {
-        let mut sim = Sim::new(5);
-        let ctx = sim.ctx();
-        let meter = shared_meter();
-        let h = sim.spawn(async move {
-            let table = DynamoTable::on_demand(&ctx, &meter);
-            let opts = RequestOpts::default();
-            for i in 0..3 {
-                table
-                    .put(&format!("u#42#o{i}"), Blob::new(vec![1u8]), &opts)
-                    .await
-                    .unwrap();
-            }
-            table.query_prefix("u#42#").await.unwrap().len()
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), 3);
     }
 }

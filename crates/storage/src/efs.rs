@@ -14,11 +14,14 @@
 //!   contention (the paper: beyond 64 client VMs) new requests are
 //!   rejected.
 
-use crate::core::{DirectionModel, OpsLimiter, RequestOpts, ServiceCore, REJECT_LATENCY};
-use crate::error::{Result, StorageError};
-use crate::object::{Blob, KeyedStore, ObjectMeta};
+use crate::core::{
+    PerDirection, RequestOpts, RwLimiters, ServiceCore, ServiceModel, TieredAdmission,
+};
+use crate::error::Result;
+use crate::object::{Blob, ByteRange, KeyedStore, ObjectRead};
 use skyrise_pricing::{SharedMeter, StorageService};
-use skyrise_sim::{LatencyDist, SimCtx, SimTime, GIB};
+use skyrise_sim::{LatencyDist, SimCtx, GIB};
+use std::future::Future;
 use std::rc::Rc;
 
 /// EFS model parameters.
@@ -60,29 +63,22 @@ impl Default for EfsConfig {
 
 /// Account-level IOPS ceiling: read IOPS double with a second filesystem
 /// "but do not scale further".
-pub struct EfsAccount {
-    read_admission: OpsLimiter,
-    write_admission: OpsLimiter,
-}
+pub struct EfsAccount(RwLimiters);
 
 impl EfsAccount {
     /// Account ceilings at twice the single-filesystem observation.
     pub fn new(cfg: &EfsConfig) -> Rc<Self> {
-        Rc::new(EfsAccount {
-            read_admission: OpsLimiter::new(cfg.read_iops * 2.0, cfg.burst_seconds),
-            write_admission: OpsLimiter::new(cfg.write_iops * 2.0, cfg.burst_seconds),
-        })
+        Rc::new(EfsAccount(RwLimiters::new(
+            cfg.read_iops * 2.0,
+            cfg.write_iops * 2.0,
+            cfg.burst_seconds,
+        )))
     }
 }
 
 /// A simulated EFS filesystem.
 pub struct EfsFilesystem {
-    core: ServiceCore,
-    cfg: EfsConfig,
-    store: KeyedStore,
-    read_admission: OpsLimiter,
-    write_admission: OpsLimiter,
-    account: Option<Rc<EfsAccount>>,
+    core: ServiceCore<TieredAdmission>,
 }
 
 impl EfsFilesystem {
@@ -93,30 +89,25 @@ impl EfsFilesystem {
         cfg: EfsConfig,
         account: Option<Rc<EfsAccount>>,
     ) -> Rc<Self> {
-        let core = ServiceCore::new(
-            ctx,
-            meter,
-            StorageService::Efs,
-            DirectionModel {
-                latency: LatencyDist::from_quantiles(0.005, 0.009, 1e-4, 1.5),
-                per_request_bw: cfg.read_bw,
-            },
-            DirectionModel {
+        let model = ServiceModel {
+            service: StorageService::Efs,
+            latency: PerDirection::rw(
+                LatencyDist::from_quantiles(0.005, 0.009, 1e-4, 1.5),
                 // 2-3x higher write latency than the other low-latency services.
-                latency: LatencyDist::from_quantiles(0.013, 0.026, 1e-4, 1.5),
-                per_request_bw: cfg.write_bw,
-            },
-            cfg.read_bw,
-            cfg.write_bw,
-            Some(cfg.max_inflight),
-        );
+                LatencyDist::from_quantiles(0.013, 0.026, 1e-4, 1.5),
+            ),
+            per_request_bw: PerDirection::rw(cfg.read_bw, cfg.write_bw),
+            aggregate_bw: PerDirection::rw(cfg.read_bw, cfg.write_bw),
+            max_object: u64::MAX,
+            max_inflight: Some(cfg.max_inflight),
+            native_ranges: false,
+        };
+        let admission = TieredAdmission {
+            own: RwLimiters::new(cfg.read_iops, cfg.write_iops, cfg.burst_seconds),
+            account: account.map(|a| a.0.clone()),
+        };
         Rc::new(EfsFilesystem {
-            core,
-            store: KeyedStore::new(),
-            read_admission: OpsLimiter::new(cfg.read_iops, cfg.burst_seconds),
-            write_admission: OpsLimiter::new(cfg.write_iops, cfg.burst_seconds),
-            cfg,
-            account,
+            core: ServiceCore::new(ctx, meter, model, admission),
         })
     }
 
@@ -125,107 +116,37 @@ impl EfsFilesystem {
         EfsFilesystem::new(ctx.clone(), Rc::clone(meter), EfsConfig::default(), None)
     }
 
-    /// Model configuration.
-    pub fn config(&self) -> &EfsConfig {
-        &self.cfg
-    }
-
     /// Dataset setup without billing.
     pub fn backdoor(&self) -> &KeyedStore {
-        &self.store
+        &self.core.store
     }
 
-    fn admit(&self, now: SimTime, write: bool) -> bool {
-        let fs_ok = if write {
-            self.write_admission.try_admit(now)
-        } else {
-            self.read_admission.try_admit(now)
-        };
-        if !fs_ok {
-            return false;
-        }
-        match &self.account {
-            Some(acc) => {
-                if write {
-                    acc.write_admission.try_admit(now)
-                } else {
-                    acc.read_admission.try_admit(now)
-                }
-            }
-            None => true,
-        }
-    }
-
-    async fn reject(&self, write: bool, logical: u64) -> StorageError {
-        self.core.meter_request(write, logical, true);
-        self.core.ctx.sleep(REJECT_LATENCY).await;
-        StorageError::Throttled
-    }
-
-    /// Read a file.
-    pub async fn read(&self, path: &str, opts: &RequestOpts) -> Result<Blob> {
-        let _conn = match self.core.admit_connection() {
-            Ok(g) => g,
-            Err(e) => {
-                // Rejected connections still take a round trip to fail.
-                self.core.ctx.sleep(REJECT_LATENCY).await;
-                return Err(e);
-            }
-        };
-        let now = self.core.ctx.now();
-        let blob = self.store.get(path)?;
-        let logical = blob.logical_len();
-        if !self.admit(now, false) {
-            return Err(self.reject(false, logical).await);
-        }
-        self.core.meter_request(false, logical, false);
-        self.core.first_byte(false).await;
-        self.core.stream(false, logical, opts).await;
-        self.core.record_op(now);
-        Ok(blob)
+    /// Read a file. The model serves whole files: any `range` transfers
+    /// and bills the full file.
+    pub fn read<'a>(
+        &'a self,
+        path: &'a str,
+        range: ByteRange,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<ObjectRead>> + 'a {
+        self.core.read(path, range, opts)
     }
 
     /// Write a file (synchronous, durable on return).
-    pub async fn write(&self, path: &str, blob: Blob, opts: &RequestOpts) -> Result<()> {
-        let _conn = match self.core.admit_connection() {
-            Ok(g) => g,
-            Err(e) => {
-                self.core.ctx.sleep(REJECT_LATENCY).await;
-                return Err(e);
-            }
-        };
-        let now = self.core.ctx.now();
-        let logical = blob.logical_len();
-        if !self.admit(now, true) {
-            return Err(self.reject(true, logical).await);
-        }
-        self.core.meter_request(true, logical, false);
-        self.core.first_byte(true).await;
-        self.core.stream(true, logical, opts).await;
-        self.store.put(path, blob);
-        self.core.record_op(now);
-        Ok(())
-    }
-
-    /// Remove a file.
-    pub async fn remove(&self, path: &str) -> Result<()> {
-        self.core.meter_request(true, 0, false);
-        self.core.first_byte(true).await;
-        self.store.delete(path);
-        Ok(())
-    }
-
-    /// List a directory prefix.
-    pub async fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.core.meter_request(false, 0, false);
-        self.core.first_byte(false).await;
-        Ok(self.store.list(prefix))
+    pub fn write<'a>(
+        &'a self,
+        path: &'a str,
+        blob: Blob,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<()>> + 'a {
+        self.core.write(path, blob, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use skyrise_pricing::shared_meter;
     use skyrise_sim::{join_all, Sim, SimDuration};
 
@@ -240,7 +161,11 @@ mod tests {
             fs.write("/data/f1", Blob::new(vec![9u8; 4096]), &opts)
                 .await
                 .unwrap();
-            fs.read("/data/f1", &opts).await.unwrap().len()
+            fs.read("/data/f1", ByteRange::Full, &opts)
+                .await
+                .unwrap()
+                .blob
+                .len()
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), 4096);
@@ -261,7 +186,7 @@ mod tests {
             let mut writes = Vec::new();
             for i in 0..300 {
                 let t0 = ctx.now();
-                fs.read("/f", &opts).await.unwrap();
+                fs.read("/f", ByteRange::Full, &opts).await.unwrap();
                 reads.push((ctx.now() - t0).as_secs_f64());
                 let t1 = ctx.now();
                 fs.write(&format!("/w{i}"), Blob::new(vec![0u8; 64]), &opts)
@@ -311,7 +236,9 @@ mod tests {
                         let at = t0 + SimDuration::from_nanos(i * 66_000);
                         ctx.spawn(async move {
                             ctx2.sleep_until(at).await;
-                            fs.read("/k", &RequestOpts::default()).await.is_ok()
+                            fs.read("/k", ByteRange::Full, &RequestOpts::default())
+                                .await
+                                .is_ok()
                         })
                     })
                     .collect();
@@ -395,7 +322,8 @@ mod tests {
                     let fs = Rc::clone(&fs);
                     ctx.spawn(async move {
                         matches!(
-                            fs.read("/k", &RequestOpts::default()).await,
+                            fs.read("/k", ByteRange::Full, &RequestOpts::default())
+                                .await,
                             Err(StorageError::ConnectionRejected)
                         )
                     })

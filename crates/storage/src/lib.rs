@@ -27,5 +27,5 @@ pub use core::{OpsLimiter, RequestOpts};
 pub use dynamodb::{DynamoAccount, DynamoConfig, DynamoTable};
 pub use efs::{EfsAccount, EfsConfig, EfsFilesystem};
 pub use error::{Result, StorageError};
-pub use object::{Blob, KeyedStore, ObjectMeta, RangedBlob, SuffixRead};
+pub use object::{Blob, ByteRange, KeyedStore, ObjectRead};
 pub use s3::{S3Bucket, S3Class, S3Config};

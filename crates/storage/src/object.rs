@@ -17,30 +17,53 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Result of a suffix (tail) read: the sliced blob plus the metadata a
-/// footer-driven reader needs to plan follow-up range requests.
-#[derive(Debug, Clone)]
-pub struct SuffixRead {
-    /// The trailing bytes (at most the requested length).
-    pub blob: Blob,
-    /// Real payload length of the whole object — offsets for follow-up
-    /// `get_range` calls are relative to this.
-    pub object_len: u64,
-    /// Logical bytes actually moved over the wire for this request. Equals
-    /// `blob.logical_len()` on services with native ranged reads; equals
-    /// the *full object's* logical length on services that fall back to a
-    /// whole-object read (DynamoDB, EFS).
-    pub transferred: u64,
+/// Which bytes of an object a read asks for. Offsets and lengths are over
+/// the *real* payload; timing and cost use the range's logical size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByteRange {
+    /// The whole object.
+    Full,
+    /// `len` bytes starting at `offset` (`Range: bytes=offset-`).
+    Bytes {
+        /// First byte.
+        offset: u64,
+        /// Number of bytes.
+        len: u64,
+    },
+    /// The last `len` bytes, clamped to the object (`Range: bytes=-len`).
+    /// Footer-driven readers fetch a trailer this way without knowing the
+    /// object's size up front.
+    Suffix(u64),
 }
 
-/// Result of a metered range read: the sliced blob plus the logical bytes
-/// the request actually transferred (which exceed the slice on services
-/// without native ranged reads — see [`SuffixRead::transferred`]).
+impl ByteRange {
+    /// Zero-copy cut of this range out of `object`.
+    pub fn cut(self, object: Blob) -> Result<Blob> {
+        match self {
+            ByteRange::Full => Ok(object),
+            ByteRange::Bytes { offset, len } => object.slice(offset, len),
+            ByteRange::Suffix(len) => {
+                let total = object.len() as u64;
+                let start = total.saturating_sub(len);
+                object.slice(start, total - start)
+            }
+        }
+    }
+}
+
+/// Result of a read: the requested bytes plus what a footer-driven reader
+/// and a byte accountant need to know about the request.
 #[derive(Debug, Clone)]
-pub struct RangedBlob {
-    /// The requested byte range.
+pub struct ObjectRead {
+    /// The requested range.
     pub blob: Blob,
-    /// Logical bytes moved over the wire for this request.
+    /// Real payload length of the whole object; offsets of follow-up
+    /// [`ByteRange::Bytes`] reads are relative to it.
+    pub object_len: u64,
+    /// Logical bytes moved over the wire (and metered) for this request.
+    /// Equals `blob.logical_len()` on services with native ranged reads;
+    /// equals the *full object's* logical length on services that fall
+    /// back to a whole-object read (DynamoDB, EFS).
     pub transferred: u64,
 }
 
@@ -114,17 +137,6 @@ impl Blob {
     }
 }
 
-/// Metadata returned by `head`/`list`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObjectMeta {
-    /// Object key.
-    pub key: String,
-    /// Real payload size.
-    pub len: u64,
-    /// Logical (billed/timed) size.
-    pub logical_len: u64,
-}
-
 /// The shared in-memory key space behind a bucket / table / filesystem.
 #[derive(Debug, Clone, Default)]
 pub struct KeyedStore {
@@ -149,58 +161,6 @@ impl KeyedStore {
             .get(key)
             .cloned()
             .ok_or_else(|| StorageError::NotFound { key: key.into() })
-    }
-
-    /// Remove; returns whether the key existed.
-    pub fn delete(&self, key: &str) -> bool {
-        self.map.borrow_mut().remove(key).is_some()
-    }
-
-    /// True if present.
-    pub fn contains(&self, key: &str) -> bool {
-        self.map.borrow().contains_key(key)
-    }
-
-    /// Metadata for one key.
-    pub fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.map
-            .borrow()
-            .get(key)
-            .map(|b| ObjectMeta {
-                key: key.to_string(),
-                len: b.len() as u64,
-                logical_len: b.logical_len(),
-            })
-            .ok_or_else(|| StorageError::NotFound { key: key.into() })
-    }
-
-    /// All keys with the given prefix, in lexicographic order.
-    pub fn list(&self, prefix: &str) -> Vec<ObjectMeta> {
-        self.map
-            .borrow()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, b)| ObjectMeta {
-                key: k.clone(),
-                len: b.len() as u64,
-                logical_len: b.logical_len(),
-            })
-            .collect()
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.map.borrow().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.borrow().is_empty()
-    }
-
-    /// Sum of logical sizes (for capacity billing).
-    pub fn total_logical_bytes(&self) -> u64 {
-        self.map.borrow().values().map(|b| b.logical_len()).sum()
     }
 }
 
@@ -237,37 +197,26 @@ mod tests {
     }
 
     #[test]
-    fn store_crud_roundtrip() {
+    fn store_put_get_roundtrip() {
         let s = KeyedStore::new();
-        assert!(s.is_empty());
         s.put("a/1", Blob::new(vec![0u8; 10]));
-        s.put("a/2", Blob::new(vec![0u8; 20]));
-        s.put("b/1", Blob::new(vec![0u8; 30]));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.get("a/2").unwrap().len(), 20);
+        s.put("a/1", Blob::new(vec![0u8; 20]));
+        assert_eq!(s.get("a/1").unwrap().len(), 20);
         assert!(matches!(s.get("zz"), Err(StorageError::NotFound { .. })));
-        assert_eq!(s.head("b/1").unwrap().len, 30);
-        assert!(s.delete("a/1"));
-        assert!(!s.delete("a/1"));
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn list_by_prefix_ordered() {
-        let s = KeyedStore::new();
-        for k in ["p/3", "p/1", "q/1", "p/2"] {
-            s.put(k, Blob::new(vec![0u8]));
-        }
-        let keys: Vec<_> = s.list("p/").into_iter().map(|m| m.key).collect();
-        assert_eq!(keys, vec!["p/1", "p/2", "p/3"]);
-        assert_eq!(s.list("nope").len(), 0);
-    }
-
-    #[test]
-    fn total_logical_bytes_uses_scaling() {
-        let s = KeyedStore::new();
-        s.put("x", Blob::scaled(vec![0u8; 100], 10.0));
-        s.put("y", Blob::new(vec![0u8; 50]));
-        assert_eq!(s.total_logical_bytes(), 1050);
+    fn byte_ranges_cut_and_clamp() {
+        let b = Blob::scaled((0..=9u8).collect::<Vec<_>>(), 3.0);
+        let cut = |range: ByteRange| range.cut(b.clone());
+        assert_eq!(&cut(ByteRange::Full).unwrap().bytes[..], &b.bytes[..]);
+        let mid = cut(ByteRange::Bytes { offset: 2, len: 3 }).unwrap();
+        assert_eq!((&mid.bytes[..], mid.logical_len()), (&[2u8, 3, 4][..], 9));
+        assert_eq!(&cut(ByteRange::Suffix(2)).unwrap().bytes[..], &[8, 9]);
+        assert_eq!(cut(ByteRange::Suffix(99)).unwrap().len(), 10);
+        assert!(matches!(
+            cut(ByteRange::Bytes { offset: 8, len: 3 }),
+            Err(StorageError::InvalidRange { .. })
+        ));
     }
 }

@@ -20,12 +20,13 @@
 //!   ceilings; zonal low latency; per-GiB transfer fees are metered by
 //!   `skyrise-pricing`.
 
-use crate::core::{DirectionModel, OpsLimiter, RequestOpts, ServiceCore, REJECT_LATENCY};
-use crate::error::{Result, StorageError};
-use crate::object::{Blob, KeyedStore, ObjectMeta, SuffixRead};
+use crate::core::{Admission, OpsLimiter, PerDirection, RequestOpts, ServiceCore, ServiceModel};
+use crate::error::Result;
+use crate::object::{Blob, ByteRange, KeyedStore, ObjectRead};
 use skyrise_pricing::{SharedMeter, StorageService};
 use skyrise_sim::{LatencyDist, SimCtx, SimDuration, SimTime, GIB, MIB};
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 /// Storage class of a bucket.
@@ -107,15 +108,15 @@ impl S3Config {
 }
 
 /// Latency model per class (read, write).
-fn latency_models(class: S3Class) -> (LatencyDist, LatencyDist) {
+fn latency_models(class: S3Class) -> PerDirection<LatencyDist> {
     match class {
         // Medians/p95s straight from Fig. 10; tails reach ~10 s (374x the
         // median for the slowest of 1M requests).
-        S3Class::Standard => (
+        S3Class::Standard => PerDirection::rw(
             LatencyDist::from_quantiles(0.027, 0.075, 8e-4, 10.5),
             LatencyDist::from_quantiles(0.040, 0.105, 8e-4, 10.5),
         ),
-        S3Class::Express => (
+        S3Class::Express => PerDirection::rw(
             LatencyDist::from_quantiles(0.005, 0.0068, 1e-4, 1.2),
             LatencyDist::from_quantiles(0.006, 0.009, 1e-4, 1.2),
         ),
@@ -135,111 +136,31 @@ struct ScalingState {
     read_admission: OpsLimiter,
 }
 
-/// A simulated S3 bucket (Standard or Express).
-pub struct S3Bucket {
-    core: ServiceCore,
+/// S3's admission policy: per-partition read IOPS that scale with
+/// sustained load (Standard), fixed account ceilings (Express), and a
+/// write quota that does not scale.
+struct S3Admission {
     cfg: S3Config,
-    store: KeyedStore,
+    ctx: SimCtx,
     scaling: RefCell<ScalingState>,
     write_admission: OpsLimiter,
     /// Express-only global read limiter.
     express_read: OpsLimiter,
 }
 
-impl S3Bucket {
-    /// Create a bucket.
-    pub fn new(ctx: SimCtx, meter: SharedMeter, cfg: S3Config) -> Rc<Self> {
-        let (read_lat, write_lat) = latency_models(cfg.class);
-        let service = match cfg.class {
+impl S3Admission {
+    fn service(&self) -> StorageService {
+        match self.cfg.class {
             S3Class::Standard => StorageService::S3Standard,
             S3Class::Express => StorageService::S3Express,
-        };
-        let core = ServiceCore::new(
-            ctx.clone(),
-            meter,
-            service,
-            DirectionModel {
-                latency: read_lat,
-                per_request_bw: cfg.read_bw,
-            },
-            DirectionModel {
-                latency: write_lat,
-                per_request_bw: cfg.write_bw,
-            },
-            cfg.aggregate_bw,
-            cfg.aggregate_bw,
-            None,
-        );
-        let write_admission = match cfg.class {
-            S3Class::Standard => OpsLimiter::new(cfg.write_iops, 0.2),
-            S3Class::Express => OpsLimiter::new(cfg.express_write_iops, 0.2),
-        };
-        Rc::new(S3Bucket {
-            core,
-            store: KeyedStore::new(),
-            scaling: RefCell::new(ScalingState {
-                partitions: 1,
-                window_start: ctx.now(),
-                offered_reads: 0,
-                overload_since: None,
-                last_sustained: None,
-                read_admission: OpsLimiter::new(cfg.read_iops_per_partition, 0.2),
-            }),
-            write_admission,
-            express_read: OpsLimiter::new(cfg.express_read_iops, 0.2),
-            cfg,
-        })
-    }
-
-    /// Standard-class bucket with default parameters.
-    pub fn standard(ctx: &SimCtx, meter: &SharedMeter) -> Rc<Self> {
-        S3Bucket::new(ctx.clone(), Rc::clone(meter), S3Config::standard())
-    }
-
-    /// Express-class bucket with default parameters.
-    pub fn express(ctx: &SimCtx, meter: &SharedMeter) -> Rc<Self> {
-        S3Bucket::new(ctx.clone(), Rc::clone(meter), S3Config::express())
-    }
-
-    /// Storage class.
-    pub fn class(&self) -> S3Class {
-        self.cfg.class
-    }
-
-    /// Current prefix-partition count (always 1 for Express).
-    pub fn partition_count(&self) -> usize {
-        self.scaling.borrow().partitions
-    }
-
-    /// Current aggregate read IOPS capacity.
-    pub fn read_iops_capacity(&self) -> f64 {
-        match self.cfg.class {
-            S3Class::Standard => {
-                self.scaling.borrow().partitions as f64 * self.cfg.read_iops_per_partition
-            }
-            S3Class::Express => self.cfg.express_read_iops,
         }
     }
+}
 
-    /// Pretend the bucket has recently sustained enough load to hold `n`
-    /// partitions (used to set up "warmed bucket" experiment arms).
-    pub fn warm_to(&self, n: usize) {
-        let mut s = self.scaling.borrow_mut();
-        s.partitions = n.clamp(1, self.cfg.max_partitions);
-        s.read_admission
-            .set_rate(s.partitions as f64 * self.cfg.read_iops_per_partition);
-        s.last_sustained = Some(self.core.ctx.now());
-    }
-
-    /// Direct access to the backing object map (dataset setup in tests
-    /// and benchmarks; not billed).
-    pub fn backdoor(&self) -> &KeyedStore {
-        &self.store
-    }
-
+impl Admission for S3Admission {
     /// Update scaling state for the elapsed windows and count the offered
     /// read. Splits and merges happen here, lazily.
-    fn advance_scaling(&self, now: SimTime, is_read: bool) {
+    fn offered(&self, now: SimTime, write: bool) {
         if self.cfg.class == S3Class::Express {
             return;
         }
@@ -255,9 +176,9 @@ impl S3Bucket {
                 usize::MAX
             };
             if s.partitions > target {
-                let ctx = &self.core.ctx;
-                ctx.tracer()
-                    .instant(ctx, self.core.service.name(), 0, "partition-merge")
+                self.ctx
+                    .tracer()
+                    .instant(&self.ctx, self.service().name(), 0, "partition-merge")
                     .attr("from", s.partitions)
                     .attr("to", target);
                 s.partitions = target;
@@ -281,9 +202,9 @@ impl S3Bucket {
                         s.partitions += 1;
                         s.read_admission
                             .set_rate(s.partitions as f64 * self.cfg.read_iops_per_partition);
-                        let ctx = &self.core.ctx;
-                        ctx.tracer()
-                            .instant(ctx, self.core.service.name(), 0, "partition-split")
+                        self.ctx
+                            .tracer()
+                            .instant(&self.ctx, self.service().name(), 0, "partition-split")
                             .attr("partitions", s.partitions);
                     }
                     // Another full interval of overload earns the next split.
@@ -295,7 +216,7 @@ impl S3Bucket {
             s.window_start = now;
             s.offered_reads = 0;
         }
-        if is_read {
+        if !write {
             s.offered_reads += 1;
         }
     }
@@ -303,178 +224,116 @@ impl S3Bucket {
     fn admit(&self, now: SimTime, write: bool) -> bool {
         match (self.cfg.class, write) {
             (S3Class::Standard, false) => self.scaling.borrow().read_admission.try_admit(now),
-            (S3Class::Standard, true) => self.write_admission.try_admit(now),
             (S3Class::Express, false) => self.express_read.try_admit(now),
-            (S3Class::Express, true) => self.write_admission.try_admit(now),
+            (_, true) => self.write_admission.try_admit(now),
         }
     }
+}
 
-    async fn reject(&self, write: bool, logical: u64) -> StorageError {
-        self.core.meter_request(write, logical, true);
-        let ctx = &self.core.ctx;
-        ctx.tracer()
-            .instant(ctx, self.core.service.name(), 0, "throttle-503")
-            .attr("write", write)
-            .attr("bytes", logical);
-        self.core.ctx.sleep(REJECT_LATENCY).await;
-        StorageError::Throttled
-    }
+/// A simulated S3 bucket (Standard or Express).
+pub struct S3Bucket {
+    core: ServiceCore<S3Admission>,
+}
 
-    /// GET an object.
-    pub async fn get(&self, key: &str, opts: &RequestOpts) -> Result<Blob> {
-        let tracer = self.core.ctx.tracer();
-        let span = tracer.span(
-            &self.core.ctx,
-            self.core.service.name(),
-            tracer.next_lane(),
-            "get",
-        );
-        span.attr("key", key);
-        let now = self.core.ctx.now();
-        self.advance_scaling(now, true);
-        let blob = self.store.get(key)?;
-        let logical = blob.logical_len();
-        span.attr("bytes", logical);
-        if !self.admit(now, false) {
-            return Err(self.reject(false, logical).await);
-        }
-        self.core.meter_request(false, logical, false);
-        let fb = self.core.first_byte(false).await;
-        span.attr("first_byte_s", fb.as_secs_f64());
-        self.core.stream(false, logical, opts).await;
-        self.core.record_op(now);
-        Ok(blob)
-    }
-
-    /// GET a byte range (offsets over the *real* payload; timing and cost
-    /// use the range's logical size).
-    pub async fn get_range(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-        opts: &RequestOpts,
-    ) -> Result<Blob> {
-        let tracer = self.core.ctx.tracer();
-        let span = tracer.span(
-            &self.core.ctx,
-            self.core.service.name(),
-            tracer.next_lane(),
-            "get_range",
-        );
-        span.attr("key", key);
-        let now = self.core.ctx.now();
-        self.advance_scaling(now, true);
-        let blob = self.store.get(key)?;
-        let slice = blob.slice(offset, len)?;
-        let logical = slice.logical_len();
-        span.attr("bytes", logical);
-        if !self.admit(now, false) {
-            return Err(self.reject(false, logical).await);
-        }
-        self.core.meter_request(false, logical, false);
-        let fb = self.core.first_byte(false).await;
-        span.attr("first_byte_s", fb.as_secs_f64());
-        self.core.stream(false, logical, opts).await;
-        self.core.record_op(now);
-        Ok(slice)
-    }
-
-    /// GET the last `len` bytes of an object (an HTTP suffix range,
-    /// `Range: bytes=-len`). Footer-driven readers use this to fetch the
-    /// trailer — and usually the whole footer — in one request without
-    /// knowing the object's size up front. Timing and cost use the
-    /// returned range's logical size, like [`S3Bucket::get_range`].
-    pub async fn get_suffix(&self, key: &str, len: u64, opts: &RequestOpts) -> Result<SuffixRead> {
-        let tracer = self.core.ctx.tracer();
-        let span = tracer.span(
-            &self.core.ctx,
-            self.core.service.name(),
-            tracer.next_lane(),
-            "get_suffix",
-        );
-        span.attr("key", key);
-        let now = self.core.ctx.now();
-        self.advance_scaling(now, true);
-        let blob = self.store.get(key)?;
-        let total = blob.len() as u64;
-        let start = total.saturating_sub(len);
-        let slice = blob.slice(start, total - start)?;
-        let logical = slice.logical_len();
-        span.attr("bytes", logical);
-        if !self.admit(now, false) {
-            return Err(self.reject(false, logical).await);
-        }
-        self.core.meter_request(false, logical, false);
-        let fb = self.core.first_byte(false).await;
-        span.attr("first_byte_s", fb.as_secs_f64());
-        self.core.stream(false, logical, opts).await;
-        self.core.record_op(now);
-        Ok(SuffixRead {
-            blob: slice,
-            object_len: total,
-            transferred: logical,
+impl S3Bucket {
+    /// Create a bucket.
+    pub fn new(ctx: SimCtx, meter: SharedMeter, cfg: S3Config) -> Rc<Self> {
+        let write_iops = match cfg.class {
+            S3Class::Standard => cfg.write_iops,
+            S3Class::Express => cfg.express_write_iops,
+        };
+        let admission = S3Admission {
+            ctx: ctx.clone(),
+            scaling: RefCell::new(ScalingState {
+                partitions: 1,
+                window_start: ctx.now(),
+                offered_reads: 0,
+                overload_since: None,
+                last_sustained: None,
+                read_admission: OpsLimiter::new(cfg.read_iops_per_partition, 0.2),
+            }),
+            write_admission: OpsLimiter::new(write_iops, 0.2),
+            express_read: OpsLimiter::new(cfg.express_read_iops, 0.2),
+            cfg,
+        };
+        let cfg = &admission.cfg;
+        let model = ServiceModel {
+            service: admission.service(),
+            latency: latency_models(cfg.class),
+            per_request_bw: PerDirection::rw(cfg.read_bw, cfg.write_bw),
+            aggregate_bw: PerDirection::rw(cfg.aggregate_bw, cfg.aggregate_bw),
+            max_object: cfg.max_object,
+            max_inflight: None,
+            native_ranges: true,
+        };
+        Rc::new(S3Bucket {
+            core: ServiceCore::new(ctx, meter, model, admission),
         })
     }
 
+    /// Standard-class bucket with default parameters.
+    pub fn standard(ctx: &SimCtx, meter: &SharedMeter) -> Rc<Self> {
+        S3Bucket::new(ctx.clone(), Rc::clone(meter), S3Config::standard())
+    }
+
+    /// Express-class bucket with default parameters.
+    pub fn express(ctx: &SimCtx, meter: &SharedMeter) -> Rc<Self> {
+        S3Bucket::new(ctx.clone(), Rc::clone(meter), S3Config::express())
+    }
+
+    /// Which of the two S3 services this bucket is.
+    pub fn service(&self) -> StorageService {
+        self.core.admission.service()
+    }
+
+    /// Current prefix-partition count (always 1 for Express).
+    pub fn partition_count(&self) -> usize {
+        self.core.admission.scaling.borrow().partitions
+    }
+
+    /// Pretend the bucket has recently sustained enough load to hold `n`
+    /// partitions (used to set up "warmed bucket" experiment arms).
+    pub fn warm_to(&self, n: usize) {
+        let cfg = &self.core.admission.cfg;
+        let mut s = self.core.admission.scaling.borrow_mut();
+        s.partitions = n.clamp(1, cfg.max_partitions);
+        s.read_admission
+            .set_rate(s.partitions as f64 * cfg.read_iops_per_partition);
+        s.last_sustained = Some(self.core.ctx.now());
+    }
+
+    /// Direct access to the backing object map (dataset setup in tests
+    /// and benchmarks; not billed).
+    pub fn backdoor(&self) -> &KeyedStore {
+        &self.core.store
+    }
+
+    /// GET `range` of an object; timing and cost use the range's logical
+    /// size.
+    pub fn read<'a>(
+        &'a self,
+        key: &'a str,
+        range: ByteRange,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<ObjectRead>> + 'a {
+        self.core.read(key, range, opts)
+    }
+
     /// PUT an object.
-    pub async fn put(&self, key: &str, blob: Blob, opts: &RequestOpts) -> Result<()> {
-        let tracer = self.core.ctx.tracer();
-        let span = tracer.span(
-            &self.core.ctx,
-            self.core.service.name(),
-            tracer.next_lane(),
-            "put",
-        );
-        span.attr("key", key);
-        let now = self.core.ctx.now();
-        self.advance_scaling(now, false);
-        let logical = blob.logical_len();
-        span.attr("bytes", logical);
-        if logical > self.cfg.max_object {
-            return Err(StorageError::TooLarge {
-                limit: self.cfg.max_object,
-                got: logical,
-            });
-        }
-        if !self.admit(now, true) {
-            return Err(self.reject(true, logical).await);
-        }
-        self.core.meter_request(true, logical, false);
-        let fb = self.core.first_byte(true).await;
-        span.attr("first_byte_s", fb.as_secs_f64());
-        self.core.stream(true, logical, opts).await;
-        self.store.put(key, blob);
-        self.core.record_op(now);
-        Ok(())
-    }
-
-    /// DELETE an object (billed as a write request; no payload).
-    pub async fn delete(&self, key: &str) -> Result<()> {
-        self.core.meter_request(true, 0, false);
-        self.core.first_byte(true).await;
-        self.store.delete(key);
-        Ok(())
-    }
-
-    /// HEAD an object (billed as a read request).
-    pub async fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.core.meter_request(false, 0, false);
-        self.core.first_byte(false).await;
-        self.store.head(key)
-    }
-
-    /// LIST keys under a prefix (billed as one read request).
-    pub async fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.core.meter_request(false, 0, false);
-        self.core.first_byte(false).await;
-        Ok(self.store.list(prefix))
+    pub fn put<'a>(
+        &'a self,
+        key: &'a str,
+        blob: Blob,
+        opts: &'a RequestOpts,
+    ) -> impl Future<Output = Result<()>> + 'a {
+        self.core.write(key, blob, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use skyrise_pricing::shared_meter;
     use skyrise_sim::{join_all, Sim};
 
@@ -501,8 +360,11 @@ mod tests {
                     .put("data/part-0", Blob::new(vec![7u8; 1024]), &opts)
                     .await
                     .unwrap();
-                let got = bucket.get("data/part-0", &opts).await.unwrap();
-                got.bytes[..] == [7u8; 1024][..]
+                let got = bucket
+                    .read("data/part-0", ByteRange::Full, &opts)
+                    .await
+                    .unwrap();
+                got.blob.bytes[..] == [7u8; 1024][..]
             })
         });
         assert!(ok);
@@ -514,7 +376,7 @@ mod tests {
             Box::pin(async move {
                 let bucket = S3Bucket::standard(&ctx, &meter);
                 let err = bucket
-                    .get("nope", &RequestOpts::default())
+                    .read("nope", ByteRange::Full, &RequestOpts::default())
                     .await
                     .unwrap_err();
                 assert!(matches!(err, StorageError::NotFound { .. }));
@@ -535,7 +397,7 @@ mod tests {
                 let mut lat = Vec::new();
                 for _ in 0..2000 {
                     let t0 = ctx.now();
-                    bucket.get("k", &opts).await.unwrap();
+                    bucket.read("k", ByteRange::Full, &opts).await.unwrap();
                     lat.push((ctx.now() - t0).as_secs_f64());
                     // Pace below the IOPS limit.
                     ctx.sleep(SimDuration::from_millis(1)).await;
@@ -561,7 +423,7 @@ mod tests {
                 let mut lat = Vec::new();
                 for _ in 0..500 {
                     let t0 = ctx.now();
-                    bucket.get("k", &opts).await.unwrap();
+                    bucket.read("k", ByteRange::Full, &opts).await.unwrap();
                     lat.push((ctx.now() - t0).as_secs_f64());
                 }
                 lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -588,7 +450,10 @@ mod tests {
                         let ctx2 = ctx.clone();
                         ctx.spawn(async move {
                             ctx2.sleep(SimDuration::from_micros(i as u64 * 125)).await;
-                            bucket.get("k", &RequestOpts::default()).await.is_ok()
+                            bucket
+                                .read("k", ByteRange::Full, &RequestOpts::default())
+                                .await
+                                .is_ok()
                         })
                     })
                     .collect();
@@ -632,7 +497,9 @@ mod tests {
                         let at = t0 + SimDuration::from_micros(i * 8_333);
                         ctx.spawn(async move {
                             ctx2.sleep_until(at).await;
-                            let _ = bucket.get("k", &RequestOpts::default()).await;
+                            let _ = bucket
+                                .read("k", ByteRange::Full, &RequestOpts::default())
+                                .await;
                         })
                     })
                     .collect();
@@ -660,7 +527,10 @@ mod tests {
                         let ctx2 = ctx.clone();
                         ctx.spawn(async move {
                             ctx2.sleep(SimDuration::from_micros(i as u64 * 20)).await;
-                            bucket.get("k", &RequestOpts::default()).await.is_ok()
+                            bucket
+                                .read("k", ByteRange::Full, &RequestOpts::default())
+                                .await
+                                .is_ok()
                         })
                     })
                     .collect();
@@ -684,11 +554,11 @@ mod tests {
                     .unwrap();
                 // After 2 days idle: down to 2 partitions.
                 ctx.sleep(SimDuration::from_days(2)).await;
-                let _ = bucket.get("k", &opts).await;
+                let _ = bucket.read("k", ByteRange::Full, &opts).await;
                 assert_eq!(bucket.partition_count(), 2);
                 // After 5 days total: back to 1.
                 ctx.sleep(SimDuration::from_days(3)).await;
-                let _ = bucket.get("k", &opts).await;
+                let _ = bucket.read("k", ByteRange::Full, &opts).await;
                 assert_eq!(bucket.partition_count(), 1);
             })
         });
@@ -709,7 +579,7 @@ mod tests {
                 for _hour in 0..(5 * 24) {
                     ctx.sleep(SimDuration::from_hours(1)).await;
                     for _ in 0..5 {
-                        let _ = bucket.get("k", &opts).await;
+                        let _ = bucket.read("k", ByteRange::Full, &opts).await;
                     }
                 }
                 assert_eq!(bucket.partition_count(), 1, "probes must not keep it warm");
@@ -768,7 +638,9 @@ mod tests {
                     .map(|_| {
                         let bucket = Rc::clone(&bucket);
                         ctx.spawn(async move {
-                            let _ = bucket.get("k", &RequestOpts::default()).await;
+                            let _ = bucket
+                                .read("k", ByteRange::Full, &RequestOpts::default())
+                                .await;
                         })
                     })
                     .collect();
@@ -784,41 +656,34 @@ mod tests {
         });
     }
 
+    /// Scaling follows *offered* load, and a GET is offered before the key
+    /// is looked up: a flood of requests for a missing key splits the
+    /// bucket although not one of them is admitted or billed.
     #[test]
-    fn range_get_returns_slice_and_bills_range_size() {
-        run_in_sim(11, |ctx, meter| {
+    fn missing_key_gets_still_count_as_offered_reads() {
+        let meter = shared_meter();
+        let meter2 = Rc::clone(&meter);
+        let partitions = run_in_sim(5, move |ctx, _| {
             Box::pin(async move {
-                let bucket = S3Bucket::standard(&ctx, &meter.clone());
-                let opts = RequestOpts::default();
-                let data: Vec<u8> = (0..=255u8).collect();
-                bucket.put("k", Blob::new(data), &opts).await.unwrap();
-                let part = bucket.get_range("k", 16, 4, &opts).await.unwrap();
-                assert_eq!(&part.bytes[..], &[16, 17, 18, 19]);
-                assert!(matches!(
-                    bucket.get_range("k", 250, 10, &opts).await.unwrap_err(),
-                    StorageError::InvalidRange { .. }
-                ));
-            })
-        });
-    }
-
-    #[test]
-    fn list_and_head_and_delete() {
-        run_in_sim(12, |ctx, meter| {
-            Box::pin(async move {
-                let bucket = S3Bucket::standard(&ctx, &meter);
-                let opts = RequestOpts::default();
-                for i in 0..4 {
-                    bucket
-                        .put(&format!("t/p{i}"), Blob::new(vec![0u8; 10]), &opts)
-                        .await
-                        .unwrap();
+                let cfg = S3Config {
+                    read_iops_per_partition: 55.0,
+                    split_interval: SimDuration::from_secs(30),
+                    window: SimDuration::from_secs(1),
+                    ..S3Config::standard()
+                };
+                let bucket = S3Bucket::new(ctx.clone(), meter2, cfg);
+                // 120 GETs per second for 70 s.
+                for _ in 0..70 * 120 {
+                    let out = bucket
+                        .read("nope", ByteRange::Full, &RequestOpts::default())
+                        .await;
+                    assert!(matches!(out, Err(StorageError::NotFound { .. })));
+                    ctx.sleep(SimDuration::from_micros(8_333)).await;
                 }
-                assert_eq!(bucket.list("t/").await.unwrap().len(), 4);
-                assert_eq!(bucket.head("t/p2").await.unwrap().len, 10);
-                bucket.delete("t/p2").await.unwrap();
-                assert_eq!(bucket.list("t/").await.unwrap().len(), 3);
+                bucket.partition_count()
             })
         });
+        assert!(partitions >= 2, "partitions {partitions}");
+        assert!(meter.borrow().storage.is_empty());
     }
 }

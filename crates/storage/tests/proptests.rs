@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use skyrise_pricing::{shared_meter, StorageService};
 use skyrise_sim::{join_all, Sim, SimDuration, SimTime};
-use skyrise_storage::{Blob, DynamoConfig, DynamoTable, RequestOpts, S3Bucket, Storage};
+use skyrise_storage::{Blob, ByteRange, DynamoConfig, DynamoTable, RequestOpts, S3Bucket, Storage};
 use std::rc::Rc;
 
 proptest! {
@@ -27,7 +27,7 @@ proptest! {
             for _ in 0..reads {
                 let b = Rc::clone(&bucket);
                 handles.push(ctx.spawn(async move {
-                    let _ = b.get("k", &RequestOpts::default()).await;
+                    let _ = b.read("k", ByteRange::Full, &RequestOpts::default()).await;
                 }));
             }
             for i in 0..writes {
@@ -80,7 +80,7 @@ proptest! {
                     let at = t0 + gap * i;
                     ctx.spawn(async move {
                         ctx2.sleep_until(at).await;
-                        t.get("k", &RequestOpts::default()).await.is_ok()
+                        t.read("k", ByteRange::Full, &RequestOpts::default()).await.is_ok()
                     })
                 })
                 .collect();
@@ -139,7 +139,7 @@ proptest! {
             let mut worst: f64 = 0.0;
             for _ in 0..n {
                 let t0 = ctx.now();
-                bucket.get("k", &RequestOpts::default()).await.unwrap();
+                bucket.read("k", ByteRange::Full, &RequestOpts::default()).await.unwrap();
                 worst = worst.max((ctx.now() - t0).as_secs_f64());
                 ctx.sleep(SimDuration::from_millis(2)).await;
             }

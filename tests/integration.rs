@@ -33,31 +33,31 @@ fn spf_remote_reads_via_ranged_gets() {
         bucket.backdoor().put("t.spf", Blob::new(file));
 
         let opts = RequestOpts::default();
+        let range = |offset, len| ByteRange::Bytes { offset, len };
         let trailer = bucket
-            .get_range(
+            .read(
                 "t.spf",
-                file_len - spf::TRAILER_LEN,
-                spf::TRAILER_LEN,
+                range(file_len - spf::TRAILER_LEN, spf::TRAILER_LEN),
                 &opts,
             )
             .await
             .unwrap();
-        let (fstart, flen) = spf::footer_range(&trailer.bytes, file_len).unwrap();
-        let footer_blob = bucket
-            .get_range("t.spf", fstart, flen, &opts)
+        let (fstart, flen) = spf::footer_range(&trailer.blob.bytes, file_len).unwrap();
+        let footer = bucket
+            .read("t.spf", range(fstart, flen), &opts)
             .await
             .unwrap();
-        let footer = spf::parse_footer(&footer_blob.bytes).unwrap();
+        let footer = spf::parse_footer(&footer.blob.bytes).unwrap();
         assert_eq!(footer.total_rows(), 10_000);
         assert_eq!(footer.row_groups.len(), 5);
 
         // Fetch only column "v" of row group 3.
         let meta = &footer.row_groups[3].chunks[1];
         let chunk = bucket
-            .get_range("t.spf", meta.offset, meta.len, &opts)
+            .read("t.spf", range(meta.offset, meta.len), &opts)
             .await
             .unwrap();
-        let col = spf::decode_chunk(meta, &chunk.bytes).unwrap();
+        let col = spf::decode_chunk(meta, &chunk.blob.bytes).unwrap();
         assert_eq!(col.as_f64()[0], 6_000.0 * 0.5);
         batch.num_rows()
     });
@@ -90,7 +90,10 @@ fn invoice_matches_hand_computation() {
                 .unwrap();
         }
         for i in 0..20 {
-            bucket.get(&format!("k{}", i % 10), &opts).await.unwrap();
+            bucket
+                .read(&format!("k{}", i % 10), ByteRange::Full, &opts)
+                .await
+                .unwrap();
             ctx.sleep(SimDuration::from_millis(5)).await;
         }
     });
@@ -177,7 +180,9 @@ fn throttled_clients_become_stragglers() {
                 let ctx2 = ctx.clone();
                 ctx.spawn(async move {
                     let t0 = ctx2.now();
-                    let out = client.get("hot", 1024, &RequestOpts::default()).await;
+                    let out = client
+                        .read("hot", ByteRange::Full, 1024, &RequestOpts::default())
+                        .await;
                     (out.is_ok(), (ctx2.now() - t0).as_secs_f64())
                 })
             })
@@ -233,7 +238,10 @@ fn network_burst_shapes_storage_downloads() {
                         let real_chunk = (real_len * chunk / logical).max(1);
                         let off = (i * real_chunk).min(real_len - 1);
                         let len = real_chunk.min(real_len - off);
-                        storage.get_range(&key, off, len, &opts).await.map(|_| ())
+                        storage
+                            .read(&key, ByteRange::Bytes { offset: off, len }, &opts)
+                            .await
+                            .map(drop)
                     })
                 })
                 .collect();
