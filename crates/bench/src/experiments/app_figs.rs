@@ -47,7 +47,7 @@ pub fn fig14() -> ExperimentResult {
         ));
 
         let (bytes_per_worker, io_secs, cpu_secs, fragments, profile) =
-            in_sim_traced(0xFE14 + k as u64, move |ctx, _tracer| {
+            in_sim_traced(0xFE14 + k as u64, move |ctx| {
                 Box::pin(async move {
                     let meter = shared_meter();
                     let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));

@@ -213,29 +213,21 @@ fn record_sim(
     });
 }
 
-/// Shared tail of the `in_sim` family: snapshot the registry (when one was
-/// installed), fold its digest into the sanitizer — so nondeterministic
-/// telemetry fails the sweep like any other divergent state — and record
-/// the simulation into the active capture.
-fn finish_sim(
-    seed: u64,
-    end: skyrise::sim::SimTime,
-    tracer: Option<Tracer>,
-    sanitizer: &skyrise::sim::Sanitizer,
-    registry: Option<skyrise::sim::MetricRegistry>,
-) {
-    let snapshot = registry.map(|r| r.snapshot());
-    if let Some(snap) = &snapshot {
-        sanitizer.observe("telemetry", snap.digest());
-    }
-    record_sim(seed, end, tracer, sanitizer.report(), snapshot);
-}
+/// What an experiment hands a simulation: a future over its context.
+type SimBody<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 
-/// Run a closure inside a fresh simulation and return its output.
-pub fn in_sim<T: 'static>(
+/// The one simulation runner: a fresh `Sim` on `seed` (plus the capture's
+/// offset) with, in this order, the fault plan if any, a tracer when the
+/// capture or `force_trace` asks for one, the metric registry when the
+/// capture asks, and the sanitizer. Afterwards the registry snapshot's
+/// digest is folded into the sanitizer — so nondeterministic telemetry
+/// fails the sweep like any other divergent state — and the simulation is
+/// recorded into the active capture.
+fn run_sim<T: 'static>(
     seed: u64,
-    f: impl FnOnce(skyrise::sim::SimCtx) -> std::pin::Pin<Box<dyn std::future::Future<Output = T>>>
-        + 'static,
+    faults: Option<skyrise::sim::FaultConfig>,
+    force_trace: bool,
+    f: impl FnOnce(skyrise::sim::SimCtx) -> SimBody<T> + 'static,
 ) -> T {
     let (trace_all, metrics_all, offset) = CAPTURE.with(|c| {
         let c = c.borrow();
@@ -243,14 +235,29 @@ pub fn in_sim<T: 'static>(
     });
     let seed = seed.wrapping_add(offset);
     let mut sim = skyrise::sim::Sim::new(seed);
-    let tracer = trace_all.then(|| sim.install_tracer());
+    if let Some(config) = faults {
+        sim.install_faults(config);
+    }
+    let tracer = (trace_all || force_trace).then(|| sim.install_tracer());
     let registry = metrics_all.then(|| sim.install_metrics());
     let sanitizer = sim.enable_sanitizer();
     let ctx = sim.ctx();
     let h = sim.spawn(f(ctx));
     let end = sim.run();
-    finish_sim(seed, end, tracer, &sanitizer, registry);
+    let snapshot = registry.map(|r| r.snapshot());
+    if let Some(snap) = &snapshot {
+        sanitizer.observe("telemetry", snap.digest());
+    }
+    record_sim(seed, end, tracer, sanitizer.report(), snapshot);
     h.try_take().expect("experiment completed")
+}
+
+/// Run a closure inside a fresh simulation and return its output.
+pub fn in_sim<T: 'static>(
+    seed: u64,
+    f: impl FnOnce(skyrise::sim::SimCtx) -> SimBody<T> + 'static,
+) -> T {
+    run_sim(seed, None, false, f)
 }
 
 /// Like [`in_sim`], but with a fault-injection plan installed: the
@@ -260,51 +267,19 @@ pub fn in_sim<T: 'static>(
 pub fn in_sim_faulted<T: 'static>(
     seed: u64,
     faults: skyrise::sim::FaultConfig,
-    f: impl FnOnce(skyrise::sim::SimCtx) -> std::pin::Pin<Box<dyn std::future::Future<Output = T>>>
-        + 'static,
+    f: impl FnOnce(skyrise::sim::SimCtx) -> SimBody<T> + 'static,
 ) -> T {
-    let (trace_all, metrics_all, offset) = CAPTURE.with(|c| {
-        let c = c.borrow();
-        (c.trace_all, c.metrics_all, c.seed_offset)
-    });
-    let seed = seed.wrapping_add(offset);
-    let mut sim = skyrise::sim::Sim::new(seed);
-    let _plan = sim.install_faults(faults);
-    let tracer = trace_all.then(|| sim.install_tracer());
-    let registry = metrics_all.then(|| sim.install_metrics());
-    let sanitizer = sim.enable_sanitizer();
-    let ctx = sim.ctx();
-    let h = sim.spawn(f(ctx));
-    let end = sim.run();
-    finish_sim(seed, end, tracer, &sanitizer, registry);
-    h.try_take().expect("experiment completed")
+    run_sim(seed, Some(faults), false, f)
 }
 
-/// Like [`in_sim`], but tracing is always on: the closure receives the
-/// tracer handle alongside the context (for building per-query profiles).
-/// The trace is still collected into the active capture, if any.
+/// Like [`in_sim`], but tracing is always on (per-query profiles are
+/// built from the trace). The trace is still collected into the active
+/// capture, if any.
 pub fn in_sim_traced<T: 'static>(
     seed: u64,
-    f: impl FnOnce(
-            skyrise::sim::SimCtx,
-            Tracer,
-        ) -> std::pin::Pin<Box<dyn std::future::Future<Output = T>>>
-        + 'static,
+    f: impl FnOnce(skyrise::sim::SimCtx) -> SimBody<T> + 'static,
 ) -> T {
-    let (metrics_all, offset) = CAPTURE.with(|c| {
-        let c = c.borrow();
-        (c.metrics_all, c.seed_offset)
-    });
-    let seed = seed.wrapping_add(offset);
-    let mut sim = skyrise::sim::Sim::new(seed);
-    let tracer = sim.install_tracer();
-    let registry = metrics_all.then(|| sim.install_metrics());
-    let sanitizer = sim.enable_sanitizer();
-    let ctx = sim.ctx();
-    let h = sim.spawn(f(ctx, tracer.clone()));
-    let end = sim.run();
-    finish_sim(seed, end, Some(tracer), &sanitizer, registry);
-    h.try_take().expect("experiment completed")
+    run_sim(seed, None, true, f)
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //!   invocation). Rank order is string order by construction.
 //!
 //! Within each column the `u64` order therefore equals the order of the
-//! engine's legacy `ScalarKey` wrappers, and comparing rows word-by-word
+//! `ScalarKey` wrappers (today the test oracle's, in
+//! `crates/engine/tests/support/`), and comparing rows word-by-word
 //! equals comparing `Vec<ScalarKey>` lexicographically — so kernels
 //! rebuilt on `KeyBuffer` produce byte-identical grouped/sorted output.
 //! (Columns are homogeneously typed, so `ScalarKey`'s cross-variant enum
@@ -448,7 +449,7 @@ impl KeyBuffer {
     /// probes reuse the build side's dictionary). `None` marks a row
     /// that cannot match any build key: a string absent from the build
     /// dictionary, or a probe column whose type differs from the build
-    /// key's (the legacy `ScalarKey` path treats cross-type keys as
+    /// key's (the oracle's `ScalarKey` path treats cross-type keys as
     /// never equal).
     pub fn encode_probe(&self, c: usize, col: &Column) -> Vec<Option<u64>> {
         self.encode_probe_sel(c, col, SelSpec::All)
@@ -676,7 +677,7 @@ mod tests {
         let kb = KeyBuffer::encode(&[&build], &[0]);
         let probe = Column::Utf8(vec!["z".into(), "y".into(), "x".into()]);
         assert_eq!(kb.encode_probe(0, &probe), vec![Some(1), None, Some(0)]);
-        // Cross-type probes never match (legacy ScalarKey semantics).
+        // Cross-type probes never match (the oracle's ScalarKey semantics).
         let ints = Column::Int64(vec![0, 1]);
         assert_eq!(kb.encode_probe(0, &ints), vec![None, None]);
         // Selection-restricted probes are parallel to the selection.

@@ -1292,7 +1292,7 @@ mod tests {
         let file = write_bucketed(&buckets, 16);
         let footer = read_footer(&file).unwrap();
         let (_, index) = parse_footer_indexed(
-            &footer_range(&file[file.len() - 8..], file.len() as u64)
+            footer_range(&file[file.len() - 8..], file.len() as u64)
                 .map(|(s, l)| &file[s as usize..(s + l) as usize])
                 .unwrap(),
         )

@@ -225,6 +225,6 @@ mod tests {
         let a = Arena::current();
         let b = Arena::current();
         a.note(5);
-        assert_eq!(b.bytes_allocated() >= 5, true);
+        assert!(b.bytes_allocated() >= 5);
     }
 }

@@ -1,16 +1,18 @@
-//! One-time operator binding and the selection-vector executor.
+//! Operator binding and the selection-vector executor: the engine's one
+//! chain executor.
 //!
-//! The legacy chain in [`crate::operators`] re-resolves every column name
-//! via `Schema::index_of` linear search on every batch and funnels all
-//! key processing through per-row `Vec<ScalarKey>` allocations. This
-//! module runs the same operator chain several layers faster:
-//!
-//! 1. **Binding pass** — `bind`-time resolution of every `Op`/`Expr`
-//!    column name to a column index against the pipeline's input
-//!    schemas, done once per `WorkerTask`. Schema propagation needs only
-//!    field *names* (projections rename, joins append build columns,
-//!    aggregates emit group + aggregate columns), so binding never
-//!    evaluates anything.
+//! 1. **Binding pass** — once per `WorkerTask`, every column the kernels
+//!    index by (group, join, sort and session keys, partial-state
+//!    columns) is resolved to an index against the pipeline's input
+//!    schemas, and every column and UDF an expression names is checked to
+//!    exist, so a malformed chain fails before any data is touched. Schema
+//!    propagation needs only field *names* (projections rename, joins
+//!    append build columns, aggregates emit group + aggregate columns), so
+//!    binding never evaluates anything. Expressions stay the plan's
+//!    [`Expr`] and are evaluated by [`expr::evaluate`]. A chain that cannot
+//!    be bound — an input without batches has no schema, and an operator
+//!    cannot build from the input the chain streams — is an
+//!    [`EngineError::Plan`].
 //! 2. **Selection vectors end-to-end** — `Filter` refines a [`Sel`]
 //!    instead of materialising, and every consumer (aggregate, join
 //!    probe, sort, sessionise, limit, shuffle partition) accepts the
@@ -21,7 +23,7 @@
 //!    selection through untouched.
 //! 3. **Normalized-key kernels** — grouping, joining, and sorting run on
 //!    [`skyrise_data::KeyBuffer`]'s contiguous fixed-width encoding
-//!    (order-equal to the legacy `ScalarKey` order), with typed
+//!    (order-equal to the oracle's per-row scalar keys), with typed
 //!    per-group accumulators instead of per-row `Value` boxing.
 //! 4. **Arena scratch + dictionary reuse** — transient buffers (sel
 //!    vectors, key words, gather tables) come from the per-invocation
@@ -29,16 +31,16 @@
 //!    once per invocation via [`skyrise_data::DictCache`] no matter how
 //!    many operators touch them.
 //!
-//! Every kernel reproduces the legacy path bit-for-bit: group output
-//! order equals the old `BTreeMap<Vec<ScalarKey>, _>` iteration order,
-//! per-group float accumulation order equals the old stream-row order,
-//! and join match lists keep build-row order. The legacy path stays as
-//! the property-test oracle and runs what cannot be bound: a chain over an
-//! input without batches, or one that builds from input 0.
+//! Every kernel reproduces, bit for bit, the row-at-a-time oracle that
+//! `crates/engine/tests/proptests.rs` compares it against
+//! (`skyrise_oracle::operators`, in `tests/support/`): group output order
+//! equals the iteration order of the oracle's `BTreeMap` of composite
+//! keys, per-group float accumulation order equals its stream-row order,
+//! and join match lists keep build-row order.
 
 use crate::arena::{Arena, ArenaReport};
 use crate::error::EngineError;
-use crate::expr::{self, ArithOp, CmpOp, Expr, ExprError, NamedExpr, ScalarUdf, UdfRegistry};
+use crate::expr::{self, Expr, ExprError, NamedExpr, UdfRegistry};
 use crate::operators::{self, column_from_values, OpChainStats};
 use crate::plan::{AggExpr, AggFunc, AggMode, Op};
 use skyrise_data::keys::{DictCache, SelSpec};
@@ -46,233 +48,13 @@ use skyrise_data::{Batch, Column, Field, KeyBuffer, Schema, Value};
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
-// bound expressions
-// ---------------------------------------------------------------------------
-
-/// An expression with column references resolved to indices and UDFs
-/// resolved to their registry entries.
-enum BoundExpr {
-    Col(usize),
-    Lit(Value),
-    Cmp {
-        op: CmpOp,
-        left: Box<BoundExpr>,
-        right: Box<BoundExpr>,
-    },
-    And(Vec<BoundExpr>),
-    Or(Vec<BoundExpr>),
-    Not(Box<BoundExpr>),
-    Arith {
-        op: ArithOp,
-        left: Box<BoundExpr>,
-        right: Box<BoundExpr>,
-    },
-    InList {
-        expr: Box<BoundExpr>,
-        list: Vec<Value>,
-    },
-    Case {
-        when: Box<BoundExpr>,
-        then: Box<BoundExpr>,
-        otherwise: Box<BoundExpr>,
-    },
-    Udf {
-        udf: ScalarUdf,
-        args: Vec<BoundExpr>,
-    },
-}
-
-fn bind_expr(e: &Expr, names: &[String], udfs: &UdfRegistry) -> Result<BoundExpr, EngineError> {
-    Ok(match e {
-        Expr::Col(name) => BoundExpr::Col(
-            names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| EngineError::Expr(ExprError::UnknownColumn(name.clone())))?,
-        ),
-        Expr::Lit(v) => BoundExpr::Lit(v.clone()),
-        Expr::Cmp { op, left, right } => BoundExpr::Cmp {
-            op: *op,
-            left: Box::new(bind_expr(left, names, udfs)?),
-            right: Box::new(bind_expr(right, names, udfs)?),
-        },
-        Expr::And(parts) => BoundExpr::And(
-            parts
-                .iter()
-                .map(|p| bind_expr(p, names, udfs))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Or(parts) => BoundExpr::Or(
-            parts
-                .iter()
-                .map(|p| bind_expr(p, names, udfs))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Not(inner) => BoundExpr::Not(Box::new(bind_expr(inner, names, udfs)?)),
-        Expr::Arith { op, left, right } => BoundExpr::Arith {
-            op: *op,
-            left: Box::new(bind_expr(left, names, udfs)?),
-            right: Box::new(bind_expr(right, names, udfs)?),
-        },
-        Expr::InList { expr, list } => BoundExpr::InList {
-            expr: Box::new(bind_expr(expr, names, udfs)?),
-            list: list.clone(),
-        },
-        Expr::Case {
-            when,
-            then,
-            otherwise,
-        } => BoundExpr::Case {
-            when: Box::new(bind_expr(when, names, udfs)?),
-            then: Box::new(bind_expr(then, names, udfs)?),
-            otherwise: Box::new(bind_expr(otherwise, names, udfs)?),
-        },
-        Expr::Udf { name, args } => BoundExpr::Udf {
-            udf: udfs
-                .get(name)
-                .cloned()
-                .ok_or_else(|| EngineError::Expr(ExprError::UnknownUdf(name.clone())))?,
-            args: args
-                .iter()
-                .map(|a| bind_expr(a, names, udfs))
-                .collect::<Result<_, _>>()?,
-        },
-    })
-}
-
-/// Evaluate a bound expression over a batch. Mirrors
-/// [`crate::expr::evaluate`] minus the per-batch name resolution.
-///
-/// Evaluation is total and row-wise pure (integer division promotes to
-/// float instead of trapping), so callers may evaluate over a full batch
-/// and consume the result under a selection vector: values at unselected
-/// rows are computed and discarded, never observed.
-fn evaluate_bound(e: &BoundExpr, batch: &Batch) -> Result<Column, ExprError> {
-    let n = batch.num_rows();
-    match e {
-        BoundExpr::Col(i) => Ok(batch.columns[*i].clone()),
-        BoundExpr::Lit(v) => Ok(expr::broadcast(v, n)),
-        BoundExpr::Cmp { op, left, right } => {
-            let l = evaluate_bound(left, batch)?;
-            let r = evaluate_bound(right, batch)?;
-            expr::compare(*op, &l, &r)
-        }
-        BoundExpr::And(parts) => {
-            let mut acc = vec![true; n];
-            for p in parts {
-                let c = evaluate_bound(p, batch)?;
-                let b = expr::expect_bool(&c)?;
-                for (a, &x) in acc.iter_mut().zip(b) {
-                    *a &= x;
-                }
-            }
-            Ok(Column::Bool(acc))
-        }
-        BoundExpr::Or(parts) => {
-            let mut acc = vec![false; n];
-            for p in parts {
-                let c = evaluate_bound(p, batch)?;
-                let b = expr::expect_bool(&c)?;
-                for (a, &x) in acc.iter_mut().zip(b) {
-                    *a |= x;
-                }
-            }
-            Ok(Column::Bool(acc))
-        }
-        BoundExpr::Not(inner) => {
-            let c = evaluate_bound(inner, batch)?;
-            let b = expr::expect_bool(&c)?;
-            Ok(Column::Bool(b.iter().map(|&x| !x).collect()))
-        }
-        BoundExpr::Arith { op, left, right } => {
-            let l = evaluate_bound(left, batch)?;
-            let r = evaluate_bound(right, batch)?;
-            expr::arithmetic(*op, &l, &r)
-        }
-        BoundExpr::InList { expr: inner, list } => {
-            let c = evaluate_bound(inner, batch)?;
-            let mut out = Vec::with_capacity(n);
-            match &c {
-                Column::Utf8(v) => {
-                    let set: Vec<&str> = list
-                        .iter()
-                        .filter_map(|v| match v {
-                            Value::Utf8(s) => Some(s.as_str()),
-                            _ => None,
-                        })
-                        .collect();
-                    for s in v {
-                        out.push(set.contains(&s.as_str()));
-                    }
-                }
-                Column::Int64(v) => {
-                    let set: Vec<i64> = list
-                        .iter()
-                        .filter_map(|v| match v {
-                            Value::Int64(i) => Some(*i),
-                            _ => None,
-                        })
-                        .collect();
-                    for x in v {
-                        out.push(set.contains(x));
-                    }
-                }
-                _ => return Err(ExprError::TypeMismatch("IN on unsupported type")),
-            }
-            Ok(Column::Bool(out))
-        }
-        BoundExpr::Case {
-            when,
-            then,
-            otherwise,
-        } => {
-            let cond_col = evaluate_bound(when, batch)?;
-            let cond = expr::expect_bool(&cond_col)?;
-            let t = evaluate_bound(then, batch)?;
-            let o = evaluate_bound(otherwise, batch)?;
-            expr::select(cond, &t, &o)
-        }
-        BoundExpr::Udf { udf, args } => {
-            let cols: Vec<Column> = args
-                .iter()
-                .map(|a| evaluate_bound(a, batch))
-                .collect::<Result<_, _>>()?;
-            let mut row = Vec::with_capacity(cols.len());
-            let mut out: Option<Column> = None;
-            for i in 0..n {
-                row.clear();
-                for c in &cols {
-                    row.push(c.value(i));
-                }
-                let v = udf(&row);
-                match (&mut out, &v) {
-                    (None, Value::Int64(_)) => out = Some(Column::Int64(Vec::with_capacity(n))),
-                    (None, Value::Float64(_)) => out = Some(Column::Float64(Vec::with_capacity(n))),
-                    (None, Value::Utf8(_)) => out = Some(Column::Utf8(Vec::with_capacity(n))),
-                    (None, Value::Bool(_)) => out = Some(Column::Bool(Vec::with_capacity(n))),
-                    _ => {}
-                }
-                match (out.as_mut().expect("initialised"), v) {
-                    (Column::Int64(vs), Value::Int64(x)) => vs.push(x),
-                    (Column::Float64(vs), Value::Float64(x)) => vs.push(x),
-                    (Column::Utf8(vs), Value::Utf8(x)) => vs.push(x),
-                    (Column::Bool(vs), Value::Bool(x)) => vs.push(x),
-                    _ => return Err(ExprError::TypeMismatch("UDF changed its return type")),
-                }
-            }
-            Ok(out.unwrap_or(Column::Int64(Vec::new())))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // bound operators
 // ---------------------------------------------------------------------------
 
-enum BoundAggKind {
+enum BoundAggKind<'a> {
     /// Partial/Single: evaluate the argument per batch (`None` = Count,
-    /// which ignores its argument — the legacy path never binds it).
-    Eval(Option<BoundExpr>),
+    /// which ignores its argument and never checks it).
+    Eval(Option<&'a Expr>),
     /// Final: merge partial-state columns located by index.
     Merge {
         primary: usize,
@@ -280,10 +62,10 @@ enum BoundAggKind {
     },
 }
 
-struct BoundAgg {
+struct BoundAgg<'a> {
     func: AggFunc,
     name: String,
-    kind: BoundAggKind,
+    kind: BoundAggKind<'a>,
 }
 
 /// Column indices of the Q3 click stream used by sessionisation.
@@ -295,17 +77,19 @@ struct SessionCols {
     sales: usize,
 }
 
-enum BoundOp {
-    Filter(BoundExpr),
-    Project(Vec<(String, BoundExpr)>),
+/// An operator with its key columns resolved to indices; `build` and
+/// `category` index the chain's build sides (pipeline input `i + 1`).
+enum BoundOp<'a> {
+    Filter(&'a Expr),
+    Project(&'a [NamedExpr]),
     HashAggregate {
         group_idx: Vec<usize>,
         group_names: Vec<String>,
-        aggs: Vec<BoundAgg>,
+        aggs: Vec<BoundAgg<'a>>,
         mode: AggMode,
     },
     HashJoin {
-        build_input: usize,
+        build: usize,
         build_key: usize,
         probe_key: usize,
         build_cols: Vec<usize>,
@@ -315,28 +99,12 @@ enum BoundOp {
     },
     Limit(usize),
     SessionizeQ3 {
-        category_input: usize,
+        category: usize,
         category_col: usize,
         cols: SessionCols,
         window: usize,
     },
     Barrier,
-}
-
-impl BoundOp {
-    /// Telemetry label — matches the worker's per-operator counters.
-    fn label(&self) -> &'static str {
-        match self {
-            BoundOp::Filter(_) => "filter",
-            BoundOp::Project(_) => "project",
-            BoundOp::HashAggregate { .. } => "hash-aggregate",
-            BoundOp::HashJoin { .. } => "hash-join",
-            BoundOp::Sort { .. } => "sort",
-            BoundOp::Limit(_) => "limit",
-            BoundOp::SessionizeQ3 { .. } => "sessionize",
-            BoundOp::Barrier => "barrier",
-        }
-    }
 }
 
 fn idx_of(names: &[String], name: &str, what: &str) -> Result<usize, EngineError> {
@@ -346,28 +114,58 @@ fn idx_of(names: &[String], name: &str, what: &str) -> Result<usize, EngineError
         .ok_or_else(|| EngineError::Plan(format!("unknown {what} column {name}")))
 }
 
+/// Reject the first column or UDF `e` names that does not exist, so that
+/// [`expr::evaluate`] cannot fail on a look-up once data flows.
+fn check_expr(e: &Expr, names: &[String], udfs: &UdfRegistry) -> Result<(), EngineError> {
+    let mut unknown = None;
+    e.for_each_node(&mut |node| {
+        if unknown.is_some() {
+            return;
+        }
+        unknown = match node {
+            Expr::Col(name) if !names.contains(name) => {
+                Some(ExprError::UnknownColumn(name.clone()))
+            }
+            Expr::Udf { name, .. } if udfs.get(name).is_none() => {
+                Some(ExprError::UnknownUdf(name.clone()))
+            }
+            _ => None,
+        };
+    });
+    unknown.map_or(Ok(()), |e| Err(EngineError::Expr(e)))
+}
+
+/// The build side a plan's input index names. Input 0 is the stream the
+/// chain consumes, so no operator can also materialise it.
+fn build_slot(input: usize) -> Result<usize, EngineError> {
+    input.checked_sub(1).ok_or_else(|| {
+        EngineError::Plan("input 0 is the streamed side: an operator cannot build from it".into())
+    })
+}
+
 /// Resolve every column reference of an operator chain against the
-/// pipeline's input schemas (names only) — once per task, not per batch.
-fn bind_ops(
-    ops: &[Op],
-    input_names: &[Vec<String>],
+/// stream's and the build sides' schemas (names only) — once per task,
+/// not per batch.
+fn bind_ops<'a>(
+    ops: &'a [Op],
+    stream_names: Vec<String>,
+    build_names: &[Vec<String>],
     udfs: &UdfRegistry,
-) -> Result<Vec<BoundOp>, EngineError> {
-    let mut cur: Vec<String> = input_names
-        .first()
-        .cloned()
-        .ok_or_else(|| EngineError::Plan("pipeline has no inputs".into()))?;
+) -> Result<Vec<BoundOp<'a>>, EngineError> {
+    let mut cur = stream_names;
     let mut out = Vec::with_capacity(ops.len());
     for op in ops {
         let bound = match op {
-            Op::Filter { predicate } => BoundOp::Filter(bind_expr(predicate, &cur, udfs)?),
+            Op::Filter { predicate } => {
+                check_expr(predicate, &cur, udfs)?;
+                BoundOp::Filter(predicate)
+            }
             Op::Project { exprs } => {
-                let bound: Vec<(String, BoundExpr)> = exprs
-                    .iter()
-                    .map(|ne: &NamedExpr| Ok((ne.name.clone(), bind_expr(&ne.expr, &cur, udfs)?)))
-                    .collect::<Result<_, EngineError>>()?;
-                cur = bound.iter().map(|(n, _)| n.clone()).collect();
-                BoundOp::Project(bound)
+                for ne in exprs {
+                    check_expr(&ne.expr, &cur, udfs)?;
+                }
+                cur = exprs.iter().map(|ne| ne.name.clone()).collect();
+                BoundOp::Project(exprs)
             }
             Op::HashAggregate {
                 group_by,
@@ -384,7 +182,10 @@ fn bind_ops(
                         let kind = match mode {
                             AggMode::Partial | AggMode::Single => match a.func {
                                 AggFunc::Count => BoundAggKind::Eval(None),
-                                _ => BoundAggKind::Eval(Some(bind_expr(&a.expr, &cur, udfs)?)),
+                                _ => {
+                                    check_expr(&a.expr, &cur, udfs)?;
+                                    BoundAggKind::Eval(Some(&a.expr))
+                                }
                             },
                             AggMode::Final => {
                                 let names = operators::partial_columns(a);
@@ -433,16 +234,17 @@ fn bind_ops(
                 probe_key,
                 build_columns,
             } => {
-                let build_names = input_names
-                    .get(*build_input)
+                let build = build_slot(*build_input)?;
+                let names = build_names
+                    .get(build)
                     .ok_or_else(|| EngineError::Plan(format!("no build input {build_input}")))?;
                 let bound = BoundOp::HashJoin {
-                    build_input: *build_input,
-                    build_key: idx_of(build_names, build_key, "key")?,
+                    build,
+                    build_key: idx_of(names, build_key, "key")?,
                     probe_key: idx_of(&cur, probe_key, "key")?,
                     build_cols: build_columns
                         .iter()
-                        .map(|c| idx_of(build_names, c, "build"))
+                        .map(|c| idx_of(names, c, "build"))
                         .collect::<Result<_, _>>()?,
                 };
                 cur.extend(build_columns.iter().cloned());
@@ -459,11 +261,12 @@ fn bind_ops(
                 category_input,
                 window,
             } => {
-                let item_names = input_names
-                    .get(*category_input)
+                let category = build_slot(*category_input)?;
+                let item_names = build_names
+                    .get(category)
                     .ok_or_else(|| EngineError::Plan(format!("no input {category_input}")))?;
                 let bound = BoundOp::SessionizeQ3 {
-                    category_input: *category_input,
+                    category,
                     category_col: idx_of(item_names, "i_item_sk", "key")?,
                     cols: SessionCols {
                         users: idx_of(&cur, "wcs_user_sk", "key")?,
@@ -572,29 +375,12 @@ fn materialise_all(stream: Vec<SelBatch>) -> Vec<Batch> {
 // the bound executor
 // ---------------------------------------------------------------------------
 
-/// Per-invocation execution context: scratch arena + dictionary cache.
-struct Ctx {
+/// Per-invocation execution context: scratch arena, dictionary cache, and
+/// the UDFs expressions may call.
+struct Ctx<'a> {
     arena: Arena,
     cache: DictCache,
-}
-
-/// Run an operator chain over materialised inputs via the binding pass
-/// and the normalized-key kernels, returning the output stream *with its
-/// selection vectors intact* so the caller (the worker's shuffle writer)
-/// can keep operating under the sel. Produces output bit-identical to
-/// [`crate::operators::execute_ops`] once materialised; falls back to it
-/// when an input stream carries no batches (no schema to bind against).
-pub fn execute_chain_sel(
-    ops: &[Op],
-    inputs: &[Vec<Batch>],
-    udfs: &UdfRegistry,
-) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
-    if inputs.is_empty() || inputs.iter().any(Vec::is_empty) {
-        let (out, stats) = operators::execute_ops(ops, inputs, udfs)?;
-        let stream = out.into_iter().map(SelBatch::wrap).collect();
-        return Ok((stream, stats, ArenaReport::default()));
-    }
-    execute_bound(ops, inputs[0].to_vec(), inputs, &[], udfs)
+    udfs: &'a UdfRegistry,
 }
 
 /// A string dictionary decoded straight from an SPF shuffle segment,
@@ -611,70 +397,42 @@ pub struct DictSeed {
     pub dict: Rc<Vec<String>>,
 }
 
-/// True when `op` materialises pipeline input 0 as a build side — the
-/// stream cannot also be consumed by index in that case.
-fn references_input_zero(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::HashJoin { build_input: 0, .. }
-            | Op::SessionizeQ3 {
-                category_input: 0,
-                ..
-            }
-    )
+/// Field names of a pipeline input, read off its first batch.
+fn input_names(input: usize, batches: &[Batch]) -> Result<Vec<String>, EngineError> {
+    let first = batches.first().ok_or_else(|| {
+        EngineError::Plan(format!(
+            "input {input} has no batches, so no schema to bind against"
+        ))
+    })?;
+    Ok(first.schema.fields.iter().map(|f| f.name.clone()).collect())
 }
 
-/// [`execute_chain_sel`] taking ownership of the inputs: the stream
-/// (input 0) enters the fused pipeline without the defensive deep-clone,
-/// and `seeds` pre-populates the dictionary cache with dictionaries the
-/// shuffle reader decoded from storage (late materialization: the batch
-/// `Rc`s wrap exactly the decoded columns, so pointer-identity caching
-/// holds from the moment of decode).
-pub fn execute_chain_sel_seeded(
-    ops: &[Op],
-    mut inputs: Vec<Vec<Batch>>,
-    seeds: &[DictSeed],
-    udfs: &UdfRegistry,
-) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
-    if inputs.is_empty()
-        || inputs.iter().any(Vec::is_empty)
-        || ops.iter().any(references_input_zero)
-    {
-        let (out, stats) = operators::execute_ops(ops, &inputs, udfs)?;
-        let stream = out.into_iter().map(SelBatch::wrap).collect();
-        return Ok((stream, stats, ArenaReport::default()));
-    }
-    let stream = std::mem::take(&mut inputs[0]);
-    execute_bound(ops, stream, &inputs, seeds, udfs)
-}
-
-/// Shared driver: bind against the input schemas, seed the dictionary
-/// cache, then run the chain under selection vectors. `inputs[0]` is only
-/// used for its schema (the stream arrives owned); build sides index
-/// `inputs[1..]`.
-fn execute_bound(
+/// Run an operator chain: bind it against the input schemas, then push
+/// `stream` (pipeline input 0, owned, so it enters the fused pipeline
+/// without a copy) through it under selection vectors, with `builds[i]`
+/// serving pipeline input `i + 1`. The output keeps its selection vectors
+/// so the caller (the worker's shuffle writer) can go on operating under
+/// the sel. `seeds` pre-populates the dictionary cache with dictionaries
+/// the shuffle reader decoded from storage (late materialization: the
+/// batch `Rc`s wrap exactly the decoded columns, so pointer-identity
+/// caching holds from the moment of decode).
+pub fn execute_chain_sel(
     ops: &[Op],
     stream: Vec<Batch>,
-    inputs: &[Vec<Batch>],
+    builds: &[Vec<Batch>],
     seeds: &[DictSeed],
     udfs: &UdfRegistry,
 ) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
-    let input_names: Vec<Vec<String>> = inputs
+    let build_names: Vec<Vec<String>> = builds
         .iter()
         .enumerate()
-        .map(|(i, batches)| {
-            let schema = if i == 0 {
-                &stream[0].schema
-            } else {
-                &batches[0].schema
-            };
-            schema.fields.iter().map(|f| f.name.clone()).collect()
-        })
-        .collect();
-    let bound = bind_ops(ops, &input_names, udfs)?;
+        .map(|(i, batches)| input_names(i + 1, batches))
+        .collect::<Result<_, _>>()?;
+    let bound = bind_ops(ops, input_names(0, &stream)?, &build_names, udfs)?;
     let ctx = Ctx {
         arena: Arena::current(),
         cache: DictCache::new(),
+        udfs,
     };
     ctx.arena.reset();
     let mut stream: Vec<SelBatch> = stream.into_iter().map(SelBatch::wrap).collect();
@@ -685,9 +443,9 @@ fn execute_bound(
     }
     let rows_in = stream.iter().map(|b| b.rows() as u64).sum();
     let mut per_op: Vec<(&'static str, u64)> = Vec::with_capacity(bound.len());
-    for op in &bound {
+    for (op, bound) in ops.iter().zip(&bound) {
         let before = ctx.arena.bytes_allocated();
-        stream = apply_bound(op, stream, inputs, &ctx)?;
+        stream = apply_bound(bound, stream, builds, &ctx)?;
         per_op.push((op.label(), ctx.arena.bytes_allocated() - before));
     }
     let stats = OpChainStats {
@@ -702,28 +460,32 @@ fn execute_bound(
     Ok((stream, stats, report))
 }
 
-/// [`execute_chain_sel`] with the output gathered into plain batches —
-/// the compatibility surface for benchmarks and tests.
+/// [`execute_chain_sel`] over borrowed inputs (`inputs[0]`, the stream,
+/// is cloned) with the output gathered into plain batches: the shorthand
+/// benchmarks and tests call.
 pub fn execute_chain(
     ops: &[Op],
     inputs: &[Vec<Batch>],
     udfs: &UdfRegistry,
 ) -> Result<(Vec<Batch>, OpChainStats), EngineError> {
-    let (stream, stats, _report) = execute_chain_sel(ops, inputs, udfs)?;
+    let (stream, builds) = inputs
+        .split_first()
+        .ok_or_else(|| EngineError::Plan("pipeline has no inputs".into()))?;
+    let (stream, stats, _report) = execute_chain_sel(ops, stream.clone(), builds, &[], udfs)?;
     Ok((materialise_all(stream), stats))
 }
 
 fn apply_bound(
     op: &BoundOp,
     stream: Vec<SelBatch>,
-    inputs: &[Vec<Batch>],
+    builds: &[Vec<Batch>],
     ctx: &Ctx,
 ) -> Result<Vec<SelBatch>, EngineError> {
     match op {
         BoundOp::Filter(pred) => stream
             .into_iter()
             .map(|sb| {
-                let mask_col = evaluate_bound(pred, &sb.batch)?;
+                let mask_col = expr::evaluate(pred, &sb.batch, ctx.udfs)?;
                 let mask = expr::expect_bool(&mask_col)?;
                 let SelBatch { batch, sel } = sb;
                 let n = batch.num_rows();
@@ -762,9 +524,9 @@ fn apply_bound(
                 // the projected columns themselves.
                 let mut fields = Vec::with_capacity(exprs.len());
                 let mut columns = Vec::with_capacity(exprs.len());
-                for (name, e) in exprs {
-                    let col = evaluate_bound(e, &sb.batch)?;
-                    fields.push(Field::new(name, col.data_type()));
+                for ne in *exprs {
+                    let col = expr::evaluate(&ne.expr, &sb.batch, ctx.udfs)?;
+                    fields.push(Field::new(&ne.name, col.data_type()));
                     columns.push(col);
                 }
                 Ok(SelBatch {
@@ -782,23 +544,27 @@ fn apply_bound(
         } => hash_aggregate(&stream, group_idx, group_names, aggs, *mode, ctx)
             .map(|b| vec![SelBatch::wrap(b)]),
         BoundOp::HashJoin {
-            build_input,
+            build,
             build_key,
             probe_key,
             build_cols,
-        } => {
-            let build = &inputs[*build_input];
-            hash_join(&stream, build, *build_key, *probe_key, build_cols, ctx)
-        }
+        } => hash_join(
+            &stream,
+            &builds[*build],
+            *build_key,
+            *probe_key,
+            build_cols,
+            ctx,
+        ),
         BoundOp::Sort { by } => sort(&stream, by, ctx).map(|b| vec![SelBatch::wrap(b)]),
         BoundOp::Limit(n) => Ok(limit(stream, *n)),
         BoundOp::SessionizeQ3 {
-            category_input,
+            category,
             category_col,
             cols,
             window,
         } => {
-            let items = &inputs[*category_input];
+            let items = &builds[*category];
             sessionize_q3(&stream, items, *category_col, cols, *window, ctx)
                 .map(|b| vec![SelBatch::wrap(b)])
         }
@@ -849,7 +615,7 @@ struct Grouping {
     keys: KeyBuffer,
     /// Flat live-row index (across non-empty parts, in stream order) →
     /// group id. Group ids are assigned in normalized-key order, which
-    /// equals the legacy `BTreeMap<Vec<ScalarKey>, _>` iteration order.
+    /// equals the iteration order of the oracle's `BTreeMap` of keys.
     group_of: Vec<u32>,
     /// Group id → one flat row holding that key.
     rep: Vec<u32>,
@@ -882,7 +648,7 @@ fn group_rows(parts: &[(&Batch, SelSpec)], cols: &[usize], ctx: &Ctx) -> Groupin
 
 /// Typed per-group accumulators: column-direct updates, no per-row
 /// `Value` boxing. `Min`/`Max` keep scalar state but only clone a value
-/// when it actually replaces the current extremum (matching the legacy
+/// when it actually replaces the current extremum (matching the oracle's
 /// `merge_minmax` semantics exactly).
 enum Acc {
     Sum(Vec<f64>),
@@ -918,7 +684,7 @@ fn col_f64_at(col: &Column, row: usize) -> f64 {
     }
 }
 
-/// Min/max update mirroring `operators::merge_minmax`: same-type int and
+/// Min/max update mirroring the oracle's `merge_minmax`: same-type int and
 /// string keys compare natively, everything else through `as_f64` with
 /// ties keeping the incumbent. Clones only on replacement.
 fn minmax_update(slot: &mut Option<Value>, col: &Column, row: usize, is_max: bool) {
@@ -965,7 +731,7 @@ fn hash_aggregate(
     let mut accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.func, n_groups)).collect();
 
     // Accumulate in live stream-row order: each group's updates hit in
-    // the same order as the legacy path, so float sums agree exactly.
+    // the same order as in the oracle, so float sums agree exactly.
     let mut flat = 0usize;
     for sb in &live {
         let batch = sb.batch.as_ref();
@@ -979,7 +745,7 @@ fn hash_aggregate(
                     .iter()
                     .map(|a| match &a.kind {
                         BoundAggKind::Eval(None) => Ok(None),
-                        BoundAggKind::Eval(Some(e)) => evaluate_bound(e, batch)
+                        BoundAggKind::Eval(Some(e)) => expr::evaluate(e, batch, ctx.udfs)
                             .map(Some)
                             .map_err(EngineError::from),
                         BoundAggKind::Merge { .. } => unreachable!("bound for Final mode"),
@@ -1036,8 +802,8 @@ fn hash_aggregate(
         }
     }
 
-    // Assemble the output batch exactly as the legacy path does, with
-    // groups in normalized-key (== ScalarKey BTreeMap) order.
+    // Assemble the output batch exactly as the oracle does, with
+    // groups in normalized-key (== the oracle's BTreeMap) order.
     let mut fields: Vec<Field> = Vec::new();
     let mut columns: Vec<Column> = Vec::new();
     for (gi, gname) in group_names.iter().enumerate() {
@@ -1080,7 +846,7 @@ fn hash_aggregate(
                 columns.push(Column::Float64(s));
             }
             (Acc::Count(c), _) => {
-                // The legacy emission funnels through `column_from_values`,
+                // The oracle's emission funnels through `column_from_values`,
                 // whose zero-row case types as Float64 — replicate.
                 let col = if c.is_empty() {
                     Column::Float64(Vec::new())
@@ -1135,7 +901,7 @@ fn hash_join(
     }
     let build_all = Batch::concat(build);
     // Build side: normalized keys sorted (key, row). Equal keys keep
-    // build-row order, matching the legacy table's insertion order.
+    // build-row order, matching the oracle table's insertion order.
     let kb = KeyBuffer::encode(&[&build_all], &[build_key]);
     let order = kb.sort_indices();
     let mut sorted = ctx.arena.u64s(order.len());
@@ -1193,7 +959,7 @@ fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, E
     let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
     let words = ctx.arena.u64s(total * cols.len());
     let kb = KeyBuffer::encode_selected(&parts, &cols, Some(&ctx.cache), words);
-    // Location table in live stream order (== legacy concat order), then
+    // Location table in live stream order (== the oracle's concat order), then
     // a stable sort of positions, then one gather straight from the
     // original batches — the concat itself never happens.
     let mut locs = ctx.arena.locs(total);
@@ -1233,7 +999,7 @@ fn sessionize_q3(
 ) -> Result<Batch, EngineError> {
     use skyrise_data::DataType;
     // Category membership as a sorted vector + binary search (same
-    // membership, same ascending iteration as the legacy BTreeSet).
+    // membership, same ascending iteration as the oracle's BTreeSet).
     let mut category: Vec<i64> = items
         .iter()
         .flat_map(|b| b.columns[category_col].as_i64().iter().copied())
@@ -1335,7 +1101,7 @@ fn sessionize_q3(
 /// materialising it first: hashes fold batched over each batch's key
 /// columns, live rows route to per-bucket location tables, and each
 /// bucket gathers straight from the original batches. Row order within a
-/// bucket equals the legacy concat-then-`partition_batch` order.
+/// bucket equals concat-then-`partition_batch` order.
 pub fn partition_sel(
     output: Vec<SelBatch>,
     partition_by: &[String],
@@ -1370,8 +1136,9 @@ pub fn partition_sel(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::expr::CmpOp;
     use crate::plan::AggExpr;
     use skyrise_data::DataType;
     use std::rc::Rc;
@@ -1380,7 +1147,7 @@ mod tests {
         UdfRegistry::with_builtins()
     }
 
-    fn lineitems() -> Vec<Batch> {
+    pub(crate) fn lineitems() -> Vec<Batch> {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int64),
             Field::new("price", DataType::Float64),
@@ -1406,90 +1173,6 @@ mod tests {
         ]
     }
 
-    /// Every operator shape through both executors: identical batches.
-    fn assert_matches_oracle(ops: &[Op], inputs: &[Vec<Batch>]) {
-        let (new, new_stats) = execute_chain(ops, inputs, &udfs()).unwrap();
-        let (old, old_stats) = operators::execute_ops(ops, inputs, &udfs()).unwrap();
-        let new_all = Batch::concat(&new);
-        let old_all = Batch::concat(&old);
-        assert_eq!(new_all.schema, old_all.schema);
-        assert_eq!(new_all.columns, old_all.columns);
-        assert_eq!(new_stats, old_stats);
-    }
-
-    #[test]
-    fn filter_project_matches_oracle() {
-        let ops = vec![
-            Op::Filter {
-                predicate: Expr::col("k").cmp(CmpOp::Ge, Expr::lit_i64(2)),
-            },
-            Op::Filter {
-                predicate: Expr::col("flag").cmp(CmpOp::Eq, Expr::lit_str("A")),
-            },
-            Op::Project {
-                exprs: vec![NamedExpr::new(
-                    "double",
-                    Expr::col("price").arith(ArithOp::Mul, Expr::lit_f64(2.0)),
-                )],
-            },
-        ];
-        assert_matches_oracle(&ops, &[lineitems()]);
-    }
-
-    #[test]
-    fn aggregate_matches_oracle_all_modes() {
-        let aggs = vec![
-            AggExpr::new(AggFunc::Sum, Expr::col("price"), "total"),
-            AggExpr::new(AggFunc::Count, Expr::lit_i64(1), "cnt"),
-            AggExpr::new(AggFunc::Avg, Expr::col("price"), "avg_price"),
-            AggExpr::new(AggFunc::Min, Expr::col("k"), "min_k"),
-            AggExpr::new(AggFunc::Max, Expr::col("flag"), "max_flag"),
-        ];
-        for mode in [AggMode::Single, AggMode::Partial] {
-            let ops = vec![Op::HashAggregate {
-                group_by: vec!["flag".into()],
-                aggregates: aggs.clone(),
-                mode,
-            }];
-            assert_matches_oracle(&ops, &[lineitems()]);
-        }
-        // Global aggregate (no group keys).
-        let ops = vec![Op::HashAggregate {
-            group_by: vec![],
-            aggregates: aggs,
-            mode: AggMode::Single,
-        }];
-        assert_matches_oracle(&ops, &[lineitems()]);
-    }
-
-    #[test]
-    fn join_sort_limit_matches_oracle() {
-        let orders_schema = Schema::new(vec![
-            Field::new("o_key", DataType::Int64),
-            Field::new("prio", DataType::Utf8),
-        ]);
-        let orders = vec![Batch::new(
-            orders_schema,
-            vec![
-                Column::Int64(vec![1, 2, 4, 2]),
-                Column::Utf8(vec!["HI".into(), "LO".into(), "HI".into(), "MED".into()]),
-            ],
-        )];
-        let ops = vec![
-            Op::HashJoin {
-                build_input: 1,
-                build_key: "o_key".into(),
-                probe_key: "k".into(),
-                build_columns: vec!["prio".into()],
-            },
-            Op::Sort {
-                by: vec![("prio".into(), true), ("k".into(), false)],
-            },
-            Op::Limit { n: 3 },
-        ];
-        assert_matches_oracle(&ops, &[lineitems(), orders]);
-    }
-
     #[test]
     fn binding_errors_match_legacy_shapes() {
         let ops = vec![Op::Sort {
@@ -1502,6 +1185,51 @@ mod tests {
         }];
         let err = execute_chain(&ops, &[lineitems()], &udfs()).unwrap_err();
         assert!(err.to_string().contains("unknown column zzz"));
+        let ops = vec![Op::Project {
+            exprs: vec![NamedExpr::new(
+                "p",
+                Expr::Udf {
+                    name: "nope".into(),
+                    args: vec![Expr::col("zzz")],
+                },
+            )],
+        }];
+        let err = execute_chain(&ops, &[lineitems()], &udfs()).unwrap_err();
+        assert!(matches!(err, EngineError::Expr(ExprError::UnknownUdf(ref u)) if u == "nope"));
+        assert!(err.to_string().contains("unknown UDF nope"));
+    }
+
+    fn plan_error(ops: &[Op], stream: Vec<Batch>, builds: &[Vec<Batch>]) -> String {
+        match execute_chain_sel(ops, stream, builds, &[], &udfs()) {
+            Err(EngineError::Plan(m)) => m,
+            other => panic!("expected a plan error, got {:?}", other.map(|r| r.1)),
+        }
+    }
+
+    /// What cannot be bound is a plan error from the one entry point: there
+    /// is no second executor to answer instead.
+    #[test]
+    fn unbindable_chains_are_typed_errors() {
+        let barrier = [Op::Barrier { name: "b".into() }];
+        assert!(plan_error(&barrier, vec![], &[]).contains("input 0 has no batches"));
+        assert!(plan_error(&barrier, lineitems(), &[vec![]]).contains("input 1 has no batches"));
+        let join = [Op::HashJoin {
+            build_input: 0,
+            build_key: "k".into(),
+            probe_key: "k".into(),
+            build_columns: vec!["flag".into()],
+        }];
+        assert!(
+            plan_error(&join, lineitems(), &[lineitems()]).contains("input 0 is the streamed side")
+        );
+        let sessionize = [Op::SessionizeQ3 {
+            category_input: 0,
+            window: 10,
+        }];
+        assert!(plan_error(&sessionize, lineitems(), &[]).contains("input 0 is the streamed side"));
+        // The borrowed shorthand is the same entry point.
+        let err = execute_chain(&join, &[lineitems()], &udfs()).unwrap_err();
+        assert!(matches!(err, EngineError::Plan(_)));
     }
 
     #[test]
@@ -1583,7 +1311,7 @@ mod tests {
                 mode: AggMode::Single,
             },
         ];
-        let (out, stats, report) = execute_chain_sel(&ops, &[lineitems()], &udfs()).unwrap();
+        let (out, stats, report) = execute_chain_sel(&ops, lineitems(), &[], &[], &udfs()).unwrap();
         assert_eq!(stats.rows_out, out.iter().map(|b| b.rows() as u64).sum());
         assert_eq!(report.resets, 1);
         assert!(report.bytes_allocated > 0);

@@ -78,11 +78,6 @@ pub struct TaskPolicy {
     pub backoff_cap_ms: u64,
     /// Apply full jitter to backoff sleeps.
     pub jitter: bool,
-    /// Concurrent in-flight shuffle-segment reads per worker. Two mirrors
-    /// real workers, which interleave shuffle reads with decode and join
-    /// work; wider fan-ins trade NIC contention for overlap.
-    #[serde(default = "crate::worker::default_shuffle_read_fanin")]
-    pub shuffle_read_fanin: u32,
 }
 
 impl Default for TaskPolicy {
@@ -98,7 +93,6 @@ impl Default for TaskPolicy {
             backoff_base_ms: 200,
             backoff_cap_ms: 10_000,
             jitter: true,
-            shuffle_read_fanin: crate::worker::default_shuffle_read_fanin(),
         }
     }
 }
@@ -382,7 +376,6 @@ pub async fn run_coordinator(
                 downstream_fragments: downstream,
                 inputs: assignments,
                 expected_input_bytes: expected_input,
-                shuffle_read_fanin: request.config.task_policy.shuffle_read_fanin.max(1),
             });
         }
 
@@ -644,29 +637,43 @@ async fn invoke_fleet(
         }
         Ok((reports, fleet))
     } else {
-        let mut handles = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            env.ctx.sleep(DISPATCH_LATENCY).await;
-            let payload = serde_json::to_string(task)?;
-            let expected = task.expected_input_bytes;
-            let ctx = env.ctx.clone();
-            let platform = platform.clone();
-            let name = worker_fn.to_string();
-            let tp = policy.clone();
-            let label = format!("{}/p{}/f{}", task.query_id, task.pipeline.id, task.fragment);
-            handles.push(env.ctx.spawn(async move {
-                invoke_resilient(&ctx, &platform, &name, payload, expected, &tp, lane, &label).await
-            }));
-        }
-        let mut reports = Vec::with_capacity(tasks.len());
-        for h in skyrise_sim::join_all(handles).await {
-            let (output, acct) = h?;
-            let mut report: WorkerReport = serde_json::from_str(&output)?;
-            stamp_attempts(&mut report, acct);
-            reports.push(report);
-        }
+        let reports = invoke_workers(env, platform, worker_fn, &tasks, policy, lane).await?;
         Ok((reports, fleet))
     }
+}
+
+/// Invoke one worker per task, a dispatch latency apart, each under the
+/// fault-tolerance policy, and gather the stamped reports in task order.
+async fn invoke_workers(
+    env: &ExecEnv,
+    platform: &ComputePlatform,
+    worker_fn: &str,
+    tasks: &[WorkerTask],
+    policy: &TaskPolicy,
+    lane: u64,
+) -> Result<Vec<WorkerReport>, EngineError> {
+    let mut handles = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        env.ctx.sleep(DISPATCH_LATENCY).await;
+        let payload = serde_json::to_string(task)?;
+        let expected = task.expected_input_bytes;
+        let ctx = env.ctx.clone();
+        let platform = platform.clone();
+        let name = worker_fn.to_string();
+        let tp = policy.clone();
+        let label = format!("{}/p{}/f{}", task.query_id, task.pipeline.id, task.fragment);
+        handles.push(env.ctx.spawn(async move {
+            invoke_resilient(&ctx, &platform, &name, payload, expected, &tp, lane, &label).await
+        }));
+    }
+    let mut reports = Vec::with_capacity(tasks.len());
+    for h in skyrise_sim::join_all(handles).await {
+        let (output, acct) = h?;
+        let mut report: WorkerReport = serde_json::from_str(&output)?;
+        stamp_attempts(&mut report, acct);
+        reports.push(report);
+    }
+    Ok(reports)
 }
 
 /// Run a fan-out helper: invoke each task in the group (under the
@@ -678,28 +685,15 @@ pub async fn run_fanout(
     request: &FanoutRequest,
 ) -> Result<Vec<WorkerReport>, EngineError> {
     let lane = env.ctx.tracer().next_lane();
-    let mut handles = Vec::with_capacity(request.tasks.len());
-    for task in &request.tasks {
-        env.ctx.sleep(DISPATCH_LATENCY).await;
-        let payload = serde_json::to_string(task)?;
-        let expected = task.expected_input_bytes;
-        let ctx = env.ctx.clone();
-        let platform = platform.clone();
-        let name = worker_fn.to_string();
-        let tp = request.policy.clone();
-        let label = format!("{}/p{}/f{}", task.query_id, task.pipeline.id, task.fragment);
-        handles.push(env.ctx.spawn(async move {
-            invoke_resilient(&ctx, &platform, &name, payload, expected, &tp, lane, &label).await
-        }));
-    }
-    let mut reports = Vec::with_capacity(request.tasks.len());
-    for h in skyrise_sim::join_all(handles).await {
-        let (output, acct) = h?;
-        let mut report: WorkerReport = serde_json::from_str(&output)?;
-        stamp_attempts(&mut report, acct);
-        reports.push(report);
-    }
-    Ok(reports)
+    invoke_workers(
+        env,
+        platform,
+        worker_fn,
+        &request.tasks,
+        &request.policy,
+        lane,
+    )
+    .await
 }
 
 /// `Rc` alias used by the driver to share platform handles into handlers.

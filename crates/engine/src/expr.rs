@@ -134,6 +134,34 @@ impl Expr {
             right: Box::new(right),
         }
     }
+
+    /// Visit this node, then its operands left to right: the order in
+    /// which [`evaluate`] resolves column and UDF names.
+    pub fn for_each_node(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => {}
+            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
+                left.for_each_node(f);
+                right.for_each_node(f);
+            }
+            Expr::And(parts) | Expr::Or(parts) | Expr::Udf { args: parts, .. } => {
+                for p in parts {
+                    p.for_each_node(f);
+                }
+            }
+            Expr::Not(inner) | Expr::InList { expr: inner, .. } => inner.for_each_node(f),
+            Expr::Case {
+                when,
+                then,
+                otherwise,
+            } => {
+                when.for_each_node(f);
+                then.for_each_node(f);
+                otherwise.for_each_node(f);
+            }
+        }
+    }
 }
 
 /// A named output expression (projection item).
@@ -219,6 +247,11 @@ impl std::fmt::Display for ExprError {
 impl std::error::Error for ExprError {}
 
 /// Evaluate an expression over a batch, producing one value per row.
+///
+/// Evaluation is total and row-wise pure (integer division promotes to
+/// float instead of trapping), so [`crate::bind`] evaluates over a full
+/// batch and consumes the result under a selection vector: values at
+/// unselected rows are computed and discarded, never observed.
 pub fn evaluate(expr: &Expr, batch: &Batch, udfs: &UdfRegistry) -> Result<Column, ExprError> {
     let n = batch.num_rows();
     match expr {
@@ -354,7 +387,7 @@ pub fn evaluate_mask(
     expect_bool(&c).map(<[bool]>::to_vec)
 }
 
-pub(crate) fn broadcast(v: &Value, n: usize) -> Column {
+fn broadcast(v: &Value, n: usize) -> Column {
     match v {
         Value::Int64(x) => Column::Int64(vec![*x; n]),
         Value::Float64(x) => Column::Float64(vec![*x; n]),
@@ -370,7 +403,7 @@ pub(crate) fn expect_bool(c: &Column) -> Result<&[bool], ExprError> {
     }
 }
 
-pub(crate) fn compare(op: CmpOp, l: &Column, r: &Column) -> Result<Column, ExprError> {
+fn compare(op: CmpOp, l: &Column, r: &Column) -> Result<Column, ExprError> {
     fn cmp_iter<T: PartialOrd>(op: CmpOp, l: &[T], r: &[T]) -> Vec<bool> {
         l.iter()
             .zip(r)
@@ -400,7 +433,7 @@ pub(crate) fn compare(op: CmpOp, l: &Column, r: &Column) -> Result<Column, ExprE
     }))
 }
 
-pub(crate) fn arithmetic(op: ArithOp, l: &Column, r: &Column) -> Result<Column, ExprError> {
+fn arithmetic(op: ArithOp, l: &Column, r: &Column) -> Result<Column, ExprError> {
     fn f(op: ArithOp, a: f64, b: f64) -> f64 {
         match op {
             ArithOp::Add => a + b,
@@ -445,7 +478,7 @@ pub(crate) fn arithmetic(op: ArithOp, l: &Column, r: &Column) -> Result<Column, 
     })
 }
 
-pub(crate) fn select(cond: &[bool], t: &Column, o: &Column) -> Result<Column, ExprError> {
+fn select(cond: &[bool], t: &Column, o: &Column) -> Result<Column, ExprError> {
     Ok(match (t, o) {
         (Column::Int64(a), Column::Int64(b)) => Column::Int64(
             cond.iter()

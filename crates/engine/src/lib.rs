@@ -24,7 +24,6 @@ pub mod plan;
 pub mod profile;
 pub mod pushdown;
 pub mod queries;
-pub mod reference;
 pub mod worker;
 
 pub use catalog::{load_dataset, DatasetLayout, DatasetMeta, PartitionMeta};

@@ -122,6 +122,23 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// Stable name of the operator kind, in trace spans and `engine.op.*`
+    /// counters.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Op::Filter { .. } => "filter",
+            Op::Project { .. } => "project",
+            Op::HashAggregate { .. } => "hash-aggregate",
+            Op::HashJoin { .. } => "hash-join",
+            Op::Sort { .. } => "sort",
+            Op::Limit { .. } => "limit",
+            Op::SessionizeQ3 { .. } => "sessionize",
+            Op::Barrier { .. } => "barrier",
+        }
+    }
+}
+
 /// Where a pipeline's input rows come from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum InputSpec {

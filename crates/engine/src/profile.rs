@@ -379,11 +379,15 @@ mod tests {
 
     #[test]
     fn cost_delta_clamps_and_totals() {
-        let mut before = CostReport::default();
-        before.lambda_compute_usd = 1.0;
-        let mut after = CostReport::default();
-        after.lambda_compute_usd = 1.5;
-        after.storage_request_usd = 0.25;
+        let before = CostReport {
+            lambda_compute_usd: 1.0,
+            ..CostReport::default()
+        };
+        let after = CostReport {
+            lambda_compute_usd: 1.5,
+            storage_request_usd: 0.25,
+            ..CostReport::default()
+        };
         let d = ProfileCost::delta(&before, &after);
         assert!((d.lambda_compute_usd - 0.5).abs() < 1e-12);
         assert!((d.total_usd() - 0.75).abs() < 1e-12);

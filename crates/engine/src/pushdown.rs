@@ -124,37 +124,11 @@ fn str_never(op: CmpOp, lo: &str, hi: &str, v: &str) -> bool {
 
 /// Collect every column name referenced by `expr` into `out`.
 pub fn expr_columns(expr: &Expr, out: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Col(name) => {
+    expr.for_each_node(&mut |node| {
+        if let Expr::Col(name) = node {
             out.insert(name.clone());
         }
-        Expr::Lit(_) => {}
-        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-            expr_columns(left, out);
-            expr_columns(right, out);
-        }
-        Expr::And(parts) | Expr::Or(parts) => {
-            for p in parts {
-                expr_columns(p, out);
-            }
-        }
-        Expr::Not(inner) => expr_columns(inner, out),
-        Expr::InList { expr, .. } => expr_columns(expr, out),
-        Expr::Case {
-            when,
-            then,
-            otherwise,
-        } => {
-            expr_columns(when, out);
-            expr_columns(then, out);
-            expr_columns(otherwise, out);
-        }
-        Expr::Udf { args, .. } => {
-            for a in args {
-                expr_columns(a, out);
-            }
-        }
-    }
+    });
 }
 
 /// Column demand during the backward pass: either "everything the input

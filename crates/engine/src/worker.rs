@@ -18,7 +18,7 @@
 //! consumer chain binds and zone-pruned against its leading predicates —
 //! instead of downloading and decoding every co-located bucket.
 
-use crate::bind::{execute_chain_sel_seeded, partition_sel, DictSeed, SelBatch};
+use crate::bind::{execute_chain_sel, partition_sel, DictSeed, SelBatch};
 use crate::catalog::PartitionMeta;
 use crate::cpu;
 use crate::error::EngineError;
@@ -81,17 +81,6 @@ pub struct WorkerTask {
     /// estimate; sizes the straggler re-trigger timeout).
     #[serde(default)]
     pub expected_input_bytes: u64,
-    /// Concurrent in-flight shuffle-segment reads per worker (from
-    /// [`crate::coordinator::TaskPolicy::shuffle_read_fanin`]).
-    #[serde(default = "default_shuffle_read_fanin")]
-    pub shuffle_read_fanin: u32,
-}
-
-/// Default shuffle read fan-in: two in flight mirrors real workers, which
-/// interleave shuffle reads with decoding and joining rather than issuing
-/// them all up front.
-pub fn default_shuffle_read_fanin() -> u32 {
-    2
 }
 
 /// What a worker reports back to the coordinator.
@@ -133,6 +122,11 @@ fn default_attempts() -> u32 {
 
 /// Concurrent ranged chunk requests per worker.
 pub const CHUNK_CONCURRENCY: usize = 8;
+
+/// Concurrent in-flight shuffle-segment reads per worker: two in flight
+/// mirrors real workers, which interleave shuffle reads with decoding and
+/// joining rather than issuing them all up front.
+const SHUFFLE_READ_FANIN: usize = 2;
 
 /// Speculative suffix length for the layout probe of a shuffle read: one
 /// GET that lands the trailer, footer, and bucket directory — and for
@@ -179,20 +173,6 @@ impl ShuffleReadStats {
         self.bytes_pruned += other.bytes_pruned;
         self.rows_demuxed += other.rows_demuxed;
         self.bytes_decoded += other.bytes_decoded;
-    }
-}
-
-/// Stable trace label for an operator.
-fn op_label(op: &Op) -> &'static str {
-    match op {
-        Op::Filter { .. } => "filter",
-        Op::Project { .. } => "project",
-        Op::HashAggregate { .. } => "hash-aggregate",
-        Op::HashJoin { .. } => "hash-join",
-        Op::Sort { .. } => "sort",
-        Op::Limit { .. } => "limit",
-        Op::SessionizeQ3 { .. } => "sessionize",
-        Op::Barrier { .. } => "barrier",
     }
 }
 
@@ -323,7 +303,8 @@ pub async fn run_worker(
 
     // Materialise inputs.
     let io_started = env.ctx.now();
-    let mut inputs: Vec<Vec<Batch>> = Vec::with_capacity(task.inputs.len());
+    let mut stream: Vec<Batch> = Vec::new();
+    let mut builds: Vec<Vec<Batch>> = Vec::new();
     let mut report = WorkerReport {
         fragment: task.fragment,
         cold_start: env.cold_start,
@@ -344,7 +325,7 @@ pub async fn run_worker(
         };
         let read_span = tracer.span(&env.ctx, "worker", lane, read_name);
         read_span.attr("query", task.query_id.as_str());
-        let mut outcome = match assignment {
+        let outcome = match assignment {
             InputAssignment::Scan { partitions } => {
                 let (projection, predicate) = match spec {
                     InputSpec::Scan {
@@ -399,7 +380,6 @@ pub async fn run_worker(
                     (*combine).max(1),
                     projection.as_deref(),
                     &predicates,
-                    task.shuffle_read_fanin,
                     env.vcpus,
                 )
                 .await?
@@ -413,15 +393,17 @@ pub async fn run_worker(
                 None => shuffle_stats = Some(s.clone()),
             }
         }
-        if idx == 0 {
-            stream_scale = outcome.tally.scale();
-            seeds = std::mem::take(&mut outcome.seeds);
-        }
         read_span
             .attr("bytes", outcome.tally.transferred)
             .attr("requests", outcome.tally.requests);
         read_span.end();
-        inputs.push(outcome.batches);
+        if idx == 0 {
+            stream_scale = outcome.tally.scale();
+            seeds = outcome.seeds;
+            stream = outcome.batches;
+        } else {
+            builds.push(outcome.batches);
+        }
     }
     // I/O-stack CPU charge for ingesting the inputs.
     let io_span = tracer.span(&env.ctx, "worker", lane, "io-stack");
@@ -443,7 +425,7 @@ pub async fn run_worker(
     // so dictionary-encoded shuffle columns skip the first re-encode.
     let cpu_started = env.ctx.now();
     let (output, stats, arena_report) =
-        execute_chain_sel_seeded(&task.pipeline.ops, inputs, &seeds, udfs)?;
+        execute_chain_sel(&task.pipeline.ops, stream, &builds, &seeds, udfs)?;
     let logical_rows = stats.rows_in as f64 * stream_scale;
     env.ctx
         .sleep(cpu::chain_cost(&task.pipeline.ops, logical_rows, env.vcpus))
@@ -454,7 +436,7 @@ pub async fn run_worker(
         let mut cursor = cpu_started;
         for op in &task.pipeline.ops {
             let end = cursor.saturating_add(cpu::op_cost(op, logical_rows, env.vcpus));
-            let op_span = tracer.span_at(cursor, end, "worker", lane, op_label(op));
+            let op_span = tracer.span_at(cursor, end, "worker", lane, op.label());
             op_span
                 .attr("query", task.query_id.as_str())
                 .attr("rows", logical_rows as u64)
@@ -610,7 +592,7 @@ pub async fn run_worker(
             .histogram("engine.worker.cpu_secs")
             .record(report.cpu_secs);
         for op in &task.pipeline.ops {
-            let label = op_label(op);
+            let label = op.label();
             metrics
                 .counter(&format!("engine.op.{label}.invocations"))
                 .inc();
@@ -919,7 +901,6 @@ async fn read_shuffle(
     combine: u32,
     projection: Option<&[String]>,
     predicates: &[Expr],
-    fanin: u32,
     vcpus: f64,
 ) -> Result<ReadOutcome, EngineError> {
     let my_group = my_fragment / combine;
@@ -961,7 +942,7 @@ async fn read_shuffle(
     // Bounded fan-in: a worker pulls its buckets a few at a time rather
     // than hammering the storage service with one request per upstream
     // fragment simultaneously.
-    let gate = Rc::new(skyrise_sim::sync::Semaphore::new(fanin.max(1) as usize));
+    let gate = Rc::new(skyrise_sim::sync::Semaphore::new(SHUFFLE_READ_FANIN));
     let mut handles = Vec::with_capacity(upstream_fragments as usize);
     for src in 0..upstream_fragments {
         let key = shuffle_key(query_id, from_pipeline, src, my_group);
@@ -1339,7 +1320,6 @@ mod tests {
                     combine: 2,
                 }],
                 expected_input_bytes: 0,
-                shuffle_read_fanin: 2,
             };
             run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
         });
@@ -1417,7 +1397,6 @@ mod tests {
                     partitions: vec![partition],
                 }],
                 expected_input_bytes: 0,
-                shuffle_read_fanin: 2,
             };
             run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
         });
@@ -1454,12 +1433,10 @@ mod tests {
                 combine: 1,
             }],
             expected_input_bytes: 64 << 20,
-            shuffle_read_fanin: 4,
         };
         let json = serde_json::to_string(&task).unwrap();
         let back: WorkerTask = serde_json::from_str(&json).unwrap();
         assert_eq!(back.fragment, 1);
-        assert_eq!(back.shuffle_read_fanin, 4);
         assert!(matches!(
             back.inputs[0],
             InputAssignment::Shuffle {
@@ -1467,9 +1444,5 @@ mod tests {
                 ..
             }
         ));
-        // Tasks serialised by a pre-fan-in coordinator keep the old width.
-        let stripped = json.replace(",\"shuffle_read_fanin\":4", "");
-        let old: WorkerTask = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(old.shuffle_read_fanin, 2);
     }
 }

@@ -4,8 +4,9 @@ use proptest::prelude::*;
 use skyrise_data::{Batch, Column, DataType, Field, KeyBuffer, Schema, Value};
 use skyrise_engine::bind::execute_chain;
 use skyrise_engine::expr::{evaluate_mask, ArithOp, CmpOp, Expr, NamedExpr, UdfRegistry};
-use skyrise_engine::operators::{execute_ops, partition_batch, partition_batch_scalar, ScalarKey};
+use skyrise_engine::operators::partition_batch;
 use skyrise_engine::plan::{AggExpr, AggFunc, AggMode, Op};
+use skyrise_oracle::operators::{execute_ops, partition_batch_scalar, ScalarKey};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -308,7 +309,7 @@ fn distributed_agg_through_partitioning() {
 // Normalized-key kernels vs the row-at-a-time ScalarKey oracle.
 //
 // The bound executor (`bind::execute_chain`) must produce *byte-identical*
-// output to the legacy `operators::execute_ops` path for every operator it
+// output to the oracle's `execute_ops` for every operator it
 // rewrites, on batches mixing every key type (including NaN / -0.0 floats).
 // ---------------------------------------------------------------------------
 
@@ -595,10 +596,10 @@ proptest! {
         prop_assert_eq!(got, want);
         // Decode round-trips through the dictionary.
         for gi in 0..cols.len() {
-            for r in 0..batch.num_rows() {
+            for (r, row) in scalar_rows.iter().enumerate() {
                 prop_assert_eq!(
                     ScalarKey::try_from_value(&kb.value(r, gi)).unwrap(),
-                    scalar_rows[r][gi].clone()
+                    row[gi].clone()
                 );
             }
         }

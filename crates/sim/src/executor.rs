@@ -1023,14 +1023,9 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn deadlock_detection() {
         let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
         sim.spawn(async move {
-            // A join handle for a task that never gets spawned elsewhere:
-            // block forever on a channel with no sender activity.
-            let (_tx, mut rx) = crate::sync::channel::<()>(&ctx);
-            // keep _tx alive so recv never resolves with None
-            let _keep = _tx.clone();
-            rx.recv().await;
+            // Block forever on a permit nobody releases.
+            let _never = crate::sync::Semaphore::new(0).acquire().await;
         });
         sim.run();
     }
@@ -1261,8 +1256,8 @@ mod tests {
     fn per_task_clock_regression_panics_through_the_executor() {
         let mut sim = Sim::new(1);
         sim.enable_sanitizer();
-        let (ctx, gate) = (sim.ctx(), crate::sync::Event::new());
-        let opened = gate.wait();
+        let (ctx, gate) = (sim.ctx(), crate::sync::Semaphore::new(0));
+        let opened = gate.acquire();
         sim.spawn(async move {
             ctx.sleep(SimDuration::from_nanos(100)).await;
             race(opened, ctx.sleep(SimDuration::from_secs(1))).await;
@@ -1271,7 +1266,7 @@ mod tests {
         // the run from calling it a deadlock). Rewind, then wake it.
         sim.run_until(SimTime::from_nanos(100));
         sim.state.now.set(SimTime::from_nanos(50));
-        gate.set();
+        gate.release(1);
         sim.run();
     }
 

@@ -10,7 +10,7 @@
 //! * [`executor`] — the [`Sim`] event loop, task spawning, virtual sleep
 //! * [`time`] — [`SimTime`] / [`SimDuration`]
 //! * [`rng`] — seeded RNG and heavy-tailed latency distributions
-//! * [`sync`] — channels, semaphores, events, wait groups
+//! * [`sync`] — the FIFO counting semaphore
 //! * [`metrics`] — interval throughput series, latency histograms, stats
 //! * [`telemetry`] — deterministic metric registry (counters, gauges,
 //!   latency sketches, utilization timelines) + Prometheus/JSONL export

@@ -1,215 +1,13 @@
-//! Asynchronous coordination primitives for simulation tasks.
-//!
-//! All primitives are single-threaded (`Rc`-based) and deterministic:
-//! waiters are released strictly in FIFO order.
+//! The coordination primitive simulation tasks share: a counting
+//! [`Semaphore`], single-threaded (`Rc`-based) and deterministic, with
+//! waiters released strictly in FIFO order.
 
-use crate::executor::SimCtx;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// mpsc channel
-// ---------------------------------------------------------------------------
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    recv_waker: Option<Waker>,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-/// Sending half of an unbounded channel. Cloneable.
-pub struct Sender<T> {
-    state: Rc<RefCell<ChannelState<T>>>,
-}
-
-/// Receiving half of an unbounded channel.
-pub struct Receiver<T> {
-    state: Rc<RefCell<ChannelState<T>>>,
-}
-
-/// Create an unbounded mpsc channel. The `ctx` argument pins the channel to
-/// a simulation (not otherwise used today, but part of the API contract so
-/// primitives can later hook the scheduler).
-pub fn channel<T>(_ctx: &SimCtx) -> (Sender<T>, Receiver<T>) {
-    let state = Rc::new(RefCell::new(ChannelState {
-        queue: VecDeque::new(),
-        recv_waker: None,
-        senders: 1,
-        receiver_alive: true,
-    }));
-    (
-        Sender {
-            state: Rc::clone(&state),
-        },
-        Receiver { state },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueue a value. Returns `Err(v)` if the receiver is gone.
-    pub fn send(&self, v: T) -> Result<(), T> {
-        let mut s = self.state.borrow_mut();
-        if !s.receiver_alive {
-            return Err(v);
-        }
-        s.queue.push_back(v);
-        if let Some(w) = s.recv_waker.take() {
-            w.wake();
-        }
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.state.borrow_mut().senders += 1;
-        Sender {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.senders -= 1;
-        if s.senders == 0 {
-            if let Some(w) = s.recv_waker.take() {
-                w.wake();
-            }
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Receive the next value; resolves to `None` once all senders dropped
-    /// and the queue drained.
-    pub fn recv(&mut self) -> Recv<'_, T> {
-        Recv { rx: self }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of values currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True when no values are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.state.borrow_mut().receiver_alive = false;
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    rx: &'a mut Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Option<T>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.rx.state.borrow_mut();
-        if let Some(v) = s.queue.pop_front() {
-            return Poll::Ready(Some(v));
-        }
-        if s.senders == 0 {
-            return Poll::Ready(None);
-        }
-        s.recv_waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-struct OneshotState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    sender_alive: bool,
-}
-
-/// Sending half of a oneshot channel.
-pub struct OneshotSender<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Receiving half of a oneshot channel; a future.
-pub struct OneshotReceiver<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Create a oneshot channel.
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let state = Rc::new(RefCell::new(OneshotState {
-        value: None,
-        waker: None,
-        sender_alive: true,
-    }));
-    (
-        OneshotSender {
-            state: Rc::clone(&state),
-        },
-        OneshotReceiver { state },
-    )
-}
-
-impl<T> OneshotSender<T> {
-    /// Deliver the value, waking the receiver.
-    pub fn send(self, v: T) {
-        let mut s = self.state.borrow_mut();
-        s.value = Some(v);
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-        // Drop impl will mark sender dead; value already present.
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.sender_alive = false;
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Future for OneshotReceiver<T> {
-    type Output = Option<T>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Some(v));
-        }
-        if !s.sender_alive {
-            return Poll::Ready(None);
-        }
-        s.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
 
 struct Waiter {
     waker: Option<Waker>,
@@ -258,17 +56,6 @@ impl Semaphore {
         Acquire {
             sem: self.clone(),
             waiter: None,
-        }
-    }
-
-    /// Try to acquire without waiting.
-    pub fn try_acquire(&self) -> Option<SemaphoreGuard> {
-        let mut s = self.state.borrow_mut();
-        if s.permits > 0 && s.waiters.is_empty() {
-            s.permits -= 1;
-            Some(SemaphoreGuard { sem: self.clone() })
-        } else {
-            None
         }
     }
 
@@ -369,184 +156,11 @@ impl Drop for SemaphoreGuard {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Event (one-time broadcast) and WaitGroup
-// ---------------------------------------------------------------------------
-
-struct EventState {
-    set: bool,
-    waiters: Vec<Waker>,
-}
-
-/// A one-time broadcast event: tasks wait until some task calls `set()`.
-/// Used for experiment start barriers (the paper synchronises client VMs
-/// "via a shared queue upon startup").
-#[derive(Clone)]
-pub struct Event {
-    state: Rc<RefCell<EventState>>,
-}
-
-impl Default for Event {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Event {
-    /// Create an unset event.
-    pub fn new() -> Self {
-        Event {
-            state: Rc::new(RefCell::new(EventState {
-                set: false,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Fire the event, waking all waiters. Idempotent.
-    pub fn set(&self) {
-        let mut s = self.state.borrow_mut();
-        s.set = true;
-        for w in s.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// True once fired.
-    pub fn is_set(&self) -> bool {
-        self.state.borrow().set
-    }
-
-    /// Wait until the event fires (immediate if already fired).
-    pub fn wait(&self) -> EventWait {
-        EventWait {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// Future returned by [`Event::wait`].
-pub struct EventWait {
-    state: Rc<RefCell<EventState>>,
-}
-
-impl Future for EventWait {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.state.borrow_mut();
-        if s.set {
-            Poll::Ready(())
-        } else {
-            s.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-/// Counts down from `n`; waiters resume when the count reaches zero.
-#[derive(Clone)]
-pub struct WaitGroup {
-    remaining: Rc<Cell<usize>>,
-    event: Event,
-}
-
-impl WaitGroup {
-    /// Create with an initial count.
-    pub fn new(n: usize) -> Self {
-        let wg = WaitGroup {
-            remaining: Rc::new(Cell::new(n)),
-            event: Event::new(),
-        };
-        if n == 0 {
-            wg.event.set();
-        }
-        wg
-    }
-
-    /// Decrement the count; fires waiters at zero. Panics below zero.
-    pub fn done(&self) {
-        let r = self.remaining.get();
-        assert!(r > 0, "WaitGroup::done called more times than count");
-        self.remaining.set(r - 1);
-        if r == 1 {
-            self.event.set();
-        }
-    }
-
-    /// Wait for the count to reach zero.
-    pub fn wait(&self) -> EventWait {
-        self.event.wait()
-    }
-
-    /// Remaining count.
-    pub fn remaining(&self) -> usize {
-        self.remaining.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let (tx, mut rx) = channel::<u32>(&ctx);
-            let producer_ctx = ctx.clone();
-            ctx.spawn(async move {
-                for i in 0..5 {
-                    producer_ctx.sleep(SimDuration::from_millis(10)).await;
-                    tx.send(i).unwrap();
-                }
-            });
-            let mut got = Vec::new();
-            while let Some(v) = rx.recv().await {
-                got.push(v);
-            }
-            got
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn channel_send_after_receiver_drop_errs() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let (tx, rx) = channel::<u32>(&ctx);
-            drop(rx);
-            tx.send(1).is_err()
-        });
-        sim.run();
-        assert!(h.try_take().unwrap());
-    }
-
-    #[test]
-    fn oneshot_roundtrip_and_drop() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let (tx, rx) = oneshot::<&'static str>();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(SimDuration::from_secs(1)).await;
-                tx.send("hello");
-            });
-            let got = rx.await;
-
-            let (tx2, rx2) = oneshot::<u32>();
-            drop(tx2);
-            let none = rx2.await;
-            (got, none)
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), (Some("hello"), None));
-    }
 
     #[test]
     fn semaphore_limits_concurrency() {
@@ -605,65 +219,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn event_releases_all_waiters() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let ev = Event::new();
-            let count = Rc::new(Cell::new(0));
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let ev = ev.clone();
-                    let count = Rc::clone(&count);
-                    ctx.spawn(async move {
-                        ev.wait().await;
-                        count.set(count.get() + 1);
-                    })
-                })
-                .collect();
-            ctx.sleep(SimDuration::from_secs(1)).await;
-            assert_eq!(count.get(), 0);
-            ev.set();
-            crate::executor::join_all(handles).await;
-            count.get()
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), 8);
-    }
-
-    #[test]
-    fn waitgroup_zero_is_immediately_ready() {
-        let mut sim = Sim::new(1);
-        let h = sim.spawn(async move {
-            let wg = WaitGroup::new(0);
-            wg.wait().await;
-            true
-        });
-        sim.run();
-        assert!(h.try_take().unwrap());
-    }
-
-    #[test]
-    fn waitgroup_counts_down() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let wg = WaitGroup::new(3);
-            for i in 1..=3u64 {
-                let wg = wg.clone();
-                let ctx2 = ctx.clone();
-                ctx.spawn(async move {
-                    ctx2.sleep(SimDuration::from_millis(i * 10)).await;
-                    wg.done();
-                });
-            }
-            wg.wait().await;
-            ctx.now().as_nanos()
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), 30_000_000);
     }
 }

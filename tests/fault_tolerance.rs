@@ -6,10 +6,10 @@
 //! bit-for-bit deterministic (identical sanitizer digest trails).
 
 use skyrise::data::{tpch, tpcxbb};
-use skyrise::engine::reference::{self, rows_approx_eq};
 use skyrise::engine::{queries, QueryConfig, Skyrise, TaskPolicy};
 use skyrise::prelude::*;
 use skyrise::sim::{FaultConfig, SanitizerReport};
+use skyrise_oracle::reference::{self, rows_approx_eq};
 use std::rc::Rc;
 
 const SF: f64 = 0.01;
@@ -184,7 +184,10 @@ fn stragglers_trigger_speculative_duplicates() {
     );
     // No failures were injected, so no attempt actually failed.
     let retries: u32 = response.stages.iter().map(|s| s.task_retries).sum();
-    assert_eq!(retries, 0, "speculation must not be booked as failure retries");
+    assert_eq!(
+        retries, 0,
+        "speculation must not be booked as failure retries"
+    );
 }
 
 #[test]

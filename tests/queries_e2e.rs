@@ -3,9 +3,9 @@
 //! produce the same answers as the row-at-a-time reference executor.
 
 use skyrise::data::{tpch, tpcxbb};
-use skyrise::engine::reference::{self, rows_approx_eq};
 use skyrise::engine::{queries, QueryConfig, QueryResponse};
 use skyrise::prelude::*;
+use skyrise_oracle::reference::{self, rows_approx_eq};
 use std::rc::Rc;
 
 const SF: f64 = 0.01;
