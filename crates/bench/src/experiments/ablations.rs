@@ -296,6 +296,21 @@ mod tests {
         let c1 = r.scalars["combine1_cost_cents"];
         let c8 = r.scalars["combine8_cost_cents"];
         assert!(c8 < c1, "cost {c1} -> {c8}");
+        // The run is deterministic, so it must also reproduce the committed
+        // record bit for bit (a change that means to move it re-runs
+        // `skyrise-bench ablation_combining` and commits the file).
+        let committed: ExperimentResult =
+            serde_json::from_str(include_str!("../../../../results/ablation_combining.json"))
+                .expect("committed record parses");
+        assert_eq!((r.scalars.len(), committed.scalars.len()), (16, 16));
+        for (name, value) in &r.scalars {
+            let recorded = committed.scalars[name];
+            assert_eq!(
+                value.to_bits(),
+                recorded.to_bits(),
+                "{name}: {value} vs {recorded}"
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,18 @@ impl Schema {
         self.fields.iter().position(|f| f.name == name)
     }
 
+    /// Field indices of a projection, in the order named (`None`: every
+    /// field), or the first name the schema lacks.
+    pub fn indices_of<'a>(&self, names: Option<&'a [String]>) -> Result<Vec<usize>, &'a str> {
+        match names {
+            None => Ok((0..self.len()).collect()),
+            Some(names) => names
+                .iter()
+                .map(|n| self.index_of(n).ok_or(n.as_str()))
+                .collect(),
+        }
+    }
+
     /// Field count.
     pub fn len(&self) -> usize {
         self.fields.len()

@@ -392,9 +392,16 @@ fn encode_column(
     }
 }
 
-fn decode_column(buf: &[u8], encoding: Encoding, rows: usize) -> Result<Column, SpfError> {
+/// Decode one encoded chunk; a `Utf8Dict` chunk also surfaces its
+/// dictionary under the condition [`decode_chunk_with_dict`] documents.
+fn decode_column(
+    buf: &[u8],
+    encoding: Encoding,
+    rows: usize,
+) -> Result<(Column, Option<Vec<String>>), SpfError> {
     let mut cur = Cursor::new(buf);
-    Ok(match encoding {
+    let mut sorted_dict = None;
+    let column = match encoding {
         Encoding::DeltaVarint => {
             let mut out = Vec::with_capacity(rows);
             let mut prev = 0i64;
@@ -420,17 +427,24 @@ fn decode_column(buf: &[u8], encoding: Encoding, rows: usize) -> Result<Column, 
         }
         Encoding::Utf8Dict => {
             let n = cur.u32()? as usize;
-            let mut dict = Vec::with_capacity(n);
+            let mut dict = Vec::with_capacity(n.min(buf.len()));
             for _ in 0..n {
                 dict.push(cur.string()?);
             }
+            let mut referenced = vec![false; n];
             let mut out = Vec::with_capacity(rows);
             for _ in 0..rows {
                 let idx = cur.varint()? as usize;
                 let s = dict
                     .get(idx)
                     .ok_or(SpfError::Corrupt("dict index out of range"))?;
+                referenced[idx] = true;
                 out.push(s.clone());
+            }
+            if referenced.iter().all(|&r| r) {
+                dict.sort_unstable();
+                dict.dedup();
+                sorted_dict = Some(dict);
             }
             Column::Utf8(out)
         }
@@ -442,7 +456,8 @@ fn decode_column(buf: &[u8], encoding: Encoding, rows: usize) -> Result<Column, 
             }
             Column::Bool(out)
         }
-    })
+    };
+    Ok((column, sorted_dict))
 }
 
 fn put_stats(out: &mut Vec<u8>, stats: &Option<ChunkStats>) {
@@ -791,10 +806,7 @@ fn parse_footer_body(cur: &mut Cursor<'_>) -> Result<Footer, SpfError> {
 
 /// Decode one column chunk fetched from `[meta.offset, meta.len)`.
 pub fn decode_chunk(meta: &ChunkMeta, data: &[u8]) -> Result<Column, SpfError> {
-    if data.len() as u64 != meta.len {
-        return Err(SpfError::Corrupt("chunk length mismatch"));
-    }
-    decode_column(data, meta.encoding, meta.rows as usize)
+    decode_chunk_with_dict(meta, data).map(|(column, _)| column)
 }
 
 /// Decode one column chunk like [`decode_chunk`], additionally surfacing
@@ -812,88 +824,46 @@ pub fn decode_chunk_with_dict(
     if data.len() as u64 != meta.len {
         return Err(SpfError::Corrupt("chunk length mismatch"));
     }
-    if meta.encoding != Encoding::Utf8Dict {
-        return Ok((
-            decode_column(data, meta.encoding, meta.rows as usize)?,
-            None,
-        ));
-    }
-    let rows = meta.rows as usize;
-    let mut cur = Cursor::new(data);
-    let n = cur.u32()? as usize;
-    let mut dict = Vec::with_capacity(n);
-    for _ in 0..n {
-        dict.push(cur.string()?);
-    }
-    let mut referenced = vec![false; n];
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let idx = cur.varint()? as usize;
-        let s = dict
-            .get(idx)
-            .ok_or(SpfError::Corrupt("dict index out of range"))?;
-        referenced[idx] = true;
-        out.push(s.clone());
-    }
-    let sorted = referenced.iter().all(|&r| r).then(|| {
-        let mut d = dict;
-        d.sort_unstable();
-        d.dedup();
-        d
-    });
-    Ok((Column::Utf8(out), sorted))
+    decode_column(data, meta.encoding, meta.rows as usize)
 }
 
-/// Decode one bucket of a bucket-indexed segment from its byte range.
-/// `data` must hold exactly the file bytes
-/// `[entry.byte_start, entry.byte_end)` of `bucket`'s entry — what a
-/// remote consumer fetches with a single ranged GET. Returns one batch
-/// per row group (none for an empty bucket), restricted to `projection`.
-pub fn read_bucket(
+/// Decode the `proj` columns of `row_groups` out of `window`, the file
+/// bytes from offset `base` on: the whole file at base 0, or whatever a
+/// ranged reader fetched (one bucket's byte range, a suffix). Returns one
+/// batch per row group, plus the dictionaries their `Utf8Dict` chunks
+/// surfaced ([`decode_chunk_with_dict`]) as `(batch, projected column,
+/// sorted dictionary)`. A chunk the footer places outside the window is
+/// [`SpfError::Corrupt`], never an out-of-bounds slice.
+#[allow(clippy::type_complexity)] // one tuple, spelled out in the doc above
+pub fn decode_row_groups<'a>(
     footer: &Footer,
-    index: &BucketIndex,
-    bucket: usize,
-    data: &[u8],
-    projection: Option<&[String]>,
-) -> Result<Vec<Batch>, SpfError> {
-    let entry = index
-        .buckets
-        .get(bucket)
-        .ok_or(SpfError::Corrupt("bucket index out of range"))?;
-    if data.len() as u64 != entry.byte_end - entry.byte_start {
-        return Err(SpfError::Corrupt("bucket range length mismatch"));
-    }
-    let indices: Vec<usize> = match projection {
-        None => (0..footer.schema.len()).collect(),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                footer
-                    .schema
-                    .index_of(n)
-                    .ok_or_else(|| SpfError::UnknownColumn(n.clone()))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let mut batches = Vec::with_capacity(entry.n_groups as usize);
-    for rg in index.row_groups(footer, bucket) {
-        let mut columns = Vec::with_capacity(indices.len());
-        for &i in &indices {
+    row_groups: impl IntoIterator<Item = &'a RowGroupMeta>,
+    proj: &[usize],
+    base: u64,
+    window: &[u8],
+) -> Result<(Vec<Batch>, Vec<(usize, usize, Vec<String>)>), SpfError> {
+    let schema = footer.schema.project(proj);
+    let (mut batches, mut dicts) = (Vec::new(), Vec::new());
+    for rg in row_groups {
+        let mut columns = Vec::with_capacity(proj.len());
+        for (col, &i) in proj.iter().enumerate() {
             let c = &rg.chunks[i];
-            let start = c
+            let data = c
                 .offset
-                .checked_sub(entry.byte_start)
-                .ok_or(SpfError::Corrupt("chunk outside bucket range"))?
-                as usize;
-            let end = start + c.len as usize;
-            if end > data.len() {
-                return Err(SpfError::Corrupt("chunk outside bucket range"));
-            }
-            columns.push(decode_chunk(c, &data[start..end])?);
+                .checked_sub(base)
+                .and_then(|a| window.get(a as usize..a.checked_add(c.len)? as usize))
+                .ok_or(SpfError::Corrupt("chunk outside the fetched window"))?;
+            let (column, dict) = decode_chunk_with_dict(c, data)?;
+            dicts.extend(dict.map(|d| (batches.len(), col, d)));
+            columns.push(column);
         }
-        batches.push(Batch::new(footer.schema.project(&indices), columns));
+        batches.push(Batch::new(Rc::clone(&schema), columns));
     }
-    Ok(batches)
+    Ok((batches, dicts))
+}
+
+fn unknown_column(name: &str) -> SpfError {
+    SpfError::UnknownColumn(name.to_string())
 }
 
 /// Read one row group from a local file, restricted to `projection`
@@ -908,37 +878,21 @@ pub fn read_row_group(
         .row_groups
         .get(rg_idx)
         .ok_or(SpfError::Corrupt("row group index out of range"))?;
-    let indices: Vec<usize> = match projection {
-        None => (0..footer.schema.len()).collect(),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                footer
-                    .schema
-                    .index_of(n)
-                    .ok_or_else(|| SpfError::UnknownColumn(n.clone()))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let mut columns = Vec::with_capacity(indices.len());
-    for &i in &indices {
-        let c = &rg.chunks[i];
-        let start = c.offset as usize;
-        let end = start + c.len as usize;
-        if end > file.len() {
-            return Err(SpfError::Corrupt("chunk out of file bounds"));
-        }
-        columns.push(decode_chunk(c, &file[start..end])?);
-    }
-    Ok(Batch::new(footer.schema.project(&indices), columns))
+    let proj = footer
+        .schema
+        .indices_of(projection)
+        .map_err(unknown_column)?;
+    Ok(decode_row_groups(footer, [rg], &proj, 0, file)?.0.remove(0))
 }
 
 /// Read the whole file into batches (one per row group).
 pub fn read_all(file: &[u8], projection: Option<&[String]>) -> Result<Vec<Batch>, SpfError> {
     let footer = read_footer(file)?;
-    (0..footer.row_groups.len())
-        .map(|i| read_row_group(file, &footer, i, projection))
-        .collect()
+    let proj = footer
+        .schema
+        .indices_of(projection)
+        .map_err(unknown_column)?;
+    Ok(decode_row_groups(&footer, &footer.row_groups, &proj, 0, file)?.0)
 }
 
 #[cfg(test)]
@@ -956,19 +910,19 @@ mod tests {
         assert_eq!(encoding, Encoding::DeltaVarint);
         assert_eq!(
             decode_column(&bytes, encoding, values.len()),
-            Ok(Column::Int64(values.clone()))
+            Ok((Column::Int64(values.clone()), None))
         );
         // Every proper prefix is a truncated chunk, never a panic.
         for cut in 0..bytes.len() {
             assert_eq!(
-                decode_column(&bytes[..cut], encoding, values.len()),
+                decode_column(&bytes[..cut], encoding, values.len()).map(|_| ()),
                 Err(SpfError::Corrupt("unexpected end of buffer")),
                 "cut at {cut}"
             );
         }
         // Ten continuation bytes cannot be a 64-bit varint.
         assert_eq!(
-            decode_column(&[0xff; 12], encoding, 1),
+            decode_column(&[0xff; 12], encoding, 1).map(|_| ()),
             Err(SpfError::Corrupt("varint overflow"))
         );
     }
@@ -1190,18 +1144,43 @@ mod tests {
         vec![mk(0..40), mk(40..40), mk(40..41), mk(41..120)]
     }
 
+    /// Footer and bucket directory of a bucketed segment, parsed the way a
+    /// remote reader does: trailer, then the footer range.
+    fn indexed_footer(file: &[u8]) -> (Footer, BucketIndex) {
+        let trailer = &file[file.len() - TRAILER_LEN as usize..];
+        let (fstart, flen) = footer_range(trailer, file.len() as u64).unwrap();
+        let (footer, index) =
+            parse_footer_indexed(&file[fstart as usize..(fstart + flen) as usize]).unwrap();
+        (footer, index.expect("bucketed writer emits an index"))
+    }
+
+    /// Decode `bucket` from exactly the file bytes `[byte_start, byte_end)`
+    /// of its directory entry: what a consumer fetches with one ranged GET.
+    fn decode_bucket(
+        file: &[u8],
+        footer: &Footer,
+        index: &BucketIndex,
+        bucket: usize,
+        projection: Option<&[String]>,
+    ) -> Vec<Batch> {
+        let e = &index.buckets[bucket];
+        let proj = footer.schema.indices_of(projection).unwrap();
+        decode_row_groups(
+            footer,
+            index.row_groups(footer, bucket),
+            &proj,
+            e.byte_start,
+            &file[e.byte_start as usize..e.byte_end as usize],
+        )
+        .unwrap()
+        .0
+    }
+
     #[test]
     fn bucketed_segment_round_trips_per_bucket() {
         let buckets = buckets_fixture();
         let file = write_bucketed(&buckets, 16);
-        let (fstart, flen) = footer_range(
-            &file[file.len() - TRAILER_LEN as usize..],
-            file.len() as u64,
-        )
-        .unwrap();
-        let (footer, index) =
-            parse_footer_indexed(&file[fstart as usize..(fstart + flen) as usize]).unwrap();
-        let index = index.expect("bucketed writer emits an index");
+        let (footer, index) = indexed_footer(&file);
         assert_eq!(index.buckets.len(), 4);
         assert_eq!(index.buckets[1].rows, 0);
         assert_eq!(index.buckets[1].n_groups, 0);
@@ -1209,8 +1188,7 @@ mod tests {
         for (b, bucket) in buckets.iter().enumerate() {
             let e = &index.buckets[b];
             assert_eq!(e.rows, bucket.num_rows() as u64);
-            let range = &file[e.byte_start as usize..e.byte_end as usize];
-            let got = read_bucket(&footer, &index, b, range, None).unwrap();
+            let got = decode_bucket(&file, &footer, &index, b, None);
             let merged = if got.is_empty() {
                 Batch::empty(Rc::clone(&footer.schema))
             } else {
@@ -1225,21 +1203,13 @@ mod tests {
         let buckets = buckets_fixture();
         for rotation in 0..buckets.len() {
             let file = write_bucketed_rotated(&buckets, 16, rotation);
-            let (fstart, flen) = footer_range(
-                &file[file.len() - TRAILER_LEN as usize..],
-                file.len() as u64,
-            )
-            .unwrap();
-            let (footer, index) =
-                parse_footer_indexed(&file[fstart as usize..(fstart + flen) as usize]).unwrap();
-            let index = index.expect("bucketed writer emits an index");
+            let (footer, index) = indexed_footer(&file);
             // The directory stays indexed by bucket id regardless of the
             // file order, so readers are oblivious to the rotation.
             for (b, bucket) in buckets.iter().enumerate() {
                 let e = &index.buckets[b];
                 assert_eq!(e.rows, bucket.num_rows() as u64);
-                let range = &file[e.byte_start as usize..e.byte_end as usize];
-                let got = read_bucket(&footer, &index, b, range, None).unwrap();
+                let got = decode_bucket(&file, &footer, &index, b, None);
                 let merged = if got.is_empty() {
                     Batch::empty(Rc::clone(&footer.schema))
                 } else {
@@ -1290,22 +1260,51 @@ mod tests {
     fn bucket_projection_restricts_columns() {
         let buckets = buckets_fixture();
         let file = write_bucketed(&buckets, 16);
-        let footer = read_footer(&file).unwrap();
-        let (_, index) = parse_footer_indexed(
-            footer_range(&file[file.len() - 8..], file.len() as u64)
-                .map(|(s, l)| &file[s as usize..(s + l) as usize])
-                .unwrap(),
-        )
-        .unwrap();
-        let index = index.unwrap();
-        let e = &index.buckets[3];
-        let range = &file[e.byte_start as usize..e.byte_end as usize];
-        let got = read_bucket(&footer, &index, 3, range, Some(&["tag".to_string()])).unwrap();
+        let (footer, index) = indexed_footer(&file);
+        let got = decode_bucket(&file, &footer, &index, 3, Some(&["tag".to_string()]));
         assert_eq!(got[0].schema.fields.len(), 1);
         assert_eq!(
             Batch::concat(&got).column("tag").as_str(),
             buckets[3].column("tag").as_str()
         );
+    }
+
+    /// A footer that places a chunk outside the bytes the reader fetched,
+    /// and a window that stops short of what the footer promises, are
+    /// typed errors from the one decoder (the worker's own slicing loop
+    /// indexed out of bounds on both).
+    #[test]
+    fn chunk_outside_the_window_is_a_typed_error() {
+        let file = write_bucketed(&buckets_fixture(), 16);
+        let (footer, index) = indexed_footer(&file);
+        let proj = footer.schema.indices_of(None).unwrap();
+        let e = &index.buckets[3];
+        let window = &file[e.byte_start as usize..e.byte_end as usize];
+        let decode = |footer: &Footer, window: &[u8]| {
+            decode_row_groups(
+                footer,
+                index.row_groups(footer, 3),
+                &proj,
+                e.byte_start,
+                window,
+            )
+            .map(|(batches, _)| batches.len())
+        };
+        let outside = Err(SpfError::Corrupt("chunk outside the fetched window"));
+        assert_eq!(decode(&footer, window), Ok(e.n_groups as usize));
+        // Damaged footers: a chunk past the window's end, one before its
+        // start, one whose length overflows the offset arithmetic.
+        let last = (e.first_group + e.n_groups - 1) as usize;
+        let damage: [fn(&mut ChunkMeta); 3] =
+            [|c| c.offset += 1, |c| c.offset = 0, |c| c.len = u64::MAX];
+        for (case, hurt) in damage.iter().enumerate() {
+            let mut damaged = footer.clone();
+            hurt(damaged.row_groups[last].chunks.last_mut().unwrap());
+            assert_eq!(decode(&damaged, window), outside, "damage {case}");
+        }
+        // A range response cut short of the footer's claim.
+        assert_eq!(decode(&footer, &window[..window.len() - 1]), outside);
+        assert_eq!(decode(&footer, &[]), outside);
     }
 
     #[test]
@@ -1382,7 +1381,7 @@ mod tests {
         }
 
         /// Satellite: bucket-indexed round-trip. Per-bucket range reads
-        /// (footer parse → byte-range slice → `read_bucket`) must equal
+        /// (footer parse → byte-range slice → `decode_row_groups`) must equal
         /// the whole-object `read_all` decode regrouped per bucket,
         /// bitwise, across empty buckets, single-row buckets, and the
         /// dictionary / delta / bitmap encodings.
@@ -1418,19 +1417,14 @@ mod tests {
                 })
                 .collect();
             let file = write_bucketed(&buckets, group);
-            let trailer = &file[file.len() - TRAILER_LEN as usize..];
-            let (fstart, flen) = footer_range(trailer, file.len() as u64).unwrap();
-            let (footer, index) =
-                parse_footer_indexed(&file[fstart as usize..(fstart + flen) as usize]).unwrap();
-            let index = index.expect("bucketed file carries an index");
+            let (footer, index) = indexed_footer(&file);
             prop_assert_eq!(index.buckets.len(), sizes.len());
             // Whole-object decode, regrouped by the index's row-group spans.
             let all = read_all(&file, None).unwrap();
             for (b, bucket) in buckets.iter().enumerate() {
                 let e = &index.buckets[b];
                 prop_assert_eq!(e.rows, bucket.num_rows() as u64);
-                let range = &file[e.byte_start as usize..e.byte_end as usize];
-                let ranged = read_bucket(&footer, &index, b, range, None).unwrap();
+                let ranged = decode_bucket(&file, &footer, &index, b, None);
                 let whole =
                     &all[e.first_group as usize..(e.first_group + e.n_groups) as usize];
                 prop_assert_eq!(ranged.len(), whole.len());

@@ -347,11 +347,8 @@ pub async fn run_coordinator(
                             .map(|s| s.logical_bytes_written / u64::from(n.max(1)))
                             .unwrap_or(0);
                         let upstream = plan.pipeline(*from_pipeline);
-                        let (partition_by, combine) = match &upstream.sink {
-                            crate::plan::Sink::ShuffleWrite {
-                                partition_by,
-                                combine,
-                            } => (partition_by.clone(), (*combine).max(1)),
+                        let combine = match &upstream.sink {
+                            crate::plan::Sink::ShuffleWrite { combine, .. } => (*combine).max(1),
                             crate::plan::Sink::Result => {
                                 return Err(EngineError::Plan(format!(
                                     "pipeline {} reads from a result sink",
@@ -362,7 +359,6 @@ pub async fn run_coordinator(
                         InputAssignment::Shuffle {
                             from_pipeline: *from_pipeline,
                             upstream_fragments: fragments[from_pipeline],
-                            partition_by,
                             combine,
                         }
                     }

@@ -11,19 +11,17 @@
 //! predicate, column chunks are fetched as parallel ranged requests, and
 //! stragglers are retried under a size-based timeout.
 //!
-//! Shuffle reads use the same playbook since the bucket-indexed segment
-//! layout: a consumer fetches the object suffix (trailer + footer + bucket
-//! directory, often the whole object for small segments), then one ranged
-//! GET covering just its own bucket's pages — projected to the columns the
-//! consumer chain binds and zone-pruned against its leading predicates —
-//! instead of downloading and decoding every co-located bucket.
+//! Shuffle reads use the same playbook: a segment's bucket directory picks
+//! this consumer's row groups, zone-pruned against its leading predicates
+//! and projected to the columns its chain binds. Only the first fetch
+//! varies — the whole object where nothing narrows it, a suffix sized to
+//! reach the consumer's bucket otherwise.
 
 use crate::bind::{execute_chain_sel, partition_sel, DictSeed, SelBatch};
 use crate::catalog::PartitionMeta;
 use crate::cpu;
 use crate::error::EngineError;
 use crate::expr::{evaluate_mask, Expr, UdfRegistry};
-use crate::operators::partition_batch;
 use crate::plan::{InputSpec, Op, Pipeline, Sink};
 use serde::{Deserialize, Serialize};
 use skyrise_compute::ExecEnv;
@@ -46,16 +44,13 @@ pub enum InputAssignment {
         partitions: Vec<PartitionMeta>,
     },
     /// Read this fragment's bucket from every upstream fragment. With
-    /// `combine > 1`, `combine` buckets share one object and the reader
-    /// demultiplexes its rows by re-partitioning on `partition_by`.
+    /// `combine > 1`, `combine` buckets share one object and the object's
+    /// bucket directory says which row groups are this fragment's.
     Shuffle {
         /// Producing pipeline id.
         from_pipeline: u32,
         /// Fragment count of the producing pipeline.
         upstream_fragments: u32,
-        /// Partitioning keys (needed to demultiplex combined objects).
-        #[serde(default)]
-        partition_by: Vec<String>,
         /// Buckets per object written upstream.
         #[serde(default = "default_combine")]
         combine: u32,
@@ -148,21 +143,18 @@ fn default_combine() -> u32 {
 /// `engine.shuffle.*` counters (DESIGN.md §10).
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleReadStats {
-    /// Logical bytes actually transferred (suffix + footer + bucket ranges,
-    /// or whole objects on the whole-object path).
+    /// Logical bytes actually transferred (whole objects, or suffix +
+    /// footer + corrective ranges).
     pub bytes_read: u64,
     /// Logical bytes a whole-object read of the same segments would have
     /// transferred.
     pub bytes_whole_object: u64,
-    /// Logical bytes of this consumer's own bucket pages skipped by column
-    /// projection and zone-map pruning (never decoded).
+    /// Logical bytes of this consumer's own bucket pages that a ranged
+    /// fetch skipped by column projection and zone-map pruning.
     pub bytes_pruned: u64,
-    /// Rows decoded and then discarded by hash demultiplexing (zero on the
-    /// bucket-indexed path: the range GET is exact).
-    pub rows_demuxed: u64,
-    /// Logical bytes actually decoded: the whole segment on the
-    /// demultiplexing path, only this bucket's kept projected pages on the
-    /// bucket-indexed path. Drives the worker's decode CPU charge.
+    /// Logical bytes the modelled reader decodes: everything a whole-object
+    /// fetch moved, only this bucket's kept projected pages after a ranged
+    /// one. Drives the worker's decode CPU charge.
     pub bytes_decoded: u64,
 }
 
@@ -171,7 +163,6 @@ impl ShuffleReadStats {
         self.bytes_read += other.bytes_read;
         self.bytes_whole_object += other.bytes_whole_object;
         self.bytes_pruned += other.bytes_pruned;
-        self.rows_demuxed += other.rows_demuxed;
         self.bytes_decoded += other.bytes_decoded;
     }
 }
@@ -236,15 +227,37 @@ fn bytes(offset: u64, len: u64) -> ByteRange {
     ByteRange::Bytes { offset, len }
 }
 
+/// What reading one input, or one object of it, produced.
 #[derive(Default)]
 struct ReadOutcome {
     batches: Vec<Batch>,
-    tally: ReadTally,
-    /// Shuffle byte accounting (`None` for scans).
-    shuffle: Option<ShuffleReadStats>,
     /// Storage-decoded dictionaries handed to the fused pipeline's
-    /// `DictCache` (late materialization; stream input only).
+    /// `DictCache` (late materialization; shuffle reads, stream input only).
     seeds: Vec<DictSeed>,
+    /// Projected schema of a shuffle segment that yielded no batch (its
+    /// bucket empty or pruned away), so that an input without any batch can
+    /// still hand the chain a typed marker batch.
+    schema: Option<Rc<Schema>>,
+    tally: ReadTally,
+    /// Shuffle byte accounting (all zero for scans); `bytes_read` is filled
+    /// in from `tally` once the input is complete.
+    shuffle: ShuffleReadStats,
+}
+
+impl ReadOutcome {
+    /// Append what `part` read; its seeds move with its batches.
+    fn absorb(&mut self, part: ReadOutcome) {
+        let base = self.batches.len();
+        self.seeds
+            .extend(part.seeds.into_iter().map(|seed| DictSeed {
+                batch: base + seed.batch,
+                ..seed
+            }));
+        self.batches.extend(part.batches);
+        self.schema = self.schema.take().or(part.schema);
+        self.tally.merge(&part.tally);
+        self.shuffle.merge(&part.shuffle);
+    }
 }
 
 /// Run one worker fragment to completion. Base tables and results live on
@@ -311,7 +324,7 @@ pub async fn run_worker(
         ..WorkerReport::default()
     };
     let mut stream_scale = 1.0f64;
-    let mut shuffle_stats: Option<ShuffleReadStats> = None;
+    let mut shuffle_stats = ShuffleReadStats::default();
     let mut seeds: Vec<DictSeed> = Vec::new();
     for (idx, assignment) in task.inputs.iter().enumerate() {
         let spec = task
@@ -353,7 +366,6 @@ pub async fn run_worker(
             InputAssignment::Shuffle {
                 from_pipeline,
                 upstream_fragments,
-                partition_by,
                 combine,
             } => {
                 // Push the consumer chain's bound column set into the read;
@@ -376,7 +388,6 @@ pub async fn run_worker(
                     *upstream_fragments,
                     task.fragment,
                     task.n_fragments,
-                    partition_by,
                     (*combine).max(1),
                     projection.as_deref(),
                     &predicates,
@@ -387,12 +398,7 @@ pub async fn run_worker(
         };
         report.logical_bytes_read += outcome.tally.transferred;
         report.storage_requests += outcome.tally.requests;
-        if let Some(s) = &outcome.shuffle {
-            match &mut shuffle_stats {
-                Some(total) => total.merge(s),
-                None => shuffle_stats = Some(s.clone()),
-            }
-        }
+        shuffle_stats.merge(&outcome.shuffle);
         read_span
             .attr("bytes", outcome.tally.transferred)
             .attr("requests", outcome.tally.requests);
@@ -568,22 +574,20 @@ pub async fn run_worker(
         metrics
             .counter("engine.worker.storage_requests")
             .add(report.storage_requests);
-        if let Some(s) = &shuffle_stats {
+        let reads_shuffle = |a: &InputAssignment| matches!(a, InputAssignment::Shuffle { .. });
+        if task.inputs.iter().any(reads_shuffle) {
             metrics
                 .counter("engine.shuffle.bytes_read")
-                .add(s.bytes_read);
+                .add(shuffle_stats.bytes_read);
             metrics
                 .counter("engine.shuffle.bytes_whole_object")
-                .add(s.bytes_whole_object);
+                .add(shuffle_stats.bytes_whole_object);
             metrics
                 .counter("engine.shuffle.bytes_pruned")
-                .add(s.bytes_pruned);
-            metrics
-                .counter("engine.shuffle.rows_demuxed")
-                .add(s.rows_demuxed);
+                .add(shuffle_stats.bytes_pruned);
             metrics
                 .counter("engine.shuffle.bytes_decoded")
-                .add(s.bytes_decoded);
+                .add(shuffle_stats.bytes_decoded);
         }
         metrics
             .histogram("engine.worker.io_secs")
@@ -664,9 +668,7 @@ async fn read_scan(
         }));
     }
     for h in skyrise_sim::join_all(handles).await {
-        let (batches, tally) = h?;
-        outcome.batches.extend(batches);
-        outcome.tally.merge(&tally);
+        outcome.absorb(h?);
     }
     Ok(outcome)
 }
@@ -682,46 +684,26 @@ async fn read_partition(
     predicate: Option<&crate::expr::Expr>,
     udfs: &UdfRegistry,
     chunk_gate: &Rc<skyrise_sim::sync::Semaphore>,
-) -> Result<(Vec<Batch>, ReadTally), EngineError> {
-    let mut tally = ReadTally::default();
+) -> Result<ReadOutcome, EngineError> {
+    let mut outcome = ReadOutcome::default();
+    let tally = &mut outcome.tally;
     // Ranged reads move `len x scale` logical bytes; timeouts must size
     // against that, not the payload length.
     let scale = (part.logical_bytes as f64 / part.payload_bytes.max(1) as f64).max(1.0);
     let expected = |len: u64| (len as f64 * scale) as u64;
 
-    // 1. Trailer.
-    let file_len = part.payload_bytes;
-    let trailer = bytes(file_len - spf::TRAILER_LEN, spf::TRAILER_LEN);
-    let (trailer, s1) = client
-        .read(&part.key, trailer, expected(spf::TRAILER_LEN), opts)
-        .await?;
-    tally.add(&trailer, s1);
-    let (fstart, flen) = spf::footer_range(&trailer.blob.bytes, file_len)?;
+    // 1.+2. Trailer, then footer.
+    let trailer = bytes(part.payload_bytes - spf::TRAILER_LEN, spf::TRAILER_LEN);
+    let footer = read_segment_meta(client, opts, &part.key, trailer, expected, tally)
+        .await?
+        .footer;
 
-    // 2. Footer.
-    let (footer, s2) = client
-        .read(&part.key, bytes(fstart, flen), expected(flen), opts)
-        .await?;
-    tally.add(&footer, s2);
-    let footer = spf::parse_footer(&footer.blob.bytes)?;
-
-    // Column projection indices.
-    let proj: Vec<usize> = if projection.is_empty() {
-        (0..footer.schema.len()).collect()
-    } else {
-        projection
-            .iter()
-            .map(|n| {
-                footer
-                    .schema
-                    .index_of(n)
-                    .ok_or_else(|| EngineError::Plan(format!("unknown scan column {n}")))
-            })
-            .collect::<Result<_, _>>()?
-    };
+    let proj = footer
+        .schema
+        .indices_of((!projection.is_empty()).then_some(projection))
+        .map_err(|n| EngineError::Plan(format!("unknown scan column {n}")))?;
 
     // 3. Column chunks, zone-map pruned, fetched in parallel per row group.
-    let mut batches = Vec::new();
     for rg in &footer.row_groups {
         if let Some(pred) = predicate {
             if crate::pushdown::prune_row_group(pred, &footer.schema, rg) {
@@ -760,44 +742,32 @@ async fn read_partition(
             }
             None => batch,
         };
-        batches.push(batch);
+        outcome.batches.push(batch);
     }
 
     // Zone maps may prune every row group; keep the schema alive with an
     // empty batch so downstream operators see consistent shapes.
-    if batches.is_empty() {
-        batches.push(Batch::empty(footer.schema.project(&proj)));
+    if outcome.batches.is_empty() {
+        outcome
+            .batches
+            .push(Batch::empty(footer.schema.project(&proj)));
     }
 
     // Decode CPU charge for the logical bytes materialised.
     ctx.sleep(cpu::decode_cost(tally.logical as f64, vcpus))
         .await;
-    Ok((batches, tally))
+    Ok(outcome)
 }
 
-/// What reading one shuffle segment produced.
-#[derive(Default)]
-struct ShuffleObject {
-    batches: Vec<Batch>,
-    /// `(local batch index, column index, sorted dict)` for dictionary
-    /// chunks whose storage dictionary covers the decoded column exactly.
-    seeds: Vec<(usize, usize, Rc<Vec<String>>)>,
-    /// Projected schema of this segment (kept even when every row group is
-    /// empty or pruned, so the caller can emit a typed marker batch).
-    schema: Option<Rc<Schema>>,
-    tally: ReadTally,
-    /// `bytes_read` is left to the caller, which takes it from `tally`.
-    stats: ShuffleReadStats,
-}
-
-/// Tail, footer, and bucket directory of one shuffle segment — everything
-/// a reader needs before it can fetch data pages.
+/// What a reader knows of an SPF object once its first fetch is in: the
+/// footer, the bucket directory if it has one, and the fetched window.
 struct SegmentMeta {
+    /// The first fetch's bytes, which run to the end of the object.
     tail_bytes: bytes::Bytes,
-    /// File offset of the first tail byte.
+    /// File offset of the first tail byte (0 after a whole-object fetch).
     tail_start: u64,
     object_len: u64,
-    /// Logical-to-payload multiplier of the segment's blob.
+    /// Logical-to-payload multiplier of the object's blob.
     scale: f64,
     footer: spf::Footer,
     index: Option<spf::BucketIndex>,
@@ -842,27 +812,30 @@ impl ShuffleLayout {
     }
 }
 
-/// Fetch a segment's tail and footer: one suffix GET of `suffix_len`
-/// bytes, plus one ranged footer GET only when the tail stopped short of
-/// the footer. Transfer accounting accrues on `obj`.
+/// Fetch an SPF object's footer: the `first` fetch, which must reach the
+/// object's last byte (the whole object, a suffix, or just the trailer),
+/// plus one ranged footer GET only when it stopped short of the footer.
+/// `expected` sizes a fetch's timeout from its payload length. Transfers
+/// accrue on `tally`.
 async fn read_segment_meta(
     client: &RetryingClient,
     opts: &RequestOpts,
     key: &str,
-    suffix_len: u64,
-    obj: &mut ShuffleObject,
+    first: ByteRange,
+    expected: impl Fn(u64) -> u64,
+    tally: &mut ReadTally,
 ) -> Result<SegmentMeta, EngineError> {
-    let (tail, s1) = client
-        .read(key, ByteRange::Suffix(suffix_len), 0, opts)
-        .await?;
-    obj.tally.add(&tail, s1);
-    let scale = tail.blob.logical_scale;
-    obj.stats.bytes_whole_object += scaled(tail.object_len, scale);
+    let asked = match first {
+        ByteRange::Bytes { len, .. } | ByteRange::Suffix(len) => len,
+        ByteRange::Full => 0, // unknown before it arrives
+    };
+    let (tail, s1) = client.read(key, first, expected(asked), opts).await?;
+    tally.add(&tail, s1);
     let object_len = tail.object_len;
-    let tail_bytes = tail.blob.bytes.clone();
+    let tail_bytes = tail.blob.bytes;
     let tail_start = object_len - tail_bytes.len() as u64;
     if tail_bytes.len() < spf::TRAILER_LEN as usize {
-        return Err(spf::SpfError::Corrupt("shuffle object shorter than trailer").into());
+        return Err(spf::SpfError::Corrupt("object shorter than SPF trailer").into());
     }
     let trailer = &tail_bytes[tail_bytes.len() - spf::TRAILER_LEN as usize..];
     let (fstart, flen) = spf::footer_range(trailer, object_len)?;
@@ -870,15 +843,17 @@ async fn read_segment_meta(
         let a = (fstart - tail_start) as usize;
         spf::parse_footer_indexed(&tail_bytes[a..a + flen as usize])?
     } else {
-        let (fb, s2) = client.read(key, bytes(fstart, flen), 0, opts).await?;
-        obj.tally.add(&fb, s2);
+        let (fb, s2) = client
+            .read(key, bytes(fstart, flen), expected(flen), opts)
+            .await?;
+        tally.add(&fb, s2);
         spf::parse_footer_indexed(&fb.blob.bytes)?
     };
     Ok(SegmentMeta {
         tail_bytes,
         tail_start,
         object_len,
-        scale,
+        scale: tail.blob.logical_scale,
         footer,
         index,
     })
@@ -897,7 +872,6 @@ async fn read_shuffle(
     upstream_fragments: u32,
     my_fragment: u32,
     n_fragments: u32,
-    partition_by: &[String],
     combine: u32,
     projection: Option<&[String]>,
     predicates: &[Expr],
@@ -905,40 +879,35 @@ async fn read_shuffle(
 ) -> Result<ReadOutcome, EngineError> {
     let my_group = my_fragment / combine;
     let my_bucket = (my_fragment - my_group * combine) as usize;
-    let mut outcome = ReadOutcome::default();
-    let mut stats = ShuffleReadStats::default();
-    // Whole-object reads when nothing narrows the fetch: this group's
-    // segments hold a single bucket (combine == 1, or the trailing group
-    // of an uneven fan-out), so every data page is this consumer's anyway
-    // and one GET beats a suffix probe + ranged read — projection still
-    // applies post-decode. Zone-map pruning does narrow single-bucket
-    // segments, so pushed predicates keep the ranged path. Ranged reads
-    // also need native byte-range support — DynamoDB and EFS bill a full
-    // get per range, so splitting the fetch there would multiply cost,
-    // not cut it.
+    // The first fetch is the whole object when nothing narrows it: this
+    // group's segments hold a single bucket (combine == 1, or the trailing
+    // group of an uneven fan-out) and no pushed predicate can zone-prune
+    // it, so every data page is this consumer's anyway and one GET beats a
+    // suffix probe + ranged read; or the store has no native byte ranges —
+    // DynamoDB and EFS bill a full get per range, so splitting the fetch
+    // there would multiply cost, not cut it.
     let group_buckets = combine
         .min(n_fragments.saturating_sub(my_group * combine))
         .max(1);
-    let whole_object =
-        !matches!(client.storage, Storage::S3(_)) || (group_buckets == 1 && predicates.is_empty());
-    // The first segment's tail and footer are probed inline — one small
-    // suffix GET, no data pages — because its bucket directory reveals the
-    // layout every sibling segment shares (the upstream fleet writes
+    let whole = !client.storage.native_ranges() || (group_buckets == 1 && predicates.is_empty());
+    // Otherwise the first segment's tail and footer are probed inline — one
+    // small suffix GET, no data pages — because its bucket directory reveals
+    // the layout every sibling segment shares (the upstream fleet writes
     // similarly-shaped objects). All segment reads, including finishing
     // the first, then fan out below with ONE suffix GET sized to cover
     // this consumer's bucket and the footer. Steady state is a single
     // request per segment, the same count as a whole-object read, so
     // shuffles that are rate-limit-bound (paper Sec. 4.5.2) see fewer
     // bytes, not more requests.
-    let mut first: Option<(SegmentMeta, ShuffleObject)> = None;
-    let mut layout: Option<ShuffleLayout> = None;
-    if !whole_object && upstream_fragments > 0 {
+    let mut probed: Option<(SegmentMeta, ReadTally)> = None;
+    if !whole && upstream_fragments > 0 {
         let key = shuffle_key(query_id, from_pipeline, 0, my_group);
-        let mut probe = ShuffleObject::default();
-        let meta = read_segment_meta(client, opts, &key, SHUFFLE_TAIL_HINT, &mut probe).await?;
-        layout = meta.layout(0);
-        first = Some((meta, probe));
+        let mut tally = ReadTally::default();
+        let hint = ByteRange::Suffix(SHUFFLE_TAIL_HINT);
+        let meta = read_segment_meta(client, opts, &key, hint, |_| 0, &mut tally).await?;
+        probed = Some((meta, tally));
     }
+    let layout = probed.as_ref().and_then(|(meta, _)| meta.layout(0));
     // Bounded fan-in: a worker pulls its buckets a few at a time rather
     // than hammering the storage service with one request per upstream
     // fragment simultaneously.
@@ -951,141 +920,64 @@ async fn read_shuffle(
         let gate = Rc::clone(&gate);
         let projection: Option<Vec<String>> = projection.map(<[String]>::to_vec);
         let predicates = predicates.to_vec();
-        let partition_by = partition_by.to_vec();
-        let suffix_hint = layout.as_ref().map(|l| l.suffix_hint(my_bucket, src));
-        let premeta = if src == 0 { first.take() } else { None };
+        let first = if whole {
+            ByteRange::Full
+        } else {
+            let hint = layout.as_ref().map(|l| l.suffix_hint(my_bucket, src));
+            ByteRange::Suffix(hint.unwrap_or(SHUFFLE_TAIL_HINT))
+        };
+        let probed = if src == 0 { probed.take() } else { None };
         handles.push(client.ctx.clone().spawn(async move {
             let _slot = gate.acquire().await;
             read_shuffle_object(
                 &client,
                 &opts,
                 &key,
-                whole_object,
+                first,
+                probed,
                 my_bucket,
-                combine,
-                my_fragment,
-                n_fragments,
-                &partition_by,
                 projection.as_deref(),
                 &predicates,
-                suffix_hint,
-                premeta,
             )
             .await
         }));
     }
-    let mut collected: Vec<ShuffleObject> = Vec::with_capacity(upstream_fragments as usize);
+    let mut outcome = ReadOutcome::default();
     for h in skyrise_sim::join_all(handles).await {
-        collected.push(h?);
-    }
-    let mut schema: Option<Rc<Schema>> = None;
-    for obj in collected {
-        outcome.tally.merge(&obj.tally);
-        stats.merge(&obj.stats);
-        let base = outcome.batches.len();
-        for (b, c, dict) in obj.seeds {
-            outcome.seeds.push(DictSeed {
-                batch: base + b,
-                col: c,
-                dict,
-            });
-        }
-        outcome.batches.extend(obj.batches);
-        if schema.is_none() {
-            schema = obj.schema;
-        }
+        outcome.absorb(h?);
     }
     // Bucket-indexed segments carry no marker row group for empty buckets;
-    // keep the schema alive so the chain sees consistent shapes (and the
-    // fused pipeline is not forced onto its legacy fallback).
+    // keep the schema alive so the chain sees consistent shapes.
     if outcome.batches.is_empty() {
-        if let Some(s) = schema {
-            outcome.batches.push(Batch::empty(s));
+        if let Some(s) = &outcome.schema {
+            outcome.batches.push(Batch::empty(Rc::clone(s)));
         }
     }
-    stats.bytes_read = outcome.tally.transferred;
-    // Decompression + deserialisation CPU for what was actually decoded:
-    // the whole segment on the demultiplexing path, only this bucket's kept
-    // projected pages on the indexed path. Charged once against the
-    // worker's vCPU share — the late-materialisation win is CPU as much as
-    // bytes (decode-and-discard work the indexed layout never does).
+    outcome.shuffle.bytes_read = outcome.tally.transferred;
+    // Decompression + deserialisation CPU for what the modelled reader
+    // decodes, charged once against the worker's vCPU share — the
+    // late-materialisation win is CPU as much as bytes (decode-and-discard
+    // work the ranged fetch never does).
     client
         .ctx
-        .sleep(cpu::decode_cost(stats.bytes_decoded as f64, vcpus))
+        .sleep(cpu::decode_cost(
+            outcome.shuffle.bytes_decoded as f64,
+            vcpus,
+        ))
         .await;
-    outcome.shuffle = Some(stats);
     Ok(outcome)
 }
 
-/// Decode a whole segment and keep this fragment's rows: the read path of
-/// non-S3 shuffle stores and of single-bucket groups without predicates.
-#[allow(clippy::too_many_arguments)]
-fn demux_segment(
-    obj: &mut ShuffleObject,
-    file: &[u8],
-    combine: u32,
-    my_fragment: u32,
-    n_fragments: u32,
-    partition_by: &[String],
-    projection: Option<&[String]>,
-) -> Result<(), EngineError> {
-    let footer = spf::read_footer(file)?;
-    // Projection still applies (post-decode) so both read paths hand the
-    // chain identically-shaped batches; the transfer savings are lost.
-    let proj = projection_indices(&footer.schema, projection)?;
-    let out_schema = footer.schema.project(&proj);
-    if obj.schema.is_none() {
-        obj.schema = Some(Rc::clone(&out_schema));
-    }
-    for batch in spf::read_all(file, None)? {
-        if batch.num_rows() == 0 && batch.schema.is_empty() {
-            continue;
-        }
-        let batch = if combine > 1 && batch.num_rows() > 0 {
-            // Demultiplex: keep only the rows hashing to this fragment.
-            let rows = batch.num_rows() as u64;
-            let mine = partition_batch(&batch, partition_by, n_fragments.max(1) as usize)?
-                .into_iter()
-                .nth(my_fragment as usize)
-                .expect("bucket exists");
-            obj.stats.rows_demuxed += rows - mine.num_rows() as u64;
-            mine
-        } else {
-            batch
-        };
-        obj.batches.push(batch.project(&proj));
-    }
-    Ok(())
-}
-
-fn projection_indices(
-    schema: &Schema,
-    projection: Option<&[String]>,
-) -> Result<Vec<usize>, EngineError> {
-    match projection {
-        None => Ok((0..schema.len()).collect()),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                schema
-                    .index_of(n)
-                    .ok_or_else(|| EngineError::Plan(format!("unknown shuffle column {n}")))
-            })
-            .collect(),
-    }
-}
-
-/// Read one shuffle segment. On the ranged path the reader issues one
-/// suffix GET — sized by `suffix_hint` when a sibling segment has already
-/// revealed where this consumer's bucket starts, `SHUFFLE_TAIL_HINT`
-/// otherwise — and tops up with at most one footer GET and one corrective
-/// byte-range GET when the guess fell short. With a good hint this is a
-/// single request per segment, the same count as a whole-object read, so
-/// rate-limit-bound shuffles pay fewer bytes without paying more requests.
-/// Never a whole-object GET: a segment without a bucket directory is
-/// refused as corrupt.
+/// Read one shuffle segment: the `first` fetch — the whole object, or a
+/// suffix sized by a sibling's layout to reach this consumer's bucket —
+/// topped up with at most one footer GET and one corrective byte-range GET
+/// when a suffix fell short. With a good hint that is a single request per
+/// segment, the same count as a whole-object read, so rate-limit-bound
+/// shuffles pay fewer bytes without paying more requests. The bucket
+/// directory then picks this consumer's row groups whatever was fetched; a
+/// segment without one is refused as corrupt.
 ///
-/// `premeta` carries a tail + footer that the caller already probed (the
+/// `probed` carries a tail + footer that the caller already fetched (the
 /// layout-learning read of the first segment) together with its transfer
 /// accounting; the data pages are still fetched here, under the fan-in
 /// gate like every other segment.
@@ -1094,63 +986,35 @@ async fn read_shuffle_object(
     client: &RetryingClient,
     opts: &RequestOpts,
     key: &str,
-    whole_object: bool,
+    first: ByteRange,
+    probed: Option<(SegmentMeta, ReadTally)>,
     my_bucket: usize,
-    combine: u32,
-    my_fragment: u32,
-    n_fragments: u32,
-    partition_by: &[String],
     projection: Option<&[String]>,
     predicates: &[Expr],
-    suffix_hint: Option<u64>,
-    premeta: Option<(SegmentMeta, ShuffleObject)>,
-) -> Result<ShuffleObject, EngineError> {
-    if whole_object {
-        let mut obj = ShuffleObject::default();
-        let (whole, s) = client.read(key, ByteRange::Full, 0, opts).await?;
-        obj.tally.add(&whole, s);
-        obj.stats.bytes_whole_object += whole.transferred;
-        obj.stats.bytes_decoded += whole.transferred;
-        demux_segment(
-            &mut obj,
-            &whole.blob.bytes,
-            combine,
-            my_fragment,
-            n_fragments,
-            partition_by,
-            projection,
-        )?;
-        return Ok(obj);
-    }
-
+) -> Result<ReadOutcome, EngineError> {
     // 1.+2. Tail, footer, bucket directory — pre-probed or fetched now.
-    let (meta, mut obj) = match premeta {
-        Some(x) => x,
-        None => {
-            let mut obj = ShuffleObject::default();
-            let meta = read_segment_meta(
-                client,
-                opts,
-                key,
-                suffix_hint.unwrap_or(SHUFFLE_TAIL_HINT),
-                &mut obj,
-            )
-            .await?;
-            (meta, obj)
+    let mut obj = ReadOutcome::default();
+    let meta = match probed {
+        Some((meta, tally)) => {
+            obj.tally = tally;
+            meta
         }
+        None => read_segment_meta(client, opts, key, first, |_| 0, &mut obj.tally).await?,
     };
     let SegmentMeta {
         tail_bytes,
         tail_start,
+        object_len,
         scale,
         footer,
         index,
-        ..
     } = meta;
+    obj.shuffle.bytes_whole_object = scaled(object_len, scale);
 
-    let proj = projection_indices(&footer.schema, projection)?;
-    let out_schema = footer.schema.project(&proj);
-    obj.schema = Some(Rc::clone(&out_schema));
+    let proj = footer
+        .schema
+        .indices_of(projection)
+        .map_err(|n| EngineError::Plan(format!("unknown shuffle column {n}")))?;
 
     // Every segment is written by `spf::write_bucketed_rotated`, so one
     // without a directory is not a shuffle segment of this program.
@@ -1165,68 +1029,61 @@ async fn read_shuffle_object(
     // 3. Select this bucket's row groups, zone-pruned against the pushed
     //    predicates (pruning only — the chain's filters still run).
     let mut kept: Vec<&spf::RowGroupMeta> = Vec::new();
+    let (mut kept_bytes, mut pruned_bytes) = (0, 0);
     for rg in index.row_groups(&footer, my_bucket) {
-        if predicates
+        let keep = !predicates
             .iter()
-            .any(|p| crate::pushdown::prune_row_group(p, &footer.schema, rg))
-        {
-            for c in &rg.chunks {
-                obj.stats.bytes_pruned += scaled(c.len, scale);
-            }
-            continue;
-        }
+            .any(|p| crate::pushdown::prune_row_group(p, &footer.schema, rg));
         for (ci, c) in rg.chunks.iter().enumerate() {
-            if !proj.contains(&ci) {
-                obj.stats.bytes_pruned += scaled(c.len, scale);
+            if keep && proj.contains(&ci) {
+                kept_bytes += scaled(c.len, scale);
+            } else {
+                pruned_bytes += scaled(c.len, scale);
             }
         }
-        kept.push(rg);
-    }
-
-    // 4. First wanted byte of this bucket's projected, unpruned pages.
-    let mut first_wanted: Option<u64> = None;
-    for rg in &kept {
-        for &ci in &proj {
-            let c = &rg.chunks[ci];
-            first_wanted = Some(first_wanted.map_or(c.offset, |lo| lo.min(c.offset)));
+        if keep {
+            kept.push(rg);
         }
     }
-    let Some(lo) = first_wanted else {
-        return Ok(obj); // empty or fully pruned bucket
-    };
 
-    // 5. Corrective prefix GET only when the suffix fell short of the
-    //    bucket start; otherwise every wanted page is already local.
+    // 4. Corrective prefix GET only when a suffix fell short of the first
+    //    wanted byte of this bucket's projected, unpruned pages; otherwise
+    //    every wanted page is already local.
+    let wanted = kept
+        .iter()
+        .flat_map(|rg| proj.iter().map(|&ci| &rg.chunks[ci]));
     let fetched: Vec<u8>;
-    let (base, data): (u64, &[u8]) = if lo >= tail_start {
-        (tail_start, &tail_bytes)
-    } else {
-        let prefix = bytes(lo, tail_start - lo);
-        let (rb, s3) = client.read(key, prefix, 0, opts).await?;
-        obj.tally.add(&rb, s3);
-        let mut d = rb.blob.bytes.to_vec();
-        d.extend_from_slice(&tail_bytes);
-        fetched = d;
-        (lo, &fetched)
+    let (base, window): (u64, &[u8]) = match wanted.map(|c| c.offset).min() {
+        Some(lo) if lo < tail_start => {
+            let prefix = bytes(lo, tail_start - lo);
+            let (rb, s3) = client.read(key, prefix, 0, opts).await?;
+            obj.tally.add(&rb, s3);
+            fetched = [&rb.blob.bytes[..], &tail_bytes[..]].concat();
+            (lo, &fetched)
+        }
+        _ => (tail_start, &tail_bytes),
     };
 
-    // 6. Late-materialized decode: dictionary chunks surface their storage
+    // The modelled reader (DESIGN.md §5, Accounting): a whole-object fetch
+    // is charged for every byte it moved and prunes nothing, a ranged one
+    // for the pages it kept.
+    (obj.shuffle.bytes_decoded, obj.shuffle.bytes_pruned) = match first {
+        ByteRange::Full => (obj.tally.transferred, 0),
+        _ => (kept_bytes, pruned_bytes),
+    };
+
+    // 5. Late-materialized decode: dictionary chunks surface their storage
     //    dictionary so the fused pipeline's DictCache starts warm.
-    for rg in kept {
-        let mut columns = Vec::with_capacity(proj.len());
-        for (out_col, &ci) in proj.iter().enumerate() {
-            let c = &rg.chunks[ci];
-            let a = (c.offset - base) as usize;
-            let b = a + c.len as usize;
-            obj.stats.bytes_decoded += scaled(c.len, scale);
-            let (col, dict) = spf::decode_chunk_with_dict(c, &data[a..b])?;
-            if let Some(d) = dict {
-                obj.seeds.push((obj.batches.len(), out_col, Rc::new(d)));
-            }
-            columns.push(col);
-        }
-        obj.batches
-            .push(Batch::new(Rc::clone(&out_schema), columns));
+    let (batches, dicts) = spf::decode_row_groups(&footer, kept, &proj, base, window)?;
+    obj.batches = batches;
+    let seed = |(batch, col, dict)| DictSeed {
+        batch,
+        col,
+        dict: Rc::new(dict),
+    };
+    obj.seeds = dicts.into_iter().map(seed).collect();
+    if obj.batches.is_empty() {
+        obj.schema = Some(footer.schema.project(&proj));
     }
     Ok(obj)
 }
@@ -1270,73 +1127,209 @@ mod tests {
         assert_eq!(barrier_key("scan"), "barriers/scan");
     }
 
+    fn test_env(ctx: skyrise_sim::SimCtx) -> ExecEnv {
+        ExecEnv {
+            ctx,
+            nic: skyrise_net::presets::lambda_nic(),
+            cold_start: false,
+            vcpus: 1.0,
+            memory_mib: 1024,
+            instance_id: 0,
+        }
+    }
+
+    /// Fragment `fragment` of `n_fragments` consumers reading pipeline 0's
+    /// shuffle output straight into a result object.
+    fn consumer_task(fragment: u32, n_fragments: u32, upstream: u32, combine: u32) -> WorkerTask {
+        WorkerTask {
+            query_id: "q".into(),
+            pipeline: Pipeline {
+                id: 1,
+                inputs: vec![InputSpec::Shuffle { from_pipeline: 0 }],
+                ops: vec![],
+                sink: Sink::Result,
+                fragments: None,
+            },
+            fragment,
+            n_fragments,
+            downstream_fragments: 1,
+            inputs: vec![InputAssignment::Shuffle {
+                from_pipeline: 0,
+                upstream_fragments: upstream,
+                combine,
+            }],
+            expected_input_bytes: 0,
+        }
+    }
+
     /// A shuffle key holding a plain `spf::write` object — no bucket
     /// directory — is not something this program's sink can have produced:
-    /// the ranged reader must refuse it, not guess at a demultiplex.
+    /// the reader must refuse it whatever its first fetch was, a suffix
+    /// (`combine = 2`) or the whole object (`combine = 1`), not guess at a
+    /// demultiplex or decode it as if it were one bucket.
     #[test]
     fn shuffle_segment_without_directory_is_a_typed_error() {
         use skyrise_data::{Column, DataType, Field};
+        for combine in [2, 1] {
+            let mut sim = skyrise_sim::Sim::new(7);
+            let ctx = sim.ctx();
+            let meter = skyrise_pricing::shared_meter();
+            let storage = Storage::S3(skyrise_storage::S3Bucket::standard(&ctx, &meter));
+            let worker = sim.spawn(async move {
+                let env = test_env(ctx);
+                let batch = Batch::new(
+                    Schema::new(vec![Field::new("k", DataType::Int64)]),
+                    vec![Column::Int64(vec![1, 2, 3])],
+                );
+                storage
+                    .put(
+                        &shuffle_key("q", 0, 0, 0),
+                        Blob::new(spf::write(&[batch], 1024)),
+                        &RequestOpts::from_nic(&env.nic),
+                    )
+                    .await
+                    .expect("segment stored");
+                let task = consumer_task(0, 2, 1, combine);
+                run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+            });
+            sim.run();
+            let err = worker
+                .try_take()
+                .expect("worker ran to completion")
+                .expect_err("an index-less segment must not be read");
+            assert!(
+                matches!(
+                    err,
+                    EngineError::Format(spf::SpfError::Corrupt(
+                        "shuffle segment without bucket directory"
+                    ))
+                ),
+                "combine {combine}: {err}"
+            );
+        }
+    }
+
+    /// A multi-bucket segment behind a whole-object fetch: EFS serves no
+    /// ranges, so consumers of a `combine = 3` shuffle fetch each segment
+    /// whole and the bucket directory picks their rows out of it. Two
+    /// producers write for four consumers (groups of three buckets and of
+    /// one); each consumer must receive exactly the rows `partition_batch`
+    /// assigns it. Requests, bytes and I/O time are pinned to what b9f4e68
+    /// reported for this test (its task also named `partition_by`), where
+    /// the case took the hash re-partition this reader replaced.
+    #[test]
+    fn combined_segments_on_efs_hand_each_consumer_its_bucket() {
+        use crate::operators::partition_batch;
+        use skyrise_data::{Column, DataType, Field};
+        const CONSUMERS: u32 = 4;
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("tag", DataType::Utf8),
+            Field::new("v", DataType::Float64),
+        ]);
+        let produced: Vec<Batch> = (0..2i64)
+            .map(|src| {
+                let keys = (0..600).map(|i| i * 7 + src * 13);
+                Batch::new(
+                    Rc::clone(&schema),
+                    vec![
+                        Column::Int64(keys.clone().collect()),
+                        Column::Utf8(keys.clone().map(|k| format!("t{}", k % 5)).collect()),
+                        Column::Float64(keys.map(|k| k as f64 * 0.25).collect()),
+                    ],
+                )
+            })
+            .collect();
+        let by = vec!["k".to_string()];
+
         let mut sim = skyrise_sim::Sim::new(7);
         let ctx = sim.ctx();
         let meter = skyrise_pricing::shared_meter();
-        let storage = Storage::S3(skyrise_storage::S3Bucket::standard(&ctx, &meter));
-        let worker = sim.spawn(async move {
-            let env = ExecEnv {
-                ctx,
-                nic: skyrise_net::presets::lambda_nic(),
-                cold_start: false,
-                vcpus: 1.0,
-                memory_mib: 1024,
-                instance_id: 0,
-            };
-            let batch = Batch::new(
-                Schema::new(vec![Field::new("k", DataType::Int64)]),
-                vec![Column::Int64(vec![1, 2, 3])],
-            );
-            storage
-                .put(
-                    &shuffle_key("q", 0, 0, 0),
-                    Blob::new(spf::write(&[batch], 1024)),
-                    &RequestOpts::from_nic(&env.nic),
-                )
-                .await
-                .expect("segment stored");
-            let task = WorkerTask {
-                query_id: "q".into(),
-                pipeline: Pipeline {
-                    id: 1,
-                    inputs: vec![InputSpec::Shuffle { from_pipeline: 0 }],
-                    ops: vec![],
-                    sink: Sink::Result,
-                    fragments: None,
-                },
-                fragment: 0,
-                n_fragments: 2,
-                downstream_fragments: 1,
-                inputs: vec![InputAssignment::Shuffle {
-                    from_pipeline: 0,
-                    upstream_fragments: 1,
-                    partition_by: vec!["k".into()],
-                    combine: 2,
-                }],
-                expected_input_bytes: 0,
-            };
-            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+        let efs = skyrise_storage::EfsFilesystem::elastic(&ctx, &meter);
+        let storage = Storage::Efs(Rc::clone(&efs));
+        let inputs = produced.clone();
+        let run = sim.spawn(async move {
+            let env = test_env(ctx);
+            let udfs = UdfRegistry::new();
+            for (src, batch) in inputs.into_iter().enumerate() {
+                let blob = Blob::new(spf::write(&[batch], 256));
+                let partition = PartitionMeta {
+                    key: format!("t/part-{src}.spf"),
+                    payload_bytes: blob.len() as u64,
+                    logical_bytes: blob.logical_len(),
+                    payload_rows: 600,
+                    logical_rows: 600,
+                };
+                storage.backdoor_put(&partition.key, blob);
+                let producer = WorkerTask {
+                    query_id: "q".into(),
+                    pipeline: Pipeline {
+                        id: 0,
+                        inputs: vec![InputSpec::Scan {
+                            dataset: "t".into(),
+                            projection: vec![],
+                            predicate: None,
+                        }],
+                        ops: vec![],
+                        sink: Sink::ShuffleWrite {
+                            partition_by: vec!["k".into()],
+                            combine: 3,
+                        },
+                        fragments: None,
+                    },
+                    fragment: src as u32,
+                    n_fragments: 2,
+                    downstream_fragments: CONSUMERS,
+                    inputs: vec![InputAssignment::Scan {
+                        partitions: vec![partition],
+                    }],
+                    expected_input_bytes: 0,
+                };
+                run_worker(&env, &storage, &storage, &udfs, &producer)
+                    .await
+                    .expect("producer runs");
+            }
+            let mut reports = Vec::new();
+            for fragment in 0..CONSUMERS {
+                let task = consumer_task(fragment, CONSUMERS, 2, 3);
+                let report = run_worker(&env, &storage, &storage, &udfs, &task).await;
+                reports.push(report.expect("consumer runs"));
+            }
+            reports
         });
         sim.run();
-        let err = worker
-            .try_take()
-            .expect("worker ran to completion")
-            .expect_err("an index-less segment must not be read");
-        assert!(
-            matches!(
-                err,
-                EngineError::Format(spf::SpfError::Corrupt(
-                    "shuffle segment without bucket directory"
-                ))
-            ),
-            "{err}"
-        );
+        let reports = run.try_take().expect("workers ran to completion");
+
+        let pinned: [(u64, u64, u64); CONSUMERS as usize] = [
+            (3, 10364, 0x3f870ae66b8cf478),
+            (3, 10364, 0x3f8a350ea1fbb53a),
+            (3, 10364, 0x3f80926061b6f699),
+            (3, 3401, 0x3f8c040dc57f3f6a),
+        ];
+        for (fragment, report) in reports.iter().enumerate() {
+            let mine: Vec<Batch> = produced
+                .iter()
+                .map(|b| partition_batch(b, &by, CONSUMERS as usize).unwrap()[fragment].clone())
+                .collect();
+            let expected = Batch::concat(&mine);
+            assert!(expected.num_rows() > 0, "fragment {fragment} has rows");
+            let result = efs
+                .backdoor()
+                .get(&result_key("q", fragment as u32))
+                .expect("result written");
+            let got = Batch::concat(&spf::read_all(&result.bytes, None).unwrap());
+            assert_eq!(got.columns, expected.columns, "fragment {fragment}");
+            assert_eq!(report.rows_in, expected.num_rows() as u64);
+            assert_eq!(
+                (
+                    report.storage_requests,
+                    report.logical_bytes_read,
+                    report.io_secs.to_bits()
+                ),
+                pinned[fragment],
+                "fragment {fragment}"
+            );
+        }
     }
 
     /// EFS streams and bills the whole file for every ranged chunk read;
@@ -1429,7 +1422,6 @@ mod tests {
             inputs: vec![InputAssignment::Shuffle {
                 from_pipeline: 0,
                 upstream_fragments: 2,
-                partition_by: vec![],
                 combine: 1,
             }],
             expected_input_bytes: 64 << 20,

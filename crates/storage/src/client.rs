@@ -82,6 +82,18 @@ impl Storage {
         }
     }
 
+    /// Whether the service serves byte ranges itself: the backend's
+    /// `ServiceModel::native_ranges`. Where it does not, every ranged read
+    /// moves and bills the whole object, so splitting a fetch multiplies
+    /// its cost.
+    pub fn native_ranges(&self) -> bool {
+        match self {
+            Storage::S3(b) => b.core.model.native_ranges,
+            Storage::Dynamo(t) => t.core.model.native_ranges,
+            Storage::Efs(f) => f.core.model.native_ranges,
+        }
+    }
+
     /// Service display name.
     pub fn name(&self) -> &'static str {
         match self {

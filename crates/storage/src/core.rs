@@ -222,7 +222,7 @@ enum Op {
 pub(crate) struct ServiceCore<A> {
     pub(crate) ctx: SimCtx,
     meter: SharedMeter,
-    model: ServiceModel,
+    pub(crate) model: ServiceModel,
     /// The service's aggregate-bandwidth endpoint: `outbound` caps reads
     /// (service -> client), `inbound` caps writes (client -> service).
     service_nic: SharedNic,

@@ -62,7 +62,7 @@ impl Default for DynamoConfig {
 
 /// A simulated DynamoDB table.
 pub struct DynamoTable {
-    core: ServiceCore<TieredAdmission>,
+    pub(crate) core: ServiceCore<TieredAdmission>,
 }
 
 /// Account-wide throughput ceiling shared by all tables created from it

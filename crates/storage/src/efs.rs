@@ -78,7 +78,7 @@ impl EfsAccount {
 
 /// A simulated EFS filesystem.
 pub struct EfsFilesystem {
-    core: ServiceCore<TieredAdmission>,
+    pub(crate) core: ServiceCore<TieredAdmission>,
 }
 
 impl EfsFilesystem {

@@ -139,7 +139,7 @@ struct ScalingState {
 /// S3's admission policy: per-partition read IOPS that scale with
 /// sustained load (Standard), fixed account ceilings (Express), and a
 /// write quota that does not scale.
-struct S3Admission {
+pub(crate) struct S3Admission {
     cfg: S3Config,
     ctx: SimCtx,
     scaling: RefCell<ScalingState>,
@@ -232,7 +232,7 @@ impl Admission for S3Admission {
 
 /// A simulated S3 bucket (Standard or Express).
 pub struct S3Bucket {
-    core: ServiceCore<S3Admission>,
+    pub(crate) core: ServiceCore<S3Admission>,
 }
 
 impl S3Bucket {

@@ -83,8 +83,8 @@ fn full_suite_identical_across_jobs() {
 }
 
 /// The shuffle-read telemetry joins the determinism contract: the combining
-/// ablation replays Q12 over both the whole-object (`combine = 1`) and
-/// bucket-indexed read paths, and its `engine.shuffle.*` counters must land
+/// ablation replays Q12 over both whole-object (`combine = 1`) and ranged
+/// first fetches, and its `engine.shuffle.*` counters must land
 /// in the merged snapshot — byte-identically across job counts (the
 /// snapshot comparison in the shared helper) and with real traffic behind
 /// them. Release-mode CI only: the ablation runs four query sweeps.
@@ -97,7 +97,6 @@ fn shuffle_counters_identical_across_jobs() {
         "engine.shuffle.bytes_read",
         "engine.shuffle.bytes_whole_object",
         "engine.shuffle.bytes_pruned",
-        "engine.shuffle.rows_demuxed",
         "engine.shuffle.bytes_decoded",
     ] {
         assert!(
