@@ -363,6 +363,8 @@ pub struct KeyBuffer {
     rows: usize,
     words: Vec<u64>,
     encodings: Vec<KeyEncoding>,
+    /// Smallest and largest word of each key column.
+    spans: Vec<(u64, u64)>,
 }
 
 impl KeyBuffer {
@@ -391,16 +393,17 @@ impl KeyBuffer {
         let mut words = reuse;
         words.clear();
         words.resize(rows * width, 0);
-        let mut encodings = Vec::with_capacity(width);
-        for (ci, &col) in columns.iter().enumerate() {
-            let enc = encode_column(parts, col, ci, width, &mut words, cache);
-            encodings.push(enc);
-        }
+        let (encodings, spans) = columns
+            .iter()
+            .enumerate()
+            .map(|(ci, &col)| encode_column(parts, col, ci, width, &mut words, cache))
+            .unzip();
         KeyBuffer {
             width,
             rows,
             words,
             encodings,
+            spans,
         }
     }
 
@@ -429,9 +432,99 @@ impl KeyBuffer {
     /// Row indices sorted by normalized key (ties keep row order, so the
     /// permutation is stable). Equal slices group equal composite keys.
     pub fn sort_indices(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.rows as u32).collect();
-        idx.sort_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
-        idx
+        let mut order = Vec::with_capacity(self.rows);
+        self.argsort(&vec![true; self.width], &mut Vec::new(), &mut order);
+        order
+    }
+
+    /// Fill `order` with the row indices sorted by key column 0, then 1,
+    /// ..., column `c` ascending or, where `ascending[c]` is false,
+    /// descending; ties keep row order. `scratch` is a recycled buffer the
+    /// sort grows to two words per row.
+    ///
+    /// One stable LSD radix sort of one word per row: the row index in
+    /// the low bits, and above it as many key bits as fit, taken from the
+    /// last column backwards. A column contributes its offset from the
+    /// column's minimum (from its maximum when descending), so it costs
+    /// the bits of its min-max span and a constant column costs nothing.
+    /// Keys wider than a word take one more round per word, each sorting
+    /// the previous round's order. Digits are at most 11 bits and never
+    /// wider than the input is long, which keeps the histogram in L1 and
+    /// lets a sort of a few hundred rows pay for a few hundred counters.
+    pub fn argsort(&self, ascending: &[bool], scratch: &mut Vec<u64>, order: &mut Vec<u32>) {
+        let (n, width) = (self.rows, self.width);
+        assert_eq!(ascending.len(), width, "one direction per key column");
+        order.clear();
+        if n < 2 || width == 0 {
+            return order.extend(0..n as u32);
+        }
+        let row_bits = (n - 1).ilog2() + 1;
+        let (row_of, room) = (|word: u64| word & ((1 << row_bits) - 1), 64 - row_bits);
+        // The rounds, least significant first: each a list of key pieces
+        // `(column, flip, base, first bit, mask, position in the round's
+        // key)`, where `(word ^ flip) - base` is the column's offset: from
+        // its minimum, or (complemented) from its maximum.
+        let mut rounds: Vec<(Vec<_>, u32)> = Vec::new();
+        for c in (0..width).rev() {
+            let bits = 64 - (self.spans[c].1 - self.spans[c].0).leading_zeros();
+            let mut from = 0;
+            while from < bits {
+                if rounds.last().map_or(true, |(_, used)| *used == room) {
+                    rounds.push((Vec::new(), 0));
+                }
+                let (pieces, used) = rounds.last_mut().expect("just pushed");
+                let take = (bits - from).min(room - *used);
+                let (lo, hi) = self.spans[c];
+                let (flip, base) = if ascending[c] { (0, lo) } else { (!0, !hi) };
+                pieces.push((c, flip, base, from, u64::MAX >> (64 - take), *used));
+                (from, *used) = (from + take, *used + take);
+            }
+        }
+        if rounds.is_empty() {
+            return order.extend(0..n as u32);
+        }
+        scratch.clear();
+        scratch.resize(2 * n, 0);
+        let (mut src, mut dst) = scratch.split_at_mut(n);
+        let digit_max = n.ilog2().clamp(4, 11);
+        for (round, (pieces, bits)) in rounds.iter().enumerate() {
+            for (r, word) in src.iter_mut().enumerate() {
+                // The first key is packed while rows are in input order.
+                let r = if round == 0 {
+                    r
+                } else {
+                    row_of(*word) as usize
+                };
+                let row = &self.words[r * width..][..width];
+                let key = pieces
+                    .iter()
+                    .fold(0, |key, &(c, flip, base, from, mask, at)| {
+                        key | ((row[c] ^ flip).wrapping_sub(base) >> from & mask) << at
+                    });
+                *word = key << row_bits | r as u64;
+            }
+            let passes = bits.div_ceil(digit_max);
+            let digit = bits.div_ceil(passes.max(1));
+            for pass in 0..passes {
+                let shift = row_bits + pass * digit;
+                let digit_of = |word: u64| (word >> shift) as usize & ((1 << digit) - 1);
+                let mut starts = [0u32; 1 << 11];
+                for &word in src.iter() {
+                    starts[digit_of(word)] += 1;
+                }
+                let mut sum = 0;
+                for s in &mut starts[..1 << digit] {
+                    sum += std::mem::replace(s, sum);
+                }
+                for &word in src.iter() {
+                    let slot = &mut starts[digit_of(word)];
+                    dst[*slot as usize] = word;
+                    *slot += 1;
+                }
+                (src, dst) = (dst, src);
+            }
+        }
+        order.extend(src.iter().map(|&word| row_of(word) as u32));
     }
 
     /// Decode key column `c` of row `r` back to a [`Value`].
@@ -488,7 +581,8 @@ impl KeyBuffer {
 }
 
 /// Encode one key column across all selected rows into the interleaved
-/// word buffer, returning its decode metadata.
+/// word buffer, returning its decode metadata and its smallest and
+/// largest word. Panics if the column changes type across batches.
 fn encode_column(
     parts: &[(&Batch, SelSpec)],
     col: usize,
@@ -496,60 +590,33 @@ fn encode_column(
     width: usize,
     words: &mut [u64],
     cache: Option<&DictCache>,
-) -> KeyEncoding {
-    let mut base = 0usize;
+) -> (KeyEncoding, (u64, u64)) {
+    let slots = words.iter_mut().skip(ci).step_by(width);
     match parts.first().map(|(b, _)| &b.columns[col]) {
         None | Some(Column::Int64(_)) => {
-            for (b, sel) in parts {
-                let Column::Int64(v) = &b.columns[col] else {
-                    panic!("key column {col} changed type across batches");
-                };
-                for (i, r) in sel.iter(v.len()).enumerate() {
-                    words[(base + i) * width + ci] = norm_i64(v[r]);
-                }
-                base += sel.count(v.len());
-            }
-            KeyEncoding::Int64
+            let span = fill(parts, col, Column::as_i64, |&x| norm_i64(x), slots);
+            (KeyEncoding::Int64, span)
         }
         Some(Column::Float64(_)) => {
-            for (b, sel) in parts {
-                let Column::Float64(v) = &b.columns[col] else {
-                    panic!("key column {col} changed type across batches");
-                };
-                for (i, r) in sel.iter(v.len()).enumerate() {
-                    words[(base + i) * width + ci] = total_order_bits(v[r]);
-                }
-                base += sel.count(v.len());
-            }
-            KeyEncoding::Float64
+            let span = fill(parts, col, Column::as_f64, |&x| total_order_bits(x), slots);
+            (KeyEncoding::Float64, span)
         }
         Some(Column::Bool(_)) => {
-            for (b, sel) in parts {
-                let Column::Bool(v) = &b.columns[col] else {
-                    panic!("key column {col} changed type across batches");
-                };
-                for (i, r) in sel.iter(v.len()).enumerate() {
-                    words[(base + i) * width + ci] = v[r] as u64;
-                }
-                base += sel.count(v.len());
-            }
-            KeyEncoding::Bool
+            let span = fill(parts, col, Column::as_bool, |&x| x as u64, slots);
+            (KeyEncoding::Bool, span)
         }
         Some(Column::Utf8(_)) => {
             // Sorted distinct dictionary per batch column (cache-reusable),
             // merged across the run. The merged dictionary may be a
             // superset of the selected rows' values; rank *order* — the
             // only observable — is unaffected.
-            let mut dicts: Vec<Rc<Vec<String>>> = Vec::with_capacity(parts.len());
-            for (b, _) in parts {
-                let Column::Utf8(v) = &b.columns[col] else {
-                    panic!("key column {col} changed type across batches");
-                };
-                dicts.push(match cache {
-                    Some(c) => c.distinct(v),
-                    None => Rc::new(sorted_distinct(v)),
-                });
-            }
+            let dicts: Vec<Rc<Vec<String>>> = parts
+                .iter()
+                .map(|(b, _)| match cache {
+                    Some(c) => c.distinct(b.columns[col].as_str()),
+                    None => Rc::new(sorted_distinct(b.columns[col].as_str())),
+                })
+                .collect();
             let dict: Rc<Vec<String>> = if dicts.len() == 1 {
                 Rc::clone(&dicts[0])
             } else {
@@ -561,27 +628,44 @@ fn encode_column(
                 merged.dedup();
                 Rc::new(merged.into_iter().map(str::to_string).collect())
             };
-            for (b, sel) in parts {
-                let Column::Utf8(v) = &b.columns[col] else {
-                    unreachable!("checked above");
-                };
-                for (i, r) in sel.iter(v.len()).enumerate() {
-                    let rank = dict
-                        .binary_search(&v[r])
-                        .expect("dictionary covers all rows");
-                    words[(base + i) * width + ci] = rank as u64;
-                }
-                base += sel.count(v.len());
-            }
-            KeyEncoding::Utf8(dict)
+            let rank = |s: &String| dict.binary_search(s).expect("dictionary covers all rows");
+            let span = fill(parts, col, Column::as_str, |s| rank(s) as u64, slots);
+            (KeyEncoding::Utf8(dict), span)
         }
     }
+}
+
+/// Store `word(x)` for every selected value `x` of column `col`, typed
+/// by `view`, in the next of `slots` (the column's word of each row);
+/// returns the smallest and largest word stored.
+fn fill<'a, 'w, T: 'a>(
+    parts: &[(&'a Batch, SelSpec)],
+    col: usize,
+    view: impl Fn(&'a Column) -> &'a [T],
+    word: impl Fn(&T) -> u64,
+    mut slots: impl Iterator<Item = &'w mut u64>,
+) -> (u64, u64) {
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for (b, sel) in parts {
+        let v = view(&b.columns[col]);
+        let mut put = |x: &T| {
+            let w = word(x);
+            (lo, hi) = (lo.min(w), hi.max(w));
+            *slots.next().expect("a row of words per selected row") = w;
+        };
+        match sel {
+            SelSpec::Rows(rows) => rows.iter().for_each(|&r| put(&v[r as usize])),
+            _ => v[..sel.count(v.len())].iter().for_each(put),
+        }
+    }
+    (lo, hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::columnar::{Field, Schema};
+    use proptest::prelude::*;
 
     fn batch(cols: Vec<(&str, Column)>) -> Batch {
         let fields = cols
@@ -669,6 +753,76 @@ mod tests {
         let kb = KeyBuffer::encode(&[&b], &[0, 1]);
         // Equal composite keys keep row order: (a,2) rows 1,3 then (b,1) rows 0,2.
         assert_eq!(kb.sort_indices(), vec![1, 3, 0, 2]);
+    }
+
+    /// What [`KeyBuffer::argsort`] must equal: a stable comparator sort.
+    fn comparator_argsort(kb: &KeyBuffer, ascending: &[bool]) -> Vec<u32> {
+        let mut want: Vec<u32> = (0..kb.rows() as u32).collect();
+        want.sort_by(|&a, &b| {
+            let by_column = ascending.iter().enumerate().map(|(c, asc)| {
+                let ord = kb.word(a as usize, c).cmp(&kb.word(b as usize, c));
+                if *asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            });
+            by_column.fold(std::cmp::Ordering::Equal, std::cmp::Ordering::then)
+        });
+        want
+    }
+
+    /// Values that tie often, or span all 64 bits in one column.
+    fn narrow_or_extreme() -> impl Strategy<Value = i64> {
+        prop_oneof![4 => -3i64..4, 1 => any::<i64>(), 1 => Just(i64::MIN), 1 => Just(i64::MAX)]
+    }
+
+    proptest! {
+        /// Every direction mix, ties, and keys of up to 130 bits, so that
+        /// a column is cut across two rounds of the radix.
+        #[test]
+        fn argsort_matches_stable_comparator_sort(
+            rows in prop::collection::vec(
+                (narrow_or_extreme(), -2i64..3, any::<bool>(), narrow_or_extreme()),
+                0..200,
+            ),
+            directions in 0usize..16,
+        ) {
+            let b = batch(vec![
+                ("a", Column::Int64(rows.iter().map(|r| r.0).collect())),
+                ("b", Column::Int64(rows.iter().map(|r| r.1).collect())),
+                ("c", Column::Bool(rows.iter().map(|r| r.2).collect())),
+                ("d", Column::Int64(rows.iter().map(|r| r.3).collect())),
+            ]);
+            let kb = KeyBuffer::encode(&[&b], &[0, 1, 2, 3]);
+            let ascending: Vec<bool> = (0..4).map(|c| directions & (1 << c) == 0).collect();
+            let (mut scratch, mut order) = (vec![7; 3], vec![9; 5]);
+            kb.argsort(&ascending, &mut scratch, &mut order);
+            prop_assert_eq!(order, comparator_argsort(&kb, &ascending));
+        }
+    }
+
+    #[test]
+    fn argsort_with_full_width_digits_is_stable() {
+        // Enough rows for 11-bit digits; few enough users that most tie.
+        let n = 5_000u64;
+        let mix = |i: u64| mix64(i + 1);
+        let b = batch(vec![
+            (
+                "user",
+                Column::Int64((0..n).map(|i| (mix(i) % 40) as i64).collect()),
+            ),
+            (
+                "time",
+                Column::Int64((0..n).map(|i| (mix(i) >> 20) as i64).collect()),
+            ),
+        ]);
+        let kb = KeyBuffer::encode(&[&b], &[0, 1]);
+        assert_eq!(kb.sort_indices(), comparator_argsort(&kb, &[true, true]));
+        let by_user = KeyBuffer::encode(&[&b], &[0]);
+        let (mut scratch, mut order) = (Vec::new(), Vec::new());
+        by_user.argsort(&[false], &mut scratch, &mut order);
+        assert_eq!(order, comparator_argsort(&by_user, &[false]));
     }
 
     #[test]

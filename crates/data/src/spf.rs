@@ -13,9 +13,9 @@
 //!   per column, with min/max **zone maps** in the footer so scans can
 //!   "read file metadata to identify relevant data and push down
 //!   projections and selections".
-//! * Encodings: zigzag-varint **delta** for integers/dates, raw
-//!   little-endian for floats, **dictionary** or raw for strings, bitmaps
-//!   for booleans.
+//! * Encodings: zigzag-varint **delta** for integers/dates (decoded a
+//!   `u64` word at a time), raw little-endian for floats, **dictionary**
+//!   or raw for strings, bitmaps for booleans.
 //! * The footer sits at the tail, so a remote reader needs exactly three
 //!   ranged requests: tail trailer → footer → relevant column chunks.
 
@@ -201,6 +201,17 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The continuation bit of each of a word's eight varint bytes.
+const CONTINUE: u64 = 0x8080_8080_8080_8080;
+
+/// The seven payload bits of each of a word's eight varint bytes, as 56
+/// contiguous bits.
+fn compact7(mut v: u64) -> u64 {
+    v = ((v & 0x7f00_7f00_7f00_7f00) >> 1) | (v & 0x007f_007f_007f_007f);
+    v = ((v & 0x3fff_0000_3fff_0000) >> 2) | (v & 0x0000_3fff_0000_3fff);
+    ((v & 0x0fff_ffff_0000_0000) >> 4) | (v & 0x0000_0000_0fff_ffff)
+}
+
 /// A bounds-checked little-endian reader.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -282,22 +293,35 @@ fn encode_column(
     match col {
         Column::Int64(v) => {
             let v = &v[rows];
-            out.reserve(v.len() * 2);
-            let mut prev = 0i64;
-            for &x in v {
-                put_varint(out, zigzag(x.wrapping_sub(prev)));
-                prev = x;
+            // Varints land in a block on the stack by index and reach `out`
+            // one `extend` per block: no capacity check per byte. One or
+            // two bytes, nearly every delta, are one branch-free store;
+            // min/max fold in the same pass.
+            const BLOCK: usize = 64;
+            let mut block = [0u8; BLOCK * 10];
+            let (mut prev, mut lo, mut hi) = (0i64, i64::MAX, i64::MIN);
+            for values in v.chunks(BLOCK) {
+                let mut n = 0;
+                for &x in values {
+                    (lo, hi) = (lo.min(x), hi.max(x));
+                    let mut z = zigzag(x.wrapping_sub(prev));
+                    prev = x;
+                    while z >= 1 << 14 {
+                        block[n] = z as u8 | 0x80;
+                        (n, z) = (n + 1, z >> 7);
+                    }
+                    let two = z >= 0x80;
+                    let pair = (z & 0x7f) as u16 | (two as u16) << 7 | (z as u16 >> 7) << 8;
+                    block[n..n + 2].copy_from_slice(&pair.to_le_bytes());
+                    n += 1 + two as usize;
+                }
+                out.extend_from_slice(&block[..n]);
             }
-            let stats = v.iter().copied().fold(None::<(i64, i64)>, |acc, x| {
-                Some(acc.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))))
+            let stats = (!v.is_empty()).then_some(ChunkStats {
+                min: Value::Int64(lo),
+                max: Value::Int64(hi),
             });
-            (
-                Encoding::DeltaVarint,
-                stats.map(|(lo, hi)| ChunkStats {
-                    min: Value::Int64(lo),
-                    max: Value::Int64(hi),
-                }),
-            )
+            (Encoding::DeltaVarint, stats)
         }
         Column::Float64(v) => {
             let v = &v[rows];
@@ -399,15 +423,50 @@ fn decode_column(
     encoding: Encoding,
     rows: usize,
 ) -> Result<(Column, Option<Vec<String>>), SpfError> {
+    // The fewest bytes `rows` values can take: no footer makes a decoder
+    // allocate, or the word-at-a-time loop trust, more than the chunk holds.
+    let min_len = match encoding {
+        Encoding::DeltaVarint | Encoding::Utf8Dict => rows,
+        Encoding::FloatPlain => rows.saturating_mul(8),
+        Encoding::Utf8Plain => rows.saturating_mul(4),
+        Encoding::BoolBitmap => rows.div_ceil(8),
+    };
+    if buf.len() < min_len {
+        return Err(SpfError::Corrupt("unexpected end of buffer"));
+    }
     let mut cur = Cursor::new(buf);
     let mut sorted_dict = None;
     let column = match encoding {
         Encoding::DeltaVarint => {
             let mut out = Vec::with_capacity(rows);
             let mut prev = 0i64;
-            for _ in 0..rows {
-                prev = prev.wrapping_add(unzigzag(cur.varint()?));
-                out.push(prev);
+            let mut next = |delta: u64| {
+                prev = prev.wrapping_add(unzigzag(delta));
+                prev
+            };
+            while out.len() < rows {
+                let word = buf.get(cur.pos..cur.pos + 8);
+                let word = word.map(|w| u64::from_le_bytes(w.try_into().expect("8")));
+                match word.map(|w| (w, !w & CONTINUE)) {
+                    // Eight one-byte varints in one load.
+                    Some((w, CONTINUE)) if rows - out.len() >= 8 => {
+                        out.extend_from_slice(&w.to_le_bytes().map(|b| next(b as u64)));
+                        cur.pos += 8;
+                    }
+                    // Every varint that ends inside the word: `ends` holds
+                    // a bit per last byte, lowest first.
+                    Some((w, mut ends)) if ends != 0 => {
+                        let mut start = 0;
+                        while ends != 0 && out.len() < rows {
+                            let end = ends.trailing_zeros() + 1;
+                            out.push(next(compact7((w << (64 - end)) >> (64 - end + start))));
+                            (ends, start) = (ends & (ends - 1), end);
+                        }
+                        cur.pos += start as usize / 8;
+                    }
+                    // Nine or ten bytes, the last seven of the chunk, damage.
+                    _ => out.push(next(cur.varint()?)),
+                }
             }
             Column::Int64(out)
         }
@@ -927,6 +986,97 @@ mod tests {
         );
     }
 
+    /// A footer may claim any `u32` of rows: each decoder refuses, before
+    /// it allocates, a chunk too short to hold them.
+    #[test]
+    fn chunk_claiming_more_rows_than_bytes_is_a_typed_error() {
+        let short = Err(SpfError::Corrupt("unexpected end of buffer"));
+        let chunk = [0u8; 40];
+        let huge = u32::MAX as usize;
+        for encoding in [
+            Encoding::DeltaVarint,
+            Encoding::FloatPlain,
+            Encoding::Utf8Plain,
+            Encoding::Utf8Dict,
+            Encoding::BoolBitmap,
+        ] {
+            assert_eq!(decode_column(&chunk, encoding, huge).map(|_| ()), short);
+        }
+        // One row past what 40 bytes can hold, and the most they can.
+        assert_eq!(
+            decode_column(&chunk, Encoding::DeltaVarint, 41).map(|_| ()),
+            short
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::FloatPlain, 6).map(|_| ()),
+            short
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::Utf8Plain, 11).map(|_| ()),
+            short
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::BoolBitmap, 321).map(|_| ()),
+            short
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::DeltaVarint, 40),
+            Ok((Column::Int64(vec![0; 40]), None))
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::FloatPlain, 5),
+            Ok((Column::Float64(vec![0.0; 5]), None))
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::Utf8Plain, 10),
+            Ok((Column::Utf8(vec![String::new(); 10]), None))
+        );
+        assert_eq!(
+            decode_column(&chunk, Encoding::BoolBitmap, 320),
+            Ok((Column::Bool(vec![false; 320]), None))
+        );
+        // Through `ChunkMeta`, the way a reader meets it.
+        let meta = ChunkMeta {
+            offset: 4,
+            len: 40,
+            encoding: Encoding::DeltaVarint,
+            rows: u32::MAX,
+            stats: None,
+        };
+        assert_eq!(decode_chunk(&meta, &chunk).map(|_| ()), short);
+    }
+
+    /// The writer's bytes at 0c0a653, before the `Int64` encoder changed:
+    /// (length, FNV-1a) of a plain file and of a rotated bucketed segment.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let clicks = crate::tpcxbb::generate(0.01, 1).clickstreams;
+        let plain = write(std::slice::from_ref(&clicks), 8192);
+        assert_eq!(
+            (plain.len(), fnv1a(&plain)),
+            (388_509, 5_230_399_205_459_801_991)
+        );
+        let users = clicks.column("wcs_user_sk").as_i64();
+        let buckets: Vec<Batch> = (0..4)
+            .map(|b| {
+                let rows: Vec<usize> = (0..users.len())
+                    .filter(|&r| crate::keys::hash_key_i64(users[r]) % 4 == b)
+                    .collect();
+                clicks.take(&rows)
+            })
+            .collect();
+        let bucketed = write_bucketed_rotated(&buckets, 8192, 1);
+        assert_eq!(
+            (bucketed.len(), fnv1a(&bucketed)),
+            (388_569, 2_987_015_115_238_525_244)
+        );
+    }
+
     fn sample_batch(n: usize) -> Batch {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int64),
@@ -1348,7 +1498,63 @@ mod tests {
         assert_eq!(out.iter().map(Batch::num_rows).sum::<usize>(), 0);
     }
 
+    /// Deltas of every varint length, 1 to 10 bytes, and both signs.
+    fn any_delta() -> impl Strategy<Value = i64> {
+        (0u32..64, any::<i64>()).prop_map(|(shift, x)| x >> shift)
+    }
+
     proptest! {
+        /// The word-at-a-time `DeltaVarint` codec on arbitrary integers, at
+        /// the lengths where the eight-value fast path starts, ends and
+        /// leaves a tail: round trip; every truncation is the typed error;
+        /// a continuation bit set on the last byte never panics.
+        #[test]
+        fn prop_delta_varint_survives_hostile_bytes(
+            len in prop_oneof![0usize..20, 8185usize..8200],
+            deltas in prop::collection::vec(any_delta(), 8200),
+            narrow in any::<bool>(),
+        ) {
+            let mut x = 0i64;
+            let values: Vec<i64> = deltas[..len]
+                .iter()
+                .map(|&d| {
+                    x = x.wrapping_add(if narrow { d % 64 } else { d });
+                    x
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            let (encoding, stats) = encode_column(&Column::Int64(values.clone()), 0..len, &mut bytes);
+            prop_assert_eq!(
+                stats.map(|s| (s.min, s.max)),
+                values.iter().min().zip(values.iter().max()).map(|(&lo, &hi)| (Value::Int64(lo), Value::Int64(hi)))
+            );
+            let mut reference = Vec::new();
+            values.iter().fold(0i64, |prev, &v| {
+                put_varint(&mut reference, zigzag(v.wrapping_sub(prev)));
+                v
+            });
+            prop_assert_eq!(&bytes, &reference);
+            prop_assert_eq!(
+                decode_column(&bytes, encoding, len),
+                Ok((Column::Int64(values), None))
+            );
+            let cuts = bytes.len().saturating_sub(24)..bytes.len();
+            for cut in (0..bytes.len().min(24)).chain(cuts) {
+                prop_assert_eq!(
+                    decode_column(&bytes[..cut], encoding, len).map(|_| ()),
+                    Err(SpfError::Corrupt("unexpected end of buffer")),
+                    "cut at {}", cut
+                );
+            }
+            if let Some(last) = bytes.last_mut() {
+                *last |= 0x80;
+                prop_assert!(matches!(
+                    decode_column(&bytes, encoding, len),
+                    Err(SpfError::Corrupt(_))
+                ));
+            }
+        }
+
         #[test]
         fn prop_int_roundtrip(values in prop::collection::vec(any::<i64>(), 0..300), group in 1usize..100) {
             let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);

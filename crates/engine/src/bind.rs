@@ -944,6 +944,15 @@ fn hash_join(
     Ok(out)
 }
 
+/// [`KeyBuffer::argsort`] with its order and scratch drawn from the arena.
+fn argsort(keys: &KeyBuffer, ascending: &[bool], ctx: &Ctx) -> Vec<u32> {
+    let mut order = ctx.arena.u32s(keys.rows());
+    let mut scratch = ctx.arena.u64s(2 * keys.rows());
+    keys.argsort(ascending, &mut scratch, &mut order);
+    ctx.arena.recycle_u64(scratch);
+    order
+}
+
 fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, EngineError> {
     if stream.is_empty() {
         return Err(EngineError::Plan("sort over no batches".into()));
@@ -955,29 +964,18 @@ fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, E
         .iter()
         .map(|sb| (sb.batch.as_ref(), sb.spec()))
         .collect();
-    let cols: Vec<usize> = by.iter().map(|(i, _)| *i).collect();
+    let (cols, ascending): (Vec<usize>, Vec<bool>) = by.iter().copied().unzip();
     let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
     let words = ctx.arena.u64s(total * cols.len());
     let kb = KeyBuffer::encode_selected(&parts, &cols, Some(&ctx.cache), words);
     // Location table in live stream order (== the oracle's concat order), then
-    // a stable sort of positions, then one gather straight from the
+    // a stable argsort of positions, then one gather straight from the
     // original batches — the concat itself never happens.
     let mut locs = ctx.arena.locs(total);
     for (pi, (b, s)) in parts.iter().enumerate() {
         locs.extend(s.iter(b.num_rows()).map(|r| (pi as u32, r as u32)));
     }
-    let mut idx = ctx.arena.u32s(total);
-    idx.extend(0..total as u32);
-    idx.sort_by(|&a, &b| {
-        for (c, (_, asc)) in by.iter().enumerate() {
-            let ord = kb.word(a as usize, c).cmp(&kb.word(b as usize, c));
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    let idx = argsort(&kb, &ascending, ctx);
     let mut out_locs = ctx.arena.locs(total);
     out_locs.extend(idx.iter().map(|&i| locs[i as usize]));
     let batches: Vec<&Batch> = stream.iter().map(|sb| sb.batch.as_ref()).collect();
@@ -1018,47 +1016,36 @@ fn sessionize_q3(
             vec![Column::Int64(vec![]), Column::Int64(vec![])],
         ));
     }
-    // Gather the five click columns under the selection into arena
-    // scratch — the only per-row copy this operator makes.
+    // Order clicks per user by (date, time): the three key columns are
+    // encoded under the selection and argsorted; only the two payload
+    // columns are gathered.
+    let parts: Vec<(&Batch, SelSpec)> = clicks
+        .iter()
+        .map(|sb| (sb.batch.as_ref(), sb.spec()))
+        .collect();
     let total: usize = clicks.iter().map(SelBatch::rows).sum();
-    let mut users = ctx.arena.i64s(total);
-    let mut dates = ctx.arena.i64s(total);
-    let mut times = ctx.arena.i64s(total);
+    let key_cols = [cols.users, cols.dates, cols.times];
+    let words = ctx.arena.u64s(total * key_cols.len());
+    let keys = KeyBuffer::encode_selected(&parts, &key_cols, None, words);
     let mut item_sk = ctx.arena.i64s(total);
     let mut sales = ctx.arena.i64s(total);
-    for sb in clicks {
-        let b = sb.batch.as_ref();
-        let n = b.num_rows();
-        let (u, d, t, i, s) = (
-            b.columns[cols.users].as_i64(),
-            b.columns[cols.dates].as_i64(),
-            b.columns[cols.times].as_i64(),
-            b.columns[cols.items].as_i64(),
-            b.columns[cols.sales].as_i64(),
-        );
-        for r in sb.spec().iter(n) {
-            users.push(u[r]);
-            dates.push(d[r]);
-            times.push(t[r]);
-            item_sk.push(i[r]);
-            sales.push(s[r]);
+    for (b, sel) in &parts {
+        for (out, col) in [(&mut item_sk, cols.items), (&mut sales, cols.sales)] {
+            let v = b.columns[col].as_i64();
+            match sel {
+                SelSpec::Rows(rows) => out.extend(rows.iter().map(|&r| v[r as usize])),
+                _ => out.extend_from_slice(&v[..sel.count(v.len())]),
+            }
         }
     }
-
-    // Order clicks per user by (date, time).
-    let mut idx = ctx.arena.u32s(total);
-    idx.extend(0..total as u32);
-    idx.sort_by_key(|&i| {
-        let i = i as usize;
-        (users[i], dates[i], times[i])
-    });
+    let idx = argsort(&keys, &[true; 3], ctx);
+    let user = |click: u32| keys.word(click as usize, 0);
 
     let mut views: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
     let mut start = 0usize;
     while start < idx.len() {
-        let user = users[idx[start] as usize];
         let mut end = start;
-        while end < idx.len() && users[idx[end] as usize] == user {
+        while end < idx.len() && user(idx[end]) == user(idx[start]) {
             end += 1;
         }
         let session = &idx[start..end];
@@ -1087,7 +1074,8 @@ fn sessionize_q3(
         ],
     );
     ctx.arena.recycle_u32(idx);
-    for v in [users, dates, times, item_sk, sales] {
+    ctx.arena.recycle_u64(keys.into_words());
+    for v in [item_sk, sales] {
         ctx.arena.recycle_i64(v);
     }
     Ok(out)
@@ -1098,41 +1086,22 @@ fn sessionize_q3(
 // ---------------------------------------------------------------------------
 
 /// Hash-partition a chain's output stream into `n` buckets without
-/// materialising it first: hashes fold batched over each batch's key
-/// columns, live rows route to per-bucket location tables, and each
-/// bucket gathers straight from the original batches. Row order within a
-/// bucket equals concat-then-`partition_batch` order.
+/// materialising it first: the counting scatter that
+/// [`operators::partition_batch`] is, under the stream's selections. Row
+/// order within a bucket equals concat-then-`partition_batch` order.
 pub fn partition_sel(
     output: Vec<SelBatch>,
     partition_by: &[String],
     n: usize,
 ) -> Result<Vec<Batch>, EngineError> {
-    assert!(n > 0);
-    let Some(first) = output.first() else {
+    if output.is_empty() {
         return Err(EngineError::Plan("partition over no batches".into()));
-    };
-    let schema = Rc::clone(&first.batch.schema);
-    if partition_by.is_empty() {
-        // Everything to bucket 0 (single downstream).
-        let batches = materialise_all(output);
-        let merged = Batch::concat(&batches);
-        let mut out = vec![Batch::empty(schema); n];
-        out[0] = merged;
-        return Ok(out);
     }
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (pi, sb) in output.iter().enumerate() {
-        let hashes = operators::partition_hashes(&sb.batch, partition_by)?;
-        for r in sb.spec().iter(sb.batch.num_rows()) {
-            let b = (hashes[r] % n as u64) as usize;
-            buckets[b].push((pi as u32, r as u32));
-        }
-    }
-    let parts: Vec<&Batch> = output.iter().map(|sb| sb.batch.as_ref()).collect();
-    Ok(buckets
-        .into_iter()
-        .map(|locs| Batch::gather(&parts, &locs))
-        .collect())
+    let parts: Vec<(&Batch, SelSpec)> = output
+        .iter()
+        .map(|sb| (sb.batch.as_ref(), sb.spec()))
+        .collect();
+    operators::partition_parts(&parts, partition_by, n)
 }
 
 #[cfg(test)]

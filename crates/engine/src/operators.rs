@@ -2,9 +2,10 @@
 //! chain statistics, the partial-aggregate naming convention, typed column
 //! assembly, and hash partitioning of whole batches.
 
+use crate::arena::Arena;
 use crate::error::EngineError;
 use crate::plan::{AggExpr, AggFunc};
-use skyrise_data::keys;
+use skyrise_data::keys::{self, SelSpec};
 use skyrise_data::{Batch, Column, Value};
 use skyrise_sim::{fnv1a64_fold, FNV64_OFFSET};
 use std::rc::Rc;
@@ -106,19 +107,77 @@ pub fn partition_batch(
     partition_by: &[String],
     n: usize,
 ) -> Result<Vec<Batch>, EngineError> {
+    partition_parts(&[(batch, SelSpec::All)], partition_by, n)
+}
+
+/// The partition kernel, a two-pass counting scatter over the live rows
+/// of `parts` (batches of one schema, at least one): pass 1 gives every
+/// live row the bucket `hash % n` and counts the buckets, pass 2 appends
+/// column by column to bucket columns allocated at exactly those sizes.
+/// A bucket keeps stream order; without key columns every row hashes to
+/// bucket 0.
+pub(crate) fn partition_parts(
+    parts: &[(&Batch, SelSpec)],
+    partition_by: &[String],
+    n: usize,
+) -> Result<Vec<Batch>, EngineError> {
     assert!(n > 0);
-    if partition_by.is_empty() {
-        // Round-robin-free: everything to bucket 0 (single downstream).
-        let mut out = vec![Batch::empty(Rc::clone(&batch.schema)); n];
-        out[0] = batch.clone();
-        return Ok(out);
+    let arena = Arena::current();
+    let live: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
+    let mut ids = arena.u32s(live);
+    let mut counts = vec![0usize; n];
+    for (batch, sel) in parts {
+        let hashes = partition_hashes(batch, partition_by)?;
+        for r in sel.iter(batch.num_rows()) {
+            let bucket = (hashes[r] % n as u64) as u32;
+            counts[bucket as usize] += 1;
+            ids.push(bucket);
+        }
     }
-    let hashes = partition_hashes(batch, partition_by)?;
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (row, h) in hashes.iter().enumerate() {
-        buckets[(h % n as u64) as usize].push(row);
+    let schema = &parts[0].0.schema;
+    let mut buckets = vec![Vec::with_capacity(schema.len()); n];
+    for c in 0..schema.len() {
+        let chunks = parts.iter().map(|(batch, sel)| (&batch.columns[c], *sel));
+        let columns: Vec<Column> = match &parts[0].0.columns[c] {
+            Column::Int64(_) => scatter(chunks.map(|(v, s)| (v.as_i64(), s)), &ids, &counts)
+                .map(Column::Int64)
+                .collect(),
+            Column::Float64(_) => scatter(chunks.map(|(v, s)| (v.as_f64(), s)), &ids, &counts)
+                .map(Column::Float64)
+                .collect(),
+            Column::Utf8(_) => scatter(chunks.map(|(v, s)| (v.as_str(), s)), &ids, &counts)
+                .map(Column::Utf8)
+                .collect(),
+            Column::Bool(_) => scatter(chunks.map(|(v, s)| (v.as_bool(), s)), &ids, &counts)
+                .map(Column::Bool)
+                .collect(),
+        };
+        for (bucket, column) in buckets.iter_mut().zip(columns) {
+            bucket.push(column);
+        }
     }
-    Ok(buckets.into_iter().map(|rows| batch.take(&rows)).collect())
+    arena.recycle_u32(ids);
+    Ok(buckets
+        .into_iter()
+        .map(|columns| Batch::new(Rc::clone(schema), columns))
+        .collect())
+}
+
+/// Pass 2 of [`partition_parts`] for one column: the live values of
+/// `chunks`, each appended to the bucket `ids` names for its row.
+fn scatter<'a, T: Clone + 'a>(
+    chunks: impl Iterator<Item = (&'a [T], SelSpec<'a>)>,
+    ids: &[u32],
+    counts: &[usize],
+) -> impl Iterator<Item = Vec<T>> {
+    let mut out: Vec<Vec<T>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+    let mut ids = ids.iter();
+    for (values, sel) in chunks {
+        for (r, &bucket) in sel.iter(values.len()).zip(&mut ids) {
+            out[bucket as usize].push(values[r].clone());
+        }
+    }
+    out.into_iter()
 }
 
 #[cfg(test)]

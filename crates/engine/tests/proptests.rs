@@ -680,24 +680,75 @@ proptest! {
     }
 
     /// Filter feeding the sort's key encoder under the selection vector:
-    /// the gather happens once, at emission, in sorted order.
+    /// the gather happens once, at emission, in sorted order. With
+    /// `desc_mask & 4` the string is the only key, so that most rows tie
+    /// and only a stable sort keeps the other columns in stream order.
     #[test]
     fn filtered_sort_matches_scalar_oracle(
         rows in mixed_rows(),
         split in 0usize..60,
         threshold in -4i64..=4,
-        desc_mask in 0usize..4,
+        desc_mask in 0usize..8,
     ) {
-        let ops = vec![
-            ki_filter(threshold),
-            Op::Sort {
-                by: vec![
-                    ("ks".to_string(), desc_mask & 1 == 0),
-                    ("kf".to_string(), desc_mask & 2 == 0),
-                ],
-            },
+        let mut by = vec![
+            ("ks".to_string(), desc_mask & 1 == 0),
+            ("kf".to_string(), desc_mask & 2 == 0),
         ];
+        by.truncate(if desc_mask & 4 == 0 { 2 } else { 1 });
+        let ops = vec![ki_filter(threshold), Op::Sort { by }];
         assert_chain_matches_oracle(&ops, &[mixed_stream(&rows, split)])?;
+    }
+
+    /// `sessionize_q3` against the oracle: clicks over several batches and
+    /// under a leading filter (`Sel::Rows`), `(user, date, time)` triples
+    /// that repeat (ties must keep stream order for the window to see the
+    /// same priors), negative keys, and `i64::MIN` beside `i64::MAX` in the
+    /// time column, whose span of 2^64 - 1 takes every bit of a sort key.
+    #[test]
+    fn bound_sessionize_matches_scalar_oracle(
+        clicks in prop::collection::vec(
+            (-2i64..3, -1i64..2, prop_oneof![4 => -3i64..4, 1 => Just(i64::MIN), 1 => Just(i64::MAX)], 1i64..7, 0i64..3),
+            0..80,
+        ),
+        cuts in prop::collection::vec(0usize..80, 0..4),
+        category in prop::collection::vec(1i64..7, 1..6),
+        window in prop_oneof![1 => Just(0usize), 2 => Just(1usize), 3 => 2usize..6, 2 => Just(1000usize)],
+        keep_below in 3i64..8,
+    ) {
+        let schema = skyrise_data::tpcxbb::clickstreams_schema();
+        let column = |f: fn(&(i64, i64, i64, i64, i64)) -> i64, rows: &[(i64, i64, i64, i64, i64)]| {
+            Column::Int64(rows.iter().map(f).collect())
+        };
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (clicks.len() + 1)).collect();
+        cuts.extend([0, clicks.len()]);
+        cuts.sort_unstable();
+        let stream: Vec<Batch> = cuts
+            .windows(2)
+            .map(|w| &clicks[w[0]..w[1]])
+            .map(|rows| {
+                Batch::new(
+                    Rc::clone(&schema),
+                    vec![
+                        column(|r| r.0, rows),
+                        column(|r| r.1, rows),
+                        column(|r| r.2, rows),
+                        column(|r| r.3, rows),
+                        column(|r| r.4, rows),
+                    ],
+                )
+            })
+            .collect();
+        let items = Batch::new(
+            Schema::new(vec![Field::new("i_item_sk", DataType::Int64)]),
+            vec![Column::Int64(category)],
+        );
+        let ops = vec![
+            Op::Filter {
+                predicate: Expr::col("wcs_item_sk").cmp(CmpOp::Lt, Expr::lit_i64(keep_below)),
+            },
+            Op::SessionizeQ3 { category_input: 1, window },
+        ];
+        assert_chain_matches_oracle(&ops, &[stream, vec![items]])?;
     }
 
     /// Limit over a Rows selection truncates the vector in place; over a
