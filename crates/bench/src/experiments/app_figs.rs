@@ -170,13 +170,7 @@ pub fn fig15() -> ExperimentResult {
                     _ => Storage::S3(S3Bucket::express(&ctx, &meter)),
                 };
                 let lambda = LambdaPlatform::new(&ctx, &meter, Region::us_east_1());
-                let engine = Skyrise::deploy(
-                    &ctx,
-                    ComputePlatform::Faas(lambda),
-                    base,
-                    shuffle,
-                    skyrise::engine::SkyriseConfig::default(),
-                );
+                let engine = Skyrise::deploy(&ctx, ComputePlatform::Faas(lambda), base, shuffle);
                 engine.warm(80).await;
 
                 let mut plan = queries::q12();

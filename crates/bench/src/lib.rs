@@ -19,11 +19,12 @@
 //! `stem-<name>.ext` next to it when several are. Traces are byte-identical
 //! across runs with identical seeds.
 
-// Host-side harness crate: wall-clock timing and OS threads are its job
-// (summary lines, the parallel runner). The determinism rules guard the
-// simulation crates; here they are allowed crate-wide, mirroring simlint's
-// crate-level exemption for `crates/bench`.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-side harness crate: wall-clock summary lines, environment-resolved output \
+              paths and the parallel runner's OS threads are its job; the determinism rules \
+              guard the simulations it runs"
+)]
 
 pub mod datasets;
 pub mod experiments;
@@ -47,7 +48,6 @@ pub fn results_dir() -> PathBuf {
     RESULTS_DIR
         .get_or_init(|| {
             // Harness configuration, not sim state: resolved once, cached.
-            #[allow(clippy::disallowed_methods)]
             std::env::var("SKYRISE_RESULTS")
                 .map(PathBuf::from)
                 .unwrap_or_else(|_| PathBuf::from("results"))
@@ -60,7 +60,6 @@ pub fn results_dir() -> PathBuf {
 pub fn full_profile() -> bool {
     *FULL_PROFILE.get_or_init(|| {
         // Harness configuration, not sim state: resolved once, cached.
-        #[allow(clippy::disallowed_methods)]
         std::env::var("SKYRISE_FULL")
             .map(|v| v == "1")
             .unwrap_or(false)
@@ -300,7 +299,6 @@ mod tests {
     #[test]
     fn profile_defaults_to_fast() {
         // Unless the caller exported SKYRISE_FULL=1.
-        #[allow(clippy::disallowed_methods)]
         if std::env::var("SKYRISE_FULL").is_err() {
             assert!(!full_profile());
         }

@@ -25,8 +25,10 @@
 //! With `--shard i/n`, only every n-th selected experiment (offset i)
 //! runs — composes with `--jobs` for fleet-style CI splits.
 
-// Host-side harness shell: wall-clock use is deliberate (see crate docs).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-side harness shell: reads its arguments and reports wall-clock time"
+)]
 
 use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_with_sidecar};
 

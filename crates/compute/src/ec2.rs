@@ -56,11 +56,6 @@ impl Vm {
         let end = self.terminated.get().unwrap_or(self.ctx.now());
         end.duration_since(self.started)
     }
-
-    /// True after [`Vm::terminate`].
-    pub fn is_terminated(&self) -> bool {
-        self.terminated.get().is_some()
-    }
 }
 
 /// Launch configuration for a batch of VMs.

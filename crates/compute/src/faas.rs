@@ -201,9 +201,8 @@ pub struct LambdaPlatform {
     concurrency_quota: u32,
     concurrent: Cell<u32>,
     next_sandbox: Cell<u64>,
-    /// Statistics: coldstarts and warmstarts served.
+    /// Statistics: coldstarts served (`metrics` counts warmstarts too).
     cold_starts: Cell<u64>,
-    warm_starts: Cell<u64>,
     metrics: FaasMetrics,
 }
 
@@ -225,7 +224,6 @@ impl LambdaPlatform {
             concurrent: Cell::new(0),
             next_sandbox: Cell::new(0),
             cold_starts: Cell::new(0),
-            warm_starts: Cell::new(0),
             metrics,
         })
     }
@@ -271,11 +269,6 @@ impl LambdaPlatform {
     /// Coldstarts served so far.
     pub fn cold_start_count(&self) -> u64 {
         self.cold_starts.get()
-    }
-
-    /// Warmstarts served so far.
-    pub fn warm_start_count(&self) -> u64 {
-        self.warm_starts.get()
     }
 
     /// Currently executing invocations.
@@ -465,7 +458,6 @@ impl LambdaPlatform {
             span.attr("sandbox", sb.id);
             let lat = self.ctx.with_rng(|r| self.region.sample_warmstart(r));
             self.ctx.sleep(lat).await;
-            self.warm_starts.set(self.warm_starts.get() + 1);
             self.metrics.warm_starts.inc();
             self.metrics.warmstart_secs.record_duration(lat);
             return (sb, false);

@@ -57,11 +57,6 @@ impl ComputePlatform {
         }
     }
 
-    /// True for the serverless deployment.
-    pub fn is_faas(&self) -> bool {
-        matches!(self, ComputePlatform::Faas(_))
-    }
-
     /// The usage meter behind this platform, when it exposes one (FaaS
     /// bills through the platform; the shim's VMs are billed at launch).
     pub fn meter(&self) -> Option<skyrise_pricing::SharedMeter> {

@@ -63,21 +63,9 @@ impl ShimCluster {
             .sum()
     }
 
-    /// Number of VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
     /// The cluster's hourly cost (peak-provisioned).
     pub fn usd_per_hour(&self) -> f64 {
         self.vms.iter().map(|vm| vm.usd_per_hour()).sum()
-    }
-
-    /// Terminate all VMs, billing their lifetimes.
-    pub fn terminate_all(&self) {
-        for vm in &self.vms {
-            vm.terminate();
-        }
     }
 
     /// Invoke a function on the head node without occupying a worker slot

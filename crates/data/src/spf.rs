@@ -893,7 +893,10 @@ pub fn decode_chunk_with_dict(
 /// surfaced ([`decode_chunk_with_dict`]) as `(batch, projected column,
 /// sorted dictionary)`. A chunk the footer places outside the window is
 /// [`SpfError::Corrupt`], never an out-of-bounds slice.
-#[allow(clippy::type_complexity)] // one tuple, spelled out in the doc above
+#[allow(
+    clippy::type_complexity,
+    reason = "one tuple, spelled out in the doc above"
+)]
 pub fn decode_row_groups<'a>(
     footer: &Footer,
     row_groups: impl IntoIterator<Item = &'a RowGroupMeta>,
@@ -923,25 +926,6 @@ pub fn decode_row_groups<'a>(
 
 fn unknown_column(name: &str) -> SpfError {
     SpfError::UnknownColumn(name.to_string())
-}
-
-/// Read one row group from a local file, restricted to `projection`
-/// (field names). `None` means all columns.
-pub fn read_row_group(
-    file: &[u8],
-    footer: &Footer,
-    rg_idx: usize,
-    projection: Option<&[String]>,
-) -> Result<Batch, SpfError> {
-    let rg = footer
-        .row_groups
-        .get(rg_idx)
-        .ok_or(SpfError::Corrupt("row group index out of range"))?;
-    let proj = footer
-        .schema
-        .indices_of(projection)
-        .map_err(unknown_column)?;
-    Ok(decode_row_groups(footer, [rg], &proj, 0, file)?.0.remove(0))
 }
 
 /// Read the whole file into batches (one per row group).

@@ -51,11 +51,6 @@ pub fn orders_rows(sf: f64) -> u64 {
     (sf * 1_500_000.0).round() as u64
 }
 
-/// Expected number of lineitem rows (~4 per order).
-pub fn lineitem_rows_estimate(sf: f64) -> u64 {
-    orders_rows(sf) * 4
-}
-
 /// Both tables generated together so their keys agree.
 pub struct TpchTables {
     /// The ORDERS table.
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn every_lineitem_joins_to_an_order() {
         let t = generate(0.002, 11);
-        let orders: std::collections::HashSet<i64> = t
+        let orders: std::collections::BTreeSet<i64> = t
             .orders
             .column("o_orderkey")
             .as_i64()

@@ -165,7 +165,7 @@ mod tests {
         let purchases: Vec<i64> = sales.iter().copied().filter(|&s| s != 0).collect();
         let frac = purchases.len() as f64 / sales.len() as f64;
         assert!(frac > 0.02 && frac < 0.07, "purchase fraction {frac}");
-        let unique: std::collections::HashSet<i64> = purchases.iter().copied().collect();
+        let unique: std::collections::BTreeSet<i64> = purchases.iter().copied().collect();
         assert_eq!(unique.len(), purchases.len());
     }
 
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn every_category_is_populated() {
         let t = generate(0.1, 6);
-        let cats: std::collections::HashSet<&str> = t
+        let cats: std::collections::BTreeSet<&str> = t
             .item
             .column("i_category")
             .as_str()

@@ -51,11 +51,6 @@ impl DatasetMeta {
         self.partitions.iter().map(|p| p.logical_bytes).sum()
     }
 
-    /// Total logical rows across partitions.
-    pub fn total_logical_rows(&self) -> u64 {
-        self.partitions.iter().map(|p| p.logical_rows).sum()
-    }
-
     /// Mean partition logical size (bytes).
     pub fn mean_partition_bytes(&self) -> f64 {
         if self.partitions.is_empty() {

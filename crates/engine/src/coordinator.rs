@@ -72,12 +72,6 @@ pub struct TaskPolicy {
     pub straggler_slack: f64,
     /// Launch speculative duplicates for stragglers.
     pub speculate: bool,
-    /// First retry backoff sleep (milliseconds).
-    pub backoff_base_ms: u64,
-    /// Retry backoff ceiling (milliseconds).
-    pub backoff_cap_ms: u64,
-    /// Apply full jitter to backoff sleeps.
-    pub jitter: bool,
 }
 
 impl Default for TaskPolicy {
@@ -90,9 +84,6 @@ impl Default for TaskPolicy {
             straggler_bw: 20.0 * 1024.0 * 1024.0,
             straggler_slack: 4.0,
             speculate: true,
-            backoff_base_ms: 200,
-            backoff_cap_ms: 10_000,
-            jitter: true,
         }
     }
 }
@@ -115,13 +106,14 @@ impl TaskPolicy {
     }
 
     /// The backoff schedule as a storage [`RetryPolicy`] (reusing its
-    /// jittered exponential backoff).
+    /// jittered exponential backoff): 200 ms doubling to a 10 s ceiling,
+    /// full jitter.
     pub(crate) fn backoff_policy(&self) -> RetryPolicy {
         RetryPolicy {
-            backoff_base: SimDuration::from_millis(self.backoff_base_ms),
-            backoff_cap: SimDuration::from_millis(self.backoff_cap_ms),
+            backoff_base: SimDuration::from_millis(200),
+            backoff_cap: SimDuration::from_secs(10),
             max_attempts: self.max_attempts.max(1),
-            jitter: self.jitter,
+            jitter: true,
             ..RetryPolicy::eager()
         }
     }
@@ -246,9 +238,10 @@ pub async fn run_coordinator(
     fanout_fn: &str,
     request: &QueryRequest,
 ) -> Result<QueryResponse, EngineError> {
+    let plan = &request.plan;
+    plan.check()?;
     let started = env.ctx.now();
     let opts = RequestOpts::from_nic(&env.nic);
-    let plan = &request.plan;
     let tracer = env.ctx.tracer();
     let lane = tracer.next_lane();
     let query_span = tracer.span(&env.ctx, "coordinator", lane, "query");
@@ -484,9 +477,11 @@ fn stamp_attempts(report: &mut WorkerReport, acct: TaskAttempts) {
 /// abandoned duplicates keep running (and billing) to completion. Fails
 /// with [`EngineError::TaskFailed`] after `policy.max_attempts` launches
 /// all failed.
-// Eight independent inputs from three call sites; no existing struct holds
-// more than two of them, and one made for this call would only rename them.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "eight independent inputs from three call sites; no existing struct holds more \
+              than two of them, and one made for this call would only rename them"
+)]
 async fn invoke_resilient(
     ctx: &SimCtx,
     platform: &ComputePlatform,

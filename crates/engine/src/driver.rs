@@ -19,10 +19,9 @@ use crate::worker::{barrier_key, run_worker, WorkerTask};
 use skyrise_compute::{
     handler, ComputePlatform, ExecEnv, FaasError, FunctionConfig, LambdaPlatform, ShimCluster,
 };
-use skyrise_data::Batch;
 use skyrise_sim::faults::INJECTED_FAILURE;
 use skyrise_sim::SimCtx;
-use skyrise_storage::{Blob, RequestOpts, Storage};
+use skyrise_storage::{Blob, Storage};
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
@@ -60,26 +59,12 @@ impl WeakPlatform {
     }
 }
 
-/// Sizing of the deployed functions.
-#[derive(Debug, Clone)]
-pub struct SkyriseConfig {
-    /// Worker memory — the paper's 7,076 MiB (4 vCPUs).
-    pub worker_memory_mib: u64,
-    /// Coordinator memory.
-    pub coordinator_memory_mib: u64,
-    /// Deployment artifact size (kept < 10 MiB; paper Sec. 3.2).
-    pub binary_size: u64,
-}
-
-impl Default for SkyriseConfig {
-    fn default() -> Self {
-        SkyriseConfig {
-            worker_memory_mib: 7_076,
-            coordinator_memory_mib: 3_538,
-            binary_size: 8 << 20,
-        }
-    }
-}
+/// Worker memory: the paper's 7,076 MiB (4 vCPUs).
+const WORKER_MEMORY_MIB: u64 = 7_076;
+/// Coordinator memory.
+const COORDINATOR_MEMORY_MIB: u64 = 3_538;
+/// Deployment artifact size (kept < 10 MiB; paper Sec. 3.2).
+const BINARY_SIZE: u64 = 8 << 20;
 
 /// A deployed Skyrise engine.
 pub struct Skyrise {
@@ -98,7 +83,6 @@ impl Skyrise {
         platform: ComputePlatform,
         scan_storage: Storage,
         shuffle_storage: Storage,
-        config: SkyriseConfig,
     ) -> Rc<Self> {
         let udfs = UdfRegistry::with_builtins();
         let weak = WeakPlatform::of(&platform);
@@ -111,8 +95,8 @@ impl Skyrise {
             platform.register(
                 FunctionConfig {
                     name: WORKER_FN.into(),
-                    memory_mib: config.worker_memory_mib,
-                    binary_size: config.binary_size,
+                    memory_mib: WORKER_MEMORY_MIB,
+                    binary_size: BINARY_SIZE,
                 },
                 handler(move |env: ExecEnv, payload: String| {
                     let scan = scan.clone();
@@ -137,7 +121,7 @@ impl Skyrise {
                 FunctionConfig {
                     name: FANOUT_FN.into(),
                     memory_mib: 1_769,
-                    binary_size: config.binary_size,
+                    binary_size: BINARY_SIZE,
                 },
                 handler(move |env: ExecEnv, payload: String| {
                     let weak = weak.clone();
@@ -161,8 +145,8 @@ impl Skyrise {
             platform.register(
                 FunctionConfig {
                     name: COORDINATOR_FN.into(),
-                    memory_mib: config.coordinator_memory_mib,
-                    binary_size: config.binary_size,
+                    memory_mib: COORDINATOR_MEMORY_MIB,
+                    binary_size: BINARY_SIZE,
                 },
                 handler(move |env: ExecEnv, payload: String| {
                     let scan = scan.clone();
@@ -192,13 +176,7 @@ impl Skyrise {
 
     /// Deploy with one storage service for both base tables and shuffles.
     pub fn deploy_simple(ctx: &SimCtx, platform: ComputePlatform, storage: Storage) -> Rc<Self> {
-        Skyrise::deploy(
-            ctx,
-            platform,
-            storage.clone(),
-            storage,
-            SkyriseConfig::default(),
-        )
+        Skyrise::deploy(ctx, platform, storage.clone(), storage)
     }
 
     /// The base-table storage handle.
@@ -319,16 +297,6 @@ impl Skyrise {
     pub fn open_barrier(&self, name: &str) {
         self.scan_storage
             .backdoor_put(&barrier_key(name), Blob::new(vec![1u8]));
-    }
-
-    /// Fetch and decode a query's result object.
-    pub async fn fetch_result(&self, response: &QueryResponse) -> Result<Batch, EngineError> {
-        let blob = self
-            .scan_storage
-            .get(&response.result_key, &RequestOpts::default())
-            .await?;
-        let batches = skyrise_data::spf::read_all(&blob.bytes, None)?;
-        Ok(Batch::concat(&batches))
     }
 
     /// Simulation context (for experiment harnesses).

@@ -28,7 +28,7 @@ pub mod worker;
 
 pub use catalog::{load_dataset, DatasetLayout, DatasetMeta, PartitionMeta};
 pub use coordinator::{QueryConfig, QueryRequest, QueryResponse, StageStats, TaskPolicy};
-pub use driver::{Skyrise, SkyriseConfig, COORDINATOR_FN, FANOUT_FN, WORKER_FN};
+pub use driver::{Skyrise, COORDINATOR_FN, FANOUT_FN, WORKER_FN};
 pub use error::EngineError;
 pub use expr::{ArithOp, CmpOp, Expr, NamedExpr, UdfRegistry};
 pub use plan::{AggExpr, AggFunc, AggMode, InputSpec, Op, PhysicalPlan, Pipeline, Sink};

@@ -8,8 +8,10 @@
 //! the final result). The coordinator fragments each pipeline for
 //! data-parallel execution.
 
+use crate::error::EngineError;
 use crate::expr::{Expr, NamedExpr};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -208,7 +210,47 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Pipeline by id.
+    /// Check what the accessors below take for granted. A plan arrives at
+    /// the coordinator as JSON from outside, so it is checked there before
+    /// anything indexes it: pipeline ids are unique, every shuffle input
+    /// names a pipeline of the plan, the dependencies have no cycle, and
+    /// exactly one pipeline writes the result.
+    pub fn check(&self) -> Result<(), EngineError> {
+        let bad = |what: String| Err(EngineError::Plan(what));
+        let mut ids = BTreeSet::new();
+        for p in &self.pipelines {
+            if !ids.insert(p.id) {
+                return bad(format!("pipeline {} is defined twice", p.id));
+            }
+        }
+        for p in &self.pipelines {
+            if let Some(missing) = self.dependencies(p.id).iter().find(|d| !ids.contains(d)) {
+                return bad(format!(
+                    "pipeline {} reads the shuffle of pipeline {missing}, which the plan lacks",
+                    p.id
+                ));
+            }
+        }
+        if let Err(cyclic) = self.try_stages() {
+            return bad(format!(
+                "pipelines {cyclic:?} depend on each other in a cycle"
+            ));
+        }
+        let results: Vec<u32> = self
+            .pipelines
+            .iter()
+            .filter(|p| matches!(p.sink, Sink::Result))
+            .map(|p| p.id)
+            .collect();
+        if results.len() != 1 {
+            return bad(format!(
+                "exactly one pipeline writes the result, not {results:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Pipeline by id. Panics on an id the plan lacks ([`Self::check`]).
     pub fn pipeline(&self, id: u32) -> &Pipeline {
         self.pipelines
             .iter()
@@ -234,8 +276,13 @@ impl PhysicalPlan {
     }
 
     /// Pipelines in a dependency-respecting execution order (stages).
-    /// Panics on cyclic plans.
+    /// Panics on cyclic plans ([`Self::check`]).
     pub fn stages(&self) -> Vec<u32> {
+        self.try_stages().expect("cyclic pipeline dependencies")
+    }
+
+    /// [`Self::stages`], or the pipelines no order can reach.
+    fn try_stages(&self) -> Result<Vec<u32>, Vec<u32>> {
         let mut done: Vec<u32> = Vec::new();
         let mut remaining: Vec<u32> = self.pipelines.iter().map(|p| p.id).collect();
         while !remaining.is_empty() {
@@ -244,16 +291,18 @@ impl PhysicalPlan {
                 .copied()
                 .filter(|&id| self.dependencies(id).iter().all(|d| done.contains(d)))
                 .collect();
-            assert!(!ready.is_empty(), "cyclic pipeline dependencies");
+            if ready.is_empty() {
+                return Err(remaining);
+            }
             for id in &ready {
                 done.push(*id);
                 remaining.retain(|r| r != id);
             }
         }
-        done
+        Ok(done)
     }
 
-    /// The terminal (result) pipeline.
+    /// The terminal (result) pipeline. Panics without one ([`Self::check`]).
     pub fn result_pipeline(&self) -> &Pipeline {
         self.pipelines
             .iter()
@@ -347,6 +396,58 @@ mod tests {
     #[test]
     fn result_pipeline_found() {
         assert_eq!(join_plan().result_pipeline().id, 2);
+    }
+
+    /// `join_plan()` damaged by `damage`, then checked: the error's text.
+    fn check_after(damage: impl FnOnce(&mut PhysicalPlan)) -> String {
+        let mut plan = join_plan();
+        damage(&mut plan);
+        match plan.check() {
+            Err(EngineError::Plan(message)) => message,
+            other => panic!("expected a plan error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_names_each_defect_and_its_pipeline() {
+        join_plan().check().expect("the undamaged plan is sound");
+        let shuffle = |from_pipeline| InputSpec::Shuffle { from_pipeline };
+        assert_eq!(
+            check_after(|p| p.pipelines[1].id = 0),
+            "pipeline 0 is defined twice"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines[2].inputs[1] = shuffle(7)),
+            "pipeline 2 reads the shuffle of pipeline 7, which the plan lacks"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines[0].inputs.push(shuffle(2))),
+            "pipelines [0, 2] depend on each other in a cycle"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines[1].inputs[0] = shuffle(1)),
+            "pipelines [1, 2] depend on each other in a cycle"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines[2].sink = p.pipelines[0].sink.clone()),
+            "exactly one pipeline writes the result, not []"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines[0].sink = Sink::Result),
+            "exactly one pipeline writes the result, not [0, 2]"
+        );
+        assert_eq!(
+            check_after(|p| p.pipelines.clear()),
+            "exactly one pipeline writes the result, not []"
+        );
+    }
+
+    #[test]
+    fn the_query_suite_passes_check() {
+        for plan in crate::queries::suite() {
+            plan.check()
+                .unwrap_or_else(|e| panic!("{}: {e}", plan.name));
+        }
     }
 
     #[test]

@@ -673,7 +673,11 @@ async fn read_scan(
     Ok(outcome)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "independent inputs of one worker task; a struct made for this one call would \
+              only rename them"
+)]
 async fn read_partition(
     client: &RetryingClient,
     opts: &RequestOpts,
@@ -863,7 +867,11 @@ fn scaled(payload: u64, scale: f64) -> u64 {
     (payload as f64 * scale).round() as u64
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "independent inputs of one worker task; a struct made for this one call would \
+              only rename them"
+)]
 async fn read_shuffle(
     client: &RetryingClient,
     opts: &RequestOpts,
@@ -981,7 +989,11 @@ async fn read_shuffle(
 /// layout-learning read of the first segment) together with its transfer
 /// accounting; the data pages are still fetched here, under the fan-in
 /// gate like every other segment.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "independent inputs of one worker task; a struct made for this one call would \
+              only rename them"
+)]
 async fn read_shuffle_object(
     client: &RetryingClient,
     opts: &RequestOpts,

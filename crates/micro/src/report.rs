@@ -193,6 +193,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a host test writing real files needs the host's temp dir; no simulation reads it"
+    )]
     fn save_writes_json_and_csv() {
         let dir = std::env::temp_dir().join("skyrise-test-results");
         let _ = std::fs::remove_dir_all(&dir);

@@ -246,12 +246,6 @@ impl Sim {
         san
     }
 
-    /// Turn the sanitizer off (e.g. for a release-mode perf run that was
-    /// built with debug assertions).
-    pub fn disable_sanitizer(&self) {
-        self.state.hooks.borrow_mut().sanitizer = Sanitizer::disabled();
-    }
-
     /// The sanitizer currently installed.
     pub fn sanitizer(&self) -> Sanitizer {
         self.state.hooks.borrow().sanitizer.clone()
@@ -845,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // deliberately measures real time
+    #[expect(clippy::disallowed_methods, reason = "deliberately measures real time")]
     fn no_wall_clock_cost_for_long_sleeps() {
         let mut sim = Sim::new(1);
         let ctx = sim.ctx();

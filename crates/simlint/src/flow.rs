@@ -4,20 +4,21 @@
 //! token-bucket ledger / usage meter (CONS001/CONS002).
 //!
 //! The analysis is linear-scan over the token stream, guided by the parse
-//! layer's function extents and the module graph's alias maps:
+//! layer's function extents:
 //!
-//! * a **source** is a wall-clock, entropy, or environment read — including
-//!   one hidden behind a `use ... as` alias, or behind a *same-crate helper*
-//!   whose return value derives from a source (computed as a bounded
-//!   fixpoint over function summaries);
+//! * a **source** is a wall-clock, entropy, or environment read in its
+//!   canonical spelling (`Instant::now`, `env::var`, ...), or a *same-crate
+//!   helper* whose return value derives from a source (computed as a
+//!   bounded fixpoint over function summaries). A source renamed by
+//!   `use ... as` is not followed: clippy's `disallowed-methods` resolves
+//!   the alias and demands a waiver at the call, whatever its spelling;
 //! * taint propagates through `let` bindings and plain assignments;
 //! * a **sink** is a call that folds its arguments into reproducibility
 //!   state: sanitizer checkpoints, telemetry digests/records, trace
 //!   attributes, and sort keys.
 
-use crate::graph::FileCtx;
 use crate::lexer::{TokKind, Token};
-use crate::parse::{matching_close, FnItem, ParsedFile};
+use crate::parse::{matching_close, FnItem};
 use crate::rules::ConsScope;
 use crate::{Diagnostic, Severity};
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,6 +38,9 @@ pub const TAINT_SINKS: &[&str] = &[
     "sort_by_cached_key",
     "sort_by",
 ];
+
+/// Entropy-drawing APIs (last path segment).
+const ENTROPY_APIS: &[&str] = &["thread_rng", "OsRng", "getrandom", "from_entropy"];
 
 /// Token-bucket ledger APIs (the net conservation contract).
 pub const NET_LEDGER: &[&str] = &["consume", "grant", "try_admit", "assert_conserved"];
@@ -63,7 +67,7 @@ fn region_taint(
     lo: usize,
     hi: usize,
     tainted: &BTreeSet<String>,
-    ctx: &FileCtx,
+    taint_fns: &BTreeSet<String>,
 ) -> Option<(u32, String)> {
     let hi = hi.min(code.len());
     let mut i = lo;
@@ -89,19 +93,8 @@ fn region_taint(
         if (name == "Instant" || name == "SystemTime") && path_then(&["now"]) {
             return Some((t.line, format!("`{name}::now()` wall-clock read")));
         }
-        if let Some(canon) = ctx.time_aliases.get(name) {
-            if path_then(&["now"]) {
-                return Some((t.line, format!("`{name}::now()` (alias of `{canon}`)")));
-            }
-        }
-        if crate::graph::ENTROPY_APIS.contains(&name) {
+        if ENTROPY_APIS.contains(&name) {
             return Some((t.line, format!("`{name}` entropy draw")));
-        }
-        if let Some(canon) = ctx.entropy_aliases.get(name) {
-            return Some((
-                t.line,
-                format!("`{name}` (alias of `{canon}`) entropy draw"),
-            ));
         }
         if name == "random"
             && i >= 3
@@ -117,7 +110,7 @@ fn region_taint(
         {
             return Some((t.line, "`std::env` host-environment read".to_string()));
         }
-        if ctx.taint_fns.contains(name) && next_is(1, '(') {
+        if taint_fns.contains(name) && next_is(1, '(') {
             return Some((
                 t.line,
                 format!("helper `{name}()` returns a wall-clock/entropy-derived value"),
@@ -134,7 +127,7 @@ fn analyze_fn(
     file: &str,
     code: &[&Token],
     item: &FnItem,
-    ctx: &FileCtx,
+    taint_fns: &BTreeSet<String>,
     diags: Option<&mut Vec<Diagnostic>>,
 ) -> bool {
     let Some((body_open, body_close)) = item.body else {
@@ -189,7 +182,7 @@ fn analyze_fn(
             if j < body_close && code[j].kind == TokKind::Ident {
                 let name = code[j].text.clone();
                 let end = stmt_end(j + 1);
-                if region_taint(code, j + 1, end, &tainted, ctx).is_some() {
+                if region_taint(code, j + 1, end, &tainted, taint_fns).is_some() {
                     tainted.insert(name);
                 }
                 i = j + 1;
@@ -204,7 +197,7 @@ fn analyze_fn(
             && (code[i - 1].is_punct(';') || code[i - 1].is_punct('{') || code[i - 1].is_punct('}'))
         {
             let end = stmt_end(i + 2);
-            if region_taint(code, i + 2, end, &tainted, ctx).is_some() {
+            if region_taint(code, i + 2, end, &tainted, taint_fns).is_some() {
                 tainted.insert(t.text.clone());
             }
             i += 2;
@@ -214,7 +207,7 @@ fn analyze_fn(
         if TAINT_SINKS.contains(&t.text.as_str()) && i + 1 < body_close && code[i + 1].is_punct('(')
         {
             let close = matching_close(code, i + 1);
-            if let Some((line, what)) = region_taint(code, i + 2, close, &tainted, ctx) {
+            if let Some((line, what)) = region_taint(code, i + 2, close, &tainted, taint_fns) {
                 local_diags.push(Diagnostic::new(
                     file,
                     t.line,
@@ -234,14 +227,14 @@ fn analyze_fn(
         // `return <expr>;`
         if t.is_ident("return") && has_ret {
             let end = stmt_end(i + 1);
-            if region_taint(code, i + 1, end, &tainted, ctx).is_some() {
+            if region_taint(code, i + 1, end, &tainted, taint_fns).is_some() {
                 returns_taint = true;
             }
         }
         i += 1;
     }
     // Tail expression: tokens from the last top-level `;` to the close brace.
-    if has_ret && region_taint(code, last_stmt_start, body_close, &tainted, ctx).is_some() {
+    if has_ret && region_taint(code, last_stmt_start, body_close, &tainted, taint_fns).is_some() {
         returns_taint = true;
     }
     if let Some(d) = diags {
@@ -254,16 +247,16 @@ fn analyze_fn(
 pub fn check_taint(
     file: &str,
     code: &[&Token],
-    parsed: &ParsedFile,
-    ctx: &FileCtx,
+    fns: &[FnItem],
+    summaries: &CrateSummaries,
     exempt: &[bool],
     diags: &mut Vec<Diagnostic>,
 ) {
-    for item in &parsed.fns {
+    for item in fns {
         if exempt.get(item.kw).copied().unwrap_or(false) {
             continue;
         }
-        analyze_fn(file, code, item, ctx, Some(diags));
+        analyze_fn(file, code, item, &summaries.taint_fns, Some(diags));
     }
 }
 
@@ -271,10 +264,8 @@ pub fn check_taint(
 pub struct FlowInput<'a> {
     /// Comment-filtered tokens.
     pub code: &'a [&'a Token],
-    /// Parse-layer extraction.
-    pub parsed: &'a ParsedFile,
-    /// Alias maps (already resolved via the graph).
-    pub ctx: &'a FileCtx,
+    /// Its function items, from the parse layer.
+    pub fns: &'a [FnItem],
 }
 
 /// Summaries for one crate's functions, keyed by bare function name
@@ -296,7 +287,7 @@ pub fn summarize(files: &[FlowInput<'_>]) -> CrateSummaries {
     // Direct ledger/meter touches + call graphs.
     let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for f in files {
-        for item in &f.parsed.fns {
+        for item in f.fns {
             let Some((lo, hi)) = item.body else { continue };
             let entry = calls.entry(item.name.clone()).or_default();
             for i in lo + 1..hi.min(f.code.len()) {
@@ -335,14 +326,12 @@ pub fn summarize(files: &[FlowInput<'_>]) -> CrateSummaries {
         }
     }
     // Taint-returning helpers: bounded fixpoint re-running the body scan
-    // with the growing set plugged into each file's ctx.
+    // with the growing set.
     for _round in 0..4 {
         let mut next: BTreeSet<String> = BTreeSet::new();
         for f in files {
-            let mut ctx = f.ctx.clone();
-            ctx.taint_fns = out.taint_fns.clone();
-            for item in &f.parsed.fns {
-                if analyze_fn("", f.code, item, &ctx, None) {
+            for item in f.fns {
+                if analyze_fn("", f.code, item, &out.taint_fns, None) {
                     next.insert(item.name.clone());
                 }
             }
@@ -360,13 +349,13 @@ pub fn summarize(files: &[FlowInput<'_>]) -> CrateSummaries {
 pub fn check_conservation(
     file: &str,
     code: &[&Token],
-    parsed: &ParsedFile,
-    ctx: &FileCtx,
+    fns: &[FnItem],
+    summaries: &CrateSummaries,
     scope: ConsScope,
     exempt: &[bool],
     diags: &mut Vec<Diagnostic>,
 ) {
-    for item in &parsed.fns {
+    for item in fns {
         if exempt.get(item.kw).copied().unwrap_or(false) {
             continue;
         }
@@ -399,7 +388,7 @@ pub fn check_conservation(
                 if !moves_bytes {
                     continue;
                 }
-                let routed = calls(NET_LEDGER, &ctx.ledger_fns);
+                let routed = calls(NET_LEDGER, &summaries.ledger_fns);
                 if !routed {
                     diags.push(Diagnostic::new(
                         file,
@@ -419,7 +408,7 @@ pub fn check_conservation(
                 if !item.is_pub || !(moves_bytes || item.name.contains("invoke")) {
                     continue;
                 }
-                let metered = calls(METER_APIS, &ctx.meter_fns);
+                let metered = calls(METER_APIS, &summaries.meter_fns);
                 if !metered {
                     diags.push(Diagnostic::new(
                         file,

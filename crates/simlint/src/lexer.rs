@@ -43,7 +43,8 @@ pub struct Token {
     /// 1-based line the token starts on.
     pub line: u32,
     /// Char offset of the token's first character in the source (the
-    /// source viewed as a `Vec<char>`); used by `--fix` to splice edits.
+    /// source viewed as a `Vec<char>`); the property tests hold tokens to
+    /// being ordered, disjoint and in bounds through these.
     pub pos: usize,
     /// Char offset one past the token's last character.
     pub end: usize,

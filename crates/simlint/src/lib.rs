@@ -2,38 +2,35 @@
 //!
 //! Every number this repository reproduces from the paper is only as
 //! trustworthy as the determinism of the discrete-event substrate. This
-//! crate is the static half of the two-layer determinism auditor (the
-//! runtime half is `skyrise_sim::sanitizer`): a dependency-free lint pass
-//! that tokenizes every crate's sources and reports determinism hazards as
-//! structured diagnostics.
+//! crate is the part of the static audit layer that clippy cannot express
+//! (the runtime layer is `skyrise_sim::sanitizer`): a dependency-free lint
+//! pass that tokenizes every crate's sources and reports, as structured
+//! diagnostics, the hazards that need to know what a digest, a ledger and a
+//! meter are. The hazards the compiler can already see (hash containers,
+//! wall clock, `std::env`, host threads, `RefCell` across `.await`) belong
+//! to clippy alone (`clippy.toml` at the workspace root).
 //!
-//! The analyzer runs in two passes: a parse layer ([`parse`]) extracts
-//! items from every file's token stream, a module graph ([`graph`])
-//! resolves `use` aliases and re-exports to canonical types, and rules then
-//! check each file against that resolved context — including an
-//! intra-function dataflow pass ([`flow`]) for taint and conservation.
+//! The analyzer runs in two passes: a parse layer ([`parse`]) extracts the
+//! function items from every file's token stream and the flow pass
+//! ([`flow`]) summarizes each crate's helpers; the rules then check each
+//! file against its crate's summaries.
 //!
-//! Rules (see [`rules`] for the full contract): DET001 hash-container
-//! iteration, DET002 wall-clock/entropy/env APIs, DET003 RefCell borrows
-//! across `.await`, DET004 order-sensitive float accumulation, DET005 hash
-//! container construction, DET006 host thread APIs, DET007 source-to-sink
-//! taint, DET008 alias-evading hash containers, CONS001/CONS002
-//! conservation (ledger/meter bypass), SL000 malformed suppressions, SL001
-//! stale suppressions.
+//! Rules (see [`rules`] for the full contract): DET007 source-to-sink
+//! taint, CONS001/CONS002 conservation (ledger/meter bypass), SL000
+//! malformed suppressions, SL001 stale suppressions.
 //!
 //! Suppress a finding with a justified comment on (or directly above) the
 //! offending line:
 //!
 //! ```text
-//! (directive) simlint: allow(DET005): keyed access only; never iterated.
+//! (directive) simlint: allow(CONS002): billed by VM lifetime, not per call.
 //! ```
 //!
 //! written as a regular `//` comment (spelled out here it would register as
-//! a live directive); or for a whole file: `allow-file(DET002): <why>`.
+//! a live directive); or for a whole file: `allow-file(DET007): <why>`.
 
 #![warn(missing_docs)]
 
-pub mod fix;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
@@ -41,7 +38,7 @@ pub mod parse;
 pub mod rules;
 pub mod sarif;
 
-use graph::{FileCtx, ModuleGraph, SourceUnit};
+use flow::CrateSummaries;
 use rules::{ConsScope, LintOptions};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,19 +63,6 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A machine-applicable source rewrite: replace the char range
-/// `[start, end)` (source viewed as a `Vec<char>`) with `text`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Edit {
-    /// Char offset of the first character to replace.
-    pub start: usize,
-    /// Char offset one past the last character to replace (`start` for a
-    /// pure insertion).
-    pub end: usize,
-    /// Replacement text.
-    pub text: String,
-}
-
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
@@ -86,7 +70,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Rule identifier, e.g. `DET001`.
+    /// Rule identifier, e.g. `DET007`.
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -96,8 +80,6 @@ pub struct Diagnostic {
     pub suppressed: bool,
     /// The suppression's justification string, when suppressed.
     pub justification: Option<String>,
-    /// Machine-applicable rewrite for `--fix`, when one exists.
-    pub fix: Option<Edit>,
 }
 
 impl Diagnostic {
@@ -117,7 +99,6 @@ impl Diagnostic {
             message,
             suppressed: false,
             justification: None,
-            fix: None,
         }
     }
 }
@@ -140,88 +121,64 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Build the resolved module context for a set of files: parse everything,
-/// build the graph, classify each file's aliases, then run the flow pass's
-/// per-crate summary fixpoint so helper-return taint and transitive
-/// ledger/meter routing are visible to the rules.
-fn contexts_for(files: &[(String, String)]) -> Vec<FileCtx> {
+/// One summary per file, in order: parse everything, group the files by
+/// crate, and run the flow pass's per-crate fixpoint so helper-return taint
+/// and transitive ledger/meter routing are visible to the rules.
+fn summaries_for(files: &[(String, String)]) -> Vec<CrateSummaries> {
     let lexed: Vec<Vec<lexer::Token>> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
     let codes: Vec<Vec<&lexer::Token>> = lexed
         .iter()
         .map(|toks| toks.iter().filter(|t| !t.is_comment()).collect())
         .collect();
-    let units: Vec<SourceUnit> = files
-        .iter()
-        .zip(&codes)
-        .map(|((path, _), code)| SourceUnit {
-            path: path.clone(),
-            parsed: parse::parse(code),
-        })
-        .collect();
-    let graph = ModuleGraph::build(&units);
-    let mut ctxs: Vec<FileCtx> = units
-        .iter()
-        .map(|u| FileCtx::from_graph(&graph, &u.path, &u.parsed))
-        .collect();
-    // Group files by crate (bins share their dir's helpers only notionally;
-    // each `#`-keyed bin is summarized with its crate so same-name helpers
-    // resolve — conservative, and bins mostly call into the lib anyway).
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, u) in units.iter().enumerate() {
-        let key = graph::module_of(&u.path).0;
-        let key = key.split('#').next().unwrap_or(&key).to_string();
-        groups.entry(key).or_default().push(i);
+    let fns: Vec<Vec<parse::FnItem>> = codes.iter().map(|code| parse::parse(code)).collect();
+    let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (i, (path, _)) in files.iter().enumerate() {
+        groups.entry(graph::module_of(path)).or_default().push(i);
     }
+    let mut out = vec![CrateSummaries::default(); files.len()];
     for idxs in groups.values() {
-        let summaries = {
-            let inputs: Vec<flow::FlowInput<'_>> = idxs
-                .iter()
-                .map(|&i| flow::FlowInput {
-                    code: &codes[i],
-                    parsed: &units[i].parsed,
-                    ctx: &ctxs[i],
-                })
-                .collect();
-            flow::summarize(&inputs)
-        };
+        let inputs: Vec<flow::FlowInput<'_>> = idxs
+            .iter()
+            .map(|&i| flow::FlowInput {
+                code: &codes[i],
+                fns: &fns[i],
+            })
+            .collect();
+        let summaries = flow::summarize(&inputs);
         for &i in idxs {
-            ctxs[i].taint_fns = summaries.taint_fns.clone();
-            ctxs[i].ledger_fns = summaries.ledger_fns.clone();
-            ctxs[i].meter_fns = summaries.meter_fns.clone();
+            out[i] = summaries.clone();
         }
     }
-    ctxs
+    out
 }
 
-/// Lint a single source string. `file` is used only for diagnostics and
-/// module-graph placement; cross-file re-exports are (by construction)
-/// unresolvable here, but aliases, `type` aliases, and same-file helper
-/// summaries all work.
+/// Lint a single source string. `file` is used only for diagnostics; helper
+/// summaries are same-file.
 pub fn lint_source(file: &str, src: &str, opts: &LintOptions) -> Vec<Diagnostic> {
     let files = vec![(file.to_string(), src.to_string())];
-    let ctxs = contexts_for(&files);
+    let summaries = summaries_for(&files);
     let toks = lexer::lex(src);
-    rules::check_tokens(file, &toks, opts, &ctxs[0])
+    rules::check_tokens(file, &toks, opts, &summaries[0])
 }
 
-/// Lint a set of in-memory files as one workspace (cross-file resolution
-/// active). Paths should be workspace-relative, `/`-separated.
+/// Lint a set of in-memory files as one workspace (helper summaries span
+/// each crate's files). Paths should be workspace-relative, `/`-separated.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let ctxs = contexts_for(files);
+    let summaries = summaries_for(files);
     let mut diags = Vec::new();
-    for ((path, src), ctx) in files.iter().zip(&ctxs) {
+    for ((path, src), summary) in files.iter().zip(&summaries) {
         let opts = options_for(Path::new(path));
         let toks = lexer::lex(src);
-        diags.extend(rules::check_tokens(path, &toks, &opts, ctx));
+        diags.extend(rules::check_tokens(path, &toks, &opts, summary));
     }
     diags
 }
 
 /// Crates whose nature requires touching the host clock/env/threads: the
 /// bench harness shell (argument parsing, wall-clock progress, the parallel
-/// experiment runner) and this linter itself. DET002/DET006/DET007 are
-/// scoped off for them as a crate-level allowance — everything sim-facing
-/// keeps all rules on.
+/// experiment runner) and this linter itself. They read the host under a
+/// crate-level clippy waiver, so DET007 is scoped off for them: everything
+/// sim-facing keeps all rules on.
 const HOST_SIDE_CRATES: &[&str] = &["bench", "simlint"];
 
 /// Derive per-file options from its path within the workspace.
@@ -230,16 +187,12 @@ pub fn options_for(path: &Path) -> LintOptions {
     let p = path.to_string_lossy().replace('\\', "/");
     for c in HOST_SIDE_CRATES {
         if p.contains(&format!("crates/{c}/")) {
-            opts.wall_clock = false;
-            opts.threads = false;
             opts.taint = false;
         }
     }
-    // Test and example trees exercise the host freely (timeouts, temp dirs)
-    // but still must not leak hash iteration order into asserted results.
+    // Test and example trees may time themselves on the host (each read
+    // under a clippy waiver); none of it feeds a simulation's digest.
     if p.contains("/tests/") || p.contains("/examples/") || p.starts_with("tests/") {
-        opts.wall_clock = false;
-        opts.threads = false;
         opts.taint = false;
     }
     if p.contains("crates/net/src/") {

@@ -4,13 +4,16 @@
 //! cargo run -p simlint                    # human-readable report
 //! cargo run -p simlint -- --json          # machine-readable, for CI
 //! cargo run -p simlint -- --sarif         # SARIF 2.1.0 to stdout
-//! cargo run -p simlint -- --fix           # apply machine-applicable fixes
-//! cargo run -p simlint -- --fix --check   # exit 1 if --fix would change files
+//! cargo run -p simlint -- --suppressed    # also show justified waivers
 //! cargo run -p simlint -- --root /path/to/workspace
 //! ```
 //!
-//! Exit status is non-zero iff any non-suppressed diagnostic was found
-//! (lint modes), or iff `--fix --check` found pending fixes.
+//! Exit status is non-zero iff any non-suppressed diagnostic was found.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a host-side CLI: it reads its arguments and the working directory"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,8 +21,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut json = false;
     let mut sarif = false;
-    let mut fix = false;
-    let mut check = false;
     let mut show_suppressed = false;
     let mut root = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
@@ -27,8 +28,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--json" => json = true,
             "--sarif" => sarif = true,
-            "--fix" => fix = true,
-            "--check" => check = true,
             "--suppressed" => show_suppressed = true,
             "--root" => {
                 let Some(r) = args.next() else {
@@ -40,8 +39,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "simlint: determinism auditor\n\
-                     usage: simlint [--json | --sarif] [--suppressed] [--root <workspace>]\n\
-                     \x20      simlint --fix [--check] [--root <workspace>]"
+                     usage: simlint [--json | --sarif] [--suppressed] [--root <workspace>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -50,10 +48,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if check && !fix {
-        eprintln!("--check only applies to --fix");
-        return ExitCode::from(2);
     }
 
     // If invoked from a crate directory (cargo run -p simlint runs at the
@@ -72,32 +66,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-    }
-
-    if fix {
-        let changed = match simlint::fix::fix_workspace(&root, check) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("simlint: cannot fix workspace at {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
-        for f in &changed {
-            println!("{}: {f}", if check { "would fix" } else { "fixed" });
-        }
-        if check && !changed.is_empty() {
-            eprintln!(
-                "simlint --fix --check: {} file(s) need fixes",
-                changed.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "simlint --fix: {} file(s) {}",
-            changed.len(),
-            if check { "pending" } else { "rewritten" }
-        );
-        return ExitCode::SUCCESS;
     }
 
     let diags = match simlint::lint_workspace(&root) {

@@ -1,53 +1,12 @@
-//! A lightweight parse layer over the token stream: `use` declarations,
-//! `type` aliases, and function items.
+//! A lightweight parse layer over the token stream: function items.
 //!
-//! This is deliberately *not* a Rust parser. It extracts exactly the three
-//! item shapes the module graph ([`crate::graph`]) and the dataflow pass
-//! ([`crate::flow`]) need, and tolerates everything it does not understand
-//! by skipping it. All indices refer to the *comment-filtered* code token
-//! slice that the rules already operate on.
+//! This is deliberately *not* a Rust parser. It extracts exactly the one
+//! item shape the dataflow pass ([`crate::flow`]) needs, and tolerates
+//! everything it does not understand by skipping it. All indices refer to
+//! the *comment-filtered* code token slice that the rules already operate
+//! on.
 
 use crate::lexer::{TokKind, Token};
-
-/// One `use` declaration leaf. Grouped imports
-/// (`use a::{B, c::D as E};`) are expanded into one `UseDecl` per leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// Full path segments, e.g. `["std", "collections", "HashMap"]`.
-    /// `self` leaves inside groups resolve to the group prefix itself.
-    pub segments: Vec<String>,
-    /// Rebinding from `as NAME`, if present.
-    pub alias: Option<String>,
-    /// Whether the declaration is `pub` (a re-export other modules see).
-    pub is_pub: bool,
-    /// True for glob leaves (`use a::*;`).
-    pub glob: bool,
-    /// 1-based source line of the leaf's last segment.
-    pub line: u32,
-}
-
-impl UseDecl {
-    /// The name this import binds in the local namespace.
-    pub fn local_name(&self) -> &str {
-        if let Some(a) = &self.alias {
-            return a;
-        }
-        self.segments.last().map(|s| s.as_str()).unwrap_or("")
-    }
-}
-
-/// A `type NAME = Target<...>;` alias.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TypeAlias {
-    /// Alias name.
-    pub name: String,
-    /// Leading path of the right-hand side (generics stripped).
-    pub target: Vec<String>,
-    /// Whether the alias is `pub`.
-    pub is_pub: bool,
-    /// 1-based source line.
-    pub line: u32,
-}
 
 /// One `fn` item (free function, method, or nested fn).
 #[derive(Debug, Clone)]
@@ -68,17 +27,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// 1-based source line of the `fn` keyword.
     pub line: u32,
-}
-
-/// Everything the parse layer extracts from one file.
-#[derive(Debug, Default)]
-pub struct ParsedFile {
-    /// All `use` leaves.
-    pub uses: Vec<UseDecl>,
-    /// All `type` aliases.
-    pub type_aliases: Vec<TypeAlias>,
-    /// All function items, in source order.
-    pub fns: Vec<FnItem>,
 }
 
 /// Find the matching close for the opener at `open` (`(`/`[`/`{`).
@@ -104,61 +52,23 @@ pub fn matching_close(code: &[&Token], open: usize) -> usize {
     code.len()
 }
 
-/// Parse one file's comment-filtered token slice.
-pub fn parse(code: &[&Token]) -> ParsedFile {
-    let mut out = ParsedFile::default();
+/// Every function item of one file's comment-filtered token slice, in
+/// source order. The scan continues *inside* each signature and body, so
+/// nested fns are found too.
+pub fn parse(code: &[&Token]) -> Vec<FnItem> {
+    let mut fns = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        let t = code[i];
-        if t.is_ident("use") {
-            let is_pub = i > 0 && is_vis_end(code, i - 1);
-            let end = parse_use(code, i + 1, &mut Vec::new(), is_pub, &mut out.uses);
-            i = end + 1;
-            continue;
-        }
-        if t.is_ident("type") && i + 2 < code.len() && code[i + 2].is_punct('=') {
-            // `type NAME = path<...>;` (skip associated-type bounds etc.)
-            if code[i + 1].kind == TokKind::Ident {
-                let is_pub = i > 0 && is_vis_end(code, i - 1);
-                let mut target = Vec::new();
-                let mut j = i + 3;
-                while j < code.len() && code[j].kind == TokKind::Ident {
-                    target.push(code[j].text.clone());
-                    if j + 2 < code.len() && code[j + 1].is_punct(':') && code[j + 2].is_punct(':')
-                    {
-                        j += 3;
-                    } else {
-                        break;
-                    }
-                }
-                if !target.is_empty() {
-                    out.type_aliases.push(TypeAlias {
-                        name: code[i + 1].text.clone(),
-                        target,
-                        is_pub,
-                        line: code[i + 1].line,
-                    });
-                }
-            }
-            // Skip to the end of the item.
-            while i < code.len() && !code[i].is_punct(';') {
-                i += 1;
-            }
-            i += 1;
-            continue;
-        }
-        if t.is_ident("fn") && i + 1 < code.len() && code[i + 1].kind == TokKind::Ident {
+        if code[i].is_ident("fn") && i + 1 < code.len() && code[i + 1].kind == TokKind::Ident {
             if let Some((item, next)) = parse_fn(code, i) {
-                out.fns.push(item);
-                // Continue *inside* the signature so nested fns are found;
-                // the body is scanned too (cheap, and nested fns are rare).
+                fns.push(item);
                 i = next;
                 continue;
             }
         }
         i += 1;
     }
-    out
+    fns
 }
 
 /// Is the token at `i` the tail of a visibility modifier (`pub`,
@@ -184,181 +94,6 @@ fn is_vis_end(code: &[&Token], i: usize) -> bool {
         }
     }
     false
-}
-
-/// Parse the use tree starting at `i` (just past `use` or past a group
-/// `{`/`,`). Appends leaves to `out`; returns the index of the terminating
-/// `;` (or the group's own end for recursive calls).
-fn parse_use(
-    code: &[&Token],
-    mut i: usize,
-    prefix: &mut Vec<String>,
-    is_pub: bool,
-    out: &mut Vec<UseDecl>,
-) -> usize {
-    let depth_at_entry = prefix.len();
-    let mut segs: Vec<String> = Vec::new();
-    while i < code.len() {
-        let t = code[i];
-        if t.kind == TokKind::Ident && !t.is_ident("as") {
-            segs.push(t.text.clone());
-            i += 1;
-            continue;
-        }
-        if t.is_punct(':') {
-            i += 1; // path separator (two tokens)
-            continue;
-        }
-        if t.is_punct('*') {
-            let mut full = prefix.clone();
-            full.append(&mut segs.clone());
-            out.push(UseDecl {
-                segments: full,
-                alias: None,
-                is_pub,
-                glob: true,
-                line: t.line,
-            });
-            segs.clear();
-            i += 1;
-            continue;
-        }
-        if t.is_ident("as") || (t.kind == TokKind::Ident && t.text == "as") {
-            i += 1;
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        if t.is_punct('{') {
-            // Group: recurse with the accumulated prefix.
-            let mut inner_prefix = prefix.clone();
-            inner_prefix.append(&mut segs);
-            let close = matching_close(code, i);
-            let mut j = i + 1;
-            while j < close {
-                j = parse_use_leaf(code, j, close, &inner_prefix, is_pub, out);
-            }
-            segs = Vec::new();
-            prefix.truncate(depth_at_entry);
-            i = close + 1;
-            continue;
-        }
-        if t.is_punct(';') || t.is_punct(',') || t.is_punct('}') {
-            break;
-        }
-        i += 1;
-    }
-    // Simple (non-group) declaration tail.
-    if !segs.is_empty() {
-        emit_leaf(code, i, prefix, segs, is_pub, out);
-    }
-    i
-}
-
-/// Parse one leaf inside a group, starting at `j`; returns index just past
-/// the leaf's trailing `,` (or `close`).
-fn parse_use_leaf(
-    code: &[&Token],
-    mut j: usize,
-    close: usize,
-    prefix: &[String],
-    is_pub: bool,
-    out: &mut Vec<UseDecl>,
-) -> usize {
-    let mut segs: Vec<String> = Vec::new();
-    while j < close {
-        let t = code[j];
-        if t.is_ident("as") {
-            // handled by emit_leaf's lookahead below
-        }
-        if t.is_punct('{') {
-            let mut inner = prefix.to_vec();
-            inner.extend(segs.iter().cloned());
-            let gclose = matching_close(code, j);
-            let mut k = j + 1;
-            while k < gclose.min(close) {
-                k = parse_use_leaf(code, k, gclose.min(close), &inner, is_pub, out);
-            }
-            segs.clear();
-            j = gclose + 1;
-            // Expect `,` next.
-            if j < close && code[j].is_punct(',') {
-                j += 1;
-            }
-            return j;
-        }
-        if t.is_punct(',') {
-            if !segs.is_empty() {
-                emit_leaf(code, j, prefix, std::mem::take(&mut segs), is_pub, out);
-            }
-            return j + 1;
-        }
-        if t.kind == TokKind::Ident && !t.is_ident("as") {
-            segs.push(t.text.clone());
-        }
-        if t.is_punct('*') {
-            segs.push("*".to_string());
-        }
-        j += 1;
-    }
-    if !segs.is_empty() {
-        emit_leaf(code, j, prefix, segs, is_pub, out);
-    }
-    close
-}
-
-/// Turn an accumulated segment list (last element may be an `as`-alias,
-/// detected by scanning back from `end`) into a `UseDecl`.
-fn emit_leaf(
-    code: &[&Token],
-    end: usize,
-    prefix: &[String],
-    mut segs: Vec<String>,
-    is_pub: bool,
-    out: &mut Vec<UseDecl>,
-) {
-    // `a::B as C` accumulates ["a", "B", "C"]; detect the `as` by checking
-    // the raw token stream just before `end` for the keyword.
-    let mut alias = None;
-    let mut k = end;
-    while k > 0 {
-        k -= 1;
-        let t = code[k];
-        if t.is_punct(';') || t.is_punct(',') || t.is_punct('}') {
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            // `... as ALIAS` — the ident before this one is `as`.
-            if k > 0 && code[k - 1].is_ident("as") {
-                alias = Some(t.text.clone());
-                segs.pop(); // the alias was accumulated as a segment
-            }
-        }
-        break;
-    }
-    let glob = segs.last().map(|s| s == "*").unwrap_or(false);
-    if glob {
-        segs.pop();
-    }
-    // Group leaf `self` refers to the prefix module itself.
-    if segs.last().map(|s| s == "self").unwrap_or(false) && !prefix.is_empty() {
-        segs.pop();
-    }
-    let mut full = prefix.to_vec();
-    full.append(&mut segs);
-    if full.is_empty() {
-        return;
-    }
-    let line = code.get(end.saturating_sub(1)).map(|t| t.line).unwrap_or(1);
-    out.push(UseDecl {
-        segments: full,
-        alias,
-        is_pub,
-        glob,
-        line,
-    });
 }
 
 /// Parse a fn item whose `fn` keyword sits at `i`. Returns the item and the
@@ -461,57 +196,10 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> ParsedFile {
+    fn parse_src(src: &str) -> Vec<FnItem> {
         let toks = lex(src);
         let code: Vec<&Token> = toks.iter().filter(|t| !t.is_comment()).collect();
         parse(&code)
-    }
-
-    #[test]
-    fn simple_use() {
-        let p = parse_src("use std::collections::HashMap;");
-        assert_eq!(p.uses.len(), 1);
-        assert_eq!(p.uses[0].segments, ["std", "collections", "HashMap"]);
-        assert_eq!(p.uses[0].local_name(), "HashMap");
-        assert!(!p.uses[0].is_pub);
-    }
-
-    #[test]
-    fn aliased_use() {
-        let p = parse_src("use std::collections::HashMap as Map;");
-        assert_eq!(p.uses[0].alias.as_deref(), Some("Map"));
-        assert_eq!(p.uses[0].local_name(), "Map");
-        assert_eq!(p.uses[0].segments, ["std", "collections", "HashMap"]);
-    }
-
-    #[test]
-    fn grouped_use_with_alias_and_self() {
-        let p = parse_src("pub use std::collections::{self, HashMap as Map, hash_map::Entry};");
-        assert_eq!(p.uses.len(), 3);
-        assert!(p.uses.iter().all(|u| u.is_pub));
-        assert_eq!(p.uses[0].segments, ["std", "collections"]);
-        assert_eq!(p.uses[1].segments, ["std", "collections", "HashMap"]);
-        assert_eq!(p.uses[1].alias.as_deref(), Some("Map"));
-        assert_eq!(
-            p.uses[2].segments,
-            ["std", "collections", "hash_map", "Entry"]
-        );
-    }
-
-    #[test]
-    fn glob_use() {
-        let p = parse_src("use skyrise_sim::*;");
-        assert!(p.uses[0].glob);
-        assert_eq!(p.uses[0].segments, ["skyrise_sim"]);
-    }
-
-    #[test]
-    fn type_alias() {
-        let p = parse_src("pub type Index = std::collections::HashMap<u64, Vec<u32>>;");
-        assert_eq!(p.type_aliases.len(), 1);
-        assert_eq!(p.type_aliases[0].name, "Index");
-        assert_eq!(p.type_aliases[0].target, ["std", "collections", "HashMap"]);
-        assert!(p.type_aliases[0].is_pub);
     }
 
     #[test]
@@ -520,12 +208,12 @@ mod tests {
             "pub async fn transfer(ctx: &SimCtx, bytes: u64) -> Stats { inner(bytes) }\n\
              fn inner(b: u64) -> Stats { Stats(b) }",
         );
-        assert_eq!(p.fns.len(), 2);
-        assert_eq!(p.fns[0].name, "transfer");
-        assert!(p.fns[0].is_pub && p.fns[0].is_async);
-        assert!(p.fns[0].body.is_some());
-        assert_eq!(p.fns[1].name, "inner");
-        assert!(!p.fns[1].is_pub && !p.fns[1].is_async);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p[0].name, "transfer");
+        assert!(p[0].is_pub && p[0].is_async);
+        assert!(p[0].body.is_some());
+        assert_eq!(p[1].name, "inner");
+        assert!(!p[1].is_pub && !p[1].is_async);
     }
 
     #[test]
@@ -534,16 +222,16 @@ mod tests {
             "pub fn fold<T: Ord, F>(items: Vec<T>, f: F) -> Option<T>\n\
              where F: Fn(T, T) -> T { items.into_iter().reduce(f) }",
         );
-        assert_eq!(p.fns.len(), 1);
-        assert_eq!(p.fns[0].name, "fold");
-        assert!(p.fns[0].body.is_some());
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].name, "fold");
+        assert!(p[0].body.is_some());
     }
 
     #[test]
     fn trait_method_without_body() {
         let p = parse_src("trait T { fn decl(&self) -> u32; fn given(&self) -> u32 { 1 } }");
-        assert_eq!(p.fns.len(), 2);
-        assert!(p.fns[0].body.is_none());
-        assert!(p.fns[1].body.is_some());
+        assert_eq!(p.len(), 2);
+        assert!(p[0].body.is_none());
+        assert!(p[1].body.is_some());
     }
 }

@@ -9,27 +9,8 @@ use crate::{json_escape, Diagnostic, Severity};
 /// Rule metadata for `tool.driver.rules`. Keep in sync with [`crate::rules`].
 const RULES: &[(&str, &str)] = &[
     (
-        "DET001",
-        "Hash container iterated without an intervening sort",
-    ),
-    (
-        "DET002",
-        "Wall-clock, entropy, or environment API in sim-facing code",
-    ),
-    ("DET003", "RefCell borrow held across an await point"),
-    (
-        "DET004",
-        "Order-sensitive float accumulation from a hash container",
-    ),
-    ("DET005", "Hash container construction in sim-facing code"),
-    ("DET006", "Host thread API in sim-facing code"),
-    (
         "DET007",
         "Nondeterministic value reaches a determinism-critical sink",
-    ),
-    (
-        "DET008",
-        "Hash container hidden behind an alias or re-export",
     ),
     ("CONS001", "Byte transfer bypasses the token-bucket ledger"),
     ("CONS002", "Billable operation bypasses the usage meter"),
@@ -121,20 +102,20 @@ mod tests {
         let mut d = Diagnostic::new(
             "crates/sim/src/lib.rs",
             12,
-            "DET001",
+            "DET007",
             Severity::Error,
-            "iteration over \"hash\" container".to_string(),
+            "wall clock reaches \"digest\" sink".to_string(),
         );
         d.suppressed = true;
-        d.justification = Some("keyed only".to_string());
+        d.justification = Some("host probe only".to_string());
         let doc = render_sarif(&[d]);
         for needle in [
             "\"version\": \"2.1.0\"",
             "\"name\": \"simlint\"",
-            "\"ruleId\": \"DET001\"",
+            "\"ruleId\": \"DET007\"",
             "\"startLine\": 12",
             "\"kind\": \"inSource\"",
-            "\\\"hash\\\"", // message is escaped
+            "\\\"digest\\\"", // message is escaped
             "sarif-schema-2.1.0.json",
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");

@@ -1,6 +1,7 @@
 //! Fixture tests: seeded violations of every simlint rule, asserting the
 //! linter reports them, classifies them correctly, honors suppressions,
-//! and rejects suppressions without justifications.
+//! and rejects suppressions without justifications; and the pins on the
+//! rules handed over to clippy (`clippy.toml`, `tests/clippy_fixture/`).
 
 use simlint::rules::LintOptions;
 use simlint::{lint_source, Diagnostic};
@@ -17,241 +18,135 @@ fn rules_of(diags: &[Diagnostic], suppressed: bool) -> Vec<&'static str> {
         .collect()
 }
 
-#[test]
-fn det001_for_loop_over_hashmap() {
-    let diags = lint(
-        r#"
-        use std::collections::HashMap;
-        fn f() {
-            let mut m: HashMap<u32, u32> = HashMap::new();
-            m.insert(1, 2);
-            for (k, v) in &m {
-                println!("{k} {v}");
-            }
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).contains(&"DET001"), "{diags:?}");
-}
+// ---------------------------------------------------------------------------
+// The hand-over: hash containers, wall clock, env, host threads and RefCell
+// across `.await` have one enforcer, clippy under the workspace's
+// `clippy.toml`. Tier-1 cannot run clippy; it pins the configuration and,
+// under each fixture's old name, what the fixture crate expects clippy to
+// report for it. CI's `clippy_fixture/check.py` holds clippy to those marks.
+
+const CLIPPY_FIXTURE: &str = include_str!("clippy_fixture/src/lib.rs");
 
 #[test]
-fn det001_iter_methods() {
-    for method in ["iter", "keys", "values", "drain", "into_iter", "retain"] {
-        let src = format!(
-            r#"
-            fn f(m: std::collections::HashMap<u32, u32>) -> Vec<u32> {{
-                let mut m = m;
-                m.{method}().map(|x| x.0).collect()
-            }}
-            "#
-        );
-        let diags = lint(&src);
-        assert!(
-            rules_of(&diags, false).contains(&"DET001"),
-            "{method}: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn det001_not_fired_when_sorted() {
-    let diags = lint(
-        r#"
-        fn f(m: std::collections::HashMap<u32, u32>) -> Vec<u32> {
-            let mut ks: Vec<u32> = m.keys().copied().collect::<std::collections::BTreeSet<_>>()
-                .into_iter().collect();
-            ks
-        }
-        "#,
-    );
-    assert!(
-        !rules_of(&diags, false).contains(&"DET001"),
-        "sorted collection launders hash order: {diags:?}"
-    );
-}
-
-#[test]
-fn det001_not_fired_for_btreemap() {
-    let diags = lint(
-        r#"
-        fn f(m: &std::collections::BTreeMap<u32, u32>) -> u32 {
-            let mut acc = 0;
-            for (_, v) in m.iter() { acc += v; }
-            acc
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
-}
-
-#[test]
-fn det002_wall_clock_and_entropy() {
-    let cases = [
-        "fn f() { let t = std::time::Instant::now(); }",
-        "fn f() { let t = std::time::SystemTime::now(); }",
-        "use std::time::{Duration, Instant};",
-        "fn f() { let mut r = rand::thread_rng(); }",
-        "fn f() -> u8 { rand::random() }",
-        "fn f() -> String { std::env::var(\"X\").unwrap() }",
-        "fn f() { let r = rand::rngs::OsRng; }",
-    ];
-    for src in cases {
-        let diags = lint(src);
-        assert!(
-            rules_of(&diags, false).contains(&"DET002"),
-            "{src}: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn det002_off_for_cli_shell() {
-    let opts = LintOptions {
-        wall_clock: false,
-        ..LintOptions::default()
+fn clippy_toml_owns_the_compiler_visible_rules() {
+    let toml = include_str!("../../../clippy.toml");
+    let section = |name: &str| {
+        let start = toml.find(&format!("\n{name} = [")).expect(name);
+        &toml[start..start + toml[start..].find("\n]").expect(name)]
     };
-    let diags = lint_source(
-        "fixture.rs",
-        "fn f() { let t = std::time::Instant::now(); }",
-        &opts,
+    let types = section("disallowed-types");
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::hash::RandomState",
+    ] {
+        assert!(types.contains(&format!("path = \"{path}\"")), "{path}");
+    }
+    let methods = section("disallowed-methods");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::time::SystemTime::elapsed",
+        "std::env::var",
+        "std::env::var_os",
+        "std::env::vars",
+        "std::env::vars_os",
+        "std::env::args",
+        "std::env::args_os",
+        "std::env::current_dir",
+        "std::env::current_exe",
+        "std::env::temp_dir",
+        "std::env::set_var",
+        "std::env::remove_var",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
+        "std::thread::Builder::spawn_scoped",
+        "std::thread::sleep",
+        "std::thread::park",
+        "std::thread::park_timeout",
+        "std::thread::yield_now",
+        "std::thread::available_parallelism",
+    ] {
+        assert!(methods.contains(&format!("path = \"{path}\"")), "{path}");
+        // The fixture crate plants a call of every listed path.
+        let call = format!("{path}(");
+        assert!(CLIPPY_FIXTURE.contains(&call), "no `{call}` there");
+    }
+    // One enforcer: simlint itself is silent on all of it.
+    let own = lint_source(
+        "crates/sim/src/fixture.rs",
+        CLIPPY_FIXTURE,
+        &LintOptions::default(),
     );
-    assert!(diags.is_empty(), "{diags:?}");
+    assert!(own.is_empty(), "{own:?}");
 }
 
-#[test]
-fn det002_ignores_unrelated_idents() {
-    // An enum variant named `Instant` (as in skyrise_sim::trace::EventKind)
-    // is not a wall-clock read.
-    let diags = lint(
-        r#"
-        enum EventKind { Span, Instant }
-        fn f(k: &EventKind) -> bool { matches!(k, EventKind::Instant) }
-        "#,
-    );
-    assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
+/// The lints marked (`//~`) inside the fixture crate's item `name`.
+fn marks(name: &str) -> Vec<&'static str> {
+    let opens =
+        |l: &str| l.contains(&format!("fn {name}(")) || l.contains(&format!("mod {name} {{"));
+    let start = CLIPPY_FIXTURE
+        .lines()
+        .position(opens)
+        .unwrap_or_else(|| panic!("no item `{name}` in the clippy fixture"));
+    CLIPPY_FIXTURE
+        .lines()
+        .skip(start)
+        .take_while(|l| *l != "}")
+        .filter_map(|l| l.split_once("//~ "))
+        .flat_map(|(_, lints)| lints.split_whitespace())
+        .collect()
 }
 
-#[test]
-fn det003_borrow_guard_across_await() {
-    let diags = lint(
-        r#"
-        async fn f(cell: &std::cell::RefCell<u32>, ctx: &SimCtx) {
-            let guard = cell.borrow_mut();
-            ctx.sleep(SimDuration::from_secs(1)).await;
-            drop(guard);
+macro_rules! handed_over {
+    ($($name:ident: $($lint:ident * $n:literal),*;)*) => {$(
+        #[test]
+        fn $name() {
+            let want: &[(&str, usize)] = &[$((stringify!($lint), $n)),*];
+            let want: Vec<&str> = want
+                .iter()
+                .flat_map(|&(lint, n)| vec![lint; n])
+                .collect();
+            assert_eq!(marks(stringify!($name)), want);
         }
-        "#,
-    );
-    assert!(rules_of(&diags, false).contains(&"DET003"), "{diags:?}");
+    )*};
 }
 
-#[test]
-fn det003_temporary_across_await() {
-    let diags = lint(
-        r#"
-        async fn f(cell: &std::cell::RefCell<Inner>, ctx: &SimCtx) {
-            let x = run(cell.borrow().config).await;
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).contains(&"DET003"), "{diags:?}");
+handed_over! {
+    det001_for_loop_over_hashmap: disallowed_types * 3;
+    det001_iter_methods: disallowed_types * 1;
+    det001_not_fired_when_sorted: disallowed_types * 1;
+    det001_not_fired_for_btreemap: ;
+    det002_wall_clock_and_entropy: disallowed_methods * 14;
+    det002_off_for_cli_shell: ;
+    det002_ignores_unrelated_idents: ;
+    det003_borrow_guard_across_await: await_holding_refcell_ref * 1;
+    det003_temporary_across_await: await_holding_refcell_ref * 1;
+    det003_scoped_borrow_is_clean: ;
+    det003_dropped_borrow_is_clean: ;
+    det003_match_scrutinee_across_await: await_holding_refcell_ref * 1;
+    det004_float_accumulation_from_hash: disallowed_types * 1;
+    det004_count_is_order_insensitive: disallowed_types * 1;
+    det005_construction: disallowed_types * 3;
+    det005_import_alone_is_clean: disallowed_types * 1;
+    det006_thread_apis: disallowed_methods * 9;
+    det006_off_for_harness_crates: ;
+    det006_ignores_unrelated_thread_idents: ;
+    det006_suppressible_with_justification: ;
+    det008_use_alias_construction: disallowed_types * 3;
+    det008_cross_file_reexport: disallowed_types * 2;
+    det008_suppressible_with_justification: ;
+    graph_alias_resolves_to_hash: disallowed_types * 2;
+    graph_reexport_chain_resolves_across_files: disallowed_types * 1;
+    graph_crate_root_reexport_via_glob: disallowed_types * 1;
+    graph_type_alias_to_hash: disallowed_types * 1;
+    graph_time_alias_detected: disallowed_methods * 1;
+    graph_btree_alias_is_clean: ;
 }
 
-#[test]
-fn det003_scoped_borrow_is_clean() {
-    let diags = lint(
-        r#"
-        async fn f(cell: &std::cell::RefCell<u32>, ctx: &SimCtx) {
-            let v = {
-                let g = cell.borrow();
-                *g
-            };
-            ctx.sleep(SimDuration::from_secs(v as u64)).await;
-            let w = cell.borrow_mut().take();
-            ctx.sleep(SimDuration::from_secs(w)).await;
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
-}
-
-#[test]
-fn det003_dropped_borrow_is_clean() {
-    let diags = lint(
-        r#"
-        async fn f(cell: &std::cell::RefCell<u32>, ctx: &SimCtx) {
-            let guard = cell.borrow_mut();
-            drop(guard);
-            ctx.sleep(SimDuration::from_secs(1)).await;
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
-}
-
-#[test]
-fn det003_match_scrutinee_across_await() {
-    let diags = lint(
-        r#"
-        async fn f(cell: &std::cell::RefCell<State>, ctx: &SimCtx) {
-            match cell.borrow().mode {
-                Mode::A => ctx.sleep(SimDuration::from_secs(1)).await,
-                Mode::B => {}
-            }
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).contains(&"DET003"), "{diags:?}");
-}
-
-#[test]
-fn det004_float_accumulation_from_hash() {
-    let diags = lint(
-        r#"
-        fn f(m: &std::collections::HashMap<u32, f64>) -> f64 {
-            m.values().sum()
-        }
-        "#,
-    );
-    let unsup = rules_of(&diags, false);
-    assert!(unsup.contains(&"DET004"), "{diags:?}");
-    assert!(
-        !unsup.contains(&"DET001"),
-        "accumulation reported as DET004, not DET001: {diags:?}"
-    );
-}
-
-#[test]
-fn det004_count_is_order_insensitive() {
-    let diags = lint(
-        r#"
-        fn f(m: &std::collections::HashMap<u32, f64>) -> usize {
-            m.values().count()
-        }
-        "#,
-    );
-    let unsup = rules_of(&diags, false);
-    assert!(!unsup.contains(&"DET001"), "{diags:?}");
-    assert!(!unsup.contains(&"DET004"), "{diags:?}");
-}
-
-#[test]
-fn det005_construction() {
-    let diags = lint(
-        r#"
-        fn f() {
-            let m = std::collections::HashMap::<String, u32>::new();
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, false).contains(&"DET005"), "{diags:?}");
-}
-
-#[test]
-fn det005_import_alone_is_clean() {
-    let diags = lint("use std::collections::HashMap;");
-    assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
-}
+// ---------------------------------------------------------------------------
+// Mechanisms: `#[cfg(test)]` exemption, suppressions, output shapes.
 
 #[test]
 fn cfg_test_module_is_exempt() {
@@ -264,9 +159,7 @@ fn cfg_test_module_is_exempt() {
             #[test]
             fn t() {
                 let t0 = std::time::Instant::now();
-                let mut m = std::collections::HashMap::new();
-                m.insert(1, 2);
-                for (k, v) in &m { let _ = (k, v); }
+                histogram().observe(t0.elapsed().as_secs_f64());
             }
         }
         "#,
@@ -279,27 +172,27 @@ fn cfg_not_test_is_not_exempt() {
     let diags = lint(
         r#"
         #[cfg(not(test))]
-        fn f() { let t = std::time::Instant::now(); }
+        fn f(h: &Histogram) { h.observe(std::time::Instant::now()); }
         "#,
     );
-    assert!(rules_of(&diags, false).contains(&"DET002"), "{diags:?}");
+    assert!(rules_of(&diags, false).contains(&"DET007"), "{diags:?}");
 }
 
 #[test]
 fn suppression_same_line_and_line_above() {
     let diags = lint(
         r#"
-        fn f() {
-            let m = std::collections::HashMap::<u32, u32>::new(); // simlint: allow(DET005): fixture.
-            // simlint: allow(DET005): also a fixture.
-            let n = std::collections::HashSet::<u32>::new();
+        fn f(h: &Histogram) {
+            h.observe(std::time::Instant::now()); // simlint: allow(DET007): fixture.
+            // simlint: allow(DET007): also a fixture.
+            h.record(std::time::SystemTime::now());
         }
         "#,
     );
     assert!(rules_of(&diags, false).is_empty(), "{diags:?}");
     assert_eq!(
         rules_of(&diags, true),
-        vec!["DET005", "DET005"],
+        vec!["DET007", "DET007"],
         "{diags:?}"
     );
     assert!(diags.iter().all(|d| d.justification.is_some()));
@@ -309,10 +202,10 @@ fn suppression_same_line_and_line_above() {
 fn suppression_multiline_comment_block() {
     let diags = lint(
         r#"
-        fn f() {
-            // simlint: allow(DET005): this justification is long enough to
+        fn f(h: &Histogram) {
+            // simlint: allow(DET007): this justification is long enough to
             // wrap onto a second comment line before the statement.
-            let m = std::collections::HashMap::<u32, u32>::new();
+            h.observe(std::time::Instant::now());
         }
         "#,
     );
@@ -323,39 +216,39 @@ fn suppression_multiline_comment_block() {
 fn suppression_does_not_leak_to_other_lines() {
     let diags = lint(
         r#"
-        fn f() {
-            // simlint: allow(DET005): covers only the next line.
-            let a = std::collections::HashMap::<u32, u32>::new();
-            let b = std::collections::HashMap::<u32, u32>::new();
+        fn f(h: &Histogram) {
+            // simlint: allow(DET007): covers only the next line.
+            h.observe(std::time::Instant::now());
+            h.observe(std::time::Instant::now());
         }
         "#,
     );
-    assert_eq!(rules_of(&diags, false), vec!["DET005"], "{diags:?}");
+    assert_eq!(rules_of(&diags, false), vec!["DET007"], "{diags:?}");
 }
 
 #[test]
 fn suppression_wrong_rule_does_not_apply() {
     let diags = lint(
         r#"
-        fn f() {
-            // simlint: allow(DET001): wrong rule id for this finding.
-            let m = std::collections::HashMap::<u32, u32>::new();
+        fn f(h: &Histogram) {
+            // simlint: allow(CONS001): wrong rule id for this finding.
+            h.observe(std::time::Instant::now());
         }
         "#,
     );
-    assert!(rules_of(&diags, false).contains(&"DET005"), "{diags:?}");
+    assert!(rules_of(&diags, false).contains(&"DET007"), "{diags:?}");
 }
 
 #[test]
 fn file_scope_suppression() {
     let diags = lint(
         r#"
-        // simlint: allow-file(DET005): fixture-wide waiver.
-        fn f() {
-            let a = std::collections::HashMap::<u32, u32>::new();
+        // simlint: allow-file(DET007): fixture-wide waiver.
+        fn f(h: &Histogram) {
+            h.observe(std::time::Instant::now());
         }
-        fn g() {
-            let b = std::collections::HashSet::<u32>::new();
+        fn g(h: &Histogram) {
+            h.record(std::time::SystemTime::now());
         }
         "#,
     );
@@ -366,14 +259,13 @@ fn file_scope_suppression() {
 #[test]
 fn suppression_without_justification_is_sl000() {
     for bad in [
-        "// simlint: allow(DET005)",
-        "// simlint: allow(DET005):",
-        "// simlint: allow(DET005):   ",
+        "// simlint: allow(DET007)",
+        "// simlint: allow(DET007):",
+        "// simlint: allow(DET007):   ",
         "// simlint: allow(): empty rules",
-        "// simlint: deny(DET005): no such verb",
+        "// simlint: deny(DET007): no such verb",
     ] {
-        let src =
-            format!("{bad}\nfn f() {{ let m = std::collections::HashMap::<u32, u32>::new(); }}");
+        let src = format!("{bad}\nfn f(h: &H) {{ h.observe(std::time::Instant::now()); }}");
         let diags = lint(&src);
         assert!(
             rules_of(&diags, false).contains(&"SL000"),
@@ -381,7 +273,7 @@ fn suppression_without_justification_is_sl000() {
         );
         // And the malformed directive must NOT suppress the finding.
         assert!(
-            rules_of(&diags, false).contains(&"DET005"),
+            rules_of(&diags, false).contains(&"DET007"),
             "{bad}: {diags:?}"
         );
     }
@@ -400,67 +292,19 @@ fn prose_mentioning_simlint_is_not_a_directive() {
 
 #[test]
 fn json_output_shape() {
-    let diags = lint("fn f() { let m = std::collections::HashMap::<u32, u32>::new(); }");
+    let diags = lint("fn f(h: &H) { h.observe(std::time::Instant::now()); }");
     let json = simlint::render_json(&diags);
-    assert!(json.contains("\"rule\": \"DET005\""), "{json}");
+    assert!(json.contains("\"rule\": \"DET007\""), "{json}");
     assert!(json.contains("\"unsuppressed\": 1"), "{json}");
     assert!(json.contains("\"file\": \"fixture.rs\""), "{json}");
 }
 
 #[test]
 fn diagnostics_carry_position() {
-    let diags = lint("\n\nfn f() { let m = std::collections::HashMap::<u32, u32>::new(); }");
-    let d = diags.iter().find(|d| d.rule == "DET005").unwrap();
+    let diags = lint("\n\nfn f(h: &H) { h.observe(std::time::Instant::now()); }");
+    let d = diags.iter().find(|d| d.rule == "DET007").unwrap();
     assert_eq!(d.line, 3);
     assert_eq!(d.file, "fixture.rs");
-}
-
-#[test]
-fn det006_thread_apis() {
-    for src in [
-        "fn f() { std::thread::spawn(|| {}); }",
-        "fn f() { let n = std::thread::available_parallelism(); }",
-        "fn f() { thread::scope(|s| { s.spawn(|| {}); }); }",
-        "use std::thread;\nfn f() {}",
-        "use std::thread::spawn;\nfn f() {}",
-    ] {
-        let diags = lint(src);
-        assert!(
-            rules_of(&diags, false).contains(&"DET006"),
-            "{src}: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn det006_off_for_harness_crates() {
-    let opts = LintOptions {
-        threads: false,
-        ..LintOptions::default()
-    };
-    let diags = lint_source("fixture.rs", "fn f() { std::thread::spawn(|| {}); }", &opts);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn det006_ignores_unrelated_thread_idents() {
-    // A local named `thread` or a non-std `thread` module must not fire.
-    let diags = lint(
-        r#"
-        fn f(pool: &WorkerPool) { let thread = pool.current(); thread.run(); }
-        "#,
-    );
-    assert!(!rules_of(&diags, false).contains(&"DET006"), "{diags:?}");
-}
-
-#[test]
-fn det006_suppressible_with_justification() {
-    let diags = lint(
-        "// simlint: allow(DET006): host-side worker fan-out, not sim code.\n\
-         fn f() { std::thread::spawn(|| {}); }",
-    );
-    assert!(rules_of(&diags, true).contains(&"DET006"), "{diags:?}");
-    assert!(!rules_of(&diags, false).contains(&"DET006"), "{diags:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -548,68 +392,6 @@ fn det007_suppressible_with_justification() {
     );
     assert!(rules_of(&diags, true).contains(&"DET007"), "{diags:?}");
     assert!(!rules_of(&diags, false).contains(&"DET007"), "{diags:?}");
-}
-
-// ---------------------------------------------------------------------------
-// DET008: hash containers hidden behind aliases / re-exports.
-
-#[test]
-fn det008_use_alias_construction() {
-    let diags = lint(
-        r#"
-        use std::collections::HashMap as Map;
-        fn f() {
-            let m: Map<u32, u32> = Map::new();
-            for (k, v) in &m {
-                let _ = (k, v);
-            }
-        }
-        "#,
-    );
-    let unsup = rules_of(&diags, false);
-    assert!(unsup.contains(&"DET008"), "{diags:?}");
-    // The alias also feeds the order-sensitivity rule on the `for` loop.
-    assert!(unsup.contains(&"DET001"), "{diags:?}");
-}
-
-#[test]
-fn det008_cross_file_reexport() {
-    let files = vec![
-        (
-            "crates/demo/src/lib.rs".to_string(),
-            "pub mod util;\npub use util::FastMap;\n".to_string(),
-        ),
-        (
-            "crates/demo/src/util.rs".to_string(),
-            "pub use std::collections::HashMap as FastMap;\n".to_string(),
-        ),
-        (
-            "crates/demo/src/work.rs".to_string(),
-            "use crate::FastMap;\nfn f() { let m: FastMap<u32, u32> = FastMap::new(); }\n"
-                .to_string(),
-        ),
-    ];
-    let diags = simlint::lint_files(&files);
-    let hit = diags
-        .iter()
-        .any(|d| d.rule == "DET008" && d.file == "crates/demo/src/work.rs" && !d.suppressed);
-    assert!(hit, "{diags:?}");
-}
-
-#[test]
-fn det008_suppressible_with_justification() {
-    let diags = lint(
-        r#"
-        use std::collections::HashMap as Map;
-        fn f() {
-            // simlint: allow(DET008, DET005): interning table, keyed access only.
-            let m: Map<u32, u32> = Map::new();
-            let _ = m;
-        }
-        "#,
-    );
-    assert!(rules_of(&diags, true).contains(&"DET008"), "{diags:?}");
-    assert!(!rules_of(&diags, false).contains(&"DET008"), "{diags:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -795,10 +577,9 @@ fn cons002_suppressible_with_justification() {
 fn sl001_stale_suppression_is_an_error() {
     let diags = lint(
         r#"
-        // simlint: allow(DET005): once masked a HashMap that is long gone.
-        fn f() {
-            let m = std::collections::BTreeMap::<u32, u32>::new();
-            let _ = m;
+        // simlint: allow(DET007): once masked a wall-clock probe that is long gone.
+        fn f(ctx: &SimCtx, h: &Histogram) {
+            h.observe(ctx.now());
         }
         "#,
     );
@@ -809,15 +590,14 @@ fn sl001_stale_suppression_is_an_error() {
 fn sl001_live_suppression_is_quiet() {
     let diags = lint(
         r#"
-        fn f() {
-            // simlint: allow(DET005): keyed probe table, order never observed.
-            let m = std::collections::HashMap::<u32, u32>::new();
-            let _ = m;
+        fn f(h: &Histogram) {
+            // simlint: allow(DET007): host-profiling probe, never in the sim digest.
+            h.observe(std::time::Instant::now());
         }
         "#,
     );
     assert!(!rules_of(&diags, false).contains(&"SL001"), "{diags:?}");
-    assert!(rules_of(&diags, true).contains(&"DET005"), "{diags:?}");
+    assert!(rules_of(&diags, true).contains(&"DET007"), "{diags:?}");
 }
 
 #[test]
@@ -825,7 +605,7 @@ fn sl001_cannot_be_suppressed() {
     let diags = lint(
         r#"
         // simlint: allow(SL001): trying to hide the audit.
-        // simlint: allow(DET005): stale directive below the shield.
+        // simlint: allow(DET007): stale directive below the shield.
         fn f() {}
         "#,
     );
@@ -840,7 +620,7 @@ fn sl001_cannot_be_suppressed() {
 fn sl001_file_scope_stale_suppression() {
     let diags = lint(
         r#"
-        // simlint: allow-file(DET006): fixture once spawned threads.
+        // simlint: allow-file(CONS001): fixture once moved bytes.
         fn f() {}
         "#,
     );

@@ -78,7 +78,6 @@ pub mod prelude {
     pub use skyrise_data::{Batch, Column, DataType, Field, Schema, Value};
     pub use skyrise_engine::{
         load_dataset, DatasetLayout, PhysicalPlan, QueryConfig, QueryResponse, Skyrise,
-        SkyriseConfig,
     };
     pub use skyrise_net::{Fabric, Nic, RateLimiter, SharedNic, TransferOpts};
     pub use skyrise_pricing::{shared_meter, StorageService, UsageMeter};

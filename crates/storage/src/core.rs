@@ -294,7 +294,10 @@ impl<A: Admission> ServiceCore<A> {
     /// shapes the output in place), and it is an `async` block, not an
     /// `async fn`: a function's arguments are stored twice, captured and
     /// again as locals (rust-lang/rust#62958), a block's captures once.
-    #[allow(clippy::manual_async_fn)]
+    #[allow(
+        clippy::manual_async_fn,
+        reason = "an async block stores its captures once, an async fn its arguments twice"
+    )]
     fn request<'a, T>(
         &'a self,
         key: &'a str,

@@ -39,6 +39,10 @@ fn table04_extrapolates_dataset_sizes() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a host test writing real files needs the host's temp dir; no simulation reads it"
+)]
 fn fig05_smoke() {
     let r = e::fig05();
     assert_eq!(r.series.len(), 2);

@@ -161,7 +161,6 @@ fn stragglers_trigger_speculative_duplicates() {
             straggler_bw: 1e12,
             straggler_slack: 1.0,
             speculate: true,
-            ..TaskPolicy::default()
         });
         engine
             .run(&queries::q6(), config)
@@ -256,4 +255,82 @@ fn faulted_runs_are_digest_identical() {
         "digest trails diverged; first divergence at event {:?}",
         report_a.first_divergence(&report_b)
     );
+}
+
+#[test]
+fn a_damaged_plan_is_a_typed_error_after_one_coordinator_invocation() {
+    use skyrise::engine::{InputSpec, PhysicalPlan, Sink};
+    // A plan reaches the coordinator as JSON from outside; each defect
+    // `PhysicalPlan::check` names used to panic inside the handler.
+    type Damage = fn(&mut PhysicalPlan);
+    let defects: [(Damage, &str); 5] = [
+        (
+            |p| p.pipelines[1].id = p.pipelines[0].id,
+            "is defined twice",
+        ),
+        (
+            |p| {
+                p.pipelines[0]
+                    .inputs
+                    .push(InputSpec::Shuffle { from_pipeline: 99 })
+            },
+            "reads the shuffle of pipeline 99",
+        ),
+        (
+            |p| {
+                let last = p.pipelines.last().expect("q12 has pipelines").id;
+                p.pipelines[0].inputs.push(InputSpec::Shuffle {
+                    from_pipeline: last,
+                });
+            },
+            "depend on each other in a cycle",
+        ),
+        (
+            |p| {
+                let shuffle = p.pipelines[0].sink.clone();
+                p.pipelines.last_mut().expect("q12 has pipelines").sink = shuffle;
+            },
+            "exactly one pipeline writes the result, not []",
+        ),
+        (
+            |p| p.pipelines[0].sink = Sink::Result,
+            "exactly one pipeline writes the result, not [",
+        ),
+    ];
+    let mut sim = Sim::new(SEED);
+    sim.install_metrics();
+    let ctx = sim.ctx();
+    let h = sim.spawn(async move {
+        let engine = deploy(&ctx);
+        let config = config_with(TaskPolicy {
+            max_attempts: 10,
+            ..TaskPolicy::default()
+        });
+        let mut failures = Vec::new();
+        for (damage, _) in defects {
+            let mut plan = queries::q12();
+            damage(&mut plan);
+            let err = engine.run(&plan, config.clone()).await;
+            failures.push(err.expect_err("a damaged plan must not run").to_string());
+        }
+        let counters = ctx.metrics().snapshot().counters;
+        // The engine is still whole: the undamaged plan runs on it.
+        engine
+            .run(&queries::q12(), config)
+            .await
+            .expect("q12 after the damaged plans");
+        (failures, counters)
+    });
+    sim.run();
+    let (failures, counters) = h.try_take().expect("the simulation ran to its end");
+    for (message, (_, want)) in failures.iter().zip(defects) {
+        assert!(
+            message.contains("plan error") && message.contains(want),
+            "expected `{want}` in: {message}"
+        );
+    }
+    // Deterministic failures are not retried: the damaged plans cost one
+    // invocation each, the coordinator's, and none reached a worker.
+    assert_eq!(counters["faas.invoke.count"], defects.len() as u64);
+    assert!(!counters.contains_key("engine.coordinator.retries"));
 }
