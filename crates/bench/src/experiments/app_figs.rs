@@ -46,41 +46,36 @@ pub fn fig14() -> ExperimentResult {
             input_bytes / network_model_secs(input_bytes) / GIB as f64,
         ));
 
-        let (bytes_per_worker, io_secs, cpu_secs, fragments, profile) =
-            in_sim_traced(0xFE14 + k as u64, move |ctx| {
-                Box::pin(async move {
-                    let meter = shared_meter();
-                    let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
-                    // 8 workers x k partitions each.
-                    load_paper_datasets(&storage, 0.005, (8 * k) as f64 / 996.0).unwrap();
-                    let lambda = LambdaPlatform::new(&ctx, &meter, Region::us_east_1());
-                    let engine =
-                        Skyrise::deploy_simple(&ctx, ComputePlatform::Faas(lambda), storage);
-                    engine.warm(12).await;
-                    let config = QueryConfig {
-                        target_bytes_per_worker: (k as f64 * partition_mib * MIB as f64) as u64,
-                        ..QueryConfig::default()
-                    };
-                    let (response, profile) = engine
-                        .run_profiled(&queries::q6(), config)
-                        .await
-                        .expect("q6");
-                    let scan = &response.stages[0];
-                    (
-                        scan.logical_bytes_read as f64 / scan.fragments as f64,
-                        scan.io_secs_total / scan.fragments as f64,
-                        scan.cpu_secs_total / scan.fragments as f64,
-                        scan.fragments,
-                        profile,
-                    )
-                })
-            });
+        let (response, profile) = in_sim_traced(0xFE14 + k as u64, move |ctx| {
+            Box::pin(async move {
+                let meter = shared_meter();
+                let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
+                // 8 workers x k partitions each.
+                load_paper_datasets(&storage, 0.005, (8 * k) as f64 / 996.0).unwrap();
+                let lambda = LambdaPlatform::new(&ctx, &meter, Region::us_east_1());
+                let engine = Skyrise::deploy_simple(&ctx, ComputePlatform::Faas(lambda), storage);
+                engine.warm(12).await;
+                let config = QueryConfig {
+                    target_bytes_per_worker: (k as f64 * partition_mib * MIB as f64) as u64,
+                    ..QueryConfig::default()
+                };
+                engine
+                    .run_profiled(&queries::q6(), config)
+                    .await
+                    .expect("q6")
+            })
+        });
+        let scan = &response.stages[0];
+        let fragments = scan.fragments;
+        let bytes_per_worker = scan.logical_bytes_read as f64 / fragments as f64;
+        let io_secs = scan.io_secs_total / fragments as f64;
+        let cpu_secs = scan.cpu_secs_total / fragments as f64;
         assert!(fragments >= 4, "enough parallelism ({fragments})");
         // The largest input doubles as the acceptance profile: per-operator
         // time and cost breakdown for TPC-H Q6.
         if k == 6 {
-            println!("{}", profile.render());
-            r.scalar("q6_profile_runtime_secs", profile.runtime_secs);
+            println!("{}", profile.render(&response));
+            r.scalar("q6_profile_runtime_secs", response.runtime_secs);
             r.scalar("q6_profile_coldstart_share", profile.coldstart_share);
             for (op, secs) in &profile.operator_secs {
                 r.scalar(&format!("q6_op_{}_secs", op.replace('-', "_")), *secs);

@@ -7,9 +7,10 @@
 
 use crate::datasets::load_paper_datasets;
 use crate::{full_profile, in_sim_faulted};
-use skyrise::engine::{queries, ProfileCost, Skyrise, TaskPolicy};
+use skyrise::engine::{queries, Skyrise, TaskPolicy};
 use skyrise::micro::{text_table, ExperimentResult, NamedSeries};
 use skyrise::prelude::*;
+use skyrise::pricing::CostReport;
 use skyrise::sim::FaultConfig;
 
 /// Aggregates of one full-suite run at a single fault rate.
@@ -67,7 +68,7 @@ fn run_rate(idx: usize, rate: f64) -> RateOutcome {
                 }
             }
             let after = meter.borrow().report();
-            out.cost_usd = ProfileCost::delta(&before, &after).total_usd();
+            out.cost_usd = CostReport::delta(&before, &after).total_usd();
             let stats = ctx.faults().stats();
             out.faults_injected = stats.transients
                 + stats.crashes_armed

@@ -213,9 +213,8 @@ pub fn write_with_sidecar(
 // ---------------------------------------------------------------------------
 
 /// What `skyrise-bench` was asked to do: `<name>… | all`, `--trace-out
-/// <path>`, `--metrics-out <path>`, `--jobs N` (0 or omitted →
-/// [`default_jobs`]), and `--shard i/n` (run only every n-th selected
-/// experiment, offset i).
+/// <path>`, `--metrics-out <path>` and `--jobs N` (0 or omitted →
+/// [`default_jobs`]).
 pub struct SuiteArgs {
     /// The selected experiments, each once, in paper order.
     pub experiments: Vec<Experiment>,
@@ -226,17 +225,13 @@ pub struct SuiteArgs {
     pub metrics_out: Option<PathBuf>,
     /// Worker thread count.
     pub jobs: usize,
-    /// `(index, count)` shard selector; `None` runs everything.
-    pub shard: Option<(usize, usize)>,
 }
 
 impl SuiteArgs {
-    /// The jobs this invocation runs: the selection, with its trace paths,
-    /// cut down to this shard.
+    /// The jobs this invocation runs: the selection, with its trace paths.
     pub fn plan(&self) -> Vec<ExperimentJob> {
         let single = self.experiments.len() == 1;
-        let jobs = self
-            .experiments
+        self.experiments
             .iter()
             .map(|&(name, run)| ExperimentJob {
                 name,
@@ -250,8 +245,7 @@ impl SuiteArgs {
                 }),
                 metrics: self.metrics_out.is_some(),
             })
-            .collect();
-        apply_shard(jobs, self.shard)
+            .collect()
     }
 }
 
@@ -268,29 +262,6 @@ fn trace_path_for(base: &Path, name: &str) -> PathBuf {
     base.with_file_name(format!("{stem}-{name}{ext}"))
 }
 
-/// Parse an `i/n` shard spec: `i < n`, `n >= 1`.
-fn parse_shard(v: &str) -> Option<(usize, usize)> {
-    let (i, n) = v.split_once('/')?;
-    let (i, n) = (i.parse::<usize>().ok()?, n.parse::<usize>().ok()?);
-    (n >= 1 && i < n).then_some((i, n))
-}
-
-/// Keep only this shard's experiments: job `k` runs on shard `k % n == i`.
-/// The modulo layout balances long- and short-running experiments across
-/// shards better than contiguous slices (neighbours in `ALL` tend to have
-/// similar cost). `None` keeps everything.
-pub fn apply_shard(jobs: Vec<ExperimentJob>, shard: Option<(usize, usize)>) -> Vec<ExperimentJob> {
-    match shard {
-        None => jobs,
-        Some((index, count)) => jobs
-            .into_iter()
-            .enumerate()
-            .filter(|(k, _)| k % count == index)
-            .map(|(_, job)| job)
-            .collect(),
-    }
-}
-
 /// Parse the command line (flags space- or `=`-separated). `Err` carries
 /// what to print before exiting with status 2: the complaint, the usage
 /// line, and the registry's names.
@@ -298,8 +269,8 @@ pub fn parse_suite_args<I: IntoIterator<Item = String>>(args: I) -> Result<Suite
     parse(args.into_iter()).map_err(|complaint| {
         let names: Vec<&str> = ALL.iter().map(|&(name, _)| name).collect();
         format!(
-            "{complaint}\nusage: skyrise-bench <name>... | all [--jobs N] [--shard i/n] \
-             [--trace-out <path>] [--metrics-out <path>]\nexperiments: {}",
+            "{complaint}\nusage: skyrise-bench <name>... | all [--jobs N] [--trace-out <path>] \
+             [--metrics-out <path>]\nexperiments: {}",
             names.join(" ")
         )
     })
@@ -311,7 +282,6 @@ fn parse(mut iter: impl Iterator<Item = String>) -> Result<SuiteArgs, String> {
         trace_out: None,
         metrics_out: None,
         jobs: default_jobs(),
-        shard: None,
     };
     let mut names: Vec<String> = Vec::new();
     while let Some(arg) = iter.next() {
@@ -337,8 +307,6 @@ fn parse(mut iter: impl Iterator<Item = String>) -> Result<SuiteArgs, String> {
                 Ok(n) => n,
                 Err(_) => return Err("--jobs requires a non-negative integer".into()),
             };
-        } else if let Some(v) = take("--shard")? {
-            out.shard = Some(parse_shard(&v).ok_or("--shard requires `i/n` with i < n")?);
         } else if arg.starts_with('-') {
             return Err(format!("unknown argument `{arg}`"));
         } else if arg == "all" || ALL.iter().any(|&(name, _)| name == arg) {
@@ -443,7 +411,6 @@ mod tests {
         assert_eq!(args.jobs, 4);
         assert_eq!(args.trace_out, None);
         assert_eq!(args.metrics_out, None);
-        assert_eq!(args.shard, None);
         let args = parsed(&["all", "--jobs=2", "--trace-out=/tmp/t.json"]);
         assert_eq!(args.jobs, 2);
         assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/t.json")));
@@ -454,13 +421,10 @@ mod tests {
             "--trace-out",
             "/tmp/t.json",
             "--metrics-out=/tmp/m.jsonl",
-            "--shard",
-            "1/3",
             "all",
         ]);
         assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(args.metrics_out, Some(PathBuf::from("/tmp/m.jsonl")));
-        assert_eq!(args.shard, Some((1, 3)));
     }
 
     #[test]
@@ -508,7 +472,6 @@ mod tests {
             &["fig05", "--frobnicate"],
             &["fig05", "--jobs"],
             &["fig05", "--jobs=many"],
-            &["fig05", "--shard=3/3"],
         ] {
             let err = parse_suite_args(args.iter().map(|a| a.to_string()))
                 .err()
@@ -518,32 +481,6 @@ mod tests {
                 assert!(err.contains(name), "{name} missing from: {err}");
             }
         }
-    }
-
-    #[test]
-    fn shard_spec_validation() {
-        assert_eq!(parse_shard("0/1"), Some((0, 1)));
-        assert_eq!(parse_shard("2/3"), Some((2, 3)));
-        assert_eq!(parse_shard("3/3"), None, "index out of range");
-        assert_eq!(parse_shard("1/0"), None, "zero shards");
-        assert_eq!(parse_shard("1"), None);
-        assert_eq!(parse_shard("a/b"), None);
-    }
-
-    #[test]
-    fn sharding_partitions_jobs_without_overlap() {
-        let all: Vec<&str> = jobs().iter().map(|j| j.name).collect();
-        let mut seen = Vec::new();
-        for i in 0..2 {
-            for job in apply_shard(jobs(), Some((i, 2))) {
-                seen.push(job.name);
-            }
-        }
-        seen.sort_unstable();
-        let mut expect = all.clone();
-        expect.sort_unstable();
-        assert_eq!(seen, expect, "shards cover every job exactly once");
-        assert_eq!(apply_shard(jobs(), None).len(), all.len());
     }
 
     #[test]

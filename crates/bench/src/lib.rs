@@ -102,11 +102,8 @@ struct CaptureState {
     /// Added to every `in_sim` seed (the determinism test's lever for
     /// "different seed → different trace").
     seed_offset: u64,
-    runs: Vec<(String, Tracer)>,
-    digests: Vec<(String, SanitizerReport)>,
-    metrics: MetricsSnapshot,
-    sims: u64,
-    virtual_secs: f64,
+    /// What the simulations so far produced.
+    summary: RunSummary,
 }
 
 thread_local! {
@@ -114,6 +111,7 @@ thread_local! {
 }
 
 /// What a traced experiment run produced, aside from its result.
+#[derive(Default)]
 pub struct RunSummary {
     /// One `(label, tracer)` per traced simulation, in execution order.
     pub runs: Vec<(String, Tracer)>,
@@ -176,16 +174,7 @@ pub fn capture_runs<T>(
     });
     let out = f();
     let state = CAPTURE.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    (
-        out,
-        RunSummary {
-            runs: state.runs,
-            digests: state.digests,
-            metrics: state.metrics,
-            sims: state.sims,
-            virtual_secs: state.virtual_secs,
-        },
-    )
+    (out, state.summary)
 }
 
 fn record_sim(
@@ -196,18 +185,18 @@ fn record_sim(
     metrics: Option<MetricsSnapshot>,
 ) {
     CAPTURE.with(|c| {
-        let mut c = c.borrow_mut();
-        c.sims += 1;
-        c.virtual_secs += end.as_secs_f64();
-        let label = format!("sim{:02}-seed{:x}", c.sims - 1, seed);
+        let s = &mut c.borrow_mut().summary;
+        s.sims += 1;
+        s.virtual_secs += end.as_secs_f64();
+        let label = format!("sim{:02}-seed{:x}", s.sims - 1, seed);
         if let Some(t) = tracer {
-            c.runs.push((label.clone(), t));
+            s.runs.push((label.clone(), t));
         }
         if let Some(r) = report {
-            c.digests.push((label, r));
+            s.digests.push((label, r));
         }
         if let Some(m) = metrics {
-            c.metrics.merge(&m);
+            s.metrics.merge(&m);
         }
     });
 }

@@ -1,5 +1,5 @@
-//! `skyrise-bench <name>... | all [--jobs N] [--shard i/n] [--trace-out P]
-//! [--metrics-out P]` — regenerate the named tables and figures of the
+//! `skyrise-bench <name>... | all [--jobs N] [--trace-out P] [--metrics-out
+//! P]` — regenerate the named tables and figures of the
 //! paper, or all of them. Run with `--release`; set `SKYRISE_FULL=1` for
 //! paper-scale durations. Results land under `results/`; each experiment
 //! prints a summary line: virtual time simulated, wall-clock elapsed,
@@ -21,9 +21,6 @@
 //! registry installed and the snapshot merged over the selection is
 //! written as JSONL at `<path>` plus Prometheus text exposition at
 //! `<path>.prom`.
-//!
-//! With `--shard i/n`, only every n-th selected experiment (offset i)
-//! runs — composes with `--jobs` for fleet-style CI splits.
 
 #![expect(
     clippy::disallowed_methods,

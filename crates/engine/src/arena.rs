@@ -30,8 +30,6 @@ use std::rc::Rc;
 pub struct ArenaReport {
     /// Total bytes requested from the arena during the invocation.
     pub bytes_allocated: u64,
-    /// Arena resets performed (one per chain invocation).
-    pub resets: u64,
     /// Requested bytes attributed to each operator, in chain order.
     pub per_op: Vec<(&'static str, u64)>,
 }
@@ -48,7 +46,6 @@ struct Pools {
 struct Inner {
     pools: RefCell<Pools>,
     bytes: Cell<u64>,
-    resets: Cell<u64>,
 }
 
 /// Handle to the thread-local scratch arena. Cheap to clone (one `Rc`).
@@ -72,7 +69,7 @@ impl Arena {
     }
 
     /// Start a new invocation: clears pools (releasing held memory) and
-    /// the byte counter, and bumps the reset count.
+    /// the byte counter.
     pub fn reset(&self) {
         let mut pools = self.inner.pools.borrow_mut();
         pools.u32s.clear();
@@ -80,17 +77,11 @@ impl Arena {
         pools.i64s.clear();
         pools.locs.clear();
         self.inner.bytes.set(0);
-        self.inner.resets.set(self.inner.resets.get() + 1);
     }
 
     /// Bytes requested since the last [`reset`](Self::reset).
     pub fn bytes_allocated(&self) -> u64 {
         self.inner.bytes.get()
-    }
-
-    /// Resets performed since the arena was created.
-    pub fn resets(&self) -> u64 {
-        self.inner.resets.get()
     }
 
     /// Meter `bytes` of externally-allocated scratch against this arena
@@ -210,10 +201,8 @@ mod tests {
         a.reset();
         let v = a.i64s(8);
         a.recycle_i64(v);
-        let r0 = a.resets();
         a.reset();
         assert_eq!(a.bytes_allocated(), 0);
-        assert_eq!(a.resets(), r0 + 1);
         // Pool was cleared: the next draw is a fresh allocation (still
         // metered identically).
         let _ = a.locs(4);

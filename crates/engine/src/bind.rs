@@ -454,7 +454,6 @@ pub fn execute_chain_sel(
     };
     let report = ArenaReport {
         bytes_allocated: ctx.arena.bytes_allocated(),
-        resets: 1,
         per_op,
     };
     Ok((stream, stats, report))
@@ -1282,7 +1281,6 @@ pub(crate) mod tests {
         ];
         let (out, stats, report) = execute_chain_sel(&ops, lineitems(), &[], &[], &udfs()).unwrap();
         assert_eq!(stats.rows_out, out.iter().map(|b| b.rows() as u64).sum());
-        assert_eq!(report.resets, 1);
         assert!(report.bytes_allocated > 0);
         assert_eq!(report.per_op.len(), 2);
         assert_eq!(report.per_op[0].0, "filter");

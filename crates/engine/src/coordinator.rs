@@ -13,7 +13,7 @@
 use crate::catalog::{fetch_dataset, DatasetMeta};
 use crate::error::EngineError;
 use crate::plan::{InputSpec, PhysicalPlan};
-use crate::worker::{result_key, InputAssignment, WorkerReport, WorkerTask};
+use crate::worker::{result_key, InputAssignment, WorkerTask};
 use serde::{Deserialize, Serialize};
 use skyrise_compute::{ComputePlatform, ExecEnv, FaasError};
 use skyrise_sim::{first_completed, race, Either, SimCtx, SimDuration};
@@ -130,52 +130,88 @@ pub struct QueryRequest {
     pub config: QueryConfig,
 }
 
-/// Per-stage execution statistics.
+/// The one accounting record of the engine. A worker reports one fragment
+/// of it, the dispatcher books a task's attempts in it (`task_retries`,
+/// `speculative_invokes`, `failed_attempt_secs` only), a stage is the
+/// [`add`](StageStats::add) fold of its dispatch record and its reports,
+/// and [`QueryResponse::totals`] is the same fold over the stages.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StageStats {
-    /// Pipeline id this stage executed.
+    /// Pipeline id this stage executed (the coordinator's).
     pub pipeline: u32,
-    /// Worker fragments scheduled.
+    /// Worker fragments run: 1 per report.
     pub fragments: u32,
-    /// Fragment count of the consuming pipeline (shuffle object fan-out).
+    /// Fragment count of the consuming pipeline (shuffle object fan-out;
+    /// the coordinator's).
     pub downstream_fragments: u32,
+    /// Stage start, seconds after the query began: the coordinator's
+    /// `stage` span offset.
+    pub start_secs: f64,
     /// Stage wall time (coordinator-observed).
     pub duration_secs: f64,
-    /// Sum of worker wall times (the "cumulated time" of Table 6).
+    /// Worker wall time, I/O plus CPU phase per fragment (the "cumulated
+    /// time" of Table 6).
     pub cumulative_worker_secs: f64,
-    /// Sum of worker I/O phases (fetch + I/O stack + decode).
+    /// Worker I/O phases (fetch + I/O stack + decode).
     pub io_secs_total: f64,
-    /// Sum of worker operator-execution phases.
+    /// Worker operator-execution phases.
     pub cpu_secs_total: f64,
-    /// Logical bytes all workers read.
+    /// Logical bytes read from storage.
     pub logical_bytes_read: u64,
-    /// Logical bytes all workers wrote.
+    /// Logical bytes written to storage.
     pub logical_bytes_written: u64,
     /// Storage requests issued (including retries).
     pub storage_requests: u64,
-    /// Logical rows the stage emitted.
+    /// Logical rows entering the operator chains.
+    pub rows_in: u64,
+    /// Logical rows the operator chains emitted.
     pub rows_out: u64,
     /// Workers that cold-started.
     pub cold_starts: u32,
-    /// Failure-driven re-invocations across the stage's tasks (worker and
-    /// fan-out helper tiers), excluding speculative duplicates.
-    #[serde(default)]
+    /// Failure-driven re-invocations (worker and fan-out helper tiers),
+    /// excluding speculative duplicates.
     pub task_retries: u32,
     /// Speculative duplicate invocations launched for stragglers.
-    #[serde(default)]
     pub speculative_invokes: u32,
     /// Wall seconds spent in attempts that ultimately failed.
-    #[serde(default)]
     pub failed_attempt_secs: f64,
 }
 
 impl StageStats {
+    /// Fold `other` in: every field is summed except the coordinator's
+    /// `pipeline`, `downstream_fragments`, `start_secs` and `duration_secs`.
+    pub fn add(&mut self, other: &StageStats) {
+        self.fragments += other.fragments;
+        self.cumulative_worker_secs += other.cumulative_worker_secs;
+        self.io_secs_total += other.io_secs_total;
+        self.cpu_secs_total += other.cpu_secs_total;
+        self.logical_bytes_read += other.logical_bytes_read;
+        self.logical_bytes_written += other.logical_bytes_written;
+        self.storage_requests += other.storage_requests;
+        self.rows_in += other.rows_in;
+        self.rows_out += other.rows_out;
+        self.cold_starts += other.cold_starts;
+        self.task_retries += other.task_retries;
+        self.speculative_invokes += other.speculative_invokes;
+        self.failed_attempt_secs += other.failed_attempt_secs;
+    }
+
     /// Mean shuffle object size written by this stage (bytes), if it
     /// shuffled.
     pub fn mean_shuffle_object_bytes(&self) -> Option<f64> {
         let objects = self.fragments as u64 * self.downstream_fragments as u64;
         (self.logical_bytes_written > 0 && objects > 0)
             .then(|| self.logical_bytes_written as f64 / objects as f64)
+    }
+}
+
+impl<'a> std::iter::Sum<&'a StageStats> for StageStats {
+    /// The [`StageStats::add`] fold, in iteration order, from zero.
+    fn sum<I: Iterator<Item = &'a StageStats>>(records: I) -> Self {
+        records.fold(StageStats::default(), |mut total, r| {
+            total.add(r);
+            total
+        })
     }
 }
 
@@ -198,9 +234,14 @@ pub struct QueryResponse {
 }
 
 impl QueryResponse {
+    /// The stages folded into one record: the query's totals.
+    pub fn totals(&self) -> StageStats {
+        self.stages.iter().sum()
+    }
+
     /// Total storage requests across stages.
     pub fn total_requests(&self) -> u64 {
-        self.stages.iter().map(|s| s.storage_requests).sum()
+        self.totals().storage_requests
     }
 
     /// Peak fragment count across stages.
@@ -291,7 +332,6 @@ pub async fn run_coordinator(
 
     // 3. Execute stages in dependency order.
     let mut stages = Vec::new();
-    let mut cumulative = 0.0f64;
     for id in plan.stages() {
         let pipeline = plan.pipeline(id);
         let n = fragments[&id];
@@ -381,40 +421,20 @@ pub async fn run_coordinator(
             .attr("fragments", n);
         let stage_started = env.ctx.now();
         let policy = &request.config.task_policy;
-        let (reports, fleet) =
-            invoke_fleet(env, platform, worker_fn, fanout_fn, tasks, policy, lane).await?;
-        let duration = (env.ctx.now() - stage_started).as_secs_f64();
-
-        let mut stat = StageStats {
+        let fleet = invoke_fleet(env, platform, worker_fn, fanout_fn, tasks, policy, lane).await?;
+        let stat = StageStats {
             pipeline: id,
-            fragments: n,
             downstream_fragments: downstream,
-            duration_secs: duration,
-            // Helper-tier retries (two-level dispatch only).
-            task_retries: fleet.task_retries,
-            failed_attempt_secs: fleet.failed_attempt_secs,
-            ..StageStats::default()
+            start_secs: (stage_started - started).as_secs_f64(),
+            duration_secs: (env.ctx.now() - stage_started).as_secs_f64(),
+            ..fleet
         };
-        for r in &reports {
-            stat.cumulative_worker_secs += r.io_secs + r.cpu_secs;
-            stat.io_secs_total += r.io_secs;
-            stat.cpu_secs_total += r.cpu_secs;
-            stat.logical_bytes_read += r.logical_bytes_read;
-            stat.logical_bytes_written += r.logical_bytes_written;
-            stat.storage_requests += r.storage_requests;
-            stat.rows_out += r.rows_out;
-            stat.cold_starts += r.cold_start as u32;
-            stat.task_retries += r.invoke_attempts.saturating_sub(1 + r.speculative_invokes);
-            stat.speculative_invokes += r.speculative_invokes;
-            stat.failed_attempt_secs += r.failed_attempt_secs;
-        }
         stage_span
             .attr("rows_out", stat.rows_out)
             .attr("cold_starts", stat.cold_starts)
             .attr("task_retries", stat.task_retries)
             .attr("speculative_invokes", stat.speculative_invokes);
         stage_span.end();
-        cumulative += stat.cumulative_worker_secs;
         stages.push(stat);
     }
 
@@ -438,45 +458,20 @@ pub async fn run_coordinator(
         query_id: request.query_id.clone(),
         result_key: key,
         runtime_secs: (env.ctx.now() - started).as_secs_f64(),
-        cumulative_worker_secs: cumulative,
+        cumulative_worker_secs: stages.iter().sum::<StageStats>().cumulative_worker_secs,
         stages,
         rows,
     })
-}
-
-/// Attempt accounting for one resilient task invocation.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskAttempts {
-    /// Invocations launched (first + retries + speculative duplicates).
-    launched: u32,
-    /// Speculative duplicates among `launched`.
-    speculative: u32,
-    /// Wall seconds spent in attempts that ultimately failed.
-    failed_secs: f64,
-}
-
-/// Dispatch-tier attempt statistics not attributable to a single worker
-/// report (fan-out helper retries under two-level invocation).
-#[derive(Debug, Clone, Copy, Default)]
-struct FleetStats {
-    task_retries: u32,
-    failed_attempt_secs: f64,
-}
-
-/// Stamp a worker report with the dispatcher's attempt accounting.
-fn stamp_attempts(report: &mut WorkerReport, acct: TaskAttempts) {
-    report.invoke_attempts = acct.launched.max(1);
-    report.speculative_invokes = acct.speculative;
-    report.failed_attempt_secs = acct.failed_secs;
 }
 
 /// Invoke `name` with `payload` under `policy`: bounded retry with
 /// jittered exponential backoff on transient failures (throttling, sandbox
 /// crashes, injected transients), plus a speculative duplicate invoke once
 /// the size-based straggler timeout elapses. The first completion wins;
-/// abandoned duplicates keep running (and billing) to completion. Fails
-/// with [`EngineError::TaskFailed`] after `policy.max_attempts` launches
-/// all failed.
+/// abandoned duplicates keep running (and billing) to completion. Returns
+/// the winner's output with the task's attempt record. Fails with
+/// [`EngineError::TaskFailed`] after `policy.max_attempts` launches all
+/// failed.
 #[allow(
     clippy::too_many_arguments,
     reason = "eight independent inputs from three call sites; no existing struct holds more \
@@ -491,13 +486,16 @@ async fn invoke_resilient(
     policy: &TaskPolicy,
     lane: u64,
     label: &str,
-) -> Result<(String, TaskAttempts), EngineError> {
+) -> Result<(String, StageStats), EngineError> {
     let tracer = ctx.tracer();
     let metrics = ctx.metrics();
     let backoff = policy.backoff_policy();
     let timeout = policy.timeout_for(expected_bytes);
     let max_attempts = policy.max_attempts.max(1);
-    let mut acct = TaskAttempts::default();
+    // Invocations launched (first + retries + speculative duplicates), the
+    // speculative duplicates among them, and the wall seconds of attempts
+    // that failed.
+    let (mut launched, mut speculative, mut failed_secs) = (1u32, 0u32, 0.0f64);
     let mut last_err = String::new();
 
     let spawn_attempt = || {
@@ -512,33 +510,32 @@ async fn invoke_resilient(
     // for this first launch; relaunches pay it inside this task,
     // concurrently with other tasks.
     let mut outstanding = vec![spawn_attempt()];
-    acct.launched = 1;
     let mut last_launch = ctx.now();
 
     loop {
         if outstanding.is_empty() {
             // Every launched attempt has failed: back off and relaunch,
             // or give up once the attempt budget is spent.
-            if acct.launched >= max_attempts {
+            if launched >= max_attempts {
                 metrics.counter("engine.task.exhausted").inc();
                 return Err(EngineError::TaskFailed {
-                    attempts: acct.launched,
+                    attempts: launched,
                     last: last_err,
                 });
             }
-            ctx.sleep(backoff.backoff(ctx, acct.launched)).await;
+            ctx.sleep(backoff.backoff(ctx, launched)).await;
             ctx.sleep(DISPATCH_LATENCY).await;
             metrics.counter("engine.task.retries").inc();
             tracer
                 .instant(ctx, "coordinator", lane, "task-retry")
                 .attr("task", label)
-                .attr("attempt", acct.launched + 1);
+                .attr("attempt", launched + 1);
             outstanding.push(spawn_attempt());
-            acct.launched += 1;
+            launched += 1;
             last_launch = ctx.now();
         }
 
-        let can_speculate = policy.speculate && acct.launched < max_attempts;
+        let can_speculate = policy.speculate && launched < max_attempts;
         let completion = if can_speculate {
             let deadline = last_launch.saturating_add(timeout);
             match race(first_completed(&mut outstanding), ctx.sleep_until(deadline)).await {
@@ -560,11 +557,19 @@ async fn invoke_resilient(
                     .attr("timeout_s", timeout.as_secs_f64());
                 ctx.sleep(DISPATCH_LATENCY).await;
                 outstanding.push(spawn_attempt());
-                acct.launched += 1;
-                acct.speculative += 1;
+                launched += 1;
+                speculative += 1;
                 last_launch = ctx.now();
             }
-            Some((_, (_, Ok(result)))) => return Ok((result.output, acct)),
+            Some((_, (_, Ok(result)))) => {
+                let attempts = StageStats {
+                    task_retries: launched.saturating_sub(1 + speculative),
+                    speculative_invokes: speculative,
+                    failed_attempt_secs: failed_secs,
+                    ..StageStats::default()
+                };
+                return Ok((result.output, attempts));
+            }
             Some((_, (started, Err(err)))) => match err {
                 // Misconfiguration, not an infrastructure fault.
                 FaasError::UnknownFunction(_) | FaasError::PayloadTooLarge(_) => {
@@ -572,7 +577,7 @@ async fn invoke_resilient(
                 }
                 _ => {
                     metrics.counter("engine.task.attempt_failures").inc();
-                    acct.failed_secs += (ctx.now() - started).as_secs_f64();
+                    failed_secs += (ctx.now() - started).as_secs_f64();
                     last_err = err.to_string();
                 }
             },
@@ -580,9 +585,9 @@ async fn invoke_resilient(
     }
 }
 
-/// Invoke a fleet of worker tasks, two-level beyond the threshold. Each
-/// report comes back stamped with its attempt accounting; helper-tier
-/// retries (not attributable to one worker) are returned in [`FleetStats`].
+/// Invoke a fleet of worker tasks, two-level beyond the threshold, and
+/// fold what they report: the fan-out helpers' attempt records (two-level
+/// dispatch only), then the workers' reports in task order.
 async fn invoke_fleet(
     env: &ExecEnv,
     platform: &ComputePlatform,
@@ -591,50 +596,48 @@ async fn invoke_fleet(
     tasks: Vec<WorkerTask>,
     policy: &TaskPolicy,
     lane: u64,
-) -> Result<(Vec<WorkerReport>, FleetStats), EngineError> {
-    let mut fleet = FleetStats::default();
-    if tasks.len() >= TWO_LEVEL_THRESHOLD {
-        // Two-level: dispatch fan-out helpers, each invoking a group.
-        // A helper failure would re-run its whole group, so helpers
-        // retry but never speculate.
-        let helper_policy = TaskPolicy {
-            speculate: false,
-            ..policy.clone()
-        };
-        let mut handles = Vec::new();
-        for (g, group) in tasks.chunks(FANOUT_GROUP).enumerate() {
-            env.ctx.sleep(DISPATCH_LATENCY).await;
-            let payload = serde_json::to_string(&FanoutRequest {
-                tasks: group.to_vec(),
-                policy: policy.clone(),
-            })?;
-            let expected: u64 = group.iter().map(|t| t.expected_input_bytes).sum();
-            let ctx = env.ctx.clone();
-            let platform = platform.clone();
-            let name = fanout_fn.to_string();
-            let hp = helper_policy.clone();
-            let label = format!("fanout/{g}");
-            handles.push(env.ctx.spawn(async move {
-                invoke_resilient(&ctx, &platform, &name, payload, expected, &hp, lane, &label).await
-            }));
-        }
-        let mut reports = Vec::with_capacity(tasks.len());
-        for h in skyrise_sim::join_all(handles).await {
-            let (output, acct) = h?;
-            fleet.task_retries += acct.launched.saturating_sub(1);
-            fleet.failed_attempt_secs += acct.failed_secs;
-            let group: Vec<WorkerReport> = serde_json::from_str(&output)?;
-            reports.extend(group);
-        }
-        Ok((reports, fleet))
-    } else {
+) -> Result<StageStats, EngineError> {
+    if tasks.len() < TWO_LEVEL_THRESHOLD {
         let reports = invoke_workers(env, platform, worker_fn, &tasks, policy, lane).await?;
-        Ok((reports, fleet))
+        return Ok(reports.iter().sum());
     }
+    // Two-level: dispatch fan-out helpers, each invoking a group. A helper
+    // failure would re-run its whole group, so helpers retry but never
+    // speculate.
+    let helper_policy = TaskPolicy {
+        speculate: false,
+        ..policy.clone()
+    };
+    let mut handles = Vec::new();
+    for (g, group) in tasks.chunks(FANOUT_GROUP).enumerate() {
+        env.ctx.sleep(DISPATCH_LATENCY).await;
+        let payload = serde_json::to_string(&FanoutRequest {
+            tasks: group.to_vec(),
+            policy: policy.clone(),
+        })?;
+        let expected: u64 = group.iter().map(|t| t.expected_input_bytes).sum();
+        let ctx = env.ctx.clone();
+        let platform = platform.clone();
+        let name = fanout_fn.to_string();
+        let hp = helper_policy.clone();
+        let label = format!("fanout/{g}");
+        handles.push(env.ctx.spawn(async move {
+            invoke_resilient(&ctx, &platform, &name, payload, expected, &hp, lane, &label).await
+        }));
+    }
+    let mut helpers = Vec::with_capacity(handles.len());
+    let mut reports = Vec::with_capacity(tasks.len());
+    for h in skyrise_sim::join_all(handles).await {
+        let (output, attempts) = h?;
+        helpers.push(attempts);
+        reports.extend(serde_json::from_str::<Vec<StageStats>>(&output)?);
+    }
+    Ok(helpers.iter().chain(&reports).sum())
 }
 
 /// Invoke one worker per task, a dispatch latency apart, each under the
-/// fault-tolerance policy, and gather the stamped reports in task order.
+/// fault-tolerance policy, and gather the reports in task order, each with
+/// its task's attempt record added.
 async fn invoke_workers(
     env: &ExecEnv,
     platform: &ComputePlatform,
@@ -642,7 +645,7 @@ async fn invoke_workers(
     tasks: &[WorkerTask],
     policy: &TaskPolicy,
     lane: u64,
-) -> Result<Vec<WorkerReport>, EngineError> {
+) -> Result<Vec<StageStats>, EngineError> {
     let mut handles = Vec::with_capacity(tasks.len());
     for task in tasks {
         env.ctx.sleep(DISPATCH_LATENCY).await;
@@ -659,22 +662,23 @@ async fn invoke_workers(
     }
     let mut reports = Vec::with_capacity(tasks.len());
     for h in skyrise_sim::join_all(handles).await {
-        let (output, acct) = h?;
-        let mut report: WorkerReport = serde_json::from_str(&output)?;
-        stamp_attempts(&mut report, acct);
+        let (output, attempts) = h?;
+        let mut report: StageStats = serde_json::from_str(&output)?;
+        report.add(&attempts);
         reports.push(report);
     }
     Ok(reports)
 }
 
 /// Run a fan-out helper: invoke each task in the group (under the
-/// request's fault-tolerance policy) and gather the stamped reports.
+/// request's fault-tolerance policy) and return the workers' reports, each
+/// with its attempt record added.
 pub async fn run_fanout(
     env: &ExecEnv,
     platform: &ComputePlatform,
     worker_fn: &str,
     request: &FanoutRequest,
-) -> Result<Vec<WorkerReport>, EngineError> {
+) -> Result<Vec<StageStats>, EngineError> {
     let lane = env.ctx.tracer().next_lane();
     invoke_workers(
         env,
@@ -719,6 +723,7 @@ mod tests {
             ..QueryResponse::default()
         };
         assert_eq!(r.total_requests(), 105);
+        assert_eq!(r.totals().fragments, 285);
         assert_eq!(r.peak_workers(), 284);
         assert!((r.average_workers() - 142.5).abs() < 1e-9);
         // Peak-to-average ratio, as in Table 6.

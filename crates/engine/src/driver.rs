@@ -19,6 +19,7 @@ use crate::worker::{barrier_key, run_worker, WorkerTask};
 use skyrise_compute::{
     handler, ComputePlatform, ExecEnv, FaasError, FunctionConfig, LambdaPlatform, ShimCluster,
 };
+use skyrise_pricing::CostReport;
 use skyrise_sim::faults::INJECTED_FAILURE;
 use skyrise_sim::SimCtx;
 use skyrise_storage::{Blob, Storage};
@@ -253,10 +254,11 @@ impl Skyrise {
         self.run(plan, QueryConfig::default()).await
     }
 
-    /// Run a plan and assemble a [`QueryProfile`] from the virtual-time
-    /// trace: stage critical path, per-operator time, coldstart share, and
-    /// the marginal cost drawn from the platform's usage meter. Works with
-    /// tracing disabled too (the trace-derived sections stay empty).
+    /// Run a plan and assemble a [`QueryProfile`] beside its response from
+    /// the virtual-time trace and the metric registry: per-operator time,
+    /// coldstart share, counter deltas, and the marginal cost drawn from the
+    /// platform's usage meter. Works with tracing disabled too (the
+    /// trace-derived fields stay empty).
     pub async fn run_profiled(
         &self,
         plan: &PhysicalPlan,
@@ -270,7 +272,7 @@ impl Skyrise {
         let cost = meter
             .as_ref()
             .zip(before.as_ref())
-            .map(|(m, before)| crate::profile::ProfileCost::delta(before, &m.borrow().report()));
+            .map(|(m, before)| CostReport::delta(before, &m.borrow().report()));
         let mut profile = QueryProfile::from_trace(&response, &self.ctx.tracer(), cost);
         if let Some(before) = counters_before {
             for (name, after) in metrics.snapshot().counters {

@@ -32,5 +32,10 @@ pub use driver::{Skyrise, COORDINATOR_FN, FANOUT_FN, WORKER_FN};
 pub use error::EngineError;
 pub use expr::{ArithOp, CmpOp, Expr, NamedExpr, UdfRegistry};
 pub use plan::{AggExpr, AggFunc, AggMode, InputSpec, Op, PhysicalPlan, Pipeline, Sink};
-pub use profile::{ProfileCost, QueryProfile, StageSlice};
-pub use worker::{WorkerReport, WorkerTask};
+pub use profile::QueryProfile;
+pub use worker::WorkerTask;
+
+/// A query's marginal bill, [`CostReport::delta`](skyrise_pricing::CostReport::delta)
+/// of the usage meter across it. Kept under this name because `benchmark/`
+/// names it.
+pub type ProfileCost = skyrise_pricing::CostReport;

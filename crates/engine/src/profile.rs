@@ -1,11 +1,14 @@
-//! Per-query profiles derived from the virtual-time trace.
+//! Per-query profiles: what only the virtual-time trace and the metric
+//! registry know about a query.
 //!
-//! [`QueryProfile`] condenses one query's trace window into the numbers an
-//! engineer reaches for first: the stage-wise critical path as observed by
-//! the coordinator, cumulative time per operator across the worker fleet,
-//! the coldstart share of worker time, bytes moved, and the marginal cost
-//! drawn from the [`skyrise_pricing`] meter. The driver's
-//! [`crate::driver::Skyrise::run_profiled`] builds one per execution.
+//! The coordinator's [`QueryResponse`] already carries the stage-wise
+//! critical path (each stage's `start_secs` and `duration_secs`), bytes,
+//! requests and attempt counts. [`QueryProfile`] adds cumulative time per
+//! operator across the worker fleet, the coldstart share of worker time,
+//! injected faults, counter deltas, and the marginal cost drawn from the
+//! [`skyrise_pricing`] meter; [`QueryProfile::render`] prints both. The
+//! driver's [`crate::driver::Skyrise::run_profiled`] builds one per
+//! execution.
 
 use crate::coordinator::QueryResponse;
 use serde::Serialize;
@@ -13,96 +16,23 @@ use skyrise_pricing::CostReport;
 use skyrise_sim::{AttrValue, EventKind, TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
-/// One coordinator-scheduled stage on the query's critical path. Stages
-/// execute in dependency order, so their spans tile the query runtime (the
-/// gaps are coordinator work: metadata fetches, planning, result fetch).
-#[derive(Debug, Clone, Serialize)]
-pub struct StageSlice {
-    /// Pipeline id the stage executed.
-    pub pipeline: u32,
-    /// Stage start, seconds after the query began.
-    pub start_secs: f64,
-    /// Stage duration (coordinator-observed wall time).
-    pub duration_secs: f64,
-    /// Worker fragments scheduled.
-    pub fragments: u32,
-}
-
-/// Marginal cost of one query: the field-wise delta of the usage meter's
-/// [`CostReport`] across the execution.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct ProfileCost {
-    /// Lambda GB-second charges.
-    pub lambda_compute_usd: f64,
-    /// Lambda per-request charges.
-    pub lambda_request_usd: f64,
-    /// EC2 instance-hour charges (IaaS mode).
-    pub ec2_usd: f64,
-    /// Storage request charges.
-    pub storage_request_usd: f64,
-    /// Storage capacity charges accrued during the run.
-    pub storage_capacity_usd: f64,
-}
-
-impl ProfileCost {
-    /// `after - before`, clamped at zero per component.
-    pub fn delta(before: &CostReport, after: &CostReport) -> Self {
-        ProfileCost {
-            lambda_compute_usd: (after.lambda_compute_usd - before.lambda_compute_usd).max(0.0),
-            lambda_request_usd: (after.lambda_request_usd - before.lambda_request_usd).max(0.0),
-            ec2_usd: (after.ec2_usd - before.ec2_usd).max(0.0),
-            storage_request_usd: (after.storage_request_usd - before.storage_request_usd).max(0.0),
-            storage_capacity_usd: (after.storage_capacity_usd - before.storage_capacity_usd)
-                .max(0.0),
-        }
-    }
-
-    /// Grand total in dollars.
-    pub fn total_usd(&self) -> f64 {
-        self.lambda_compute_usd
-            + self.lambda_request_usd
-            + self.ec2_usd
-            + self.storage_request_usd
-            + self.storage_capacity_usd
-    }
-}
-
-/// A per-query execution profile assembled from the trace and the
-/// coordinator response.
+/// A per-query execution profile: the trace- and registry-derived facts
+/// beside a [`QueryResponse`].
 #[derive(Debug, Clone, Serialize)]
 pub struct QueryProfile {
-    /// The profiled query execution id.
-    pub query_id: String,
-    /// End-to-end runtime (coordinator wall time, virtual seconds).
-    pub runtime_secs: f64,
-    /// Sum of all worker wall times across stages.
-    pub cumulative_worker_secs: f64,
-    /// Stage spans in schedule order, relative to the query start.
-    pub critical_path: Vec<StageSlice>,
     /// Cumulative worker-seconds per operator/phase label (`scan-read`,
     /// `io-stack`, `filter`, `hash-aggregate`, `shuffle-write`, ...).
     pub operator_secs: BTreeMap<String, f64>,
-    /// Sandboxes cold-started during the query window.
+    /// Sandboxes cold-started during the query window: the trace's count,
+    /// which also sees coordinator and fan-out sandboxes, or the workers'
+    /// when that is larger.
     pub cold_starts: u64,
     /// Total seconds spent in coldstart init + binary download.
     pub coldstart_secs: f64,
     /// Coldstart fraction of (coldstart + worker) time, in `[0, 1]`.
     pub coldstart_share: f64,
-    /// Logical bytes read from storage.
-    pub bytes_read: u64,
-    /// Logical bytes written to storage.
-    pub bytes_written: u64,
-    /// Storage requests issued (including retries).
-    pub storage_requests: u64,
     /// Trace events recorded inside the query window.
     pub events_traced: u64,
-    /// Failure-driven task re-invocations across stages (worker and
-    /// fan-out helper tiers).
-    pub task_retries: u32,
-    /// Speculative duplicate invocations launched for stragglers.
-    pub speculative_invokes: u32,
-    /// Worker-seconds spent in attempts that ultimately failed.
-    pub failed_attempt_secs: f64,
     /// Failed-attempt fraction of (failed + worker) time, in `[0, 1]` —
     /// the wasted-work share of the reliability tax.
     pub failure_share: f64,
@@ -113,8 +43,9 @@ pub struct QueryProfile {
     /// registry counter advanced while this query ran. Empty without an
     /// installed [`skyrise_sim::MetricRegistry`] (DESIGN.md §10).
     pub metric_counters: BTreeMap<String, u64>,
-    /// Marginal cost, when a usage meter was reachable.
-    pub cost: Option<ProfileCost>,
+    /// Marginal cost ([`CostReport::delta`] across the execution), when a
+    /// usage meter was reachable.
+    pub cost: Option<CostReport>,
 }
 
 fn attr_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
@@ -124,43 +55,18 @@ fn attr_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
     })
 }
 
-fn attr_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
-    ev.attrs.iter().find_map(|(k, v)| match v {
-        AttrValue::U64(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
 impl QueryProfile {
     /// Build a profile for `response.query_id` from the recorded trace.
-    /// With tracing disabled the trace-derived fields stay empty and only
-    /// the response aggregates are filled in.
-    pub fn from_trace(
-        response: &QueryResponse,
-        tracer: &Tracer,
-        cost: Option<ProfileCost>,
-    ) -> Self {
+    /// With tracing disabled the trace-derived fields stay empty.
+    pub fn from_trace(response: &QueryResponse, tracer: &Tracer, cost: Option<CostReport>) -> Self {
         let qid = response.query_id.as_str();
+        let totals = response.totals();
         let mut profile = QueryProfile {
-            query_id: response.query_id.clone(),
-            runtime_secs: response.runtime_secs,
-            cumulative_worker_secs: response.cumulative_worker_secs,
-            critical_path: Vec::new(),
             operator_secs: BTreeMap::new(),
-            cold_starts: response.stages.iter().map(|s| s.cold_starts as u64).sum(),
+            cold_starts: u64::from(totals.cold_starts),
             coldstart_secs: 0.0,
             coldstart_share: 0.0,
-            bytes_read: response.stages.iter().map(|s| s.logical_bytes_read).sum(),
-            bytes_written: response
-                .stages
-                .iter()
-                .map(|s| s.logical_bytes_written)
-                .sum(),
-            storage_requests: response.total_requests(),
             events_traced: 0,
-            task_retries: response.stages.iter().map(|s| s.task_retries).sum(),
-            speculative_invokes: response.stages.iter().map(|s| s.speculative_invokes).sum(),
-            failed_attempt_secs: response.stages.iter().map(|s| s.failed_attempt_secs).sum(),
             failure_share: 0.0,
             faults_injected: 0,
             metric_counters: BTreeMap::new(),
@@ -186,14 +92,6 @@ impl QueryProfile {
                 profile.events_traced += 1;
                 let dur_secs = ev.dur.map_or(0.0, |d| d.as_secs_f64());
                 match (ev.service, ev.name) {
-                    ("coordinator", "stage") if attr_str(ev, "query") == Some(qid) => {
-                        profile.critical_path.push(StageSlice {
-                            pipeline: attr_u64(ev, "pipeline").unwrap_or(0) as u32,
-                            start_secs: ev.ts.duration_since(t0).as_secs_f64(),
-                            duration_secs: dur_secs,
-                            fragments: attr_u64(ev, "fragments").unwrap_or(0) as u32,
-                        });
-                    }
                     ("worker", name)
                         if ev.kind == EventKind::Span
                             && name != "fragment"
@@ -211,33 +109,36 @@ impl QueryProfile {
                     _ => {}
                 }
             }
-            // Prefer the trace's coldstart count (it also sees the
-            // coordinator and fan-out sandboxes the response can't).
             profile.cold_starts = profile.cold_starts.max(trace_cold_starts);
         });
-        let denom = profile.coldstart_secs + profile.cumulative_worker_secs;
+        let worker_secs = response.cumulative_worker_secs;
+        let denom = profile.coldstart_secs + worker_secs;
         if denom > 0.0 {
             profile.coldstart_share = profile.coldstart_secs / denom;
         }
-        let denom = profile.failed_attempt_secs + profile.cumulative_worker_secs;
+        let denom = totals.failed_attempt_secs + worker_secs;
         if denom > 0.0 {
-            profile.failure_share = profile.failed_attempt_secs / denom;
+            profile.failure_share = totals.failed_attempt_secs / denom;
         }
         profile
     }
 
-    /// Render a human-readable text report.
-    pub fn render(&self) -> String {
+    /// Render a human-readable text report of `response` and this profile.
+    pub fn render(&self, response: &QueryResponse) -> String {
         use std::fmt::Write as _;
+        let totals = response.totals();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "query {} — runtime {:.3}s, {:.1} worker-seconds, {} trace events",
-            self.query_id, self.runtime_secs, self.cumulative_worker_secs, self.events_traced
+            response.query_id,
+            response.runtime_secs,
+            response.cumulative_worker_secs,
+            self.events_traced
         );
-        if !self.critical_path.is_empty() {
+        if !response.stages.is_empty() {
             let _ = writeln!(out, "  critical path:");
-            for s in &self.critical_path {
+            for s in &response.stages {
                 let _ = writeln!(
                     out,
                     "    pipeline {:>2}  start {:>8.3}s  dur {:>8.3}s  x{} fragments",
@@ -260,15 +161,15 @@ impl QueryProfile {
             self.coldstart_secs,
             100.0 * self.coldstart_share
         );
-        if self.task_retries > 0 || self.speculative_invokes > 0 || self.faults_injected > 0 {
+        if totals.task_retries > 0 || totals.speculative_invokes > 0 || self.faults_injected > 0 {
             let _ = writeln!(
                 out,
                 "  reliability: {} faults injected, {} task retries, {} speculative invokes, \
                  {:.1}s failed attempts ({:.1}% of worker time)",
                 self.faults_injected,
-                self.task_retries,
-                self.speculative_invokes,
-                self.failed_attempt_secs,
+                totals.task_retries,
+                totals.speculative_invokes,
+                totals.failed_attempt_secs,
                 100.0 * self.failure_share
             );
         }
@@ -285,9 +186,9 @@ impl QueryProfile {
         let _ = writeln!(
             out,
             "  bytes read {:.3} GB, written {:.3} GB; {} storage requests",
-            self.bytes_read as f64 / 1e9,
-            self.bytes_written as f64 / 1e9,
-            self.storage_requests
+            totals.logical_bytes_read as f64 / 1e9,
+            totals.logical_bytes_written as f64 / 1e9,
+            totals.storage_requests
         );
         if let Some(cost) = &self.cost {
             let _ = writeln!(
@@ -329,15 +230,16 @@ mod tests {
 
     #[test]
     fn disabled_tracer_yields_response_aggregates_only() {
-        let profile = QueryProfile::from_trace(&response(), &Tracer::disabled(), None);
-        assert_eq!(profile.bytes_read, 1_000);
-        assert_eq!(profile.storage_requests, 12);
+        let response = response();
+        let profile = QueryProfile::from_trace(&response, &Tracer::disabled(), None);
         assert_eq!(profile.cold_starts, 4);
-        assert!(profile.critical_path.is_empty());
         assert!(profile.operator_secs.is_empty());
         assert!(profile.metric_counters.is_empty());
         assert_eq!(profile.events_traced, 0);
-        assert!(!profile.render().is_empty());
+        // The response's aggregates are rendered from the response itself.
+        let text = profile.render(&response);
+        assert!(text.contains("critical path"));
+        assert!(text.contains("12 storage requests"));
     }
 
     #[test]
@@ -364,32 +266,107 @@ mod tests {
             q.end();
         });
         sim.run();
-        let profile = QueryProfile::from_trace(&response(), &tracer, None);
-        assert_eq!(profile.critical_path.len(), 1);
-        assert_eq!(profile.critical_path[0].fragments, 4);
-        assert!((profile.critical_path[0].duration_secs - 0.5).abs() < 1e-9);
+        let response = response();
+        let profile = QueryProfile::from_trace(&response, &tracer, None);
         assert!((profile.operator_secs["filter"] - 0.5).abs() < 1e-9);
         assert!((profile.coldstart_secs - 0.5).abs() < 1e-9);
         assert!(profile.coldstart_share > 0.0);
         assert_eq!(profile.events_traced, 4);
-        let text = profile.render();
+        let text = profile.render(&response);
         assert!(text.contains("critical path"));
         assert!(text.contains("filter"));
     }
 
+    /// TPC-H Q6 through [`Skyrise::run_profiled`] on a fresh Lambda + S3
+    /// deployment, traced or not.
+    fn profiled_q6(traced: bool) -> (QueryResponse, QueryProfile, Tracer) {
+        use crate::catalog::{load_dataset, DatasetLayout};
+        use crate::coordinator::QueryConfig;
+        use crate::driver::Skyrise;
+        use skyrise_compute::{ComputePlatform, LambdaPlatform, Region};
+        use skyrise_storage::{S3Bucket, Storage};
+        let mut sim = skyrise_sim::Sim::new(11);
+        let tracer = if traced {
+            sim.install_tracer()
+        } else {
+            Tracer::disabled()
+        };
+        let ctx = sim.ctx();
+        let run = sim.spawn(async move {
+            let meter = skyrise_pricing::shared_meter();
+            let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
+            let layout = DatasetLayout {
+                name: "h_lineitem".into(),
+                partitions: 4,
+                target_partition_logical_bytes: None,
+                rows_per_group: 4096,
+            };
+            let lineitem = skyrise_data::tpch::generate(0.002, 11).lineitem;
+            load_dataset(&storage, &layout, &lineitem).expect("lineitem loads");
+            let lambda = LambdaPlatform::new(&ctx, &meter, Region::us_east_1());
+            let engine = Skyrise::deploy_simple(&ctx, ComputePlatform::Faas(lambda), storage);
+            let config = QueryConfig {
+                target_bytes_per_worker: 16 * 1024,
+                ..QueryConfig::default()
+            };
+            engine
+                .run_profiled(&crate::queries::q6(), config)
+                .await
+                .expect("q6 runs")
+        });
+        sim.run();
+        let (response, profile) = run.try_take().expect("q6 finished");
+        (response, profile, tracer)
+    }
+
+    /// A stage's `start_secs` is the offset of its coordinator `stage` span
+    /// from the `query` span, to the bit, and so is its duration.
     #[test]
-    fn cost_delta_clamps_and_totals() {
-        let before = CostReport {
-            lambda_compute_usd: 1.0,
-            ..CostReport::default()
-        };
-        let after = CostReport {
-            lambda_compute_usd: 1.5,
-            storage_request_usd: 0.25,
-            ..CostReport::default()
-        };
-        let d = ProfileCost::delta(&before, &after);
-        assert!((d.lambda_compute_usd - 0.5).abs() < 1e-12);
-        assert!((d.total_usd() - 0.75).abs() < 1e-12);
+    fn stage_start_is_the_traced_stage_span_offset() {
+        let (response, profile, tracer) = profiled_q6(true);
+        assert!(profile.events_traced > 0);
+        let qid = response.query_id.as_str();
+        let spans: Vec<(f64, f64)> = tracer.with_events(|events| {
+            let ours = |ev: &&TraceEvent, name: &str| {
+                ev.service == "coordinator" && ev.name == name && attr_str(ev, "query") == Some(qid)
+            };
+            let t0 = events
+                .iter()
+                .find(|ev| ours(ev, "query"))
+                .expect("query span")
+                .ts;
+            events
+                .iter()
+                .filter(|ev| ours(ev, "stage"))
+                .map(|ev| {
+                    let dur = ev.dur.expect("stage span ended").as_secs_f64();
+                    (ev.ts.duration_since(t0).as_secs_f64(), dur)
+                })
+                .collect()
+        });
+        assert_eq!(spans.len(), response.stages.len());
+        assert!(response.stages.len() >= 2, "scan and final stage");
+        for (stage, (start, dur)) in response.stages.iter().zip(spans) {
+            assert_eq!(stage.start_secs.to_bits(), start.to_bits(), "{stage:?}");
+            assert_eq!(stage.duration_secs.to_bits(), dur.to_bits(), "{stage:?}");
+        }
+    }
+
+    /// Untraced, the stages still tile the query runtime in order.
+    #[test]
+    fn untraced_stages_tile_the_runtime() {
+        let (response, profile, _) = profiled_q6(false);
+        assert_eq!(profile.events_traced, 0);
+        assert!(response.stages.len() >= 2, "scan and final stage");
+        let ends = response
+            .stages
+            .iter()
+            .map(|s| s.start_secs + s.duration_secs);
+        let next_starts = response.stages.iter().skip(1).map(|s| s.start_secs);
+        for (end, next) in ends.zip(next_starts.chain([response.runtime_secs])) {
+            assert!(end <= next, "stage ends at {end}, next starts at {next}");
+        }
+        assert!(response.stages[0].start_secs > 0.0, "metadata fetch first");
+        assert!(profile.render(&response).contains("critical path"));
     }
 }

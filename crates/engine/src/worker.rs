@@ -19,6 +19,7 @@
 
 use crate::bind::{execute_chain_sel, partition_sel, DictSeed, SelBatch};
 use crate::catalog::PartitionMeta;
+use crate::coordinator::StageStats;
 use crate::cpu;
 use crate::error::EngineError;
 use crate::expr::{evaluate_mask, Expr, UdfRegistry};
@@ -78,43 +79,6 @@ pub struct WorkerTask {
     pub expected_input_bytes: u64,
 }
 
-/// What a worker reports back to the coordinator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct WorkerReport {
-    /// Fragment index this report covers.
-    pub fragment: u32,
-    /// Logical rows entering the operator chain.
-    pub rows_in: u64,
-    /// Logical rows leaving the operator chain.
-    pub rows_out: u64,
-    /// Logical bytes read from storage.
-    pub logical_bytes_read: u64,
-    /// Logical bytes written to storage.
-    pub logical_bytes_written: u64,
-    /// Storage requests issued (including retries).
-    pub storage_requests: u64,
-    /// Wall time spent in input I/O (seconds, simulated).
-    pub io_secs: f64,
-    /// Wall time spent in operator execution (seconds, simulated).
-    pub cpu_secs: f64,
-    /// Whether this worker's sandbox cold-started.
-    pub cold_start: bool,
-    /// Invocations launched for this fragment (first + retries +
-    /// speculative duplicates). Stamped by the dispatching tier.
-    #[serde(default = "default_attempts")]
-    pub invoke_attempts: u32,
-    /// Speculative duplicates among `invoke_attempts`.
-    #[serde(default)]
-    pub speculative_invokes: u32,
-    /// Wall seconds spent in attempts that ultimately failed.
-    #[serde(default)]
-    pub failed_attempt_secs: f64,
-}
-
-fn default_attempts() -> u32 {
-    1
-}
-
 /// Concurrent ranged chunk requests per worker.
 pub const CHUNK_CONCURRENCY: usize = 8;
 
@@ -139,34 +103,6 @@ fn default_combine() -> u32 {
     1
 }
 
-/// Byte accounting for one pipeline's shuffle reads, folded into the
-/// `engine.shuffle.*` counters (DESIGN.md §10).
-#[derive(Debug, Clone, Default)]
-pub struct ShuffleReadStats {
-    /// Logical bytes actually transferred (whole objects, or suffix +
-    /// footer + corrective ranges).
-    pub bytes_read: u64,
-    /// Logical bytes a whole-object read of the same segments would have
-    /// transferred.
-    pub bytes_whole_object: u64,
-    /// Logical bytes of this consumer's own bucket pages that a ranged
-    /// fetch skipped by column projection and zone-map pruning.
-    pub bytes_pruned: u64,
-    /// Logical bytes the modelled reader decodes: everything a whole-object
-    /// fetch moved, only this bucket's kept projected pages after a ranged
-    /// one. Drives the worker's decode CPU charge.
-    pub bytes_decoded: u64,
-}
-
-impl ShuffleReadStats {
-    fn merge(&mut self, other: &ShuffleReadStats) {
-        self.bytes_read += other.bytes_read;
-        self.bytes_whole_object += other.bytes_whole_object;
-        self.bytes_pruned += other.bytes_pruned;
-        self.bytes_decoded += other.bytes_decoded;
-    }
-}
-
 /// Shuffle object key: `query/pipeline/source fragment/destination bucket
 /// group` (a group holds `combine` consecutive buckets).
 pub fn shuffle_key(query_id: &str, pipeline: u32, src_fragment: u32, dst_group: u32) -> String {
@@ -184,7 +120,10 @@ pub fn barrier_key(name: &str) -> String {
 }
 
 /// What a worker's storage reads add up to; every fetch is folded in
-/// with [`ReadTally::add`].
+/// with [`ReadTally::add`], every object and input with
+/// [`ReadTally::merge`]. Shuffle inputs' tallies also feed the
+/// `engine.shuffle.*` counters (DESIGN.md §10), `transferred` as
+/// `bytes_read`.
 #[derive(Debug, Clone, Copy, Default)]
 struct ReadTally {
     /// Storage requests issued (including retries).
@@ -196,6 +135,16 @@ struct ReadTally {
     logical: u64,
     /// Payload bytes of the ranges handed back.
     payload: u64,
+    /// Logical bytes a whole-object read of the same shuffle segments
+    /// would have transferred.
+    whole_object: u64,
+    /// Logical bytes of this consumer's own bucket pages that a ranged
+    /// shuffle fetch skipped by column projection and zone-map pruning.
+    pruned: u64,
+    /// Logical bytes the modelled shuffle reader decodes: everything a
+    /// whole-object fetch moved, only this bucket's kept projected pages
+    /// after a ranged one. Drives the worker's decode CPU charge.
+    decoded: u64,
 }
 
 impl ReadTally {
@@ -211,6 +160,9 @@ impl ReadTally {
         self.transferred += other.transferred;
         self.logical += other.logical;
         self.payload += other.payload;
+        self.whole_object += other.whole_object;
+        self.pruned += other.pruned;
+        self.decoded += other.decoded;
     }
 
     /// logical/payload ratio of what was read (1.0 for unscaled data).
@@ -239,9 +191,6 @@ struct ReadOutcome {
     /// still hand the chain a typed marker batch.
     schema: Option<Rc<Schema>>,
     tally: ReadTally,
-    /// Shuffle byte accounting (all zero for scans); `bytes_read` is filled
-    /// in from `tally` once the input is complete.
-    shuffle: ShuffleReadStats,
 }
 
 impl ReadOutcome {
@@ -256,7 +205,6 @@ impl ReadOutcome {
         self.batches.extend(part.batches);
         self.schema = self.schema.take().or(part.schema);
         self.tally.merge(&part.tally);
-        self.shuffle.merge(&part.shuffle);
     }
 }
 
@@ -269,7 +217,7 @@ pub async fn run_worker(
     shuffle_storage: &Storage,
     udfs: &UdfRegistry,
     task: &WorkerTask,
-) -> Result<WorkerReport, EngineError> {
+) -> Result<StageStats, EngineError> {
     // Chunked scans run CHUNK_CONCURRENCY ranged requests in parallel per
     // partition over one sandbox NIC, so a chunk's expected bandwidth is
     // the 75 MiB/s worst-case baseline divided by the fan-in.
@@ -318,13 +266,9 @@ pub async fn run_worker(
     let io_started = env.ctx.now();
     let mut stream: Vec<Batch> = Vec::new();
     let mut builds: Vec<Vec<Batch>> = Vec::new();
-    let mut report = WorkerReport {
-        fragment: task.fragment,
-        cold_start: env.cold_start,
-        ..WorkerReport::default()
-    };
+    // What every input read, and what the shuffle inputs read alone.
+    let (mut reads, mut shuffle_reads) = (ReadTally::default(), ReadTally::default());
     let mut stream_scale = 1.0f64;
-    let mut shuffle_stats = ShuffleReadStats::default();
     let mut seeds: Vec<DictSeed> = Vec::new();
     for (idx, assignment) in task.inputs.iter().enumerate() {
         let spec = task
@@ -380,7 +324,7 @@ pub async fn run_worker(
                 } else {
                     Vec::new()
                 };
-                read_shuffle(
+                let outcome = read_shuffle(
                     &shuffle_client,
                     &opts,
                     &task.query_id,
@@ -393,12 +337,12 @@ pub async fn run_worker(
                     &predicates,
                     env.vcpus,
                 )
-                .await?
+                .await?;
+                shuffle_reads.merge(&outcome.tally);
+                outcome
             }
         };
-        report.logical_bytes_read += outcome.tally.transferred;
-        report.storage_requests += outcome.tally.requests;
-        shuffle_stats.merge(&outcome.shuffle);
+        reads.merge(&outcome.tally);
         read_span
             .attr("bytes", outcome.tally.transferred)
             .attr("requests", outcome.tally.requests);
@@ -415,16 +359,16 @@ pub async fn run_worker(
     let io_span = tracer.span(&env.ctx, "worker", lane, "io-stack");
     io_span
         .attr("query", task.query_id.as_str())
-        .attr("bytes", report.logical_bytes_read);
+        .attr("bytes", reads.transferred);
     env.ctx
         .sleep(cpu::io_stack_cost(
-            report.logical_bytes_read as f64,
-            report.storage_requests,
+            reads.transferred as f64,
+            reads.requests,
             env.vcpus,
         ))
         .await;
     io_span.end();
-    report.io_secs = (env.ctx.now() - io_started).as_secs_f64();
+    let io_secs = (env.ctx.now() - io_started).as_secs_f64();
 
     // Execute the operator chain, charging virtual CPU for logical rows.
     // Dictionaries decoded off storage seed the fused pipeline's DictCache,
@@ -452,11 +396,10 @@ pub async fn run_worker(
             cursor = end;
         }
     }
-    report.rows_in = (stats.rows_in as f64 * stream_scale) as u64;
-    report.rows_out = (stats.rows_out as f64 * stream_scale) as u64;
-    report.cpu_secs = (env.ctx.now() - cpu_started).as_secs_f64();
+    let cpu_secs = (env.ctx.now() - cpu_started).as_secs_f64();
 
     // Sink.
+    let (mut written, mut write_requests) = (0u64, 0u64);
     match &task.pipeline.sink {
         Sink::ShuffleWrite {
             partition_by,
@@ -511,7 +454,7 @@ pub async fn run_worker(
                 let len = encoded.len() as f64;
                 let logical = overhead + stream_scale.max(1.0) * (len - overhead).max(0.0);
                 let blob = Blob::scaled(encoded, (logical / len).max(1e-9));
-                report.logical_bytes_written += blob.logical_len();
+                written += blob.logical_len();
                 let key = shuffle_key(
                     &task.query_id,
                     task.pipeline.id,
@@ -526,12 +469,9 @@ pub async fn run_worker(
                 );
             }
             for p in skyrise_sim::join_all(puts).await {
-                let stats = p?;
-                report.storage_requests += stats.attempts as u64;
+                write_requests += p?.attempts as u64;
             }
-            sink_span
-                .attr("bytes", report.logical_bytes_written)
-                .attr("objects", n_groups);
+            sink_span.attr("bytes", written).attr("objects", n_groups);
             sink_span.end();
         }
         Sink::Result => {
@@ -543,7 +483,7 @@ pub async fn run_worker(
             };
             let encoded = spf::write(std::slice::from_ref(&part), 8192);
             let blob = Blob::new(encoded);
-            report.logical_bytes_written += blob.logical_len();
+            written += blob.logical_len();
             let sink_span = tracer.span(&env.ctx, "worker", lane, "result-write");
             sink_span
                 .attr("query", task.query_id.as_str())
@@ -552,9 +492,22 @@ pub async fn run_worker(
                 .put(&result_key(&task.query_id, task.fragment), blob, &opts)
                 .await?;
             sink_span.end();
-            report.storage_requests += stats.attempts as u64;
+            write_requests += stats.attempts as u64;
         }
     }
+    let report = StageStats {
+        fragments: 1,
+        cumulative_worker_secs: io_secs + cpu_secs,
+        io_secs_total: io_secs,
+        cpu_secs_total: cpu_secs,
+        logical_bytes_read: reads.transferred,
+        logical_bytes_written: written,
+        storage_requests: reads.requests + write_requests,
+        rows_in: (stats.rows_in as f64 * stream_scale) as u64,
+        rows_out: (stats.rows_out as f64 * stream_scale) as u64,
+        cold_starts: u32::from(env.cold_start),
+        ..StageStats::default()
+    };
 
     // Per-operator and per-fragment telemetry (DESIGN.md §10). Resolved
     // here rather than cached: a worker fragment runs once per invocation.
@@ -578,23 +531,23 @@ pub async fn run_worker(
         if task.inputs.iter().any(reads_shuffle) {
             metrics
                 .counter("engine.shuffle.bytes_read")
-                .add(shuffle_stats.bytes_read);
+                .add(shuffle_reads.transferred);
             metrics
                 .counter("engine.shuffle.bytes_whole_object")
-                .add(shuffle_stats.bytes_whole_object);
+                .add(shuffle_reads.whole_object);
             metrics
                 .counter("engine.shuffle.bytes_pruned")
-                .add(shuffle_stats.bytes_pruned);
+                .add(shuffle_reads.pruned);
             metrics
                 .counter("engine.shuffle.bytes_decoded")
-                .add(shuffle_stats.bytes_decoded);
+                .add(shuffle_reads.decoded);
         }
         metrics
             .histogram("engine.worker.io_secs")
-            .record(report.io_secs);
+            .record(report.io_secs_total);
         metrics
             .histogram("engine.worker.cpu_secs")
-            .record(report.cpu_secs);
+            .record(report.cpu_secs_total);
         for op in &task.pipeline.ops {
             let label = op.label();
             metrics
@@ -607,9 +560,6 @@ pub async fn run_worker(
         metrics
             .counter("engine.arena.bytes_allocated")
             .add(arena_report.bytes_allocated);
-        metrics
-            .counter("engine.arena.resets")
-            .add(arena_report.resets);
         for (label, bytes) in &arena_report.per_op {
             metrics
                 .counter(&format!("engine.op.{label}.arena_bytes"))
@@ -961,17 +911,13 @@ async fn read_shuffle(
             outcome.batches.push(Batch::empty(Rc::clone(s)));
         }
     }
-    outcome.shuffle.bytes_read = outcome.tally.transferred;
     // Decompression + deserialisation CPU for what the modelled reader
     // decodes, charged once against the worker's vCPU share — the
     // late-materialisation win is CPU as much as bytes (decode-and-discard
     // work the ranged fetch never does).
     client
         .ctx
-        .sleep(cpu::decode_cost(
-            outcome.shuffle.bytes_decoded as f64,
-            vcpus,
-        ))
+        .sleep(cpu::decode_cost(outcome.tally.decoded as f64, vcpus))
         .await;
     Ok(outcome)
 }
@@ -1021,7 +967,7 @@ async fn read_shuffle_object(
         footer,
         index,
     } = meta;
-    obj.shuffle.bytes_whole_object = scaled(object_len, scale);
+    obj.tally.whole_object = scaled(object_len, scale);
 
     let proj = footer
         .schema
@@ -1079,7 +1025,7 @@ async fn read_shuffle_object(
     // The modelled reader (DESIGN.md §5, Accounting): a whole-object fetch
     // is charged for every byte it moved and prunes nothing, a ranged one
     // for the pages it kept.
-    (obj.shuffle.bytes_decoded, obj.shuffle.bytes_pruned) = match first {
+    (obj.tally.decoded, obj.tally.pruned) = match first {
         ByteRange::Full => (obj.tally.transferred, 0),
         _ => (kept_bytes, pruned_bytes),
     };
@@ -1336,7 +1282,7 @@ mod tests {
                 (
                     report.storage_requests,
                     report.logical_bytes_read,
-                    report.io_secs.to_bits()
+                    report.io_secs_total.to_bits()
                 ),
                 pinned[fragment],
                 "fragment {fragment}"

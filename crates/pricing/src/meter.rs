@@ -203,6 +203,27 @@ pub struct CostReport {
 }
 
 impl CostReport {
+    /// The bill between two reports of one meter: `after - before`, clamped
+    /// at zero per component and per storage service.
+    pub fn delta(before: &CostReport, after: &CostReport) -> CostReport {
+        let minus = |a: f64, b: f64| (a - b).max(0.0);
+        CostReport {
+            lambda_compute_usd: minus(after.lambda_compute_usd, before.lambda_compute_usd),
+            lambda_request_usd: minus(after.lambda_request_usd, before.lambda_request_usd),
+            ec2_usd: minus(after.ec2_usd, before.ec2_usd),
+            storage_request_usd: minus(after.storage_request_usd, before.storage_request_usd),
+            storage_capacity_usd: minus(after.storage_capacity_usd, before.storage_capacity_usd),
+            per_storage_service_usd: after
+                .per_storage_service_usd
+                .iter()
+                .map(|(&svc, &usd)| {
+                    let was = before.per_storage_service_usd.get(&svc).copied();
+                    (svc, minus(usd, was.unwrap_or(0.0)))
+                })
+                .collect(),
+        }
+    }
+
     /// Grand total in dollars.
     pub fn total_usd(&self) -> f64 {
         self.lambda_compute_usd
@@ -302,5 +323,40 @@ mod tests {
         let sum = r.compute_usd() + r.storage_usd();
         assert!((r.total_usd() - sum).abs() < 1e-12);
         assert!(r.total_usd() > 0.068);
+    }
+
+    #[test]
+    fn cost_delta_clamps_and_totals() {
+        let before = CostReport {
+            lambda_compute_usd: 1.0,
+            per_storage_service_usd: BTreeMap::from([
+                (StorageService::S3Standard, 0.5),
+                (StorageService::Efs, 0.25),
+            ]),
+            ..CostReport::default()
+        };
+        let after = CostReport {
+            lambda_compute_usd: 1.5,
+            storage_request_usd: 0.25,
+            per_storage_service_usd: BTreeMap::from([
+                (StorageService::S3Standard, 0.75),
+                (StorageService::Efs, 0.125),
+                (StorageService::DynamoDb, 0.5),
+            ]),
+            ..CostReport::default()
+        };
+        let d = CostReport::delta(&before, &after);
+        assert!((d.lambda_compute_usd - 0.5).abs() < 1e-12);
+        assert!((d.total_usd() - 0.75).abs() < 1e-12);
+        let per = &d.per_storage_service_usd;
+        assert_eq!(per[&StorageService::S3Standard], 0.25);
+        assert_eq!(per[&StorageService::Efs], 0.0, "a shrunk entry clamps to 0");
+        assert_eq!(
+            per[&StorageService::DynamoDb],
+            0.5,
+            "a new entry counts whole"
+        );
+        // Shrinking the other way round clamps every component.
+        assert_eq!(CostReport::delta(&after, &before).total_usd(), 0.0);
     }
 }

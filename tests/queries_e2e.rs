@@ -3,9 +3,12 @@
 //! produce the same answers as the row-at-a-time reference executor.
 
 use skyrise::data::{tpch, tpcxbb};
-use skyrise::engine::{queries, QueryConfig, QueryResponse};
+use skyrise::engine::coordinator::FANOUT_GROUP;
+use skyrise::engine::{queries, QueryConfig, QueryResponse, TaskPolicy};
 use skyrise::prelude::*;
+use skyrise::sim::{AttrValue, TraceEvent};
 use skyrise_oracle::reference::{self, rows_approx_eq};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 const SF: f64 = 0.01;
@@ -336,5 +339,122 @@ fn two_level_invocation_handles_wide_fanouts() {
     assert!(
         (revenue - expect).abs() / expect < 1e-9,
         "{revenue} vs {expect}"
+    );
+}
+
+/// Q6 over 300 one-partition workers (two-level dispatch) under
+/// `FaultConfig::compute(rate)` at sim seed `seed`, with stragglers
+/// re-triggered after 5 s; returns the response, the registry's counters
+/// and the trace's `task-retry` labels in recording order.
+fn faulted_wide_q6(seed: u64, rate: f64) -> (QueryResponse, BTreeMap<String, u64>, Vec<String>) {
+    let mut sim = Sim::new(seed);
+    sim.install_faults(skyrise::sim::FaultConfig::compute(rate));
+    let registry = sim.install_metrics();
+    let tracer = sim.install_tracer();
+    let ctx = sim.ctx();
+    let h = sim.spawn(async move {
+        let meter = shared_meter();
+        let storage = Storage::S3(S3Bucket::standard(&ctx, &meter));
+        let tables = tpch::generate(0.02, SEED);
+        skyrise::engine::load_dataset(
+            &storage,
+            &DatasetLayout {
+                name: "h_lineitem".into(),
+                partitions: 300,
+                target_partition_logical_bytes: None,
+                rows_per_group: 4096,
+            },
+            &tables.lineitem,
+        )
+        .unwrap();
+        let lambda = LambdaPlatform::new(&ctx, &meter, Region::us_east_1());
+        let engine = Skyrise::deploy_simple(&ctx, ComputePlatform::Faas(lambda), storage);
+        let config = QueryConfig {
+            target_bytes_per_worker: 1, // one partition per worker
+            max_parallelism: 400,
+            include_rows: true,
+            task_policy: TaskPolicy {
+                straggler_base_secs: 5.0,
+                ..TaskPolicy::default()
+            },
+        };
+        engine
+            .run(&queries::q6(), config)
+            .await
+            .expect("wide query runs under faults")
+    });
+    sim.run();
+    let response = h.try_take().unwrap();
+    assert_eq!(response.stages[0].fragments, 300, "two-level dispatch");
+    let revenue = response.rows.as_ref().unwrap()[0][0].as_f64();
+    let expect = reference::q6(&tpch::generate(0.02, SEED).lineitem);
+    assert!(
+        (revenue - expect).abs() / expect < 1e-9,
+        "{revenue} vs {expect}"
+    );
+    let retries = tracer.with_events(|events| {
+        let task = |ev: &TraceEvent| {
+            ev.attrs.iter().find_map(|(k, v)| match v {
+                AttrValue::Str(s) if *k == "task" => Some(s.clone()),
+                _ => None,
+            })
+        };
+        let retries = events.iter().filter(|ev| ev.name == "task-retry");
+        retries
+            .map(|ev| task(ev).expect("retry names its task"))
+            .collect()
+    });
+    let counters = registry.snapshot().counters;
+    assert_eq!(
+        counters.get("engine.coordinator.retries"),
+        None,
+        "a retried coordinator discards its tasks' accounting"
+    );
+    (response, counters, retries)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "schedules 300+ workers; run with --release"
+)]
+fn two_level_invocation_books_retries_under_faults() {
+    let counted =
+        |counters: &BTreeMap<String, u64>, name: &str| counters.get(name).copied().unwrap_or(0);
+    // Worker-tier retries and a speculative duplicate, reported through
+    // the fan-out helpers: the response books exactly what the dispatcher
+    // counted.
+    let (response, counters, _) = faulted_wide_q6(SEED, 0.01);
+    let totals = response.totals();
+    assert!(totals.task_retries > 0 && totals.speculative_invokes > 0);
+    assert_eq!(
+        u64::from(totals.task_retries),
+        counted(&counters, "engine.task.retries")
+    );
+    assert_eq!(
+        u64::from(totals.speculative_invokes),
+        counted(&counters, "engine.task.speculative_invokes")
+    );
+
+    // A helper fails and is retried: its own retry is booked in the
+    // fleet's attempt record, while the worker retries it made before it
+    // failed were counted by the registry but went down with its reports.
+    let (response, counters, retries) = faulted_wide_q6(54, 0.01);
+    let mut helper_retried = BTreeSet::new();
+    let mut lost = 0;
+    for label in retries.iter().rev() {
+        if let Some(group) = label.strip_prefix("fanout/") {
+            helper_retried.insert(group.parse::<u32>().unwrap());
+        } else if let Some((_, f)) = label.split_once("/p0/f") {
+            let group = f.parse::<u32>().unwrap() / FANOUT_GROUP as u32;
+            lost += u64::from(helper_retried.contains(&group));
+        }
+    }
+    let counted_retries = counted(&counters, "engine.task.retries");
+    assert_eq!(retries.len() as u64, counted_retries);
+    assert!(!helper_retried.is_empty() && lost > 0, "{retries:?}");
+    assert_eq!(
+        u64::from(response.totals().task_retries),
+        counted_retries - lost
     );
 }
