@@ -14,7 +14,6 @@
 use crate::error::{Result, StorageError};
 use bytes::Bytes;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Which bytes of an object a read asks for. Offsets and lengths are over
@@ -67,6 +66,11 @@ pub struct ObjectRead {
     pub transferred: u64,
 }
 
+thread_local! {
+    /// The page every [`Blob::synthetic`] on this thread is a slice of.
+    static SYNTHETIC_PAGE: Bytes = Bytes::from(vec![0xA5u8; 4096]);
+}
+
 /// An immutable stored value with a logical size multiplier.
 #[derive(Debug, Clone)]
 pub struct Blob {
@@ -96,13 +100,16 @@ impl Blob {
 
     /// A synthetic blob of `logical` bytes carrying no real payload beyond
     /// a single page — what the microbenchmarks use ("randomly generated
-    /// files of fixed size").
+    /// files of fixed size"). Every such blob on a thread slices the same
+    /// page, so making one costs a refcount, not an allocation.
     pub fn synthetic(logical: u64) -> Self {
-        let carried = logical.clamp(1, 4096) as usize;
-        Blob {
-            bytes: Bytes::from(vec![0xA5u8; carried]),
-            logical_scale: logical as f64 / carried as f64,
-        }
+        SYNTHETIC_PAGE.with(|page| {
+            let carried = logical.clamp(1, page.len() as u64) as usize;
+            Blob {
+                bytes: page.slice(..carried),
+                logical_scale: logical as f64 / carried as f64,
+            }
+        })
     }
 
     /// Real payload length in bytes.
@@ -138,9 +145,79 @@ impl Blob {
 }
 
 /// The shared in-memory key space behind a bucket / table / filesystem.
-#[derive(Debug, Clone, Default)]
+///
+/// Every read attempt, a 503 included, looks its key up here: one hash and
+/// a short linear probe, not a walk of string compares down a tree.
+/// The index is never iterated, so no order of it can reach an output.
+#[derive(Clone, Default)]
 pub struct KeyedStore {
-    map: Rc<RefCell<BTreeMap<String, Blob>>>,
+    index: Rc<RefCell<KeyIndex>>,
+}
+
+/// Objects in insertion order plus an open-addressing table over them.
+#[derive(Default)]
+struct KeyIndex {
+    objects: Vec<(Box<str>, Blob)>,
+    /// Power-of-two length, at most half full; `0` is an empty slot and
+    /// `i + 1` names `objects[i]`.
+    slots: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// `Ok(i)` when `objects[i]` holds `key`, else `Err` of the empty slot
+    /// it would take (`0` in the empty table, which `put` grows first).
+    fn find(&self, key: &str) -> std::result::Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        // Fibonacci hashing: the top bits are the well-mixed ones.
+        let mut at = (hash(key) >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[at] as usize {
+                0 => return Err(at),
+                i if *self.objects[i - 1].0 == *key => return Ok(i - 1),
+                _ => at = (at + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    fn put(&mut self, key: &str, blob: Blob) {
+        if 2 * (self.objects.len() + 1) > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            for (i, (key, _)) in self.objects.iter().enumerate() {
+                let at = self.find(key).expect_err("stored keys are distinct");
+                self.slots[at] = i as u32 + 1;
+            }
+        }
+        match self.find(key) {
+            Ok(i) => self.objects[i].1 = blob,
+            Err(at) => {
+                self.objects.push((key.into(), blob));
+                self.slots[at] = self.objects.len() as u32;
+            }
+        }
+    }
+}
+
+/// Word-at-a-time multiply-rotate hash: fixed constants, same on any run.
+fn hash(key: &str) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step =
+        |h: u64, word: [u8; 8]| (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    let mut words = key.as_bytes().chunks_exact(8);
+    let h = (&mut words).fold(key.len() as u64, |h, w| {
+        step(h, w.try_into().expect("8-byte chunk"))
+    });
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    step(h, tail)
+}
+
+impl std::fmt::Debug for KeyedStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let objects = self.index.borrow().objects.len();
+        write!(f, "KeyedStore({objects} objects)")
+    }
 }
 
 impl KeyedStore {
@@ -149,18 +226,18 @@ impl KeyedStore {
         Self::default()
     }
 
-    /// Insert or replace.
+    /// Insert or replace; replacing reuses the stored key.
     pub fn put(&self, key: &str, blob: Blob) {
-        self.map.borrow_mut().insert(key.to_string(), blob);
+        self.index.borrow_mut().put(key, blob);
     }
 
     /// Fetch a clone (cheap: `Bytes` is refcounted).
     pub fn get(&self, key: &str) -> Result<Blob> {
-        self.map
-            .borrow()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound { key: key.into() })
+        let index = self.index.borrow();
+        match index.find(key) {
+            Ok(i) => Ok(index.objects[i].1.clone()),
+            Err(_) => Err(StorageError::NotFound { key: key.into() }),
+        }
     }
 }
 
@@ -183,6 +260,16 @@ mod tests {
         let small = Blob::synthetic(100);
         assert_eq!(small.logical_len(), 100);
         assert_eq!(small.len(), 100);
+        // Every size keeps its length, bytes and logical size, and all of
+        // them slice one page.
+        let page = small.bytes.as_ptr();
+        for logical in [1u64, 1 << 10, 4 << 10, 64 << 20] {
+            let b = Blob::synthetic(logical);
+            assert_eq!(b.len() as u64, logical.min(4096));
+            assert!(b.bytes.iter().all(|&byte| byte == 0xA5));
+            assert_eq!(b.logical_len(), logical);
+            assert_eq!(b.bytes.as_ptr(), page, "{logical} B has its own page");
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 use proptest::prelude::*;
 use skyrise_pricing::{shared_meter, StorageService};
 use skyrise_sim::{join_all, Sim, SimDuration, SimTime};
-use skyrise_storage::{Blob, ByteRange, DynamoConfig, DynamoTable, RequestOpts, S3Bucket, Storage};
+use skyrise_storage::{
+    Blob, ByteRange, DynamoConfig, DynamoTable, KeyedStore, RequestOpts, S3Bucket, Storage,
+    StorageError,
+};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 proptest! {
@@ -150,5 +154,50 @@ proptest! {
         prop_assert!(worst > 0.0);
         prop_assert!(worst < 11.0, "cap ~10.5 s: {worst}");
         let _ = SimTime::ZERO;
+    }
+}
+
+/// Shared prefixes of 0 to 32 bytes: with a suffix of up to 8 a key is
+/// 0–40 bytes long, and keys of one prefix differ only in their tail word.
+const PREFIXES: [&str; 4] = [
+    "",
+    "k",
+    "bench/c001/t002/o",
+    "shuffle/q12/stage-0003/part-0000",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The store's index answers every put, overwrite and get exactly as
+    /// an ordered map does, across growths of its table (short suffixes
+    /// repeat, long ones mostly do not: up to ~1.4 K distinct keys), and an
+    /// absent key is `NotFound` naming that key.
+    #[test]
+    fn keyed_store_matches_an_ordered_map(ops in prop::collection::vec(
+        (any::<bool>(), 0usize..PREFIXES.len(), "[abc]{0,8}", 0usize..64),
+        1..5_000,
+    )) {
+        let store = KeyedStore::new();
+        let mut oracle = BTreeMap::<String, Blob>::new();
+        for (i, (put, prefix, suffix, len)) in ops.into_iter().enumerate() {
+            let key = format!("{}{suffix}", PREFIXES[prefix]);
+            if put {
+                let blob = Blob::scaled(vec![i as u8; len], 1.0 + i as f64);
+                store.put(&key, blob.clone());
+                oracle.insert(key, blob);
+                continue;
+            }
+            match (store.get(&key), oracle.get(&key)) {
+                (Ok(got), Some(want)) => {
+                    prop_assert_eq!(&got.bytes, &want.bytes, "bytes under {:?}", key);
+                    prop_assert_eq!(got.logical_scale, want.logical_scale, "scale under {:?}", key);
+                }
+                (Err(StorageError::NotFound { key: missing }), None) => {
+                    prop_assert_eq!(missing, key);
+                }
+                (got, want) => prop_assert!(false, "{key:?}: store {got:?}, oracle {want:?}"),
+            }
+        }
     }
 }
