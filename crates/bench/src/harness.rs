@@ -19,6 +19,7 @@
 //!   `--jobs 1` and `--jobs 4` produce byte-identical digests and JSON.
 
 use crate::experiments::{Experiment, ALL};
+use crate::host::{self, HostSecs, Stopwatch};
 use crate::{capture_runs, finish, results_dir};
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport};
@@ -76,22 +77,14 @@ pub struct CompletedExperiment {
     /// Merged telemetry snapshot (empty when the job ran without
     /// metrics). Plain data, so it crosses the worker-thread boundary.
     pub metrics: MetricsSnapshot,
-    /// Wall-clock seconds the job took on its worker.
-    pub wall_secs: f64,
-}
-
-/// Default worker count: one per available hardware thread.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    /// Wall-clock time the job took on its worker.
+    pub wall: HostSecs,
 }
 
 /// Run one job to completion on the current thread.
 fn run_one(job: ExperimentJob) -> CompletedExperiment {
-    // Host-side wall clock for the human-facing summary line only; never
-    // fed into a simulation.
-    let wall = std::time::Instant::now();
+    // Host-side wall clock for the human-facing summary line only.
+    let wall = Stopwatch::start();
     let (result, summary) = capture_runs(job.trace_out.is_some(), job.metrics, 0, job.run);
     let trace = job.trace_out.map(|path| TraceArtifacts {
         path,
@@ -107,7 +100,7 @@ fn run_one(job: ExperimentJob) -> CompletedExperiment {
         virtual_secs: summary.virtual_secs,
         trace,
         metrics: summary.metrics,
-        wall_secs: wall.elapsed().as_secs_f64(),
+        wall: wall.elapsed(),
     }
 }
 
@@ -129,17 +122,13 @@ pub fn run_jobs(jobs: Vec<ExperimentJob>, workers: usize) -> Vec<CompletedExperi
         let n = queue.lock().expect("job queue poisoned").len();
         (0..n).map(|_| Mutex::new(None)).collect()
     };
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Steal the next pending experiment; holding the lock only
-                // for the pop keeps workers out of each other's way.
-                let next = queue.lock().expect("job queue poisoned").pop_front();
-                let Some((index, job)) = next else { break };
-                let done = run_one(job);
-                *slots[index].lock().expect("result slot poisoned") = Some(done);
-            });
-        }
+    host::on_threads(workers, || loop {
+        // Steal the next pending experiment; holding the lock only for the
+        // pop keeps workers out of each other's way.
+        let next = queue.lock().expect("job queue poisoned").pop_front();
+        let Some((index, job)) = next else { break };
+        let done = run_one(job);
+        *slots[index].lock().expect("result slot poisoned") = Some(done);
     });
     slots
         .into_iter()
@@ -175,13 +164,13 @@ pub fn report(done: &CompletedExperiment) {
         + done.metrics.histograms.len()
         + done.metrics.timelines.len();
     println!(
-        "[{}] virtual {:.1}s across {} sims, {} events traced, {} metrics, wall {:.1}s -> {}",
+        "[{}] virtual {:.1}s across {} sims, {} events traced, {} metrics, wall {:.1} -> {}",
         done.name,
         done.virtual_secs,
         done.sims,
         done.events,
         n_metrics,
-        done.wall_secs,
+        done.wall,
         outputs.join(", ")
     );
 }
@@ -214,7 +203,7 @@ pub fn write_with_sidecar(
 
 /// What `skyrise-bench` was asked to do: `<name>… | all`, `--trace-out
 /// <path>`, `--metrics-out <path>` and `--jobs N` (0 or omitted →
-/// [`default_jobs`]).
+/// one per hardware thread, [`host::available_parallelism`]).
 pub struct SuiteArgs {
     /// The selected experiments, each once, in paper order.
     pub experiments: Vec<Experiment>,
@@ -281,7 +270,7 @@ fn parse(mut iter: impl Iterator<Item = String>) -> Result<SuiteArgs, String> {
         experiments: Vec::new(),
         trace_out: None,
         metrics_out: None,
-        jobs: default_jobs(),
+        jobs: host::available_parallelism(),
     };
     let mut names: Vec<String> = Vec::new();
     while let Some(arg) = iter.next() {
@@ -303,7 +292,7 @@ fn parse(mut iter: impl Iterator<Item = String>) -> Result<SuiteArgs, String> {
             out.metrics_out = Some(PathBuf::from(path));
         } else if let Some(v) = take("--jobs")? {
             out.jobs = match v.parse::<usize>() {
-                Ok(0) => default_jobs(),
+                Ok(0) => host::available_parallelism(),
                 Ok(n) => n,
                 Err(_) => return Err("--jobs requires a non-negative integer".into()),
             };

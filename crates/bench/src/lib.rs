@@ -19,16 +19,10 @@
 //! `stem-<name>.ext` next to it when several are. Traces are byte-identical
 //! across runs with identical seeds.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "host-side harness crate: wall-clock summary lines, environment-resolved output \
-              paths and the parallel runner's OS threads are its job; the determinism rules \
-              guard the simulations it runs"
-)]
-
 pub mod datasets;
 pub mod experiments;
 pub mod harness;
+pub mod host;
 
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport, Tracer};
@@ -48,9 +42,7 @@ pub fn results_dir() -> PathBuf {
     RESULTS_DIR
         .get_or_init(|| {
             // Harness configuration, not sim state: resolved once, cached.
-            std::env::var("SKYRISE_RESULTS")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from("results"))
+            host::env_var("SKYRISE_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from)
         })
         .clone()
 }
@@ -60,9 +52,7 @@ pub fn results_dir() -> PathBuf {
 pub fn full_profile() -> bool {
     *FULL_PROFILE.get_or_init(|| {
         // Harness configuration, not sim state: resolved once, cached.
-        std::env::var("SKYRISE_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+        host::env_var("SKYRISE_FULL").is_some_and(|v| v == "1")
     })
 }
 
@@ -288,7 +278,7 @@ mod tests {
     #[test]
     fn profile_defaults_to_fast() {
         // Unless the caller exported SKYRISE_FULL=1.
-        if std::env::var("SKYRISE_FULL").is_err() {
+        if host::env_var("SKYRISE_FULL").is_none() {
             assert!(!full_profile());
         }
     }

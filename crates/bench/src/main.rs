@@ -22,20 +22,16 @@
 //! written as JSONL at `<path>` plus Prometheus text exposition at
 //! `<path>.prom`.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "host-side harness shell: reads its arguments and reports wall-clock time"
-)]
-
 use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_with_sidecar};
+use skyrise_bench::host::{self, Stopwatch};
 
 fn main() {
-    let args = parse_suite_args(std::env::args().skip(1)).unwrap_or_else(|usage| {
+    let args = parse_suite_args(host::args()).unwrap_or_else(|usage| {
         eprintln!("{usage}");
         std::process::exit(2);
     });
-    // Suite wall time for the closing summary; never fed into a sim.
-    let t0 = std::time::Instant::now();
+    // Suite wall time for the closing summary.
+    let t0 = Stopwatch::start();
     let jobs = args.plan();
     eprintln!(
         "running {} experiments on {} worker(s)",
@@ -66,8 +62,8 @@ fn main() {
         }
     }
     eprintln!(
-        "total wall time: {:.1}s ({} workers)",
-        t0.elapsed().as_secs_f64(),
+        "total wall time: {:.1} ({} workers)",
+        t0.elapsed(),
         args.jobs
     );
 }

@@ -71,7 +71,6 @@ impl ShimCluster {
     /// Invoke a function on the head node without occupying a worker slot
     /// (the coordinator endpoint: it must never deadlock the slot pool it
     /// schedules workers onto).
-    // simlint: allow(CONS002): the shim has no per-invocation billing by design; its VMs bill by lifetime through the ec2 meter.
     pub async fn invoke_unqueued(
         self: &Rc<Self>,
         name: &str,
@@ -108,7 +107,6 @@ impl ShimCluster {
     }
 
     /// Invoke a function: queue for a slot, run on its VM. No coldstarts.
-    // simlint: allow(CONS002): the shim has no per-invocation billing by design; its VMs bill by lifetime through the ec2 meter.
     pub async fn invoke(
         self: &Rc<Self>,
         name: &str,

@@ -105,7 +105,8 @@ pub struct TransferOpts {
     pub slice: Option<SimDuration>,
     /// Receive-side throughput recorder.
     pub recorder: Option<Rc<RefCell<IntervalSeries>>>,
-    /// Endpoint label attached to trace spans (e.g. the storage service).
+    /// Endpoint label attached to trace spans (e.g. the storage service);
+    /// a storage service's name also puts the bytes on its ledger account.
     pub label: Option<&'static str>,
 }
 
@@ -140,6 +141,11 @@ impl TransferStats {
 /// to the first grid instant at which any of its limiters can have
 /// refilled ([`RateLimiter::quiet_until`]), which is where per-slice
 /// polling would first have found anything but the same empty bucket.
+///
+/// A transfer labelled with a storage service's name moves that service's
+/// bytes: it credits them to the sanitizer's run ledger
+/// ([`Sanitizer::stream`](skyrise_sim::Sanitizer::stream)) as they enter
+/// and as the buckets grant them.
 pub async fn transfer(
     ctx: &SimCtx,
     src: &SharedNic,
@@ -163,6 +169,11 @@ pub async fn transfer(
     }
     let mut stalled_slices: u64 = 0;
     let mut flowing = true;
+    // Run ledger (a no-op unless `label` names a storage service's open
+    // account): the bytes enter now, and whatever is not granted when the
+    // transfer is dropped counts as dropped mid-flight.
+    let san = ctx.sanitizer();
+    let mut ledger = san.stream(opts.label, bytes);
 
     // Telemetry (DESIGN.md §10): handles resolved once per transfer; the
     // per-lane pair is keyed by the endpoint label so suite exports break
@@ -221,7 +232,6 @@ pub async fn transfer(
             // Commit the grant everywhere.
             src.borrow_mut().outbound.consume(now, allow);
             dst.borrow_mut().inbound.consume(now, allow);
-            let san = ctx.sanitizer();
             if san.enabled() {
                 src.borrow().outbound.assert_conserved(&san, "src.outbound");
                 dst.borrow().inbound.assert_conserved(&san, "dst.inbound");
@@ -230,6 +240,11 @@ pub async fn transfer(
                 fabric.grant(now, slice, allow);
             }
             remaining -= allow;
+            ledger.granted(if remaining <= 0.5 {
+                bytes
+            } else {
+                bytes.saturating_sub(remaining.ceil() as u64)
+            });
 
             // Time actually needed within this slice at the granted volume.
             let limiting = allow_src

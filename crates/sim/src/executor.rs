@@ -308,7 +308,8 @@ impl Sim {
     ///
     /// Returns the virtual time at quiescence. Panics if tasks remain alive
     /// but blocked forever (deadlock) — this is a bug in the simulation
-    /// model, and failing loudly beats hanging.
+    /// model, and failing loudly beats hanging — and if the sanitizer's run
+    /// ledger does not balance ([`Sanitizer::check_ledger`]).
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)
     }
@@ -356,6 +357,7 @@ impl Sim {
                         live == 0,
                         "simulation deadlock: {live} task(s) blocked with no pending timer"
                     );
+                    sanitizer.check_ledger();
                     self.flush_metrics();
                     return self.state.now.get();
                 }

@@ -15,7 +15,8 @@
 //! * [`telemetry`] — deterministic metric registry (counters, gauges,
 //!   latency sketches, utilization timelines) + Prometheus/JSONL export
 //! * [`trace`] — virtual-time spans/events, Chrome-trace + JSONL export
-//! * [`sanitizer`] — runtime determinism checks + per-event state digest
+//! * [`sanitizer`] — runtime determinism checks, per-event state digest,
+//!   storage byte ledger
 //! * [`faults`] — seeded fault-injection plan queried by the models
 //! * [`slab`] / [`timer_heap`] — the executor's generation-indexed task
 //!   table and cancellation-aware timer queue (exposed for the oracle
@@ -39,7 +40,9 @@ pub use executor::{first_completed, join_all, race, Either, JoinHandle, Sim, Sim
 pub use faults::{FaultConfig, FaultPlan, FaultStats, StorageFault};
 pub use metrics::{Histogram, HistogramSummary, IntervalSeries};
 pub use rng::{LatencyDist, SimRng};
-pub use sanitizer::{DigestCheckpoint, Sanitizer, SanitizerReport};
+pub use sanitizer::{
+    Billed, DigestCheckpoint, Sanitizer, SanitizerReport, ServiceLedger, Streaming,
+};
 pub use slab::{Slab, SlabKey};
 pub use telemetry::{
     Counter, Gauge, HistogramHandle, MetricRegistry, MetricsSnapshot, TimelineHandle,

@@ -3,10 +3,11 @@
 //! into a cheap rolling digest so two same-seed runs can be diffed at the
 //! first divergent event instead of at the final output.
 //!
-//! The sanitizer is the runtime half of the two-layer determinism auditor
-//! (the static half is the `simlint` crate). It is enabled by default in
-//! debug builds — which is what `cargo test` runs — and off in release
-//! builds unless [`Sim::enable_sanitizer`](crate::Sim::enable_sanitizer)
+//! The sanitizer checks the run itself, where a violation is a fact: what
+//! the compiler can see (wall clock, env, host threads, hash containers)
+//! is clippy's, under the workspace's `clippy.toml`. It is enabled by
+//! default in debug builds — which is what `cargo test` runs — and off in
+//! release builds unless [`Sim::enable_sanitizer`](crate::Sim::enable_sanitizer)
 //! is called, so experiment binaries pay nothing for it.
 //!
 //! Checked invariants:
@@ -17,7 +18,16 @@
 //!   sanitizer keeps no per-task state and a poll costs it two folds);
 //! * domain invariants wired in by other crates — token-bucket conservation
 //!   in `skyrise-net`, usage-meter cross-checks in `skyrise-compute` —
-//!   via [`Sanitizer::check`] / [`Sanitizer::check_close`].
+//!   via [`Sanitizer::check`] / [`Sanitizer::check_close`];
+//! * the **run ledger**: per storage service, the bytes the meter billed,
+//!   the bytes that entered a network transfer and the bytes its token
+//!   buckets granted are the same bytes, up to requests and transfers
+//!   dropped half-way ([`ServiceLedger`]). Storage bills through
+//!   [`Sanitizer::bill`], `net::transfer` moves through
+//!   [`Sanitizer::stream`], and the two laws are asserted whenever
+//!   `Sim::run` reaches quiescence and whenever a [`Sanitizer::report`] is
+//!   taken. The ledger is plain integer adds; it folds nothing into the
+//!   digest.
 //!
 //! A sanitizer panic means the simulation violated its own model contract;
 //! the message names the invariant. Treat it like a failed assert, not
@@ -75,11 +85,156 @@ impl SanitizerReport {
     }
 }
 
+/// Storage services the run ledger can hold accounts for.
+const LEDGER_ACCOUNTS: usize = 8;
+
+/// The law relating a service's billed bytes to its transfers.
+pub const BILLING_LAW: &str = "bytes billed = bytes into transfer + bytes dropped before streaming";
+
+/// The law relating a service's transfers to its token-bucket grants.
+pub const STREAMING_LAW: &str = "bytes into transfer = bytes granted + bytes dropped mid-flight";
+
+/// One storage service's byte accounts in the run ledger. The two laws,
+/// [`BILLING_LAW`] and [`STREAMING_LAW`], count the bytes of requests and
+/// transfers still under way (`awaiting`, `moving`) on the dropped side, so
+/// they hold at any instant between polls; at quiescence both are zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceLedger {
+    /// Bytes of successful requests the meter billed.
+    pub billed: u64,
+    /// Billed bytes whose request has not reached `transfer` yet.
+    pub awaiting: u64,
+    /// Billed bytes whose request was dropped before streaming.
+    pub dropped_before_streaming: u64,
+    /// Bytes `transfer` was asked to move.
+    pub streamed: u64,
+    /// Bytes the token buckets granted.
+    pub granted: u64,
+    /// Bytes of transfers under way that are not granted yet.
+    pub moving: u64,
+    /// Bytes left unmoved by transfers dropped mid-flight.
+    pub dropped_mid_flight: u64,
+}
+
+impl ServiceLedger {
+    /// The first law these totals break, if any.
+    pub fn broken_law(&self) -> Option<&'static str> {
+        if self.billed != self.streamed + self.dropped_before_streaming + self.awaiting {
+            Some(BILLING_LAW)
+        } else if self.streamed != self.granted + self.dropped_mid_flight + self.moving {
+            Some(STREAMING_LAW)
+        } else {
+            None
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SanitizerState {
     events: Cell<u64>,
     digest: Cell<u64>,
     trail: RefCell<Vec<DigestCheckpoint>>,
+    /// Account `i` belongs to the service named `services[i]`; accounts
+    /// open in order, so the first `""` ends the open ones.
+    services: [Cell<&'static str>; LEDGER_ACCOUNTS],
+    ledgers: [Cell<ServiceLedger>; LEDGER_ACCOUNTS],
+}
+
+impl SanitizerState {
+    /// The account of `service`, if it is open.
+    fn account(&self, service: &str) -> Option<usize> {
+        self.services
+            .iter()
+            .map(Cell::get)
+            .take_while(|open| !open.is_empty())
+            .position(|open| open == service)
+    }
+
+    /// The account of `service`, opened if need be.
+    fn open(&self, service: &'static str) -> usize {
+        self.account(service).unwrap_or_else(|| {
+            let free = self
+                .services
+                .iter()
+                .position(|open| open.get().is_empty())
+                .expect("sanitizer: the run ledger has no free account");
+            self.services[free].set(service);
+            free
+        })
+    }
+
+    fn credit(&self, account: usize, entry: impl FnOnce(&mut ServiceLedger)) {
+        let cell = &self.ledgers[account];
+        let mut ledger = cell.get();
+        entry(&mut ledger);
+        cell.set(ledger);
+    }
+}
+
+/// Billed bytes on their way to `transfer`, from [`Sanitizer::bill`]. Drop
+/// it before [`Billed::streaming`] and its bytes count as dropped before
+/// streaming: the loser of a race, a request that timed out during its
+/// first-byte latency.
+#[derive(Debug, Default)]
+pub struct Billed {
+    account: Option<(Rc<SanitizerState>, usize)>,
+    bytes: u64,
+}
+
+impl Billed {
+    /// The bytes enter `transfer` now, which credits them in its turn.
+    pub fn streaming(mut self) {
+        if let Some((s, i)) = self.account.take() {
+            s.credit(i, |l| l.awaiting -= self.bytes);
+        }
+    }
+}
+
+impl Drop for Billed {
+    fn drop(&mut self) {
+        if let Some((s, i)) = self.account.take() {
+            let bytes = self.bytes;
+            s.credit(i, |l| {
+                l.awaiting -= bytes;
+                l.dropped_before_streaming += bytes;
+            });
+        }
+    }
+}
+
+/// A transfer's bytes in the run ledger, from [`Sanitizer::stream`]. Drop it
+/// before all are granted and the rest count as dropped mid-flight.
+#[derive(Debug, Default)]
+pub struct Streaming {
+    account: Option<(Rc<SanitizerState>, usize)>,
+    bytes: u64,
+    granted: u64,
+}
+
+impl Streaming {
+    /// The token buckets have granted `settled` of the transfer's bytes so
+    /// far (a running total, never decreasing).
+    pub fn granted(&mut self, settled: u64) {
+        let Some((s, i)) = &self.account else { return };
+        let delta = settled - self.granted;
+        self.granted = settled;
+        s.credit(*i, |l| {
+            l.granted += delta;
+            l.moving -= delta;
+        });
+    }
+}
+
+impl Drop for Streaming {
+    fn drop(&mut self) {
+        if let Some((s, i)) = self.account.take() {
+            let rest = self.bytes - self.granted;
+            s.credit(i, |l| {
+                l.moving -= rest;
+                l.dropped_mid_flight += rest;
+            });
+        }
+    }
 }
 
 /// Handle onto the simulation's sanitizer. Cheap to clone; a disabled
@@ -97,6 +252,8 @@ impl Sanitizer {
                 events: Cell::new(0),
                 digest: Cell::new(FNV_OFFSET),
                 trail: RefCell::new(Vec::new()),
+                services: Default::default(),
+                ledgers: Default::default(),
             })),
         }
     }
@@ -192,8 +349,77 @@ impl Sanitizer {
         self.fold(s, value);
     }
 
-    /// Snapshot the current state, or `None` when disabled.
+    /// Open `service`'s account in the run ledger; a storage service opens
+    /// its own when it is built. From then on every transfer labelled
+    /// `service` must be billed, and every billed byte streamed.
+    pub fn open_account(&self, service: &'static str) {
+        if let Some(s) = &self.state {
+            s.open(service);
+        }
+    }
+
+    /// Credit `bytes` billed to `service` (opening its account) and hand
+    /// them to the request until it streams them.
+    pub fn bill(&self, service: &'static str, bytes: u64) -> Billed {
+        let Some(s) = &self.state else {
+            return Billed::default();
+        };
+        let i = s.open(service);
+        s.credit(i, |l| {
+            l.billed += bytes;
+            l.awaiting += bytes;
+        });
+        Billed {
+            account: Some((Rc::clone(s), i)),
+            bytes,
+        }
+    }
+
+    /// Credit `bytes` entering a transfer labelled `label`. A transfer
+    /// whose label names no open account is not a storage transfer and is
+    /// not ledgered.
+    pub fn stream(&self, label: Option<&'static str>, bytes: u64) -> Streaming {
+        let (Some(s), Some(label)) = (&self.state, label) else {
+            return Streaming::default();
+        };
+        let Some(i) = s.account(label) else {
+            return Streaming::default();
+        };
+        s.credit(i, |l| {
+            l.streamed += bytes;
+            l.moving += bytes;
+        });
+        Streaming {
+            account: Some((Rc::clone(s), i)),
+            bytes,
+            granted: 0,
+        }
+    }
+
+    /// `service`'s totals in the run ledger, if its account is open.
+    pub fn ledger(&self, service: &str) -> Option<ServiceLedger> {
+        let s = self.state.as_ref()?;
+        s.account(service).map(|i| s.ledgers[i].get())
+    }
+
+    /// Assert both ledger laws for every open account.
+    pub fn check_ledger(&self) {
+        let Some(s) = &self.state else { return };
+        for (service, ledger) in s.services.iter().zip(&s.ledgers) {
+            let (service, ledger) = (service.get(), ledger.get());
+            if service.is_empty() {
+                break;
+            }
+            if let Some(law) = ledger.broken_law() {
+                panic!("sanitizer: {service} breaks the run ledger's law {law}: {ledger:?}");
+            }
+        }
+    }
+
+    /// Snapshot the current state, or `None` when disabled. Asserts the
+    /// run ledger first ([`Sanitizer::check_ledger`]).
     pub fn report(&self) -> Option<SanitizerReport> {
+        self.check_ledger();
         self.state.as_ref().map(|s| SanitizerReport {
             events: s.events.get(),
             digest: s.digest.get(),

@@ -6,7 +6,7 @@ use crate::object::{Blob, ByteRange, KeyedStore, ObjectRead};
 use skyrise_net::{transfer, RateLimiter, SharedNic, TransferOpts};
 use skyrise_pricing::{SharedMeter, StorageService};
 use skyrise_sim::telemetry::{Counter, Gauge, HistogramHandle, MetricRegistry};
-use skyrise_sim::{LatencyDist, SimCtx, SimDuration, SimTime};
+use skyrise_sim::{Billed, LatencyDist, SimCtx, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
@@ -240,6 +240,7 @@ impl<A: Admission> ServiceCore<A> {
             RateLimiter::pure_rate(model.aggregate_bw.read, skyrise_net::DEFAULT_SLICE),
         );
         let metrics = CoreMetrics::new(&ctx.metrics(), model.service);
+        ctx.sanitizer().open_account(model.service.name());
         ServiceCore {
             ctx,
             meter,
@@ -285,7 +286,8 @@ impl<A: Admission> ServiceCore<A> {
     /// 4. admit against the IOPS quotas, or meter a failed request and
     ///    return `Throttled` after [`REJECT_LATENCY`];
     /// 5. meter the request, wait out the first-byte latency, stream the
-    ///    payload;
+    ///    payload (the sanitizer's run ledger follows the billed bytes from
+    ///    the meter into `transfer`);
     /// 6. commit a write to the object map, record the operation's latency.
     ///
     /// An open-loop experiment holds one of these futures per request in
@@ -356,10 +358,10 @@ impl<A: Admission> ServiceCore<A> {
                 return Err(StorageError::Throttled);
             }
 
-            self.meter_request(write, logical, false);
+            let billed = self.meter_request(write, logical, false);
             let first_byte = self.first_byte(write).await;
             span.attr("first_byte_s", first_byte.as_secs_f64());
-            self.stream(write, logical, opts).await;
+            self.stream(billed, write, logical, opts).await;
 
             // A write lands in the object map only now, and a range the
             // service could not cut is cut only now, after the whole transfer.
@@ -382,8 +384,10 @@ impl<A: Admission> ServiceCore<A> {
         }
     }
 
-    /// Record a request in the meter (failures cost too).
-    fn meter_request(&self, write: bool, logical_bytes: u64, failed: bool) {
+    /// Record a request in the meter (failures cost too). A successful
+    /// request's bytes go on the service's run-ledger account, and the
+    /// returned guard carries them to [`ServiceCore::stream`].
+    fn meter_request(&self, write: bool, logical_bytes: u64, failed: bool) -> Billed {
         if failed {
             self.metrics.ops_failed.inc();
         } else {
@@ -400,6 +404,13 @@ impl<A: Admission> ServiceCore<A> {
             logical_bytes,
             failed,
         );
+        if failed {
+            Billed::default()
+        } else {
+            self.ctx
+                .sanitizer()
+                .bill(self.model.service.name(), logical_bytes)
+        }
     }
 
     /// Record a completed operation's end-to-end latency (admission to
@@ -436,10 +447,11 @@ impl<A: Admission> ServiceCore<A> {
         d
     }
 
-    /// Stream `logical_bytes` to/from the client after the first byte,
-    /// bounded by per-request bandwidth, the service aggregate, and the
-    /// client NIC.
-    async fn stream(&self, write: bool, logical_bytes: u64, opts: &RequestOpts) {
+    /// Stream the `logical_bytes` that were `billed` to/from the client
+    /// after the first byte, bounded by per-request bandwidth, the service
+    /// aggregate, and the client NIC.
+    async fn stream(&self, billed: Billed, write: bool, logical_bytes: u64, opts: &RequestOpts) {
+        billed.streaming();
         if logical_bytes == 0 {
             return;
         }
@@ -518,12 +530,11 @@ mod tests {
         assert_eq!(service_slug(StorageService::Efs), "efs");
     }
 
-    #[test]
-    fn inflight_guard_releases() {
-        let sim = Sim::new(1);
-        let ctx = sim.ctx();
+    /// An EFS-shaped service: 1 ms to the first byte, `per_request_bw`
+    /// bytes/s per request, room for two requests in flight.
+    fn efs_core(ctx: SimCtx, per_request_bw: f64) -> ServiceCore<TieredAdmission> {
         let both = |x: f64| PerDirection::rw(x, x);
-        let core = ServiceCore::new(
+        ServiceCore::new(
             ctx,
             skyrise_pricing::shared_meter(),
             ServiceModel {
@@ -532,17 +543,23 @@ mod tests {
                     LatencyDist::constant(0.001),
                     LatencyDist::constant(0.001),
                 ),
-                per_request_bw: both(1e9),
+                per_request_bw: both(per_request_bw),
                 aggregate_bw: both(1e12),
                 max_object: u64::MAX,
                 max_inflight: Some(2),
                 native_ranges: false,
             },
             TieredAdmission {
-                own: RwLimiters::new(1.0, 1.0, 1.0),
+                own: RwLimiters::new(100.0, 100.0, 1.0),
                 account: None,
             },
-        );
+        )
+    }
+
+    #[test]
+    fn inflight_guard_releases() {
+        let sim = Sim::new(1);
+        let core = efs_core(sim.ctx(), 1e9);
         let g1 = core.admit_connection().unwrap();
         let _g2 = core.admit_connection().unwrap();
         assert!(matches!(
@@ -573,5 +590,77 @@ mod tests {
                 .count()
         };
         assert_eq!((left(false), left(true)), (90, 100));
+    }
+
+    /// Bytes labelled with a storage service move through `transfer`, but
+    /// no request billed them: the run ends with the ledger out of balance.
+    #[test]
+    #[should_panic(expected = "EFS breaks the run ledger's law bytes billed = bytes into transfer")]
+    fn an_unbilled_storage_transfer_breaks_the_billing_law() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let core = efs_core(ctx.clone(), 1e9);
+        sim.spawn(async move {
+            let opts = TransferOpts {
+                label: Some(core.model.service.name()),
+                ..TransferOpts::default()
+            };
+            let (server, client) = (skyrise_net::Nic::unlimited(), skyrise_net::Nic::unlimited());
+            transfer(&ctx, &server, &client, 4096, &opts).await;
+        });
+        sim.run();
+    }
+
+    /// A metered request whose stream step sleeps out the payload's time
+    /// instead of moving it through `transfer`: billed, never streamed.
+    #[test]
+    #[should_panic(expected = "EFS breaks the run ledger's law bytes billed = bytes into transfer")]
+    fn a_metered_op_streamed_by_sleep_breaks_the_billing_law() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let core = efs_core(ctx.clone(), 1e9);
+        sim.spawn(async move {
+            let billed = core.meter_request(false, 4096, false);
+            billed.streaming();
+            ctx.sleep(SimDuration::from_secs_f64(4096.0 / 1e9)).await;
+        });
+        sim.run();
+    }
+
+    /// Reads abandoned at a deadline, one during its first-byte latency and
+    /// one mid-stream, leave the ledger balanced: their bytes count as
+    /// dropped before streaming and dropped mid-flight.
+    #[test]
+    fn reads_dropped_half_way_keep_the_ledger_balanced() {
+        use skyrise_sim::{race, Either};
+        const OBJECT: u64 = 4 << 20;
+        let mut sim = Sim::new(1);
+        let san = sim.enable_sanitizer();
+        let ctx = sim.ctx();
+        let core = Rc::new(efs_core(ctx.clone(), 1e6));
+        core.store.put("k", Blob::synthetic(OBJECT));
+        let root = sim.spawn(async move {
+            let opts = RequestOpts::default();
+            let mut finished = Vec::new();
+            for deadline_ms in [0.5, 1_000.0, 10_000.0] {
+                let read = core.read("k", ByteRange::Full, &opts);
+                let deadline = ctx.sleep(SimDuration::from_secs_f64(deadline_ms / 1e3));
+                finished.push(matches!(race(read, deadline).await, Either::Left(Ok(_))));
+            }
+            finished
+        });
+        sim.run();
+        assert_eq!(root.try_take(), Some(vec![false, false, true]));
+        let ledger = san.ledger("EFS").expect("the service opened its account");
+        assert_eq!(ledger.broken_law(), None, "{ledger:?}");
+        assert_eq!(ledger.billed, 3 * OBJECT);
+        assert_eq!(ledger.dropped_before_streaming, OBJECT);
+        assert_eq!(ledger.streamed, 2 * OBJECT);
+        assert!(
+            ledger.dropped_mid_flight > 0 && ledger.dropped_mid_flight < OBJECT,
+            "{ledger:?}"
+        );
+        assert_eq!((ledger.awaiting, ledger.moving), (0, 0));
+        assert!(san.report().is_some());
     }
 }

@@ -1,9 +1,9 @@
-//! The bad and the clean source of every fixture `simlint` lost when its
-//! rule moved to `clippy.toml`, under the fixture's old name. A trailing
+//! The bad and the clean source of every determinism hazard `clippy.toml`
+//! owns, one item per fixture, named after the rule it plants. A trailing
 //! `//~` comment marks each line clippy must report, with the lint's name
 //! once per report; `check.py` fails on a missing report and on any report
 //! without a mark, so the clean functions prove the absence of false
-//! positives. `tests/fixtures.rs` (tier-1) pins each function's marks.
+//! positives. `crates/skyrise/tests/fixtures.rs` (tier-1) pins each function's marks.
 
 pub mod util;
 pub use util::FastMap; //~ disallowed_types
@@ -75,7 +75,7 @@ pub fn det005_construction() {
     let _ = (m, s, r);
 }
 
-/// Stricter than `simlint` was: the import alone is reported.
+/// The import alone is reported.
 pub mod det005_import_alone_is_clean {
     pub use std::collections::HashMap; //~ disallowed_types
 }
@@ -101,7 +101,7 @@ pub fn det002_wall_clock_and_entropy() {
     std::env::remove_var("X"); //~ disallowed_methods
 }
 
-/// The waiver a host-side crate carries (`crates/bench`, `simlint`'s bin).
+/// The waiver a host-side item carries (`crates/bench`'s `host` module).
 #[expect(
     clippy::disallowed_methods,
     reason = "fixture: a CLI shell times itself"
