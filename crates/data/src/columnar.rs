@@ -2,14 +2,17 @@
 //!
 //! The engine's operators are vectorised over [`Batch`]es (the paper's
 //! workers "use a vectorized execution model"). Dates are stored as days
-//! since the Unix epoch in `Int64` columns.
+//! since the Unix epoch in `Int64` columns, strings as a [`Utf8Column`]:
+//! a sorted dictionary and one code per row.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Index;
 use std::rc::Rc;
 
 /// Logical type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int64,
@@ -24,7 +27,7 @@ pub enum DataType {
 }
 
 /// A named, typed column slot in a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name.
     pub name: String,
@@ -43,7 +46,7 @@ impl Field {
 }
 
 /// An ordered set of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Ordered fields.
     pub fields: Vec<Field>,
@@ -124,20 +127,137 @@ impl fmt::Display for Value {
     }
 }
 
+/// A string column: a shared dictionary of distinct strings in ascending
+/// order, and one `u32` code per row into it. Code order is string order,
+/// so kernels compare, group, sort and move codes, never strings.
+///
+/// The dictionary may hold entries no row references: `take`, `filter`
+/// and `slice` keep it whole, and [`unify`](Self::unify) keeps every
+/// part's entries. Such phantom entries are never observed: equality
+/// compares the rows' strings, and kernels use codes only for their order.
+#[derive(Debug, Clone, Default)]
+pub struct Utf8Column {
+    dict: Rc<[String]>,
+    codes: Vec<u32>,
+}
+
+impl Utf8Column {
+    /// A column of `codes` into `dict`. Panics unless `dict` is strictly
+    /// ascending and every code indexes it.
+    pub fn new(dict: Rc<[String]>, codes: Vec<u32>) -> Utf8Column {
+        assert!(
+            dict.windows(2).all(|w| w[0] < w[1]),
+            "dictionary not sorted and distinct"
+        );
+        assert!(
+            codes.iter().all(|&c| (c as usize) < dict.len()),
+            "code outside the dictionary"
+        );
+        Utf8Column { dict, codes }
+    }
+
+    /// The dictionary: ascending, distinct.
+    pub fn dict(&self) -> &Rc<[String]> {
+        &self.dict
+    }
+
+    /// One code per row.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// Row count.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The rows' strings, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.codes.iter().map(|&c| self.dict[c as usize].as_str())
+    }
+
+    fn with_codes(&self, codes: Vec<u32>) -> Utf8Column {
+        let dict = Rc::clone(&self.dict);
+        Utf8Column { dict, codes }
+    }
+
+    /// The codes of each of `parts` in one dictionary: the parts' own when
+    /// they all hold equal ones, else the sorted union of theirs. Panics
+    /// if `parts` is empty.
+    pub fn unify<'a>(parts: &[&'a Utf8Column]) -> (Rc<[String]>, Vec<Cow<'a, [u32]>>) {
+        let first = &parts[0].dict;
+        if parts.iter().all(|p| p.dict == *first) {
+            let codes = parts.iter().map(|p| Cow::Borrowed(&p.codes[..])).collect();
+            return (Rc::clone(first), codes);
+        }
+        // The union's codes are, part after part, those of each part's
+        // dictionary entries.
+        let union: Utf8Column = parts.iter().flat_map(|p| p.dict.iter()).collect();
+        let mut to = &union.codes[..];
+        let codes = parts
+            .iter()
+            .map(|p| {
+                let (mine, rest) = to.split_at(p.dict.len());
+                to = rest;
+                Cow::Owned(p.codes.iter().map(|&c| mine[c as usize]).collect())
+            })
+            .collect();
+        (union.dict, codes)
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for Utf8Column {
+    fn from_iter<I: IntoIterator<Item = S>>(values: I) -> Utf8Column {
+        let values: Vec<S> = values.into_iter().collect();
+        let mut dict: Vec<&str> = values.iter().map(AsRef::as_ref).collect();
+        dict.sort_unstable();
+        dict.dedup();
+        let code = |v: &S| dict.binary_search(&v.as_ref()).expect("in the dictionary") as u32;
+        let codes = values.iter().map(code).collect();
+        let dict = dict.into_iter().map(str::to_owned).collect();
+        Utf8Column { dict, codes }
+    }
+}
+
+impl Index<usize> for Utf8Column {
+    type Output = str;
+
+    fn index(&self, row: usize) -> &str {
+        &self.dict[self.codes[row] as usize]
+    }
+}
+
+impl PartialEq for Utf8Column {
+    /// Row by row, by value, whatever the dictionaries.
+    fn eq(&self, other: &Utf8Column) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
 /// A typed column of values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column (also dates, as epoch days).
     Int64(Vec<i64>),
     /// Float column.
     Float64(Vec<f64>),
     /// String column.
-    Utf8(Vec<String>),
+    Utf8(Utf8Column),
     /// Boolean column.
     Bool(Vec<bool>),
 }
 
 impl Column {
+    /// A string column of `values`.
+    pub fn utf8<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> Column {
+        Column::Utf8(values.into_iter().collect())
+    }
+
     /// Row count.
     pub fn len(&self) -> usize {
         match self {
@@ -168,7 +288,7 @@ impl Column {
         match self {
             Column::Int64(v) => Value::Int64(v[row]),
             Column::Float64(v) => Value::Float64(v[row]),
-            Column::Utf8(v) => Value::Utf8(v[row].clone()),
+            Column::Utf8(v) => Value::Utf8(v[row].to_owned()),
             Column::Bool(v) => Value::Bool(v[row]),
         }
     }
@@ -176,17 +296,17 @@ impl Column {
     /// Keep rows where `mask` is true. Panics on length mismatch.
     pub fn filter(&self, mask: &[bool]) -> Column {
         assert_eq!(mask.len(), self.len(), "mask length mismatch");
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
+        fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
             v.iter()
                 .zip(mask)
                 .filter(|&(_x, &m)| m)
-                .map(|(x, &_m)| x.clone())
+                .map(|(&x, &_m)| x)
                 .collect()
         }
         match self {
             Column::Int64(v) => Column::Int64(keep(v, mask)),
             Column::Float64(v) => Column::Float64(keep(v, mask)),
-            Column::Utf8(v) => Column::Utf8(keep(v, mask)),
+            Column::Utf8(v) => Column::Utf8(v.with_codes(keep(&v.codes, mask))),
             Column::Bool(v) => Column::Bool(keep(v, mask)),
         }
     }
@@ -196,7 +316,9 @@ impl Column {
         match self {
             Column::Int64(v) => Column::Int64(indices.iter().map(|&i| v[i]).collect()),
             Column::Float64(v) => Column::Float64(indices.iter().map(|&i| v[i]).collect()),
-            Column::Utf8(v) => Column::Utf8(indices.iter().map(|&i| v[i].clone()).collect()),
+            Column::Utf8(v) => {
+                Column::Utf8(v.with_codes(indices.iter().map(|&i| v.codes[i]).collect()))
+            }
             Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
         }
     }
@@ -208,7 +330,7 @@ impl Column {
             Column::Int64(v) => Column::Int64(indices.iter().map(|&i| v[i as usize]).collect()),
             Column::Float64(v) => Column::Float64(indices.iter().map(|&i| v[i as usize]).collect()),
             Column::Utf8(v) => {
-                Column::Utf8(indices.iter().map(|&i| v[i as usize].clone()).collect())
+                Column::Utf8(v.with_codes(indices.iter().map(|&i| v.codes[i as usize]).collect()))
             }
             Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i as usize]).collect()),
         }
@@ -218,38 +340,30 @@ impl Column {
     /// same type into one output column — a concat-free multi-batch take.
     /// Panics if `parts` is empty or the types disagree.
     pub fn gather(parts: &[&Column], locs: &[(u32, u32)]) -> Column {
+        fn at<T: Copy>(vs: &[impl AsRef<[T]>], locs: &[(u32, u32)]) -> Vec<T> {
+            let at = |&(p, r): &(u32, u32)| vs[p as usize].as_ref()[r as usize];
+            locs.iter().map(at).collect()
+        }
         match parts[0] {
             Column::Int64(_) => {
                 let vs: Vec<&[i64]> = parts.iter().map(|c| c.as_i64()).collect();
-                Column::Int64(
-                    locs.iter()
-                        .map(|&(p, r)| vs[p as usize][r as usize])
-                        .collect(),
-                )
+                Column::Int64(at(&vs, locs))
             }
             Column::Float64(_) => {
                 let vs: Vec<&[f64]> = parts.iter().map(|c| c.as_f64()).collect();
-                Column::Float64(
-                    locs.iter()
-                        .map(|&(p, r)| vs[p as usize][r as usize])
-                        .collect(),
-                )
+                Column::Float64(at(&vs, locs))
             }
             Column::Utf8(_) => {
-                let vs: Vec<&[String]> = parts.iter().map(|c| c.as_str()).collect();
-                Column::Utf8(
-                    locs.iter()
-                        .map(|&(p, r)| vs[p as usize][r as usize].clone())
-                        .collect(),
-                )
+                let vs: Vec<&Utf8Column> = parts.iter().map(|c| c.as_str()).collect();
+                let (dict, codes) = Utf8Column::unify(&vs);
+                Column::Utf8(Utf8Column {
+                    dict,
+                    codes: at(&codes, locs),
+                })
             }
             Column::Bool(_) => {
                 let vs: Vec<&[bool]> = parts.iter().map(|c| c.as_bool()).collect();
-                Column::Bool(
-                    locs.iter()
-                        .map(|&(p, r)| vs[p as usize][r as usize])
-                        .collect(),
-                )
+                Column::Bool(at(&vs, locs))
             }
         }
     }
@@ -259,19 +373,44 @@ impl Column {
         match self {
             Column::Int64(v) => Column::Int64(v[start..end].to_vec()),
             Column::Float64(v) => Column::Float64(v[start..end].to_vec()),
-            Column::Utf8(v) => Column::Utf8(v[start..end].to_vec()),
+            Column::Utf8(v) => Column::Utf8(v.with_codes(v.codes[start..end].to_vec())),
             Column::Bool(v) => Column::Bool(v[start..end].to_vec()),
         }
     }
 
-    /// Append another column of the same type.
-    pub fn extend(&mut self, other: &Column) {
-        match (self, other) {
-            (Column::Int64(a), Column::Int64(b)) => a.extend_from_slice(b),
-            (Column::Float64(a), Column::Float64(b)) => a.extend_from_slice(b),
-            (Column::Utf8(a), Column::Utf8(b)) => a.extend_from_slice(b),
-            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
-            _ => panic!("column type mismatch in extend"),
+    /// The rows of `parts`, one column after another. Panics if `parts`
+    /// is empty or the types disagree.
+    pub fn concat(parts: &[&Column]) -> Column {
+        match parts[0] {
+            Column::Int64(_) => Column::Int64(
+                parts
+                    .iter()
+                    .map(|c| c.as_i64())
+                    .collect::<Vec<_>>()
+                    .concat(),
+            ),
+            Column::Float64(_) => Column::Float64(
+                parts
+                    .iter()
+                    .map(|c| c.as_f64())
+                    .collect::<Vec<_>>()
+                    .concat(),
+            ),
+            Column::Utf8(_) => {
+                let vs: Vec<&Utf8Column> = parts.iter().map(|c| c.as_str()).collect();
+                let (dict, codes) = Utf8Column::unify(&vs);
+                Column::Utf8(Utf8Column {
+                    dict,
+                    codes: codes.concat(),
+                })
+            }
+            Column::Bool(_) => Column::Bool(
+                parts
+                    .iter()
+                    .map(|c| c.as_bool())
+                    .collect::<Vec<_>>()
+                    .concat(),
+            ),
         }
     }
 
@@ -292,7 +431,7 @@ impl Column {
     }
 
     /// Utf8 view.
-    pub fn as_str(&self) -> &[String] {
+    pub fn as_str(&self) -> &Utf8Column {
         match self {
             Column::Utf8(v) => v,
             other => panic!("expected Utf8, got {:?}", other.data_type()),
@@ -337,7 +476,7 @@ impl Batch {
             .map(|f| match f.data_type {
                 DataType::Int64 | DataType::Date => Column::Int64(Vec::new()),
                 DataType::Float64 => Column::Float64(Vec::new()),
-                DataType::Utf8 => Column::Utf8(Vec::new()),
+                DataType::Utf8 => Column::Utf8(Utf8Column::default()),
                 DataType::Bool => Column::Bool(Vec::new()),
             })
             .collect();
@@ -416,13 +555,16 @@ impl Batch {
     /// Concatenate batches sharing a schema. Panics on empty input.
     pub fn concat(batches: &[Batch]) -> Batch {
         let first = batches.first().expect("concat needs at least one batch");
-        let mut out = first.clone();
-        for b in &batches[1..] {
-            for (a, c) in out.columns.iter_mut().zip(&b.columns) {
-                a.extend(c);
-            }
+        let columns = (0..first.columns.len())
+            .map(|ci| {
+                let chunks: Vec<&Column> = batches.iter().map(|b| &b.columns[ci]).collect();
+                Column::concat(&chunks)
+            })
+            .collect();
+        Batch {
+            schema: Rc::clone(&first.schema),
+            columns,
         }
-        out
     }
 
     /// One row as a vector of scalars. Allocates a `Vec` and clones any
@@ -477,6 +619,7 @@ pub mod date {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_batch() -> Batch {
         let schema = Schema::new(vec![
@@ -489,7 +632,7 @@ mod tests {
             vec![
                 Column::Int64(vec![1, 2, 3, 4]),
                 Column::Float64(vec![10.0, 20.0, 30.0, 40.0]),
-                Column::Utf8(vec!["a".into(), "b".into(), "a".into(), "c".into()]),
+                Column::utf8(["a", "b", "a", "c"]),
             ],
         )
     }
@@ -513,10 +656,7 @@ mod tests {
         let t = b.take(&[3, 0]);
         assert_eq!(t.column("price").as_f64(), &[40.0, 10.0]);
         let s = b.slice(1, 3);
-        assert_eq!(
-            s.column("flag").as_str(),
-            &["b".to_string(), "a".to_string()]
-        );
+        assert!(s.column("flag").as_str().iter().eq(["b", "a"]));
     }
 
     #[test]
@@ -583,10 +723,7 @@ mod tests {
         let b2 = b.slice(0, 2);
         let g = Batch::gather(&[&b, &b2], &[(1, 0), (0, 3), (1, 1)]);
         assert_eq!(g.column("id").as_i64(), &[1, 4, 2]);
-        assert_eq!(
-            g.column("flag").as_str(),
-            &["a".to_string(), "c".to_string(), "b".to_string()]
-        );
+        assert!(g.column("flag").as_str().iter().eq(["a", "c", "b"]));
     }
 
     #[test]
@@ -594,5 +731,95 @@ mod tests {
         let b = sample_batch();
         // 4*8 + 4*8 + (1+8)*4 = 100
         assert_eq!(b.approx_bytes(), 100);
+    }
+
+    #[test]
+    fn utf8_column_keeps_its_contract() {
+        let c = Column::utf8(["b", "a", "b"]);
+        assert!(c.as_str().dict().iter().eq(["a", "b"]));
+        assert_eq!(c.as_str().codes(), &[1, 0, 1]);
+        assert_eq!(&c.as_str()[2], "b");
+        assert_eq!(
+            Batch::empty(Schema::new(vec![Field::new("s", DataType::Utf8)])).columns[0],
+            Column::utf8([""; 0])
+        );
+        let dict: Rc<[String]> = ["a".to_string(), "b".to_string()].into();
+        assert!(std::panic::catch_unwind(|| Utf8Column::new(dict.clone(), vec![2])).is_err());
+        let unsorted: Rc<[String]> = ["b".to_string(), "a".to_string()].into();
+        assert!(std::panic::catch_unwind(|| Utf8Column::new(unsorted, vec![0])).is_err());
+    }
+
+    /// A string that often collides, sometimes non-ASCII, sometimes unique.
+    fn any_string() -> impl Strategy<Value = String> {
+        prop_oneof![3 => "[ab]{0,2}", 1 => "[aé中😀]{1,3}", 1 => "[a-z]{8}"]
+    }
+
+    /// A string column and its model. The column is a `take` of one built
+    /// over a larger pool, so its dictionary holds entries no row uses.
+    fn utf8_part() -> impl Strategy<Value = (Column, Vec<String>)> {
+        let pool = prop::collection::vec(any_string(), 1..12);
+        let rows = prop::collection::vec(0usize..64, 0..20);
+        (pool, rows).prop_map(|(pool, rows)| {
+            let rows: Vec<usize> = rows.iter().map(|r| r % pool.len()).collect();
+            let model = rows.iter().map(|&r| pool[r].clone()).collect();
+            (Column::utf8(&pool).take(&rows), model)
+        })
+    }
+
+    fn model_of(c: &Column) -> Vec<String> {
+        c.as_str().iter().map(str::to_owned).collect()
+    }
+
+    proptest! {
+        /// Every row operation of a string column against `Vec<String>`,
+        /// across parts with different dictionaries.
+        #[test]
+        fn utf8_column_matches_a_vec_of_strings(
+            parts in prop::collection::vec(utf8_part(), 1..4),
+            picks in prop::collection::vec((0usize..8, 0usize..32), 0..30),
+            cut in (0usize..32, 0usize..32),
+        ) {
+            let (a, model) = &parts[0];
+            let n = model.len();
+            prop_assert_eq!(&model_of(a), model);
+            prop_assert_eq!(a, &Column::utf8(model));
+            for (r, s) in model.iter().enumerate() {
+                prop_assert_eq!(a.value(r), Value::Utf8(s.clone()));
+            }
+            let rows: Vec<usize> = picks.iter().filter(|_| n > 0).map(|&(_, r)| r % n).collect();
+            let want: Vec<String> = rows.iter().map(|&r| model[r].clone()).collect();
+            prop_assert_eq!(model_of(&a.take(&rows)), want.clone());
+            let rows32: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+            prop_assert_eq!(model_of(&a.take_u32(&rows32)), want);
+            let mask: Vec<bool> = (0..n).map(|r| model[r].len() % 2 == 0).collect();
+            let kept: Vec<String> = model.iter().filter(|s| s.len() % 2 == 0).cloned().collect();
+            prop_assert_eq!(model_of(&a.filter(&mask)), kept);
+            let (lo, hi) = ((cut.0 % (n + 1)).min(cut.1 % (n + 1)), (cut.0 % (n + 1)).max(cut.1 % (n + 1)));
+            prop_assert_eq!(model_of(&a.slice(lo, hi)), model[lo..hi].to_vec());
+
+            let columns: Vec<&Column> = parts.iter().map(|(c, _)| c).collect();
+            let all: Vec<String> = parts.iter().flat_map(|(_, m)| m.iter().cloned()).collect();
+            let joined = Column::concat(&columns);
+            prop_assert_eq!(model_of(&joined), all.clone());
+            prop_assert_eq!(&joined, &Column::utf8(&all));
+            let batches: Vec<Batch> = columns
+                .iter()
+                .map(|&c| Batch::new(Schema::new(vec![Field::new("s", DataType::Utf8)]), vec![c.clone()]))
+                .collect();
+            prop_assert_eq!(&Batch::concat(&batches).columns[0], &joined);
+            let bytes: usize = all.iter().map(|s| s.len() + 8).sum();
+            prop_assert_eq!(Batch::concat(&batches).approx_bytes(), bytes);
+            let locs: Vec<(u32, u32)> = picks
+                .iter()
+                .map(|&(p, r)| (p % parts.len(), r))
+                .filter(|&(p, _)| !parts[p].1.is_empty())
+                .map(|(p, r)| (p as u32, (r % parts[p].1.len()) as u32))
+                .collect();
+            let want: Vec<String> = locs.iter().map(|&(p, r)| parts[p as usize].1[r as usize].clone()).collect();
+            prop_assert_eq!(model_of(&Column::gather(&columns, &locs)), want);
+            // The merged dictionary stays ascending and distinct.
+            let dict = joined.as_str().dict();
+            prop_assert!(dict.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 }

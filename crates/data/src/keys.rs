@@ -12,9 +12,9 @@
 //! * `Bool` → `0` / `1`.
 //! * `Float64` → [`total_order_bits`]: unsigned order equals
 //!   `f64::total_cmp` order (exact-bits equality, NaN included).
-//! * `Utf8` → the value's rank in a sorted, deduplicated dictionary
-//!   built over the rows handed to the encoder (one blocking operator
-//!   invocation). Rank order is string order by construction.
+//! * `Utf8` → the value's code in one sorted dictionary for the rows
+//!   handed to the encoder: the columns' own when they share it, else the
+//!   union of theirs ([`Utf8Column::unify`]). Code order is string order.
 //!
 //! Within each column the `u64` order therefore equals the order of the
 //! `ScalarKey` wrappers (today the test oracle's, in
@@ -27,19 +27,17 @@
 //! [`KeyBuffer::encode_selected`] encodes *under a selection vector*
 //! ([`SelSpec`]): only the selected rows of each batch are encoded, in
 //! stream order, so filtering consumers never materialise a filtered
-//! batch just to build keys. String dictionaries may be computed over
-//! the full column (a superset of the selected rows); ranks shift but
-//! their relative order — the only thing consumers observe — does not.
+//! batch just to build keys. A dictionary may hold strings no selected row
+//! uses; they shift codes but not their relative order — the only thing
+//! consumers observe.
 //!
-//! Dictionary ranks are only meaningful relative to the buffer that
-//! built them: encodings from different `KeyBuffer`s must never be
+//! String codes are only meaningful relative to the buffer that encoded
+//! them: encodings from different `KeyBuffer`s must never be
 //! compared. Cross-fragment agreement (shuffle partitioning) uses the
 //! batched [`mix64`] hash over the same normalized words instead — see
 //! [`fold_hash_words`] and friends, and the engine's `partition_batch`.
 
-use crate::columnar::{Batch, Column, Value};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::columnar::{Batch, Column, Utf8Column, Value};
 use std::rc::Rc;
 
 /// Map an `f64` to bits whose unsigned order equals `total_cmp` order.
@@ -83,7 +81,7 @@ pub fn norm_i64(x: i64) -> u64 {
 //   row fold      h = h * 31 + kh          (over the key columns in order)
 //
 // `Utf8` has no fixed-width normalization that agrees across fragments
-// (dictionary ranks are buffer-local), so strings hash their bytes with
+// (dictionary codes are column-local), so strings hash their bytes with
 // the workspace FNV-1a first and feed the digest through the same
 // finalizer: kh = mix64(fnv1a64(bytes) ^ TAG_UTF8). FNV-1a itself stays
 // the sanitizer-digest hash; it is no longer on the per-row numeric path.
@@ -234,110 +232,6 @@ impl Iterator for SelIter<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// dictionary cache
-// ---------------------------------------------------------------------------
-
-/// Per-invocation cache of sorted-distinct string dictionaries, keyed by
-/// column identity, so the same `Utf8` column is scanned and sorted once
-/// per worker invocation even when several operators encode it.
-///
-/// Identity is the column's `(data pointer, length)`. That is only sound
-/// while the allocation is guaranteed alive, so the cache stores entries
-/// exclusively for columns of batches that were [`pin`](DictCache::pin)ned
-/// first — pinning clones the batch's `Rc`, which keeps the allocation
-/// (and therefore the pointer identity) valid for the cache's lifetime.
-/// Unpinned columns are computed but never cached.
-#[derive(Debug, Default)]
-pub struct DictCache {
-    pins: RefCell<Vec<Rc<Batch>>>,
-    pinned_cols: RefCell<BTreeSet<ColKey>>,
-    entries: RefCell<BTreeMap<ColKey, Rc<Vec<String>>>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-impl DictCache {
-    /// An empty cache.
-    pub fn new() -> DictCache {
-        DictCache::default()
-    }
-
-    /// Pin a batch: its `Utf8` columns become cacheable by pointer
-    /// identity for as long as the cache lives.
-    pub fn pin(&self, batch: &Rc<Batch>) {
-        let mut cols = self.pinned_cols.borrow_mut();
-        let mut changed = false;
-        for c in &batch.columns {
-            if let Column::Utf8(v) = c {
-                changed |= cols.insert(col_key(v));
-            }
-        }
-        if changed {
-            self.pins.borrow_mut().push(Rc::clone(batch));
-        }
-    }
-
-    /// Sorted distinct values of `col`, cached when the column belongs to
-    /// a pinned batch.
-    pub fn distinct(&self, col: &[String]) -> Rc<Vec<String>> {
-        let key = col_key(col);
-        if let Some(d) = self.entries.borrow().get(&key) {
-            self.hits.set(self.hits.get() + 1);
-            return Rc::clone(d);
-        }
-        self.misses.set(self.misses.get() + 1);
-        let dict = Rc::new(sorted_distinct(col));
-        if self.pinned_cols.borrow().contains(&key) {
-            self.entries.borrow_mut().insert(key, Rc::clone(&dict));
-        }
-        dict
-    }
-
-    /// Seed the cache with a dictionary decoded straight from storage
-    /// (an SPF `Utf8Dict` chunk whose entries are all referenced covers
-    /// exactly the column's distinct set). Pins the batch, then installs
-    /// the sorted dictionary under the column's identity so the first
-    /// `distinct` call is a hit — no per-invocation re-sort.
-    ///
-    /// Debug builds verify the seed equals the column's sorted distinct
-    /// set; a wrong seed would silently corrupt key normalization.
-    pub fn seed(&self, batch: &Rc<Batch>, col: usize, dict: Rc<Vec<String>>) {
-        let Column::Utf8(v) = &batch.columns[col] else {
-            return;
-        };
-        debug_assert_eq!(*dict, sorted_distinct(v), "seed must be sorted distinct");
-        self.pin(batch);
-        self.entries.borrow_mut().insert(col_key(v), dict);
-    }
-
-    /// Cache hits so far (for tests and telemetry).
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-}
-
-/// A column's identity: `(data pointer, length)`.
-type ColKey = (usize, usize);
-
-#[inline]
-fn col_key(col: &[String]) -> ColKey {
-    (col.as_ptr() as usize, col.len())
-}
-
-/// Sorted, deduplicated copy of a string column.
-fn sorted_distinct(col: &[String]) -> Vec<String> {
-    let mut refs: Vec<&str> = col.iter().map(String::as_str).collect();
-    refs.sort_unstable();
-    refs.dedup();
-    refs.into_iter().map(str::to_string).collect()
-}
-
-// ---------------------------------------------------------------------------
 // the key buffer
 // ---------------------------------------------------------------------------
 
@@ -350,8 +244,8 @@ enum KeyEncoding {
     Float64,
     /// 0 / 1.
     Bool,
-    /// Rank into a sorted distinct dictionary (shared with the cache).
-    Utf8(Rc<Vec<String>>),
+    /// Code in a sorted distinct dictionary.
+    Utf8(Rc<[String]>),
 }
 
 /// A contiguous, row-major buffer of normalized fixed-width keys: one
@@ -369,23 +263,22 @@ pub struct KeyBuffer {
 
 impl KeyBuffer {
     /// Encode the given column indices of a run of batches (one blocking
-    /// operator's input, concatenated row-major). String dictionaries
-    /// span all batches so ranks are comparable across the whole run.
+    /// operator's input, concatenated row-major). One string dictionary
+    /// spans all batches, so codes are comparable across the whole run.
     ///
     /// Panics if a column index is out of range or batches disagree on a
     /// key column's type — callers resolve and type-check names first.
     pub fn encode(batches: &[&Batch], columns: &[usize]) -> KeyBuffer {
         let parts: Vec<(&Batch, SelSpec)> = batches.iter().map(|b| (*b, SelSpec::All)).collect();
-        KeyBuffer::encode_selected(&parts, columns, None, Vec::new())
+        KeyBuffer::encode_selected(&parts, columns, Vec::new())
     }
 
     /// Encode only the selected rows of each batch (in stream order).
-    /// `cache` reuses string dictionaries across operators; `reuse` is a
-    /// recycled word buffer (pass `Vec::new()` when none is available).
+    /// `reuse` is a recycled word buffer (pass `Vec::new()` when none is
+    /// available).
     pub fn encode_selected(
         parts: &[(&Batch, SelSpec)],
         columns: &[usize],
-        cache: Option<&DictCache>,
         reuse: Vec<u64>,
     ) -> KeyBuffer {
         let rows: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
@@ -396,7 +289,7 @@ impl KeyBuffer {
         let (encodings, spans) = columns
             .iter()
             .enumerate()
-            .map(|(ci, &col)| encode_column(parts, col, ci, width, &mut words, cache))
+            .map(|(ci, &col)| encode_column(parts, col, ci, width, &mut words))
             .unzip();
         KeyBuffer {
             width,
@@ -538,12 +431,12 @@ impl KeyBuffer {
         }
     }
 
-    /// Encode a probe column against key column `c`'s encoding (join
-    /// probes reuse the build side's dictionary). `None` marks a row
-    /// that cannot match any build key: a string absent from the build
-    /// dictionary, or a probe column whose type differs from the build
-    /// key's (the oracle's `ScalarKey` path treats cross-type keys as
-    /// never equal).
+    /// Encode a probe column against key column `c`'s encoding (each entry
+    /// of a string probe's dictionary is looked up in the build side's
+    /// once). `None` marks a row that cannot match any build key: a string
+    /// absent from the build dictionary, or a probe column whose type
+    /// differs from the build key's (the oracle's `ScalarKey` path treats
+    /// cross-type keys as never equal).
     pub fn encode_probe(&self, c: usize, col: &Column) -> Vec<Option<u64>> {
         self.encode_probe_sel(c, col, SelSpec::All)
     }
@@ -564,10 +457,9 @@ impl KeyBuffer {
                 out.extend(sel.iter(n).map(|r| Some(v[r] as u64)));
             }
             (KeyEncoding::Utf8(dict), Column::Utf8(v)) => {
-                out.extend(
-                    sel.iter(n)
-                        .map(|r| dict.binary_search(&v[r]).ok().map(|rank| rank as u64)),
-                );
+                let code = |s: &String| dict.binary_search(s).ok().map(|c| c as u64);
+                let codes: Vec<Option<u64>> = v.dict().iter().map(code).collect();
+                out.extend(sel.iter(n).map(|r| codes[v.codes()[r] as usize]));
             }
             _ => out.resize(sel.count(n), None),
         }
@@ -589,65 +481,44 @@ fn encode_column(
     ci: usize,
     width: usize,
     words: &mut [u64],
-    cache: Option<&DictCache>,
 ) -> (KeyEncoding, (u64, u64)) {
     let slots = words.iter_mut().skip(ci).step_by(width);
     match parts.first().map(|(b, _)| &b.columns[col]) {
         None | Some(Column::Int64(_)) => {
-            let span = fill(parts, col, Column::as_i64, |&x| norm_i64(x), slots);
-            (KeyEncoding::Int64, span)
+            let values = parts.iter().map(|(b, s)| (b.columns[col].as_i64(), *s));
+            (KeyEncoding::Int64, fill(values, |&x| norm_i64(x), slots))
         }
         Some(Column::Float64(_)) => {
-            let span = fill(parts, col, Column::as_f64, |&x| total_order_bits(x), slots);
-            (KeyEncoding::Float64, span)
+            let values = parts.iter().map(|(b, s)| (b.columns[col].as_f64(), *s));
+            (
+                KeyEncoding::Float64,
+                fill(values, |&x| total_order_bits(x), slots),
+            )
         }
         Some(Column::Bool(_)) => {
-            let span = fill(parts, col, Column::as_bool, |&x| x as u64, slots);
-            (KeyEncoding::Bool, span)
+            let values = parts.iter().map(|(b, s)| (b.columns[col].as_bool(), *s));
+            (KeyEncoding::Bool, fill(values, |&x| x as u64, slots))
         }
         Some(Column::Utf8(_)) => {
-            // Sorted distinct dictionary per batch column (cache-reusable),
-            // merged across the run. The merged dictionary may be a
-            // superset of the selected rows' values; rank *order* — the
-            // only observable — is unaffected.
-            let dicts: Vec<Rc<Vec<String>>> = parts
-                .iter()
-                .map(|(b, _)| match cache {
-                    Some(c) => c.distinct(b.columns[col].as_str()),
-                    None => Rc::new(sorted_distinct(b.columns[col].as_str())),
-                })
-                .collect();
-            let dict: Rc<Vec<String>> = if dicts.len() == 1 {
-                Rc::clone(&dicts[0])
-            } else {
-                let mut merged: Vec<&str> = dicts
-                    .iter()
-                    .flat_map(|d| d.iter().map(String::as_str))
-                    .collect();
-                merged.sort_unstable();
-                merged.dedup();
-                Rc::new(merged.into_iter().map(str::to_string).collect())
-            };
-            let rank = |s: &String| dict.binary_search(s).expect("dictionary covers all rows");
-            let span = fill(parts, col, Column::as_str, |s| rank(s) as u64, slots);
-            (KeyEncoding::Utf8(dict), span)
+            let columns: Vec<&Utf8Column> =
+                parts.iter().map(|(b, _)| b.columns[col].as_str()).collect();
+            let (dict, codes) = Utf8Column::unify(&columns);
+            let values = codes.iter().zip(parts).map(|(c, (_, s))| (&c[..], *s));
+            (KeyEncoding::Utf8(dict), fill(values, |&c| c as u64, slots))
         }
     }
 }
 
-/// Store `word(x)` for every selected value `x` of column `col`, typed
-/// by `view`, in the next of `slots` (the column's word of each row);
-/// returns the smallest and largest word stored.
+/// Store `word(x)` for every selected value `x` of each part's `values`
+/// in the next of `slots` (the column's word of each row); returns the
+/// smallest and largest word stored.
 fn fill<'a, 'w, T: 'a>(
-    parts: &[(&'a Batch, SelSpec)],
-    col: usize,
-    view: impl Fn(&'a Column) -> &'a [T],
+    values: impl Iterator<Item = (&'a [T], SelSpec<'a>)>,
     word: impl Fn(&T) -> u64,
     mut slots: impl Iterator<Item = &'w mut u64>,
 ) -> (u64, u64) {
     let (mut lo, mut hi) = (u64::MAX, 0);
-    for (b, sel) in parts {
-        let v = view(&b.columns[col]);
+    for (v, sel) in values {
         let mut put = |x: &T| {
             let w = word(x);
             (lo, hi) = (lo.min(w), hi.max(w));
@@ -723,14 +594,8 @@ mod tests {
 
     #[test]
     fn string_dictionary_spans_batches() {
-        let b1 = batch(vec![(
-            "s",
-            Column::Utf8(vec!["pear".into(), "apple".into()]),
-        )]);
-        let b2 = batch(vec![(
-            "s",
-            Column::Utf8(vec!["mango".into(), "apple".into()]),
-        )]);
+        let b1 = batch(vec![("s", Column::utf8(["pear", "apple"]))]);
+        let b2 = batch(vec![("s", Column::utf8(["mango", "apple"]))]);
         let kb = KeyBuffer::encode(&[&b1, &b2], &[0]);
         assert_eq!(kb.rows(), 4);
         // Ranks: apple=0, mango=1, pear=2 — consistent across batches.
@@ -744,10 +609,7 @@ mod tests {
     #[test]
     fn composite_sort_is_stable_lexicographic() {
         let b = batch(vec![
-            (
-                "s",
-                Column::Utf8(vec!["b".into(), "a".into(), "b".into(), "a".into()]),
-            ),
+            ("s", Column::utf8(["b", "a", "b", "a"])),
             ("k", Column::Int64(vec![1, 2, 1, 2])),
         ]);
         let kb = KeyBuffer::encode(&[&b], &[0, 1]);
@@ -827,9 +689,9 @@ mod tests {
 
     #[test]
     fn probe_encoding_misses_and_type_mismatches() {
-        let build = batch(vec![("s", Column::Utf8(vec!["x".into(), "z".into()]))]);
+        let build = batch(vec![("s", Column::utf8(["x", "z"]))]);
         let kb = KeyBuffer::encode(&[&build], &[0]);
-        let probe = Column::Utf8(vec!["z".into(), "y".into(), "x".into()]);
+        let probe = Column::utf8(["z", "y", "x"]);
         assert_eq!(kb.encode_probe(0, &probe), vec![Some(1), None, Some(0)]);
         // Cross-type probes never match (the oracle's ScalarKey semantics).
         let ints = Column::Int64(vec![0, 1]);
@@ -852,22 +714,12 @@ mod tests {
     #[test]
     fn selected_encode_matches_materialised_encode() {
         let b = batch(vec![
-            (
-                "s",
-                Column::Utf8(vec![
-                    "d".into(),
-                    "a".into(),
-                    "c".into(),
-                    "b".into(),
-                    "a".into(),
-                ]),
-            ),
+            ("s", Column::utf8(["d", "a", "c", "b", "a"])),
             ("k", Column::Int64(vec![5, 1, 4, 2, 1])),
             ("f", Column::Float64(vec![0.5, -0.0, f64::NAN, 2.0, -3.0])),
         ]);
         let sel = [1u32, 3, 4];
-        let kb =
-            KeyBuffer::encode_selected(&[(&b, SelSpec::Rows(&sel))], &[0, 1, 2], None, Vec::new());
+        let kb = KeyBuffer::encode_selected(&[(&b, SelSpec::Rows(&sel))], &[0, 1, 2], Vec::new());
         // Materialised reference: take the same rows, encode fully.
         let taken = b.take(&[1, 3, 4]);
         let want = KeyBuffer::encode(&[&taken], &[0, 1, 2]);
@@ -879,52 +731,58 @@ mod tests {
             }
         }
         // Prefix selections behave like slices.
-        let kp = KeyBuffer::encode_selected(&[(&b, SelSpec::Prefix(2))], &[1], None, Vec::new());
+        let kp = KeyBuffer::encode_selected(&[(&b, SelSpec::Prefix(2))], &[1], Vec::new());
         assert_eq!(kp.rows(), 2);
         assert_eq!(kp.value(0, 0), Value::Int64(5));
         assert_eq!(kp.value(1, 0), Value::Int64(1));
     }
 
-    #[test]
-    fn dict_cache_reuses_pinned_columns() {
-        let b = Rc::new(batch(vec![(
-            "s",
-            Column::Utf8(vec!["b".into(), "a".into(), "b".into()]),
-        )]));
-        let cache = DictCache::new();
-        cache.pin(&b);
-        let parts: Vec<(&Batch, SelSpec)> = vec![(&b, SelSpec::All)];
-        let k1 = KeyBuffer::encode_selected(&parts, &[0], Some(&cache), Vec::new());
-        let k2 = KeyBuffer::encode_selected(&parts, &[0], Some(&cache), Vec::new());
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(k1.value(0, 0), k2.value(0, 0));
-        // Unpinned columns are computed but never cached.
-        let other = batch(vec![("s", Column::Utf8(vec!["z".into()]))]);
-        let parts2: Vec<(&Batch, SelSpec)> = vec![(&other, SelSpec::All)];
-        let _ = KeyBuffer::encode_selected(&parts2, &[0], Some(&cache), Vec::new());
-        let _ = KeyBuffer::encode_selected(&parts2, &[0], Some(&cache), Vec::new());
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn dict_cache_seed_makes_first_lookup_a_hit() {
-        let b = Rc::new(batch(vec![(
-            "s",
-            Column::Utf8(vec!["b".into(), "a".into(), "b".into()]),
-        )]));
-        let cache = DictCache::new();
-        cache.seed(&b, 0, Rc::new(vec!["a".into(), "b".into()]));
-        let parts: Vec<(&Batch, SelSpec)> = vec![(&b, SelSpec::All)];
-        let k = KeyBuffer::encode_selected(&parts, &[0], Some(&cache), Vec::new());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 0);
-        // Ranks come from the seeded dictionary: "b" > "a".
-        assert!(k.value(0, 0) == Value::Utf8("b".into()));
-        // Seeding a non-Utf8 column is a no-op, not a panic.
-        let ints = Rc::new(batch(vec![("x", Column::Int64(vec![1, 2]))]));
-        cache.seed(&ints, 0, Rc::new(vec![]));
+    proptest! {
+        /// String codes across parts with different dictionaries, under
+        /// selections that leave dictionary entries unused, order rows as
+        /// their strings do; a probe matches exactly the equal strings.
+        #[test]
+        fn string_codes_order_as_strings_across_parts(
+            parts in prop::collection::vec(
+                (
+                    prop::collection::vec(
+                        prop_oneof![3 => "[ab]{0,2}", 1 => "[aé😀]{1,3}", 1 => "[a-z]{6}"],
+                        1..8,
+                    ),
+                    prop::collection::vec(0usize..16, 0..12),
+                ),
+                1..4,
+            ),
+        ) {
+            let batches: Vec<Batch> = parts
+                .iter()
+                .map(|(pool, _)| batch(vec![("s", Column::utf8(pool))]))
+                .collect();
+            let sels: Vec<Vec<u32>> = parts
+                .iter()
+                .map(|(pool, rows)| rows.iter().map(|r| (r % pool.len()) as u32).collect())
+                .collect();
+            let spec: Vec<(&Batch, SelSpec)> =
+                batches.iter().zip(&sels).map(|(b, s)| (b, SelSpec::Rows(s))).collect();
+            let kb = KeyBuffer::encode_selected(&spec, &[0], Vec::new());
+            let model: Vec<&str> = parts
+                .iter()
+                .zip(&sels)
+                .flat_map(|((pool, _), s)| s.iter().map(move |&r| pool[r as usize].as_str()))
+                .collect();
+            let mut want: Vec<u32> = (0..model.len() as u32).collect();
+            want.sort_by_key(|&r| model[r as usize]);
+            prop_assert_eq!(kb.sort_indices(), want);
+            for (r, s) in model.iter().enumerate() {
+                prop_assert_eq!(kb.value(r, 0), Value::Utf8(s.to_string()));
+            }
+            let probe = kb.encode_probe(0, &batches[0].columns[0]);
+            for (p, s) in parts[0].0.iter().enumerate() {
+                for (r, m) in model.iter().enumerate() {
+                    prop_assert_eq!(probe[p] == Some(kb.word(r, 0)), s == m);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # skyrise-data — columnar data, the SPF file format, TPC generators
 //!
-//! * [`columnar`] — schemas, typed columns, vectorised [`Batch`]es, civil
-//!   dates.
+//! * [`columnar`] — schemas, typed columns (strings as a sorted
+//!   dictionary plus codes), vectorised [`Batch`]es, civil dates.
 //! * [`keys`] — normalized fixed-width composite keys ([`KeyBuffer`])
 //!   backing the engine's grouping/join/sort kernels.
 //! * [`spf`] — the Parquet-like columnar file format with row groups,
@@ -17,5 +17,5 @@ pub mod spf;
 pub mod tpch;
 pub mod tpcxbb;
 
-pub use columnar::{date, Batch, Column, DataType, Field, Schema, Value};
-pub use keys::{bits_to_f64, total_order_bits, DictCache, KeyBuffer, SelSpec};
+pub use columnar::{date, Batch, Column, DataType, Field, Schema, Utf8Column, Value};
+pub use keys::{bits_to_f64, total_order_bits, KeyBuffer, SelSpec};

@@ -19,7 +19,7 @@
 //! * The footer sits at the tail, so a remote reader needs exactly three
 //!   ranged requests: tail trailer → footer → relevant column chunks.
 
-use crate::columnar::{Batch, Column, DataType, Field, Schema, Value};
+use crate::columnar::{Batch, Column, DataType, Field, Schema, Utf8Column, Value};
 use bytes::Bytes;
 use std::ops::Range;
 use std::rc::Rc;
@@ -181,6 +181,11 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -273,10 +278,19 @@ impl<'a> Cursor<'a> {
         }))
     }
 
-    fn string(&mut self) -> Result<String, SpfError> {
+    fn str(&mut self) -> Result<&'a str, SpfError> {
         let len = self.u32()? as usize;
-        let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| SpfError::Corrupt("invalid utf8"))
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| SpfError::Corrupt("invalid utf8"))
+    }
+
+    /// A count of entries of at least `entry` bytes each, refused before
+    /// anything is allocated for it when the bytes left cannot hold them.
+    fn count(&mut self, entry: usize) -> Result<usize, SpfError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / entry {
+            return Err(SpfError::Corrupt("count exceeds the bytes left"));
+        }
+        Ok(n)
     }
 }
 
@@ -345,59 +359,50 @@ fn encode_column(
             )
         }
         Column::Utf8(v) => {
-            let v = &v[rows];
-            // Dictionary-encode when it pays off. The dictionary keeps
-            // first-occurrence order (part of the emitted bytes); the map
-            // only accelerates the position lookup, made once per string
-            // and kept in `codes` for the emit pass.
-            let mut dict: Vec<&str> = Vec::new();
-            let mut index: std::collections::BTreeMap<&str, u64> =
-                std::collections::BTreeMap::new();
-            let mut codes: Vec<u64> = Vec::with_capacity(v.len());
+            let (dict, codes) = (v.dict(), &v.codes()[rows]);
+            // Dictionary-encode when it pays off. The chunk's dictionary
+            // lists its strings in first-occurrence order (part of the
+            // emitted bytes); `seen` maps a column code to its place in
+            // that order, sorted by code.
+            let (mut seen, mut first) = (Vec::<(u32, u64)>::new(), Vec::new());
+            let mut local = Vec::with_capacity(codes.len());
             let mut distinct_small = true;
-            for s in v {
-                let code = *index.entry(s.as_str()).or_insert_with(|| {
-                    dict.push(s);
-                    dict.len() as u64 - 1
-                });
-                codes.push(code);
-                if dict.len() > 256 || dict.len() * 2 > v.len().max(8) {
+            for &c in codes {
+                let at = match seen.binary_search_by_key(&c, |&(code, _)| code) {
+                    Ok(i) => seen[i].1,
+                    Err(i) => {
+                        seen.insert(i, (c, first.len() as u64));
+                        first.push(c);
+                        first.len() as u64 - 1
+                    }
+                };
+                local.push(at);
+                if first.len() > 256 || first.len() * 2 > codes.len().max(8) {
                     distinct_small = false;
                     break;
                 }
             }
-            let stats = {
-                let mut it = v.iter();
-                it.next().map(|first| {
-                    let (mut lo, mut hi) = (first, first);
-                    for s in v {
-                        if s < lo {
-                            lo = s;
-                        }
-                        if s > hi {
-                            hi = s;
-                        }
-                    }
-                    ChunkStats {
-                        min: Value::Utf8(lo.clone()),
-                        max: Value::Utf8(hi.clone()),
-                    }
-                })
-            };
-            if distinct_small && !v.is_empty() {
-                put_u32(out, dict.len() as u32);
-                for s in &dict {
-                    put_u32(out, s.len() as u32);
-                    out.extend_from_slice(s.as_bytes());
+            // Code order is string order.
+            let stats = codes
+                .iter()
+                .min()
+                .zip(codes.iter().max())
+                .map(|(&lo, &hi)| ChunkStats {
+                    min: Value::Utf8(dict[lo as usize].clone()),
+                    max: Value::Utf8(dict[hi as usize].clone()),
+                });
+            if distinct_small && !codes.is_empty() {
+                put_u32(out, first.len() as u32);
+                for &c in &first {
+                    put_str(out, &dict[c as usize]);
                 }
-                for code in codes {
-                    put_varint(out, code);
+                for at in local {
+                    put_varint(out, at);
                 }
                 (Encoding::Utf8Dict, stats)
             } else {
-                for s in v {
-                    put_u32(out, s.len() as u32);
-                    out.extend_from_slice(s.as_bytes());
+                for &c in codes {
+                    put_str(out, &dict[c as usize]);
                 }
                 (Encoding::Utf8Plain, stats)
             }
@@ -416,13 +421,8 @@ fn encode_column(
     }
 }
 
-/// Decode one encoded chunk; a `Utf8Dict` chunk also surfaces its
-/// dictionary under the condition [`decode_chunk_with_dict`] documents.
-fn decode_column(
-    buf: &[u8],
-    encoding: Encoding,
-    rows: usize,
-) -> Result<(Column, Option<Vec<String>>), SpfError> {
+/// Decode one encoded chunk.
+fn decode_column(buf: &[u8], encoding: Encoding, rows: usize) -> Result<Column, SpfError> {
     // The fewest bytes `rows` values can take: no footer makes a decoder
     // allocate, or the word-at-a-time loop trust, more than the chunk holds.
     let min_len = match encoding {
@@ -435,8 +435,7 @@ fn decode_column(
         return Err(SpfError::Corrupt("unexpected end of buffer"));
     }
     let mut cur = Cursor::new(buf);
-    let mut sorted_dict = None;
-    let column = match encoding {
+    Ok(match encoding {
         Encoding::DeltaVarint => {
             let mut out = Vec::with_capacity(rows);
             let mut prev = 0i64;
@@ -478,34 +477,22 @@ fn decode_column(
             Column::Float64(out)
         }
         Encoding::Utf8Plain => {
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                out.push(cur.string()?);
-            }
-            Column::Utf8(out)
+            let values: Vec<&str> = (0..rows).map(|_| cur.str()).collect::<Result<_, _>>()?;
+            Column::utf8(values)
         }
         Encoding::Utf8Dict => {
-            let n = cur.u32()? as usize;
-            let mut dict = Vec::with_capacity(n.min(buf.len()));
-            for _ in 0..n {
-                dict.push(cur.string()?);
-            }
-            let mut referenced = vec![false; n];
-            let mut out = Vec::with_capacity(rows);
+            // The stored dictionary sorted and deduplicated: `sorted`'s
+            // codes map each stored index to its place there.
+            let n = cur.count(4)?;
+            let stored: Vec<&str> = (0..n).map(|_| cur.str()).collect::<Result<_, _>>()?;
+            let sorted = Utf8Column::from_iter(stored);
+            let mut codes = Vec::with_capacity(rows);
             for _ in 0..rows {
-                let idx = cur.varint()? as usize;
-                let s = dict
-                    .get(idx)
-                    .ok_or(SpfError::Corrupt("dict index out of range"))?;
-                referenced[idx] = true;
-                out.push(s.clone());
+                let index = cur.varint()? as usize;
+                let code = sorted.codes().get(index);
+                codes.push(*code.ok_or(SpfError::Corrupt("dict index out of range"))?);
             }
-            if referenced.iter().all(|&r| r) {
-                dict.sort_unstable();
-                dict.dedup();
-                sorted_dict = Some(dict);
-            }
-            Column::Utf8(out)
+            Column::Utf8(Utf8Column::new(Rc::clone(sorted.dict()), codes))
         }
         Encoding::BoolBitmap => {
             let bytes = cur.bytes(rows.div_ceil(8))?;
@@ -515,8 +502,7 @@ fn decode_column(
             }
             Column::Bool(out)
         }
-    };
-    Ok((column, sorted_dict))
+    })
 }
 
 fn put_stats(out: &mut Vec<u8>, stats: &Option<ChunkStats>) {
@@ -536,10 +522,8 @@ fn put_stats(out: &mut Vec<u8>, stats: &Option<ChunkStats>) {
                 }
                 (Value::Utf8(lo), Value::Utf8(hi)) => {
                     out.push(3);
-                    put_u32(out, lo.len() as u32);
-                    out.extend_from_slice(lo.as_bytes());
-                    put_u32(out, hi.len() as u32);
-                    out.extend_from_slice(hi.as_bytes());
+                    put_str(out, lo);
+                    put_str(out, hi);
                 }
                 _ => out.push(0),
             };
@@ -559,8 +543,8 @@ fn read_stats(cur: &mut Cursor<'_>) -> Result<Option<ChunkStats>, SpfError> {
             max: Value::Float64(cur.f64()?),
         }),
         3 => Some(ChunkStats {
-            min: Value::Utf8(cur.string()?),
-            max: Value::Utf8(cur.string()?),
+            min: Value::Utf8(cur.str()?.into()),
+            max: Value::Utf8(cur.str()?.into()),
         }),
         _ => return Err(SpfError::Corrupt("bad stats tag")),
     })
@@ -613,8 +597,7 @@ fn encode_footer(schema: &Schema, row_groups: &[RowGroupMeta]) -> Vec<u8> {
     let mut footer = Vec::new();
     put_u32(&mut footer, schema.len() as u32);
     for f in &schema.fields {
-        put_u32(&mut footer, f.name.len() as u32);
-        footer.extend_from_slice(f.name.as_bytes());
+        put_str(&mut footer, &f.name);
         footer.push(match f.data_type {
             DataType::Int64 => 0,
             DataType::Float64 => 1,
@@ -790,40 +773,39 @@ pub fn parse_footer(buf: &[u8]) -> Result<Footer, SpfError> {
 pub fn parse_footer_indexed(buf: &[u8]) -> Result<(Footer, Option<BucketIndex>), SpfError> {
     let mut cur = Cursor::new(buf);
     let footer = parse_footer_body(&mut cur)?;
-    // Anything other than a well-formed, version-compatible index section
-    // degrades to "no index": older/foreign writers may append sections
-    // this reader does not know.
-    let index = (|| {
-        let mut cur = cur;
-        if cur.u32().ok()? != BUCKET_INDEX_MAGIC || cur.u8().ok()? != BUCKET_INDEX_VERSION {
-            return None;
+    // No section, or one of another magic or version (a writer this reader
+    // does not know), is no index; a damaged bucket index is corrupt.
+    if cur.u32().ok() != Some(BUCKET_INDEX_MAGIC) || cur.u8().ok() != Some(BUCKET_INDEX_VERSION) {
+        return Ok((footer, None));
+    }
+    let n = cur.count(32)?;
+    let mut buckets = Vec::with_capacity(n);
+    for _ in 0..n {
+        let e = BucketEntry {
+            rows: cur.u64()?,
+            first_group: cur.u32()?,
+            n_groups: cur.u32()?,
+            byte_start: cur.u64()?,
+            byte_end: cur.u64()?,
+        };
+        let end = e.first_group.checked_add(e.n_groups);
+        if end.map_or(true, |end| end as usize > footer.row_groups.len())
+            || e.byte_start > e.byte_end
+        {
+            return Err(SpfError::Corrupt("bucket outside the directory"));
         }
-        let n = cur.u32().ok()? as usize;
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let e = BucketEntry {
-                rows: cur.u64().ok()?,
-                first_group: cur.u32().ok()?,
-                n_groups: cur.u32().ok()?,
-                byte_start: cur.u64().ok()?,
-                byte_end: cur.u64().ok()?,
-            };
-            let end = e.first_group.checked_add(e.n_groups)? as usize;
-            if end > footer.row_groups.len() || e.byte_start > e.byte_end {
-                return None;
-            }
-            buckets.push(e);
-        }
-        Some(BucketIndex { buckets })
-    })();
-    Ok((footer, index))
+        buckets.push(e);
+    }
+    Ok((footer, Some(BucketIndex { buckets })))
 }
 
 fn parse_footer_body(cur: &mut Cursor<'_>) -> Result<Footer, SpfError> {
-    let n_fields = cur.u32()? as usize;
+    // Each count is bounded by its smallest entry: a field of an empty
+    // name, a row group of no chunks.
+    let n_fields = cur.count(5)?;
     let mut fields = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
-        let name = cur.string()?;
+        let name = cur.str()?.to_owned();
         let dtype = match cur.u8()? {
             0 => DataType::Int64,
             1 => DataType::Float64,
@@ -837,7 +819,7 @@ fn parse_footer_body(cur: &mut Cursor<'_>) -> Result<Footer, SpfError> {
             data_type: dtype,
         });
     }
-    let n_groups = cur.u32()? as usize;
+    let n_groups = cur.count(8)?;
     let mut row_groups = Vec::with_capacity(n_groups);
     for _ in 0..n_groups {
         let rows = cur.u32()?;
@@ -865,21 +847,6 @@ fn parse_footer_body(cur: &mut Cursor<'_>) -> Result<Footer, SpfError> {
 
 /// Decode one column chunk fetched from `[meta.offset, meta.len)`.
 pub fn decode_chunk(meta: &ChunkMeta, data: &[u8]) -> Result<Column, SpfError> {
-    decode_chunk_with_dict(meta, data).map(|(column, _)| column)
-}
-
-/// Decode one column chunk like [`decode_chunk`], additionally surfacing
-/// the chunk's string dictionary, sorted and deduplicated, when the chunk
-/// is dictionary-encoded **and** every dictionary entry is referenced by
-/// at least one row. Under that condition the returned dictionary equals
-/// the sorted distinct values of the decoded column, so a consumer can
-/// hand it straight to an engine-side dictionary cache without re-sorting
-/// the rows. (Our writer only emits referenced entries; the reference
-/// check guards against foreign files.)
-pub fn decode_chunk_with_dict(
-    meta: &ChunkMeta,
-    data: &[u8],
-) -> Result<(Column, Option<Vec<String>>), SpfError> {
     if data.len() as u64 != meta.len {
         return Err(SpfError::Corrupt("chunk length mismatch"));
     }
@@ -889,39 +856,31 @@ pub fn decode_chunk_with_dict(
 /// Decode the `proj` columns of `row_groups` out of `window`, the file
 /// bytes from offset `base` on: the whole file at base 0, or whatever a
 /// ranged reader fetched (one bucket's byte range, a suffix). Returns one
-/// batch per row group, plus the dictionaries their `Utf8Dict` chunks
-/// surfaced ([`decode_chunk_with_dict`]) as `(batch, projected column,
-/// sorted dictionary)`. A chunk the footer places outside the window is
+/// batch per row group. A chunk the footer places outside the window is
 /// [`SpfError::Corrupt`], never an out-of-bounds slice.
-#[allow(
-    clippy::type_complexity,
-    reason = "one tuple, spelled out in the doc above"
-)]
 pub fn decode_row_groups<'a>(
     footer: &Footer,
     row_groups: impl IntoIterator<Item = &'a RowGroupMeta>,
     proj: &[usize],
     base: u64,
     window: &[u8],
-) -> Result<(Vec<Batch>, Vec<(usize, usize, Vec<String>)>), SpfError> {
+) -> Result<Vec<Batch>, SpfError> {
     let schema = footer.schema.project(proj);
-    let (mut batches, mut dicts) = (Vec::new(), Vec::new());
+    let mut batches = Vec::new();
     for rg in row_groups {
         let mut columns = Vec::with_capacity(proj.len());
-        for (col, &i) in proj.iter().enumerate() {
+        for &i in proj {
             let c = &rg.chunks[i];
             let data = c
                 .offset
                 .checked_sub(base)
                 .and_then(|a| window.get(a as usize..a.checked_add(c.len)? as usize))
                 .ok_or(SpfError::Corrupt("chunk outside the fetched window"))?;
-            let (column, dict) = decode_chunk_with_dict(c, data)?;
-            dicts.extend(dict.map(|d| (batches.len(), col, d)));
-            columns.push(column);
+            columns.push(decode_chunk(c, data)?);
         }
         batches.push(Batch::new(Rc::clone(&schema), columns));
     }
-    Ok((batches, dicts))
+    Ok(batches)
 }
 
 fn unknown_column(name: &str) -> SpfError {
@@ -935,7 +894,7 @@ pub fn read_all(file: &[u8], projection: Option<&[String]>) -> Result<Vec<Batch>
         .schema
         .indices_of(projection)
         .map_err(unknown_column)?;
-    Ok(decode_row_groups(&footer, &footer.row_groups, &proj, 0, file)?.0)
+    decode_row_groups(&footer, &footer.row_groups, &proj, 0, file)
 }
 
 #[cfg(test)]
@@ -953,7 +912,7 @@ mod tests {
         assert_eq!(encoding, Encoding::DeltaVarint);
         assert_eq!(
             decode_column(&bytes, encoding, values.len()),
-            Ok((Column::Int64(values.clone()), None))
+            Ok(Column::Int64(values.clone()))
         );
         // Every proper prefix is a truncated chunk, never a panic.
         for cut in 0..bytes.len() {
@@ -1005,19 +964,24 @@ mod tests {
         );
         assert_eq!(
             decode_column(&chunk, Encoding::DeltaVarint, 40),
-            Ok((Column::Int64(vec![0; 40]), None))
+            Ok(Column::Int64(vec![0; 40]))
         );
         assert_eq!(
             decode_column(&chunk, Encoding::FloatPlain, 5),
-            Ok((Column::Float64(vec![0.0; 5]), None))
+            Ok(Column::Float64(vec![0.0; 5]))
         );
         assert_eq!(
             decode_column(&chunk, Encoding::Utf8Plain, 10),
-            Ok((Column::Utf8(vec![String::new(); 10]), None))
+            Ok(Column::utf8([""; 10]))
         );
         assert_eq!(
             decode_column(&chunk, Encoding::BoolBitmap, 320),
-            Ok((Column::Bool(vec![false; 320]), None))
+            Ok(Column::Bool(vec![false; 320]))
+        );
+        // A dictionary claiming more entries than its bytes hold.
+        assert_eq!(
+            decode_column(&[0xff, 0xff, 0xff, 0xff, 0], Encoding::Utf8Dict, 1).map(|_| ()),
+            Err(SpfError::Corrupt("count exceeds the bytes left"))
         );
         // Through `ChunkMeta`, the way a reader meets it.
         let meta = ChunkMeta {
@@ -1031,7 +995,9 @@ mod tests {
     }
 
     /// The writer's bytes at 0c0a653, before the `Int64` encoder changed:
-    /// (length, FNV-1a) of a plain file and of a rotated bucketed segment.
+    /// (length, FNV-1a) of a plain file and of a rotated bucketed segment;
+    /// and at 8d168a0, before the string column changed, of the tables
+    /// with string columns (dictionary chunks, zone maps of strings).
     #[test]
     fn encoded_bytes_are_pinned() {
         fn fnv1a(bytes: &[u8]) -> u64 {
@@ -1039,6 +1005,15 @@ mod tests {
                 (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
             })
         }
+        let pin = |batch: &Batch| {
+            let file = write(std::slice::from_ref(batch), 8192);
+            (file.len(), fnv1a(&file))
+        };
+        let tpch = crate::tpch::generate(0.01, 1);
+        assert_eq!(pin(&tpch.lineitem), (2_404_320, 15_235_254_663_639_144_694));
+        assert_eq!(pin(&tpch.orders), (208_562, 12_176_371_764_141_131_529));
+        let item = crate::tpcxbb::generate(0.01, 1).item;
+        assert_eq!(pin(&item), (542, 8_568_732_110_170_431_219));
         let clicks = crate::tpcxbb::generate(0.01, 1).clickstreams;
         let plain = write(std::slice::from_ref(&clicks), 8192);
         assert_eq!(
@@ -1074,7 +1049,7 @@ mod tests {
             vec![
                 Column::Int64((0..n as i64).map(|i| i * 37 - 11).collect()),
                 Column::Float64((0..n).map(|i| i as f64 * 0.5 - 3.0).collect()),
-                Column::Utf8((0..n).map(|i| format!("tag{}", i % 5)).collect()),
+                Column::utf8((0..n).map(|i| format!("tag{}", i % 5))),
                 Column::Bool((0..n).map(|i| i % 3 == 0).collect()),
                 Column::Int64(
                     (0..n as i64)
@@ -1170,15 +1145,11 @@ mod tests {
         let schema = Schema::new(vec![Field::new("mode", DataType::Utf8)]);
         let low = Batch::new(
             Rc::clone(&schema),
-            vec![Column::Utf8(
-                (0..n).map(|i| format!("M{}", i % 4)).collect(),
-            )],
+            vec![Column::utf8((0..n).map(|i| format!("M{}", i % 4)))],
         );
         let high = Batch::new(
             schema,
-            vec![Column::Utf8(
-                (0..n).map(|i| format!("unique-{i}")).collect(),
-            )],
+            vec![Column::utf8((0..n).map(|i| format!("unique-{i}")))],
         );
         let f_low = write(&[low], n);
         let f_high = write(&[high], n);
@@ -1254,8 +1225,16 @@ mod tests {
         ];
         for v in cases {
             let mut got = Vec::new();
-            encode_column(&Column::Utf8(v.clone()), 0..v.len(), &mut got);
+            encode_column(&Column::utf8(&v), 0..v.len(), &mut got);
             assert_eq!(got, encode_utf8_reference(&v), "bytes diverge for {v:?}");
+            // Dictionary entries past the encoded rows change nothing.
+            let (mut phantoms, extra) = (Vec::new(), ["", "~", "m0"]);
+            encode_column(
+                &Column::utf8(v.iter().map(String::as_str).chain(extra)),
+                0..v.len(),
+                &mut phantoms,
+            );
+            assert_eq!(phantoms, got, "phantom entries leak into {v:?}");
         }
     }
 
@@ -1270,7 +1249,7 @@ mod tests {
                 Rc::clone(&schema),
                 vec![
                     Column::Int64(rows.clone().collect()),
-                    Column::Utf8(rows.clone().map(|i| format!("t{}", i % 3)).collect()),
+                    Column::utf8(rows.clone().map(|i| format!("t{}", i % 3))),
                     Column::Bool(rows.map(|i| i % 2 == 0).collect()),
                 ],
             )
@@ -1307,7 +1286,6 @@ mod tests {
             &file[e.byte_start as usize..e.byte_end as usize],
         )
         .unwrap()
-        .0
     }
 
     #[test]
@@ -1422,7 +1400,7 @@ mod tests {
                 e.byte_start,
                 window,
             )
-            .map(|(batches, _)| batches.len())
+            .map(|batches| batches.len())
         };
         let outside = Err(SpfError::Corrupt("chunk outside the fetched window"));
         assert_eq!(decode(&footer, window), Ok(e.n_groups as usize));
@@ -1441,37 +1419,31 @@ mod tests {
         assert_eq!(decode(&footer, &[]), outside);
     }
 
+    /// A footer's counts come from untrusted bytes: each is refused before
+    /// it sizes an allocation (these once asked for 128 GiB and aborted).
     #[test]
-    fn decode_chunk_with_dict_surfaces_sorted_distinct() {
-        let schema = Schema::new(vec![Field::new("m", DataType::Utf8)]);
-        let vals: Vec<String> = ["z", "b", "z", "a", "b", "z"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let batch = Batch::new(schema, vec![Column::Utf8(vals.clone())]);
-        let file = write(&[batch], 100);
-        let footer = read_footer(&file).unwrap();
-        let c = &footer.row_groups[0].chunks[0];
-        assert_eq!(c.encoding, Encoding::Utf8Dict);
-        let data = &file[c.offset as usize..(c.offset + c.len) as usize];
-        let (col, dict) = decode_chunk_with_dict(c, data).unwrap();
-        assert_eq!(col.as_str(), &vals[..]);
+    fn hostile_footer_counts_are_typed_errors() {
+        let too_many = Err(SpfError::Corrupt("count exceeds the bytes left"));
+        assert_eq!(parse_footer(&[0xff; 4]).map(|_| ()), too_many);
         assert_eq!(
-            dict.unwrap(),
-            vec!["a".to_string(), "b".to_string(), "z".to_string()]
+            parse_footer(&[0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]).map(|_| ()),
+            too_many
         );
-        // Non-dictionary chunks surface no dictionary.
-        let ints = Batch::new(
-            Schema::new(vec![Field::new("x", DataType::Int64)]),
-            vec![Column::Int64(vec![1, 2, 3])],
-        );
-        let f2 = write(&[ints], 10);
-        let foot2 = read_footer(&f2).unwrap();
-        let c2 = &foot2.row_groups[0].chunks[0];
-        let (_, none) =
-            decode_chunk_with_dict(c2, &f2[c2.offset as usize..(c2.offset + c2.len) as usize])
-                .unwrap();
-        assert!(none.is_none());
+        // A bucketed segment's footer: the bucket count sits before its
+        // four 32-byte entries.
+        let file = write_bucketed(&buckets_fixture(), 16);
+        let (start, len) = footer_range(&file[file.len() - 8..], file.len() as u64).unwrap();
+        let mut footer = file[start as usize..(start + len) as usize].to_vec();
+        assert!(matches!(parse_footer_indexed(&footer), Ok((_, Some(_)))));
+        let at = footer.len() - 4 * 32 - 4;
+        for count in [u32::MAX, 5] {
+            footer[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                parse_footer_indexed(&footer).map(|_| ()),
+                too_many,
+                "{count}"
+            );
+        }
     }
 
     #[test]
@@ -1520,7 +1492,7 @@ mod tests {
             prop_assert_eq!(&bytes, &reference);
             prop_assert_eq!(
                 decode_column(&bytes, encoding, len),
-                Ok((Column::Int64(values), None))
+                Ok(Column::Int64(values))
             );
             let cuts = bytes.len().saturating_sub(24)..bytes.len();
             for cut in (0..bytes.len().min(24)).chain(cuts) {
@@ -1549,12 +1521,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_string_roundtrip(values in prop::collection::vec("[a-z]{0,12}", 0..200)) {
+        fn prop_string_roundtrip(values in prop::collection::vec("[a-zé😀]{0,12}", 0..200)) {
             let schema = Schema::new(vec![Field::new("s", DataType::Utf8)]);
-            let batch = Batch::new(schema, vec![Column::Utf8(values.clone())]);
+            let batch = Batch::new(schema, vec![Column::utf8(&values)]);
             let file = write(&[batch], 64);
             let out = Batch::concat(&read_all(&file, None).unwrap());
-            prop_assert_eq!(out.column("s").as_str(), &values[..]);
+            prop_assert_eq!(out.column("s"), &Column::utf8(&values));
         }
 
         #[test]
@@ -1596,10 +1568,8 @@ mod tests {
                         Rc::clone(&schema),
                         vec![
                             Column::Int64((start..start + n as i64).collect()),
-                            Column::Utf8(
-                                (start..start + n as i64)
-                                    .map(|i| format!("t{}", i as u64 % cardinality))
-                                    .collect(),
+                            Column::utf8(
+                                (start..start + n as i64).map(|i| format!("t{}", i as u64 % cardinality)),
                             ),
                             Column::Bool((start..start + n as i64).map(|i| i % 2 == 0).collect()),
                         ],

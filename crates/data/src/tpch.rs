@@ -7,7 +7,7 @@
 //! quantities 1–50, and RETURNFLAG/LINESTATUS derive from the dates
 //! exactly as dbgen does. Generation is a pure function of `(sf, seed)`.
 
-use crate::columnar::{date, Batch, Column, DataType, Field, Schema};
+use crate::columnar::{date, Batch, Column, DataType, Field, Schema, Utf8Column};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
@@ -70,6 +70,14 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
     let end_date = date::from_ymd(1998, 12, 31) - 151;
     let date_range = (end_date - start_date) as u64;
     let cutoff = date::from_ymd(1995, 6, 17);
+    // String columns are generated as codes into sorted dictionaries.
+    let dictionary = |values: &[&str]| Rc::clone(Utf8Column::from_iter(values).dict());
+    let (modes, priorities) = (dictionary(&SHIP_MODES), dictionary(&ORDER_PRIORITIES));
+    let (flags, statuses) = (dictionary(&["A", "N", "R"]), dictionary(&["F", "O"]));
+    let code = |dict: &[String], s: &str| {
+        dict.binary_search_by(|d| d.as_str().cmp(s))
+            .expect("in the dictionary") as u32
+    };
 
     let mut o_orderkey = Vec::with_capacity(n_orders);
     let mut o_custkey = Vec::with_capacity(n_orders);
@@ -83,12 +91,12 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
     let mut l_extendedprice = Vec::with_capacity(est_lines);
     let mut l_discount = Vec::with_capacity(est_lines);
     let mut l_tax = Vec::with_capacity(est_lines);
-    let mut l_returnflag: Vec<String> = Vec::with_capacity(est_lines);
-    let mut l_linestatus: Vec<String> = Vec::with_capacity(est_lines);
+    let mut l_returnflag = Vec::with_capacity(est_lines);
+    let mut l_linestatus = Vec::with_capacity(est_lines);
     let mut l_shipdate = Vec::with_capacity(est_lines);
     let mut l_commitdate = Vec::with_capacity(est_lines);
     let mut l_receiptdate = Vec::with_capacity(est_lines);
-    let mut l_shipmode: Vec<String> = Vec::with_capacity(est_lines);
+    let mut l_shipmode = Vec::with_capacity(est_lines);
 
     for i in 0..n_orders {
         // dbgen spreads order keys sparsely; dense keys serve the same
@@ -126,12 +134,12 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
             l_extendedprice.push(extendedprice);
             l_discount.push(discount);
             l_tax.push(tax);
-            l_returnflag.push(returnflag.to_string());
-            l_linestatus.push(linestatus.to_string());
+            l_returnflag.push(code(&flags, returnflag));
+            l_linestatus.push(code(&statuses, linestatus));
             l_shipdate.push(shipdate);
             l_commitdate.push(commitdate);
             l_receiptdate.push(receiptdate);
-            l_shipmode.push(shipmode.to_string());
+            l_shipmode.push(code(&modes, shipmode));
             total += extendedprice * (1.0 - discount) * (1.0 + tax);
         }
 
@@ -139,7 +147,7 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
         o_custkey.push(rng.gen_range(1..=(150_000f64 * sf.max(0.01)) as i64));
         o_totalprice.push((total * 100.0).round() / 100.0);
         o_orderdate.push(orderdate);
-        o_orderpriority.push(priority.to_string());
+        o_orderpriority.push(code(&priorities, priority));
     }
 
     TpchTables {
@@ -150,7 +158,7 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
                 Column::Int64(o_custkey),
                 Column::Float64(o_totalprice),
                 Column::Int64(o_orderdate),
-                Column::Utf8(o_orderpriority),
+                Column::Utf8(Utf8Column::new(priorities, o_orderpriority)),
             ],
         ),
         lineitem: Batch::new(
@@ -161,12 +169,12 @@ pub fn generate(sf: f64, seed: u64) -> TpchTables {
                 Column::Float64(l_extendedprice),
                 Column::Float64(l_discount),
                 Column::Float64(l_tax),
-                Column::Utf8(l_returnflag),
-                Column::Utf8(l_linestatus),
+                Column::Utf8(Utf8Column::new(flags, l_returnflag)),
+                Column::Utf8(Utf8Column::new(statuses, l_linestatus)),
                 Column::Int64(l_shipdate),
                 Column::Int64(l_commitdate),
                 Column::Int64(l_receiptdate),
-                Column::Utf8(l_shipmode),
+                Column::Utf8(Utf8Column::new(modes, l_shipmode)),
             ],
         ),
     }
@@ -210,8 +218,8 @@ mod tests {
         for &d in t.lineitem.column("l_shipdate").as_i64() {
             assert!(d > start && d < end);
         }
-        for m in t.lineitem.column("l_shipmode").as_str() {
-            assert!(SHIP_MODES.contains(&m.as_str()));
+        for m in t.lineitem.column("l_shipmode").as_str().iter() {
+            assert!(SHIP_MODES.contains(&m));
         }
     }
 
@@ -225,11 +233,11 @@ mod tests {
         let receipt = t.lineitem.column("l_receiptdate").as_i64();
         for i in 0..t.lineitem.num_rows() {
             if receipt[i] <= cutoff {
-                assert!(flags[i] == "R" || flags[i] == "A");
+                assert!(&flags[i] == "R" || &flags[i] == "A");
             } else {
-                assert_eq!(flags[i], "N");
+                assert_eq!(&flags[i], "N");
             }
-            assert_eq!(status[i], if ship[i] > cutoff { "O" } else { "F" });
+            assert_eq!(&status[i], if ship[i] > cutoff { "O" } else { "F" });
         }
     }
 

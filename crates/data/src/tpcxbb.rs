@@ -8,7 +8,7 @@
 //! users produce click sessions ordered by time, and a fraction of clicks
 //! carry a sales key (a purchase).
 
-use crate::columnar::{Batch, Column, DataType, Field, Schema};
+use crate::columnar::{Batch, Column, DataType, Field, Schema, Utf8Column};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
@@ -73,12 +73,14 @@ pub fn generate(sf: f64, seed: u64) -> TpcxBbTables {
     // ITEM.
     let mut i_item_sk = Vec::with_capacity(n_items as usize);
     let mut i_category_id = Vec::with_capacity(n_items as usize);
-    let mut i_category: Vec<String> = Vec::with_capacity(n_items as usize);
+    let mut i_category = Vec::with_capacity(n_items as usize);
+    // `categories.codes()[i]` is the code of `CATEGORIES[i]`.
+    let categories = Utf8Column::from_iter(CATEGORIES);
     for sk in 1..=n_items {
         let cat = rng.gen_range(0..CATEGORIES.len());
         i_item_sk.push(sk);
         i_category_id.push(cat as i64 + 1);
-        i_category.push(CATEGORIES[cat].to_string());
+        i_category.push(categories.codes()[cat]);
     }
 
     // WEB_CLICKSTREAMS: users click in sessions; ~4% of clicks purchase.
@@ -131,7 +133,7 @@ pub fn generate(sf: f64, seed: u64) -> TpcxBbTables {
             vec![
                 Column::Int64(i_item_sk),
                 Column::Int64(i_category_id),
-                Column::Utf8(i_category),
+                Column::Utf8(Utf8Column::new(Rc::clone(categories.dict()), i_category)),
             ],
         ),
     }
@@ -181,13 +183,8 @@ mod tests {
     #[test]
     fn every_category_is_populated() {
         let t = generate(0.1, 6);
-        let cats: std::collections::BTreeSet<&str> = t
-            .item
-            .column("i_category")
-            .as_str()
-            .iter()
-            .map(String::as_str)
-            .collect();
+        let cats: std::collections::BTreeSet<&str> =
+            t.item.column("i_category").as_str().iter().collect();
         assert_eq!(cats.len(), CATEGORIES.len());
     }
 }

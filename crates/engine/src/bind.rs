@@ -25,11 +25,10 @@
 //!    [`skyrise_data::KeyBuffer`]'s contiguous fixed-width encoding
 //!    (order-equal to the oracle's per-row scalar keys), with typed
 //!    per-group accumulators instead of per-row `Value` boxing.
-//! 4. **Arena scratch + dictionary reuse** — transient buffers (sel
-//!    vectors, key words, gather tables) come from the per-invocation
-//!    [`crate::arena::Arena`]; string key columns are dictionary-encoded
-//!    once per invocation via [`skyrise_data::DictCache`] no matter how
-//!    many operators touch them.
+//! 4. **Arena scratch** — transient buffers (sel vectors, key words,
+//!    gather tables) come from the per-invocation [`crate::arena::Arena`].
+//!    String columns arrive as codes into sorted dictionaries
+//!    ([`skyrise_data::Utf8Column`]), so no kernel builds one.
 //!
 //! Every kernel reproduces, bit for bit, the row-at-a-time oracle that
 //! `crates/engine/tests/proptests.rs` compares it against
@@ -43,7 +42,7 @@ use crate::error::EngineError;
 use crate::expr::{self, Expr, ExprError, NamedExpr, UdfRegistry};
 use crate::operators::{self, column_from_values, OpChainStats};
 use crate::plan::{AggExpr, AggFunc, AggMode, Op};
-use skyrise_data::keys::{DictCache, SelSpec};
+use skyrise_data::keys::SelSpec;
 use skyrise_data::{Batch, Column, Field, KeyBuffer, Schema, Value};
 use std::rc::Rc;
 
@@ -375,26 +374,11 @@ fn materialise_all(stream: Vec<SelBatch>) -> Vec<Batch> {
 // the bound executor
 // ---------------------------------------------------------------------------
 
-/// Per-invocation execution context: scratch arena, dictionary cache, and
-/// the UDFs expressions may call.
+/// Per-invocation execution context: scratch arena and the UDFs
+/// expressions may call.
 struct Ctx<'a> {
     arena: Arena,
-    cache: DictCache,
     udfs: &'a UdfRegistry,
-}
-
-/// A string dictionary decoded straight from an SPF shuffle segment,
-/// addressed by (stream batch index, column index). Seeding it into the
-/// executor's [`DictCache`] makes the first key-normalization touch of
-/// that column a cache hit — no per-invocation re-sort.
-#[derive(Debug, Clone)]
-pub struct DictSeed {
-    /// Index of the batch within the stream (input 0).
-    pub batch: usize,
-    /// Column index within that batch.
-    pub col: usize,
-    /// Sorted distinct values of the column.
-    pub dict: Rc<Vec<String>>,
 }
 
 /// Field names of a pipeline input, read off its first batch.
@@ -412,15 +396,11 @@ fn input_names(input: usize, batches: &[Batch]) -> Result<Vec<String>, EngineErr
 /// without a copy) through it under selection vectors, with `builds[i]`
 /// serving pipeline input `i + 1`. The output keeps its selection vectors
 /// so the caller (the worker's shuffle writer) can go on operating under
-/// the sel. `seeds` pre-populates the dictionary cache with dictionaries
-/// the shuffle reader decoded from storage (late materialization: the
-/// batch `Rc`s wrap exactly the decoded columns, so pointer-identity
-/// caching holds from the moment of decode).
+/// the sel.
 pub fn execute_chain_sel(
     ops: &[Op],
     stream: Vec<Batch>,
     builds: &[Vec<Batch>],
-    seeds: &[DictSeed],
     udfs: &UdfRegistry,
 ) -> Result<(Vec<SelBatch>, OpChainStats, ArenaReport), EngineError> {
     let build_names: Vec<Vec<String>> = builds
@@ -431,16 +411,10 @@ pub fn execute_chain_sel(
     let bound = bind_ops(ops, input_names(0, &stream)?, &build_names, udfs)?;
     let ctx = Ctx {
         arena: Arena::current(),
-        cache: DictCache::new(),
         udfs,
     };
     ctx.arena.reset();
     let mut stream: Vec<SelBatch> = stream.into_iter().map(SelBatch::wrap).collect();
-    for s in seeds {
-        if let Some(sb) = stream.get(s.batch) {
-            ctx.cache.seed(&sb.batch, s.col, Rc::clone(&s.dict));
-        }
-    }
     let rows_in = stream.iter().map(|b| b.rows() as u64).sum();
     let mut per_op: Vec<(&'static str, u64)> = Vec::with_capacity(bound.len());
     for (op, bound) in ops.iter().zip(&bound) {
@@ -470,7 +444,7 @@ pub fn execute_chain(
     let (stream, builds) = inputs
         .split_first()
         .ok_or_else(|| EngineError::Plan("pipeline has no inputs".into()))?;
-    let (stream, stats, _report) = execute_chain_sel(ops, stream.clone(), builds, &[], udfs)?;
+    let (stream, stats, _report) = execute_chain_sel(ops, stream.clone(), builds, udfs)?;
     Ok((materialise_all(stream), stats))
 }
 
@@ -623,7 +597,7 @@ struct Grouping {
 fn group_rows(parts: &[(&Batch, SelSpec)], cols: &[usize], ctx: &Ctx) -> Grouping {
     let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
     let words = ctx.arena.u64s(total * cols.len());
-    let keys = KeyBuffer::encode_selected(parts, cols, Some(&ctx.cache), words);
+    let keys = KeyBuffer::encode_selected(parts, cols, words);
     let order = keys.sort_indices();
     let mut group_of = ctx.arena.u32s(keys.rows());
     group_of.resize(keys.rows(), 0);
@@ -691,7 +665,7 @@ fn minmax_update(slot: &mut Option<Value>, col: &Column, row: usize, is_max: boo
     let ord = match (&*slot, col) {
         (None, _) => Some(Ordering::Greater),
         (Some(Value::Int64(a)), Column::Int64(v)) => Some(v[row].cmp(a)),
-        (Some(Value::Utf8(a)), Column::Utf8(v)) => Some(v[row].as_str().cmp(a.as_str())),
+        (Some(Value::Utf8(a)), Column::Utf8(v)) => Some(v[row].cmp(a.as_str())),
         (Some(cur), _) => Some(
             col_f64_at(col, row)
                 .partial_cmp(&cur.as_f64())
@@ -718,9 +692,6 @@ fn hash_aggregate(
     ctx: &Ctx,
 ) -> Result<Batch, EngineError> {
     let live: Vec<&SelBatch> = stream.iter().filter(|sb| sb.rows() > 0).collect();
-    for sb in &live {
-        ctx.cache.pin(&sb.batch);
-    }
     let parts: Vec<(&Batch, SelSpec)> = live
         .iter()
         .map(|sb| (sb.batch.as_ref(), sb.spec()))
@@ -873,7 +844,7 @@ fn hash_aggregate(
             match c {
                 Column::Float64(v) => v.push(0.0),
                 Column::Int64(v) => v.push(0),
-                Column::Utf8(v) => v.push(String::new()),
+                Column::Utf8(_) => *c = Column::utf8([""]),
                 Column::Bool(v) => v.push(false),
             }
         }
@@ -956,9 +927,6 @@ fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, E
     if stream.is_empty() {
         return Err(EngineError::Plan("sort over no batches".into()));
     }
-    for sb in stream {
-        ctx.cache.pin(&sb.batch);
-    }
     let parts: Vec<(&Batch, SelSpec)> = stream
         .iter()
         .map(|sb| (sb.batch.as_ref(), sb.spec()))
@@ -966,7 +934,7 @@ fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, E
     let (cols, ascending): (Vec<usize>, Vec<bool>) = by.iter().copied().unzip();
     let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
     let words = ctx.arena.u64s(total * cols.len());
-    let kb = KeyBuffer::encode_selected(&parts, &cols, Some(&ctx.cache), words);
+    let kb = KeyBuffer::encode_selected(&parts, &cols, words);
     // Location table in live stream order (== the oracle's concat order), then
     // a stable argsort of positions, then one gather straight from the
     // original batches — the concat itself never happens.
@@ -1025,7 +993,7 @@ fn sessionize_q3(
     let total: usize = clicks.iter().map(SelBatch::rows).sum();
     let key_cols = [cols.users, cols.dates, cols.times];
     let words = ctx.arena.u64s(total * key_cols.len());
-    let keys = KeyBuffer::encode_selected(&parts, &key_cols, None, words);
+    let keys = KeyBuffer::encode_selected(&parts, &key_cols, words);
     let mut item_sk = ctx.arena.i64s(total);
     let mut sales = ctx.arena.i64s(total);
     for (b, sel) in &parts {
@@ -1127,7 +1095,7 @@ pub(crate) mod tests {
                 vec![
                     Column::Int64(vec![1, 2, 3]),
                     Column::Float64(vec![10.0, 20.0, 30.0]),
-                    Column::Utf8(vec!["A".into(), "B".into(), "A".into()]),
+                    Column::utf8(["A", "B", "A"]),
                 ],
             ),
             Batch::new(
@@ -1135,7 +1103,7 @@ pub(crate) mod tests {
                 vec![
                     Column::Int64(vec![4, 5]),
                     Column::Float64(vec![40.0, 50.0]),
-                    Column::Utf8(vec!["B".into(), "A".into()]),
+                    Column::utf8(["B", "A"]),
                 ],
             ),
         ]
@@ -1168,7 +1136,7 @@ pub(crate) mod tests {
     }
 
     fn plan_error(ops: &[Op], stream: Vec<Batch>, builds: &[Vec<Batch>]) -> String {
-        match execute_chain_sel(ops, stream, builds, &[], &udfs()) {
+        match execute_chain_sel(ops, stream, builds, &udfs()) {
             Err(EngineError::Plan(m)) => m,
             other => panic!("expected a plan error, got {:?}", other.map(|r| r.1)),
         }
@@ -1279,7 +1247,7 @@ pub(crate) mod tests {
                 mode: AggMode::Single,
             },
         ];
-        let (out, stats, report) = execute_chain_sel(&ops, lineitems(), &[], &[], &udfs()).unwrap();
+        let (out, stats, report) = execute_chain_sel(&ops, lineitems(), &[], &udfs()).unwrap();
         assert_eq!(stats.rows_out, out.iter().map(|b| b.rows() as u64).sum());
         assert!(report.bytes_allocated > 0);
         assert_eq!(report.per_op.len(), 2);

@@ -6,7 +6,7 @@
 //! user-defined functions").
 
 use serde::{Deserialize, Serialize};
-use skyrise_data::{Batch, Column, Value};
+use skyrise_data::{Batch, Column, Utf8Column, Value};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -303,6 +303,7 @@ pub fn evaluate(expr: &Expr, batch: &Batch, udfs: &UdfRegistry) -> Result<Column
             let mut out = Vec::with_capacity(n);
             match &c {
                 Column::Utf8(v) => {
+                    // Membership once per dictionary entry, then by code.
                     let set: Vec<&str> = list
                         .iter()
                         .filter_map(|v| match v {
@@ -310,9 +311,8 @@ pub fn evaluate(expr: &Expr, batch: &Batch, udfs: &UdfRegistry) -> Result<Column
                             _ => None,
                         })
                         .collect();
-                    for s in v {
-                        out.push(set.contains(&s.as_str()));
-                    }
+                    let hit: Vec<bool> = v.dict().iter().map(|s| set.contains(&&s[..])).collect();
+                    out.extend(v.codes().iter().map(|&c| hit[c as usize]));
                 }
                 Column::Int64(v) => {
                     let set: Vec<i64> = list
@@ -350,29 +350,21 @@ pub fn evaluate(expr: &Expr, batch: &Batch, udfs: &UdfRegistry) -> Result<Column
                 .map(|a| evaluate(a, batch, udfs))
                 .collect::<Result<_, _>>()?;
             let mut row = Vec::with_capacity(cols.len());
-            let mut out: Option<Column> = None;
-            for i in 0..n {
-                row.clear();
-                for c in &cols {
-                    row.push(c.value(i));
+            let vals: Vec<Value> = (0..n)
+                .map(|i| {
+                    row.clear();
+                    row.extend(cols.iter().map(|c| c.value(i)));
+                    udf(&row)
+                })
+                .collect();
+            let kind = |v: &Value| std::mem::discriminant(v);
+            match vals.first() {
+                None => Ok(Column::Int64(Vec::new())),
+                Some(first) if vals.iter().all(|v| kind(v) == kind(first)) => {
+                    Ok(crate::operators::column_from_values(&vals))
                 }
-                let v = udf(&row);
-                match (&mut out, &v) {
-                    (None, Value::Int64(_)) => out = Some(Column::Int64(Vec::with_capacity(n))),
-                    (None, Value::Float64(_)) => out = Some(Column::Float64(Vec::with_capacity(n))),
-                    (None, Value::Utf8(_)) => out = Some(Column::Utf8(Vec::with_capacity(n))),
-                    (None, Value::Bool(_)) => out = Some(Column::Bool(Vec::with_capacity(n))),
-                    _ => {}
-                }
-                match (out.as_mut().expect("initialised"), v) {
-                    (Column::Int64(vs), Value::Int64(x)) => vs.push(x),
-                    (Column::Float64(vs), Value::Float64(x)) => vs.push(x),
-                    (Column::Utf8(vs), Value::Utf8(x)) => vs.push(x),
-                    (Column::Bool(vs), Value::Bool(x)) => vs.push(x),
-                    _ => return Err(ExprError::TypeMismatch("UDF changed its return type")),
-                }
+                Some(_) => Err(ExprError::TypeMismatch("UDF changed its return type")),
             }
-            Ok(out.unwrap_or(Column::Int64(Vec::new())))
         }
     }
 }
@@ -391,7 +383,7 @@ fn broadcast(v: &Value, n: usize) -> Column {
     match v {
         Value::Int64(x) => Column::Int64(vec![*x; n]),
         Value::Float64(x) => Column::Float64(vec![*x; n]),
-        Value::Utf8(x) => Column::Utf8(vec![x.clone(); n]),
+        Value::Utf8(x) => Column::Utf8(Utf8Column::new(Rc::from([x.clone()]), vec![0; n])),
         Value::Bool(x) => Column::Bool(vec![*x; n]),
     }
 }
@@ -420,7 +412,11 @@ fn compare(op: CmpOp, l: &Column, r: &Column) -> Result<Column, ExprError> {
     Ok(Column::Bool(match (l, r) {
         (Column::Int64(a), Column::Int64(b)) => cmp_iter(op, a, b),
         (Column::Float64(a), Column::Float64(b)) => cmp_iter(op, a, b),
-        (Column::Utf8(a), Column::Utf8(b)) => cmp_iter(op, a, b),
+        (Column::Utf8(a), Column::Utf8(b)) => {
+            // Codes in one dictionary compare as their strings do.
+            let (_, codes) = Utf8Column::unify(&[a, b]);
+            cmp_iter(op, &codes[0], &codes[1])
+        }
         (Column::Int64(a), Column::Float64(b)) => {
             let a: Vec<f64> = a.iter().map(|&x| x as f64).collect();
             cmp_iter(op, &a, b)
@@ -479,25 +475,17 @@ fn arithmetic(op: ArithOp, l: &Column, r: &Column) -> Result<Column, ExprError> 
 }
 
 fn select(cond: &[bool], t: &Column, o: &Column) -> Result<Column, ExprError> {
+    fn pick<T: Copy>(cond: &[bool], a: &[T], b: &[T]) -> Vec<T> {
+        let at = |(i, &c): (usize, &bool)| if c { a[i] } else { b[i] };
+        cond.iter().enumerate().map(at).collect()
+    }
     Ok(match (t, o) {
-        (Column::Int64(a), Column::Int64(b)) => Column::Int64(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (Column::Float64(a), Column::Float64(b)) => Column::Float64(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (Column::Utf8(a), Column::Utf8(b)) => Column::Utf8(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i].clone() } else { b[i].clone() })
-                .collect(),
-        ),
+        (Column::Int64(a), Column::Int64(b)) => Column::Int64(pick(cond, a, b)),
+        (Column::Float64(a), Column::Float64(b)) => Column::Float64(pick(cond, a, b)),
+        (Column::Utf8(a), Column::Utf8(b)) => {
+            let (dict, codes) = Utf8Column::unify(&[a, b]);
+            Column::Utf8(Utf8Column::new(dict, pick(cond, &codes[0], &codes[1])))
+        }
         _ => return Err(ExprError::TypeMismatch("CASE branches differ in type")),
     })
 }
@@ -518,12 +506,7 @@ mod tests {
             vec![
                 Column::Int64(vec![1, 2, 3, 4, 5]),
                 Column::Float64(vec![1.5, 2.5, 3.5, 4.5, 5.5]),
-                Column::Utf8(
-                    ["MAIL", "SHIP", "AIR", "MAIL", "RAIL"]
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                ),
+                Column::utf8(["MAIL", "SHIP", "AIR", "MAIL", "RAIL"]),
             ],
         )
     }
@@ -594,6 +577,22 @@ mod tests {
     }
 
     #[test]
+    fn string_compare_and_case_across_dictionaries() {
+        let b = batch();
+        // The literal is in no row: "AIR" < "MAIL" < "N" < "RAIL" < "SHIP".
+        let lt = Expr::col("s").cmp(CmpOp::Lt, Expr::lit_str("N"));
+        let mask = evaluate_mask(&lt, &b, &udfs()).unwrap();
+        assert_eq!(mask, vec![true, false, true, true, false]);
+        let e = Expr::Case {
+            when: Box::new(Expr::col("a").cmp(CmpOp::Le, Expr::lit_i64(2))),
+            then: Box::new(Expr::lit_str("zz")),
+            otherwise: Box::new(Expr::col("s")),
+        };
+        let c = evaluate(&e, &b, &udfs()).unwrap();
+        assert_eq!(c, Column::utf8(["zz", "zz", "AIR", "MAIL", "RAIL"]));
+    }
+
+    #[test]
     fn case_expression() {
         let b = batch();
         let e = Expr::Case {
@@ -608,14 +607,7 @@ mod tests {
     #[test]
     fn builtin_udf_high_priority() {
         let schema = Schema::new(vec![Field::new("p", DataType::Utf8)]);
-        let b = Batch::new(
-            schema,
-            vec![Column::Utf8(vec![
-                "1-URGENT".into(),
-                "5-LOW".into(),
-                "2-HIGH".into(),
-            ])],
-        );
+        let b = Batch::new(schema, vec![Column::utf8(["1-URGENT", "5-LOW", "2-HIGH"])]);
         let e = Expr::Udf {
             name: "is_high_priority".into(),
             args: vec![Expr::col("p")],

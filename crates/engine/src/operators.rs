@@ -6,8 +6,9 @@ use crate::arena::Arena;
 use crate::error::EngineError;
 use crate::plan::{AggExpr, AggFunc};
 use skyrise_data::keys::{self, SelSpec};
-use skyrise_data::{Batch, Column, Value};
+use skyrise_data::{Batch, Column, Utf8Column, Value};
 use skyrise_sim::{fnv1a64_fold, FNV64_OFFSET};
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// Execution statistics of one operator chain run.
@@ -39,14 +40,10 @@ pub fn column_from_values(vals: &[Value]) -> Column {
                 })
                 .collect(),
         ),
-        Some(Value::Utf8(_)) => Column::Utf8(
-            vals.iter()
-                .map(|v| match v {
-                    Value::Utf8(s) => s.clone(),
-                    other => other.to_string(),
-                })
-                .collect(),
-        ),
+        Some(Value::Utf8(_)) => Column::utf8(vals.iter().map(|v| match v {
+            Value::Utf8(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.to_string()),
+        })),
         Some(Value::Bool(_)) => Column::Bool(
             vals.iter()
                 .map(|v| matches!(v, Value::Bool(true)))
@@ -78,21 +75,16 @@ pub(crate) fn partition_hashes(
             Column::Float64(v) => keys::fold_hash_f64(&mut hashes, v),
             Column::Bool(v) => keys::fold_hash_bool(&mut hashes, v),
             Column::Utf8(v) => {
-                // Strings still hash their bytes (FNV-1a digest through
-                // the mix64 finalizer); runs of equal adjacent strings —
-                // common in sorted/clustered key columns — reuse the
-                // previous hash instead of re-digesting.
-                let mut memo: Option<(&str, u64)> = None;
-                for (h, s) in hashes.iter_mut().zip(v) {
-                    let kh = match memo {
-                        Some((prev, kh)) if prev == s.as_str() => kh,
-                        _ => {
-                            let kh = keys::hash_key_utf8(fnv1a64_fold(FNV64_OFFSET, s.as_bytes()));
-                            memo = Some((s.as_str(), kh));
-                            kh
-                        }
-                    };
-                    *h = h.wrapping_mul(31).wrapping_add(kh);
+                // Strings hash their bytes (FNV-1a digest through the
+                // mix64 finalizer), once per dictionary entry.
+                let digest = |s: &String| fnv1a64_fold(FNV64_OFFSET, s.as_bytes());
+                let kh: Vec<u64> = v
+                    .dict()
+                    .iter()
+                    .map(|s| keys::hash_key_utf8(digest(s)))
+                    .collect();
+                for (h, &c) in hashes.iter_mut().zip(v.codes()) {
+                    *h = h.wrapping_mul(31).wrapping_add(kh[c as usize]);
                 }
             }
         }
@@ -145,9 +137,15 @@ pub(crate) fn partition_parts(
             Column::Float64(_) => scatter(chunks.map(|(v, s)| (v.as_f64(), s)), &ids, &counts)
                 .map(Column::Float64)
                 .collect(),
-            Column::Utf8(_) => scatter(chunks.map(|(v, s)| (v.as_str(), s)), &ids, &counts)
-                .map(Column::Utf8)
-                .collect(),
+            Column::Utf8(_) => {
+                // One dictionary for every bucket: the parts' codes in it.
+                let columns: Vec<&Utf8Column> = chunks.map(|(v, _)| v.as_str()).collect();
+                let (dict, codes) = Utf8Column::unify(&columns);
+                let chunks = codes.iter().zip(parts).map(|(v, (_, s))| (&v[..], *s));
+                scatter(chunks, &ids, &counts)
+                    .map(|codes| Column::Utf8(Utf8Column::new(Rc::clone(&dict), codes)))
+                    .collect()
+            }
             Column::Bool(_) => scatter(chunks.map(|(v, s)| (v.as_bool(), s)), &ids, &counts)
                 .map(Column::Bool)
                 .collect(),

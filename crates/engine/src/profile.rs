@@ -11,14 +11,13 @@
 //! execution.
 
 use crate::coordinator::QueryResponse;
-use serde::Serialize;
 use skyrise_pricing::CostReport;
 use skyrise_sim::{AttrValue, EventKind, TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
 /// A per-query execution profile: the trace- and registry-derived facts
 /// beside a [`QueryResponse`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QueryProfile {
     /// Cumulative worker-seconds per operator/phase label (`scan-read`,
     /// `io-stack`, `filter`, `hash-aggregate`, `shuffle-write`, ...).

@@ -296,7 +296,7 @@ mod tests {
             std::rc::Rc::clone(&schema),
             vec![
                 Column::Int64((0..100).collect()),
-                Column::Utf8((0..100).map(|i| format!("{:03}", i / 50)).collect()),
+                Column::utf8((0..100).map(|i| format!("{:03}", i / 50))),
             ],
         );
         let bytes = spf::write(&[batch], 50);

@@ -17,7 +17,7 @@
 //! varies — the whole object where nothing narrows it, a suffix sized to
 //! reach the consumer's bucket otherwise.
 
-use crate::bind::{execute_chain_sel, partition_sel, DictSeed, SelBatch};
+use crate::bind::{execute_chain_sel, partition_sel, SelBatch};
 use crate::catalog::PartitionMeta;
 use crate::coordinator::StageStats;
 use crate::cpu;
@@ -183,9 +183,6 @@ fn bytes(offset: u64, len: u64) -> ByteRange {
 #[derive(Default)]
 struct ReadOutcome {
     batches: Vec<Batch>,
-    /// Storage-decoded dictionaries handed to the fused pipeline's
-    /// `DictCache` (late materialization; shuffle reads, stream input only).
-    seeds: Vec<DictSeed>,
     /// Projected schema of a shuffle segment that yielded no batch (its
     /// bucket empty or pruned away), so that an input without any batch can
     /// still hand the chain a typed marker batch.
@@ -194,14 +191,8 @@ struct ReadOutcome {
 }
 
 impl ReadOutcome {
-    /// Append what `part` read; its seeds move with its batches.
+    /// Append what `part` read.
     fn absorb(&mut self, part: ReadOutcome) {
-        let base = self.batches.len();
-        self.seeds
-            .extend(part.seeds.into_iter().map(|seed| DictSeed {
-                batch: base + seed.batch,
-                ..seed
-            }));
         self.batches.extend(part.batches);
         self.schema = self.schema.take().or(part.schema);
         self.tally.merge(&part.tally);
@@ -269,7 +260,6 @@ pub async fn run_worker(
     // What every input read, and what the shuffle inputs read alone.
     let (mut reads, mut shuffle_reads) = (ReadTally::default(), ReadTally::default());
     let mut stream_scale = 1.0f64;
-    let mut seeds: Vec<DictSeed> = Vec::new();
     for (idx, assignment) in task.inputs.iter().enumerate() {
         let spec = task
             .pipeline
@@ -349,7 +339,6 @@ pub async fn run_worker(
         read_span.end();
         if idx == 0 {
             stream_scale = outcome.tally.scale();
-            seeds = outcome.seeds;
             stream = outcome.batches;
         } else {
             builds.push(outcome.batches);
@@ -371,11 +360,9 @@ pub async fn run_worker(
     let io_secs = (env.ctx.now() - io_started).as_secs_f64();
 
     // Execute the operator chain, charging virtual CPU for logical rows.
-    // Dictionaries decoded off storage seed the fused pipeline's DictCache,
-    // so dictionary-encoded shuffle columns skip the first re-encode.
     let cpu_started = env.ctx.now();
     let (output, stats, arena_report) =
-        execute_chain_sel(&task.pipeline.ops, stream, &builds, &seeds, udfs)?;
+        execute_chain_sel(&task.pipeline.ops, stream, &builds, udfs)?;
     let logical_rows = stats.rows_in as f64 * stream_scale;
     env.ctx
         .sleep(cpu::chain_cost(&task.pipeline.ops, logical_rows, env.vcpus))
@@ -1030,16 +1017,9 @@ async fn read_shuffle_object(
         _ => (kept_bytes, pruned_bytes),
     };
 
-    // 5. Late-materialized decode: dictionary chunks surface their storage
-    //    dictionary so the fused pipeline's DictCache starts warm.
-    let (batches, dicts) = spf::decode_row_groups(&footer, kept, &proj, base, window)?;
-    obj.batches = batches;
-    let seed = |(batch, col, dict)| DictSeed {
-        batch,
-        col,
-        dict: Rc::new(dict),
-    };
-    obj.seeds = dicts.into_iter().map(seed).collect();
+    // 5. Late-materialized decode: dictionary chunks stay codes into their
+    //    sorted dictionaries.
+    obj.batches = spf::decode_row_groups(&footer, kept, &proj, base, window)?;
     if obj.batches.is_empty() {
         obj.schema = Some(footer.schema.project(&proj));
     }
@@ -1192,7 +1172,7 @@ mod tests {
                     Rc::clone(&schema),
                     vec![
                         Column::Int64(keys.clone().collect()),
-                        Column::Utf8(keys.clone().map(|k| format!("t{}", k % 5)).collect()),
+                        Column::utf8(keys.clone().map(|k| format!("t{}", k % 5))),
                         Column::Float64(keys.map(|k| k as f64 * 0.25).collect()),
                     ],
                 )

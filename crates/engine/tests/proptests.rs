@@ -351,7 +351,7 @@ fn mixed_batch(rows: &[MixedRow]) -> Batch {
         schema,
         vec![
             Column::Int64(rows.iter().map(|r| r.0).collect()),
-            Column::Utf8(rows.iter().map(|r| r.1.clone()).collect()),
+            Column::utf8(rows.iter().map(|r| &r.1)),
             Column::Float64(rows.iter().map(|r| float_key(r.2)).collect()),
             Column::Bool(rows.iter().map(|r| r.3).collect()),
             Column::Float64(rows.iter().map(|r| r.4).collect()),
@@ -474,7 +474,7 @@ proptest! {
             build_schema,
             vec![
                 Column::Int64(build.iter().map(|r| r.0).collect()),
-                Column::Utf8(build.iter().map(|r| r.1.clone()).collect()),
+                Column::utf8(build.iter().map(|r| &r.1)),
                 Column::Float64(build.iter().map(|r| r.2).collect()),
             ],
         );

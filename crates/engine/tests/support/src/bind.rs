@@ -77,7 +77,7 @@ mod tests {
             orders_schema,
             vec![
                 Column::Int64(vec![1, 2, 4, 2]),
-                Column::Utf8(vec!["HI".into(), "LO".into(), "HI".into(), "MED".into()]),
+                Column::utf8(["HI", "LO", "HI", "MED"]),
             ],
         )];
         let ops = vec![

@@ -49,7 +49,7 @@ impl ScalarKey {
     pub fn from_column(col: &Column, row: usize) -> ScalarKey {
         match col {
             Column::Int64(v) => ScalarKey::I64(v[row]),
-            Column::Utf8(v) => ScalarKey::Str(v[row].clone()),
+            Column::Utf8(v) => ScalarKey::Str(v[row].to_owned()),
             Column::Bool(v) => ScalarKey::Bool(v[row]),
             Column::Float64(v) => ScalarKey::F64(total_order_bits(v[row])),
         }
@@ -474,7 +474,7 @@ fn hash_aggregate(
             match c {
                 Column::Float64(v) => v.push(0.0),
                 Column::Int64(v) => v.push(0),
-                Column::Utf8(v) => v.push(String::new()),
+                Column::Utf8(_) => *c = Column::utf8([""]),
                 Column::Bool(v) => v.push(false),
             }
         }
@@ -715,7 +715,7 @@ pub(crate) mod tests {
                 vec![
                     Column::Int64(vec![1, 2, 3]),
                     Column::Float64(vec![10.0, 20.0, 30.0]),
-                    Column::Utf8(vec!["A".into(), "B".into(), "A".into()]),
+                    Column::utf8(["A", "B", "A"]),
                 ],
             ),
             Batch::new(
@@ -723,7 +723,7 @@ pub(crate) mod tests {
                 vec![
                     Column::Int64(vec![4, 5]),
                     Column::Float64(vec![40.0, 50.0]),
-                    Column::Utf8(vec!["B".into(), "A".into()]),
+                    Column::utf8(["B", "A"]),
                 ],
             ),
         ]
@@ -763,10 +763,7 @@ pub(crate) mod tests {
         }];
         let (out, _) = execute_ops(&ops, &[lineitems()], &udfs()).unwrap();
         let b = &out[0];
-        assert_eq!(
-            b.column("flag").as_str(),
-            &["A".to_string(), "B".to_string()]
-        );
+        assert_eq!(b.column("flag"), &Column::utf8(["A", "B"]));
         assert_eq!(b.column("total").as_f64(), &[90.0, 60.0]);
         assert_eq!(b.column("cnt").as_i64(), &[3, 2]);
         assert_eq!(b.column("avg_price").as_f64(), &[30.0, 30.0]);
@@ -828,7 +825,7 @@ pub(crate) mod tests {
             orders_schema,
             vec![
                 Column::Int64(vec![1, 2, 4]),
-                Column::Utf8(vec!["HI".into(), "LO".into(), "HI".into()]),
+                Column::utf8(["HI", "LO", "HI"]),
             ],
         )];
         let ops = vec![Op::HashJoin {
@@ -841,10 +838,7 @@ pub(crate) mod tests {
         let all = Batch::concat(&out);
         assert_eq!(all.num_rows(), 3); // keys 1, 2, 4 match
         assert_eq!(all.column("k").as_i64(), &[1, 2, 4]);
-        assert_eq!(
-            all.column("prio").as_str(),
-            &["HI".to_string(), "LO".to_string(), "HI".to_string()]
-        );
+        assert_eq!(all.column("prio"), &Column::utf8(["HI", "LO", "HI"]));
     }
 
     #[test]

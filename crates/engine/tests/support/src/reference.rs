@@ -35,7 +35,7 @@ pub fn q1(lineitem: &Batch) -> Vec<Vec<Value>> {
             continue;
         }
         let acc = groups
-            .entry((flag[i].clone(), status[i].clone()))
+            .entry((flag[i].to_owned(), status[i].to_owned()))
             .or_default();
         acc.sum_qty += qty[i];
         acc.sum_base += price[i];
@@ -85,12 +85,12 @@ pub fn q6(lineitem: &Batch) -> f64 {
 pub fn q12(lineitem: &Batch, orders: &Batch) -> Vec<Vec<Value>> {
     let lo = date::from_ymd(1994, 1, 1);
     let hi = date::from_ymd(1995, 1, 1);
-    let priorities: std::collections::BTreeMap<i64, &String> = orders
+    let priorities: std::collections::BTreeMap<i64, &str> = orders
         .column("o_orderkey")
         .as_i64()
         .iter()
         .copied()
-        .zip(orders.column("o_orderpriority").as_str())
+        .zip(orders.column("o_orderpriority").as_str().iter())
         .collect();
 
     let okey = lineitem.column("l_orderkey").as_i64();
@@ -101,7 +101,7 @@ pub fn q12(lineitem: &Batch, orders: &Batch) -> Vec<Vec<Value>> {
 
     let mut groups: BTreeMap<String, (i64, i64)> = BTreeMap::new();
     for i in 0..lineitem.num_rows() {
-        if !(mode[i] == "MAIL" || mode[i] == "SHIP") {
+        if !(&mode[i] == "MAIL" || &mode[i] == "SHIP") {
             continue;
         }
         if !(commit[i] < receipt[i] && ship[i] < commit[i]) {
@@ -114,7 +114,7 @@ pub fn q12(lineitem: &Batch, orders: &Batch) -> Vec<Vec<Value>> {
             continue;
         };
         let high = *priority == "1-URGENT" || *priority == "2-HIGH";
-        let e = groups.entry(mode[i].clone()).or_default();
+        let e = groups.entry(mode[i].to_owned()).or_default();
         if high {
             e.0 += 1;
         } else {
@@ -143,8 +143,8 @@ pub fn bb_q3(
         .as_i64()
         .iter()
         .copied()
-        .zip(item.column("i_category").as_str())
-        .filter(|(_, c)| c.as_str() == category)
+        .zip(item.column("i_category").as_str().iter())
+        .filter(|&(_, c)| c == category)
         .map(|(sk, _)| sk)
         .collect();
 

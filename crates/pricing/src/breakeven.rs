@@ -20,7 +20,6 @@ use crate::catalog::{
     ec2_instance, StoragePricing, StorageService, CROSS_REGION_TRANSFER_PER_GB, EBS_GP3_BASE_IOPS,
     EBS_GP3_BASE_MBPS, EBS_GP3_PER_GB_MONTH,
 };
-use serde::{Deserialize, Serialize};
 
 /// RAM rent attribution: fraction of an instance's per-GiB price charged
 /// to memory (the rest buys CPU, network, and margin).
@@ -100,7 +99,7 @@ pub fn beas_with_transfer_fee(
 pub const TABLE7_ACCESS_SIZES: [u64; 4] = [4 << 10, 16 << 10, 4 << 20, 16 << 20];
 
 /// Tier-1/tier-2 combinations of Table 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HierarchyPair {
     /// VM RAM over local NVMe.
     RamSsd,
@@ -215,7 +214,7 @@ pub fn table7() -> Vec<(HierarchyPair, [f64; 4])> {
 // ---------------------------------------------------------------------------
 
 /// One Table 8 column: an instance type under a pricing model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShuffleCluster {
     /// Instance type name.
     pub instance: &'static str,

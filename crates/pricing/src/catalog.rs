@@ -19,7 +19,7 @@ pub const LAMBDA_MAX_MEMORY_GIB: f64 = 10.0;
 pub const LAMBDA_NETWORK_GBPS: f64 = 0.63;
 
 /// ARM (Graviton) Lambda pricing with monthly usage tiers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LambdaPricing {
     /// $/GB-second per tier: (tier ceiling in GB-s, price). The last tier
     /// ceiling is `f64::INFINITY`.
@@ -74,7 +74,7 @@ impl LambdaPricing {
 // ---------------------------------------------------------------------------
 
 /// Local NVMe SSD attached to an instance (c6gd variants).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SsdSpec {
     /// Number of drives.
     pub count: u32,
@@ -89,7 +89,7 @@ pub struct SsdSpec {
 }
 
 /// One EC2 instance type: configuration and pricing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ec2InstanceSpec {
     /// Instance type name.
     pub name: &'static str,
@@ -280,7 +280,7 @@ impl StorageService {
 }
 
 /// Pricing of one serverless storage service (Table 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoragePricing {
     /// The service this entry prices.
     pub service: StorageService,

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-storage-service usage counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StorageUsage {
     /// Read requests issued (including failures).
     pub read_requests: u64,
@@ -34,7 +34,7 @@ pub struct StorageUsage {
 }
 
 /// Per-EC2-type usage counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ec2Usage {
     /// Total billed instance-seconds.
     pub instance_seconds: f64,
@@ -45,7 +45,7 @@ pub struct Ec2Usage {
 }
 
 /// Lambda usage counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LambdaUsage {
     /// Function invocations.
     pub invocations: u64,
@@ -54,7 +54,7 @@ pub struct LambdaUsage {
 }
 
 /// The experiment-wide usage ledger.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UsageMeter {
     /// Lambda usage counters.
     pub lambda: LambdaUsage,

@@ -8,7 +8,7 @@
 //!   coefficient of variation, percentiles) used throughout Sec. 4.6.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 // ---------------------------------------------------------------------------
 // IntervalSeries
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Accumulates a quantity (bytes, ops) into fixed-width virtual-time
 /// buckets, yielding a rate series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntervalSeries {
     /// Bucket width.
     interval: SimDuration,
@@ -127,7 +127,7 @@ impl IntervalSeries {
 /// Log-bucketed histogram over positive values with ~4.5% relative bucket
 /// resolution, plus exact count/sum/min/max. Records values in seconds
 /// (or any positive unit).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     /// log-spaced bucket counts; bucket i covers [BASE^i*MIN, BASE^(i+1)*MIN)
     counts: Vec<u64>,
@@ -286,7 +286,7 @@ impl Histogram {
 }
 
 /// The headline statistics of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Recorded values.
     pub count: u64,

@@ -8,7 +8,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The simulation's random number generator.
 pub struct SimRng {
@@ -96,7 +95,7 @@ impl SimRng {
 /// Parameterised by observable quantities (median, p95) rather than raw
 /// `mu`/`sigma`, so models can be written straight from the paper's
 /// reported quantiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyDist {
     /// `mu` of the lognormal body (`ln(median)`).
     pub mu: f64,

@@ -30,7 +30,7 @@
 
 use crate::metrics::{Histogram, IntervalSeries};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -351,7 +351,7 @@ impl MetricRegistry {
 /// coarsened) window width. Produced by [`MetricRegistry::snapshot`];
 /// windows beyond `MAX_TIMELINE_POINTS` (512) are pair-summed until the series
 /// fits, doubling `interval_secs` each pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TimelineSnapshot {
     /// Window width in (virtual) seconds.
     pub interval_secs: f64,
@@ -419,7 +419,7 @@ impl TimelineSnapshot {
 /// JSON encoding canonical: two equal snapshots serialize to identical
 /// bytes, which is what the determinism tests compare and what
 /// [`digest`](MetricsSnapshot::digest) hashes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// Monotonic counters. Merge: sum.
     pub counters: BTreeMap<String, u64>,
