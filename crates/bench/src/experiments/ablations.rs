@@ -275,73 +275,3 @@ pub fn extra_observations() -> ExperimentResult {
     println!("{}", text_table(&rows));
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn combining_cuts_requests_and_grows_objects() {
-        let r = ablation_combining();
-        let req1 = r.scalars["combine1_requests"];
-        let req8 = r.scalars["combine8_requests"];
-        assert!(req8 < 0.7 * req1, "requests {req1} -> {req8}");
-        let obj1 = r.scalars["combine1_mean_obj_kib"];
-        let obj8 = r.scalars["combine8_mean_obj_kib"];
-        assert!(obj8 > 2.5 * obj1, "object size {obj1} -> {obj8}");
-        let c1 = r.scalars["combine1_cost_cents"];
-        let c8 = r.scalars["combine8_cost_cents"];
-        assert!(c8 < c1, "cost {c1} -> {c8}");
-        // The run is deterministic, so it must also reproduce the committed
-        // record bit for bit (a change that means to move it re-runs
-        // `skyrise-bench ablation_combining` and commits the file).
-        let committed: ExperimentResult =
-            serde_json::from_str(include_str!("../../../../results/ablation_combining.json"))
-                .expect("committed record parses");
-        assert_eq!((r.scalars.len(), committed.scalars.len()), (16, 16));
-        for (name, value) in &r.scalars {
-            let recorded = committed.scalars[name];
-            assert_eq!(
-                value.to_bits(),
-                recorded.to_bits(),
-                "{name}: {value} vs {recorded}"
-            );
-        }
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn small_binaries_start_clusters_faster() {
-        let r = ablation_binary_size();
-        let small = r.scalars["startup_2mib_secs"];
-        let big = r.scalars["startup_256mib_secs"];
-        assert!(big > small + 4.0, "{small} vs {big}");
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn extra_observations_hold() {
-        let r = extra_observations();
-        // Prefix naming is irrelevant.
-        assert_eq!(
-            r.scalars["plain_prefix_partitions"],
-            r.scalars["hashed_prefix_partitions"]
-        );
-        assert!(r.scalars["plain_prefix_partitions"] >= 3.0);
-        // Write IOPS stay at a single partition's capacity (350 scaled).
-        let base = r.scalars["write_iops_baseline"];
-        let during = r.scalars["write_iops_with_5_read_partitions"];
-        assert!((base - during).abs() / base < 0.15, "{base} vs {during}");
-        assert!(base < 500.0, "writes never scale: {base}");
-    }
-}

@@ -359,71 +359,3 @@ pub fn table06() -> ExperimentResult {
     r.scalar("q12_storage_requests", q12.storage_requests as f64);
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn table04_sizes_are_paper_magnitude() {
-        let r = table04();
-        let lineitem = r.scalars["h_lineitem_sf1000_gib"];
-        // Paper: 177.4 GiB. Encoding differences allowed; same magnitude.
-        assert!(
-            (100.0..=320.0).contains(&lineitem),
-            "lineitem {lineitem} GiB"
-        );
-        let orders = r.scalars["h_orders_sf1000_gib"];
-        assert!(orders < lineitem / 2.5, "orders much smaller: {orders}");
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn table05_variability_shapes() {
-        let r = table05();
-        // EU cluster startup is substantially slower when cold (paper: ~1.5x).
-        assert!(
-            r.scalars["eu_cold_mr"] > 1.15,
-            "eu cold MR {}",
-            r.scalars["eu_cold_mr"]
-        );
-        // US and AP sit near parity (paper: 1.00 / 0.95).
-        assert!((0.85..=1.1).contains(&r.scalars["ap_cold_mr"]));
-        // Cold runs vary more than warm runs in the busy regions.
-        assert!(r.scalars["us_cold_cov"] > r.scalars["us_warm_cov"]);
-        assert!(r.scalars["ap_cold_cov"] > r.scalars["ap_warm_cov"]);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn table06_economics_shapes() {
-        let r = table06();
-        // FaaS is slightly slower than peak-provisioned IaaS (paper: 6-10%).
-        let s6 = r.scalars["q6_slowdown"];
-        let s12 = r.scalars["q12_slowdown"];
-        assert!((1.0..=1.6).contains(&s6), "q6 slowdown {s6}");
-        assert!((1.0..=1.6).contains(&s12), "q12 slowdown {s12}");
-        // Q6 breaks even at a higher query rate than Q12 (cheaper query).
-        assert!(
-            r.scalars["q6_break_even_qph"] > r.scalars["q12_break_even_qph"],
-            "{} vs {}",
-            r.scalars["q6_break_even_qph"],
-            r.scalars["q12_break_even_qph"]
-        );
-        // Intra-query elasticity: peak-to-average around 2-3x (paper 2.43).
-        let pta = r.scalars["q12_peak_to_avg"];
-        assert!((1.5..=4.0).contains(&pta), "peak-to-avg {pta}");
-        // Q12 needs far more storage requests than Q6 (shuffles).
-        assert!(r.scalars["q12_storage_requests"] > 1_000.0);
-    }
-}

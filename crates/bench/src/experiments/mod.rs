@@ -22,8 +22,9 @@ pub use storage_figs::{fig08, fig09, fig10, fig11, fig12, fig13};
 pub type Experiment = (&'static str, fn() -> ExperimentResult);
 
 /// The complete suite, in paper order. The single source of truth for the
-/// `skyrise-bench` CLI, the determinism sweep, and the parallel-determinism
-/// test — so none of them can drift out of sync with a new experiment.
+/// `skyrise-bench` CLI, the findings table (each row names an experiment
+/// here, see [`crate::findings`]) and the parallel-determinism test — so
+/// none of them can drift out of sync with a new experiment.
 pub const ALL: &[Experiment] = &[
     ("table01", table01),
     ("table02", table02),

@@ -8,7 +8,6 @@ use skyrise::micro::{
 use skyrise::net::presets;
 use skyrise::prelude::*;
 use skyrise::pricing::ec2_instance;
-use std::rc::Rc;
 
 /// Fig. 5: function network throughput at 20 ms intervals, with a 3 s
 /// sleep that refills the (rechargeable half of the) token bucket.
@@ -234,56 +233,5 @@ pub fn fig07() -> ExperimentResult {
     r.push_series(NamedSeries::new("no_vpc_burst", no_vpc_burst));
     r.push_series(NamedSeries::new("vpc_burst", vpc_burst));
     r.push_series(NamedSeries::new("no_vpc_baseline", no_vpc_base));
-    let _ = Rc::new(());
     r
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig05_reproduces_burst_and_baseline() {
-        let r = fig05();
-        assert!((r.scalars["inbound_burst_gib_s"] - 1.2).abs() < 0.1);
-        assert!(r.scalars["outbound_burst_gib_s"] < r.scalars["inbound_burst_gib_s"]);
-        assert!((r.scalars["inbound_baseline_mib_s"] - 75.0).abs() < 15.0);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig06_bucket_grows_with_instance_size_and_lambda_is_tiny() {
-        let r = fig06();
-        let medium = r.scalars["c6g.medium_bucket_gib"];
-        let xl4 = r.scalars["c6g.4xlarge_bucket_gib"];
-        assert!(xl4 > 3.0 * medium, "bucket grows: {medium} -> {xl4}");
-        let lambda = r.scalars["lambda_bucket_gib"];
-        assert!(lambda < 0.5, "lambda bucket is ~0.3 GiB: {lambda}");
-        // Large instances have no burst: burst == baseline.
-        assert!(
-            (r.scalars["c6g.16xlarge_burst_gbps"] - 25.0).abs() < 2.0,
-            "16xlarge sustained 25 Gbps"
-        );
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig07_scales_without_vpc_and_caps_with_vpc() {
-        let r = fig07();
-        let free = r.scalars["no_vpc_burst_at_256_gib_s"];
-        let caged = r.scalars["vpc_burst_at_256_gib_s"];
-        // 256 functions x 1.2 GiB/s ~ 300 GiB/s unconstrained.
-        assert!(free > 200.0, "unconstrained {free} GiB/s");
-        assert!(caged < 25.0, "VPC-capped {caged} GiB/s (paper: ~20)");
-    }
 }

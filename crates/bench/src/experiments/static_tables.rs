@@ -234,22 +234,18 @@ pub fn table08() -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::findings::fresh_failures;
 
+    /// Tables 1, 2, 7 and 8 hold their rows of the findings table when
+    /// freshly computed, not only in the committed `results/`.
     #[test]
     fn tables_produce_expected_headline_numbers() {
-        let t1 = table01();
-        // Lambda memory is 2.5-5.9x pricier than EC2 (paper Sec. 2.1).
-        let ratio = t1.scalars["lambda_to_ec2_memory_price_ratio"];
-        assert!((2.5..=5.9).contains(&ratio), "ratio {ratio}");
-
-        let t2 = table02();
-        let warm = t2.scalars["s3_warm_100k_iops_usd_per_hour"];
-        assert!((warm - 144.0).abs() < 1.0, "paper: $144/h, got {warm}");
-
-        let t7 = table07();
-        assert!(!t7.scalars.is_empty());
-        let t8 = table08();
-        assert!(t8.scalars.len() == 4);
+        for result in [table01(), table02(), table07(), table08()] {
+            let fails = fresh_failures(&result);
+            assert!(fails.is_empty(), "{}", fails.join("\n"));
+        }
+        assert!(!table07().scalars.is_empty());
+        assert!(table08().scalars.len() == 4);
         let _ = table03();
     }
 }

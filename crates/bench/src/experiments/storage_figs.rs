@@ -613,122 +613,3 @@ pub fn fig13() -> ExperimentResult {
     println!("{}", ascii_chart(&r.series, 90, 14));
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig09_quota_relationships_hold() {
-        let r = fig09();
-        // S3 Express provides the highest IOPS.
-        assert!(r.scalars["S3_Express_read_iops"] > r.scalars["DynamoDB_read_iops"]);
-        assert!(r.scalars["S3_Express_read_iops"] > 150_000.0);
-        // EFS misses its documented quota by >10x.
-        assert!(r.scalars["EFS_1_read_iops"] < 55_000.0 / 10.0);
-        // Two filesystems double EFS read IOPS.
-        let ratio = r.scalars["EFS_2_read_iops"] / r.scalars["EFS_1_read_iops"];
-        assert!((1.6..=2.4).contains(&ratio), "EFS-2/EFS-1 = {ratio}");
-        // S3 Standard sits just at its single-partition quota.
-        assert!((4_500.0..=8_500.0).contains(&r.scalars["S3_Standard_read_iops"]));
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig10_latency_ordering_matches_paper() {
-        let r = fig10();
-        // S3 Standard has the highest median; Express/DynamoDB/EFS are ~5 ms.
-        let s3 = r.scalars["S3_Standard_read_p50_ms"];
-        assert!((20.0..=35.0).contains(&s3), "{s3}");
-        for svc in ["S3_Express", "DynamoDB", "EFS"] {
-            let p50 = r.scalars[&format!("{svc}_read_p50_ms")];
-            assert!(p50 < 8.0, "{svc} median {p50}");
-        }
-        // EFS writes are 2-3x its reads.
-        let ratio = r.scalars["EFS_write_p50_ms"] / r.scalars["EFS_read_p50_ms"];
-        assert!((1.8..=3.5).contains(&ratio), "{ratio}");
-        // Tail latencies reach orders of magnitude above the median.
-        assert!(r.scalars["S3_Standard_read_max_ms"] > 600.0);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig11_scales_iops_with_partition_splits() {
-        let r = fig11();
-        assert!(
-            r.scalars["final_partitions"] >= 4.0,
-            "{}",
-            r.scalars["final_partitions"]
-        );
-        assert!(
-            r.scalars["peak_iops"] > 20_000.0,
-            "peak {}",
-            r.scalars["peak_iops"]
-        );
-        assert!(
-            r.scalars["error_rate"] > 0.01 && r.scalars["error_rate"] < 0.5,
-            "error rate {}",
-            r.scalars["error_rate"]
-        );
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig08_throughput_crossovers() {
-        let r = fig08();
-        // Both S3 classes scale far beyond DynamoDB and EFS.
-        let s3 = r.scalars["S3_Standard_read_gib_s_at_max_clients"];
-        let dy = r.scalars["DynamoDB_read_gib_s_at_max_clients"];
-        let efs = r.scalars["EFS_read_gib_s_at_max_clients"];
-        assert!(s3 > 10.0 * dy, "S3 {s3} vs DynamoDB {dy}");
-        assert!(s3 > 2.0 * efs, "S3 {s3} vs EFS {efs}");
-        // DynamoDB saturates around 380 MiB/s; EFS near its 20 GiB/s quota.
-        assert!((0.25..=0.45).contains(&dy), "DynamoDB {dy} GiB/s");
-        assert!((10.0..=22.0).contains(&efs), "EFS {efs} GiB/s");
-        // Writes are universally slower than reads.
-        let s3w = r.scalars["S3_Standard_write_gib_s_at_max_clients"];
-        assert!(s3w < s3);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig12_time_and_budget_grow_superlinearly() {
-        let r = fig12();
-        let h50 = r.scalars["hours_to_50k"];
-        let h100 = r.scalars["hours_to_100k"];
-        let c50 = r.scalars["usd_to_50k"];
-        let c100 = r.scalars["usd_to_100k"];
-        // Doubling IOPS more than doubles both time and budget.
-        assert!(h100 > 2.0 * h50, "{h50} -> {h100}");
-        assert!(c100 > 2.5 * c50, "{c50} -> {c100}");
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "simulates a full experiment; run with --release"
-    )]
-    fn fig13_downscales_over_days() {
-        let r = fig13();
-        // Starts at ~5 partitions' capacity (27.5K), ends at ~1 (5.5K).
-        assert!(r.scalars["hourly_first_probe_iops"] > 20_000.0);
-        assert!(r.scalars["hourly_final_iops"] < 9_000.0);
-        assert!(r.scalars["daily_final_iops"] < 9_000.0);
-    }
-}

@@ -3,7 +3,9 @@
 //! One function per paper table/figure (see DESIGN.md §4), each returning
 //! an [`ExperimentResult`] and registered in [`experiments::ALL`]. The one
 //! binary, `skyrise-bench <name>... | all`, runs the selection through
-//! [`harness`], prints each result and persists JSON/CSV under `results/`.
+//! [`harness`], prints each result, persists JSON/CSV under `results/` and
+//! renders the paper's findings ([`findings::FINDINGS`]) against them into
+//! `results/findings.md`.
 //!
 //! Two profiles:
 //! * **fast** (default) — time-scaled variants of the long-running
@@ -21,6 +23,7 @@
 
 pub mod datasets;
 pub mod experiments;
+pub mod findings;
 pub mod harness;
 pub mod host;
 
@@ -65,9 +68,6 @@ pub fn finish(result: &ExperimentResult) {
     for (k, v) in &result.scalars {
         println!("  {k} = {v:.6}");
     }
-    if let Some(cost) = &result.cost {
-        println!("  simulated experiment cost: ${:.4}", cost.total_usd());
-    }
     let dir = results_dir();
     match result.save(&dir) {
         Ok(()) => println!("  saved to {}/{}.json", dir.display(), result.id),
@@ -107,7 +107,7 @@ pub struct RunSummary {
     pub runs: Vec<(String, Tracer)>,
     /// One `(label, report)` per sanitized simulation, in execution order.
     /// Two same-seed executions of the same experiment must produce
-    /// identical digest sequences; see `tests/determinism_sweep.rs`.
+    /// identical digest sequences; see `tests/parallel_determinism.rs`.
     pub digests: Vec<(String, SanitizerReport)>,
     /// Telemetry registry snapshots merged across every simulation of the
     /// run (empty unless metrics capture was on). Canonical and bit-stable:
@@ -199,8 +199,8 @@ type SimBody<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 /// capture or `force_trace` asks for one, the metric registry when the
 /// capture asks, and the sanitizer. Afterwards the registry snapshot's
 /// digest is folded into the sanitizer — so nondeterministic telemetry
-/// fails the sweep like any other divergent state — and the simulation is
-/// recorded into the active capture.
+/// fails a digest comparison like any other divergent state — and the
+/// simulation is recorded into the active capture.
 fn run_sim<T: 'static>(
     seed: u64,
     faults: Option<skyrise::sim::FaultConfig>,

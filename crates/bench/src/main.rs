@@ -3,7 +3,9 @@
 //! paper, or all of them. Run with `--release`; set `SKYRISE_FULL=1` for
 //! paper-scale durations. Results land under `results/`; each experiment
 //! prints a summary line: virtual time simulated, wall-clock elapsed,
-//! events traced, and output paths. An unknown or missing name lists the
+//! events traced, and output paths. Afterwards the paper's findings are
+//! rendered against the results directory into `findings.md`, and each
+//! failing row is printed by name. An unknown or missing name lists the
 //! registry and exits 2.
 //!
 //! Experiments run in paper order, in parallel across worker threads
@@ -22,6 +24,7 @@
 //! written as JSONL at `<path>` plus Prometheus text exposition at
 //! `<path>.prom`.
 
+use skyrise_bench::findings;
 use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_with_sidecar};
 use skyrise_bench::host::{self, Stopwatch};
 
@@ -45,6 +48,16 @@ fn main() {
     for experiment in &done {
         report(experiment);
         suite_metrics.merge(&experiment.metrics);
+    }
+    let dir = skyrise_bench::results_dir();
+    match findings::write_report(&dir) {
+        Ok(failures) => {
+            eprintln!("findings -> {}", dir.join("findings.md").display());
+            for failure in failures {
+                eprintln!("finding fails: {failure}");
+            }
+        }
+        Err(e) => eprintln!("(could not write findings to {}: {e})", dir.display()),
     }
     if let Some(path) = &args.metrics_out {
         match write_with_sidecar(

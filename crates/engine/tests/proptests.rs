@@ -302,7 +302,6 @@ fn distributed_agg_through_partitioning() {
         })
         .collect();
     assert_eq!(got, want_rows);
-    let _ = Rc::new(());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 //! and writes CSV/JSON artifacts under `results/`.
 
 use serde::{Deserialize, Serialize};
-use skyrise_pricing::CostReport;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -41,8 +40,6 @@ pub struct ExperimentResult {
     pub series: Vec<NamedSeries>,
     /// Scalar findings (break-evens, medians, ...).
     pub scalars: BTreeMap<String, f64>,
-    /// The simulated invoice of the experiment.
-    pub cost: Option<CostReport>,
 }
 
 impl ExperimentResult {

@@ -7,7 +7,6 @@
 //! turns the counters into an itemised invoice.
 
 use crate::catalog::{LambdaPricing, StoragePricing, StorageService};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-storage-service usage counters.
@@ -186,7 +185,7 @@ impl UsageMeter {
 }
 
 /// An itemised invoice over a [`UsageMeter`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CostReport {
     /// Lambda GB-second charges (tiered).
     pub lambda_compute_usd: f64,

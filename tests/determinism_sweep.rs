@@ -1,146 +1,27 @@
-//! Double-run determinism sweep: every experiment's simulation is executed
-//! twice with the same seed and the runtime sanitizer's state digests must
-//! be byte-identical. A divergence fails with the label of the first
-//! diverging simulation and the event index of the first diverging digest
-//! checkpoint (see `skyrise_sim::SanitizerReport::first_divergence`).
-//!
-//! Cheap experiments run in every `cargo test`; the long-running figures
-//! are `#[ignore]`d in debug builds (mirroring `experiments_smoke.rs`) and
-//! covered by release-mode CI / `cargo test --release -- --ignored`.
+//! Same-seed determinism in every debug `cargo test`: each cheap experiment
+//! run twice at once, on two harness workers, against the same two runs
+//! back to back, and one query at smoke size. The same contract (digests,
+//! telemetry and result JSON) over the whole suite, serial against four
+//! workers, lives in `tests/parallel_determinism.rs`.
 
-use skyrise::micro::ExperimentResult;
-use skyrise_bench::experiments as e;
-use skyrise_bench::harness::{run_jobs, ExperimentJob};
-
-/// Run `f` twice with the same seeds — as two jobs on two parallel harness
-/// workers — and assert the sanitizer digest trails match
-/// simulation-by-simulation. Going through the harness makes every sweep
-/// entry double as a check that worker threads don't perturb a run.
-/// Both jobs run with telemetry registries installed, so the sweep also
-/// proves the metrics layer is bit-stable: registry snapshots must be
-/// byte-identical (and their digests are folded into the sanitizer trail).
-fn assert_deterministic(name: &'static str, f: fn() -> ExperimentResult) {
-    let jobs = vec![
-        ExperimentJob {
-            name,
-            run: f,
-            trace_out: None,
-            metrics: true,
-        },
-        ExperimentJob {
-            name,
-            run: f,
-            trace_out: None,
-            metrics: true,
-        },
-    ];
-    let mut done = run_jobs(jobs, 2);
-    let b = done.pop().expect("two completed jobs");
-    let a = done.pop().expect("two completed jobs");
-    assert_eq!(a.sims, b.sims, "{name}: simulation count diverged");
-    // Every simulation must have produced a sanitizer digest (the harness
-    // enables the sanitizer unconditionally). Experiments that are pure
-    // pricing arithmetic run zero simulations and pass vacuously.
-    assert_eq!(
-        a.digests.len() as u64,
-        a.sims,
-        "{name}: a simulation ran without its sanitizer"
-    );
-    assert_eq!(
-        a.digests.len(),
-        b.digests.len(),
-        "{name}: runs executed a different number of sanitized simulations"
-    );
-    for ((label_a, rep_a), (label_b, rep_b)) in a.digests.iter().zip(&b.digests) {
-        assert_eq!(label_a, label_b, "{name}: simulation order diverged");
-        if rep_a != rep_b {
-            panic!(
-                "{name}: nondeterminism in {label_a}: digests {:#018x} vs {:#018x} \
-                 ({} vs {} events), first divergence at event {:?}",
-                rep_a.digest,
-                rep_b.digest,
-                rep_a.events,
-                rep_b.events,
-                rep_a.first_divergence(rep_b)
-            );
-        }
-    }
-    // Telemetry itself must be bit-stable, not just hash-equal: the merged
-    // registry snapshots of both runs serialize to identical bytes.
-    assert_eq!(
-        a.metrics.canonical_json(),
-        b.metrics.canonical_json(),
-        "{name}: telemetry snapshot diverged between same-seed runs"
-    );
-    if a.sims > 0 {
-        assert!(
-            !a.metrics.is_empty(),
-            "{name}: simulations ran without registering any metric"
-        );
-    }
-}
+#[path = "support/same_seed.rs"]
+mod same_seed;
 
 macro_rules! sweep {
-    ($($(#[$attr:meta])* $name:ident),+ $(,)?) => {
+    ($($name:ident),+ $(,)?) => {
         $(
-            $(#[$attr])*
             #[test]
             fn $name() {
-                assert_deterministic(stringify!($name), e::$name);
+                let name = stringify!($name);
+                same_seed::assert_parallel_matches_serial(&[name, name], 2);
             }
         )+
     };
 }
 
-sweep! {
-    // Cheap: static pricing tables + the fastest network figure.
-    table01,
-    table02,
-    table03,
-    table04,
-    table07,
-    table08,
-    fig05,
-    // Long-running simulations: skipped under debug (tier-1) builds.
-    #[cfg_attr(debug_assertions, ignore)]
-    table05,
-    #[cfg_attr(debug_assertions, ignore)]
-    table06,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig06,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig07,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig08,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig09,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig10,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig11,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig12,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig13,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig14,
-    #[cfg_attr(debug_assertions, ignore)]
-    fig15,
-    #[cfg_attr(debug_assertions, ignore)]
-    ablation_combining,
-    #[cfg_attr(debug_assertions, ignore)]
-    ablation_binary_size,
-    #[cfg_attr(debug_assertions, ignore)]
-    extra_observations,
-    // Faulted configuration: the fault plan's injections must replay
-    // byte-identically — two same-seed runs of the fault-rate sweep
-    // (retries, speculation, crashes and all) compare digest-equal.
-    #[cfg_attr(debug_assertions, ignore)]
-    reliability,
-}
+// Static pricing tables + the fastest network figure.
+sweep!(table01, table02, table03, table04, table07, table08, fig05);
 
-/// Smoke-sized end-to-end determinism that `cargo test -q` runs in debug
-/// builds too (the sweeps above that reach the engine are release-only):
 /// Q6 on cold Lambda + S3 Standard, twice at one seed. Partitions carry a
 /// paper-scale logical size, so scan workers outrun their NIC's burst
 /// budget and wait on its slotted refill — the stalls `net::transfer`

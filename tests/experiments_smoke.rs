@@ -1,9 +1,15 @@
 //! Smoke tests over the experiment harness: the cheap experiments run end
-//! to end and produce the paper's qualitative findings. (The expensive
-//! figures are covered by unit tests inside `skyrise-bench` and by
-//! `skyrise-bench all`.)
+//! to end, persist their results and, freshly run, hold their rows of
+//! `skyrise_bench::findings` (which tier-1 also checks on the committed
+//! `results/`).
 
 use skyrise_bench::experiments as e;
+use skyrise_bench::findings::fresh_failures;
+
+fn assert_findings_hold(result: &skyrise::micro::ExperimentResult) {
+    let fails = fresh_failures(result);
+    assert!(fails.is_empty(), "{}", fails.join("\n"));
+}
 
 #[test]
 fn static_tables_run() {
@@ -15,27 +21,18 @@ fn static_tables_run() {
     assert_eq!(t3.id, "table03");
 }
 
+/// RAM/SSD (4 KiB) breaks even in seconds, RAM/S3 Standard in days, and
+/// c6gn reserved breaks even at larger accesses than on-demand.
 #[test]
 fn breakeven_tables_match_paper_shape() {
-    let t7 = e::table07();
-    // RAM/SSD (4 KiB) is seconds; RAM/S3 Standard (4 KiB) is days.
-    let ram_ssd = t7.scalars["RAM_SSD_4096b_secs"];
-    let ram_s3 = t7.scalars["RAM_S3_Standard_4096b_secs"];
-    assert!(ram_ssd < 120.0);
-    assert!(ram_s3 > 86_400.0);
-
-    let t8 = e::table08();
-    // c6gn reserved breaks even at larger accesses than on-demand.
-    let od = t8.scalars["s3std_c6gn.xlarge_on-demand_mb"];
-    let rsv = t8.scalars["s3std_c6gn.xlarge_reserved_mb"];
-    assert!(rsv > 2.0 * od, "{od} vs {rsv}");
+    assert_findings_hold(&e::table07());
+    assert_findings_hold(&e::table08());
 }
 
+/// Lineitem outgrows orders at SF 1000; item stays under 1 GiB.
 #[test]
 fn table04_extrapolates_dataset_sizes() {
-    let t4 = e::table04();
-    assert!(t4.scalars["h_lineitem_sf1000_gib"] > t4.scalars["h_orders_sf1000_gib"]);
-    assert!(t4.scalars["bb_item_sf1000_gib"] < 1.0);
+    assert_findings_hold(&e::table04());
 }
 
 #[test]

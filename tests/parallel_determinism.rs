@@ -7,61 +7,18 @@
 //! byte-identical `ExperimentResult` JSON. Worker threads may only change
 //! wall-clock time, never a single simulated byte.
 //!
-//! The cheap experiments run in every `cargo test`; the full-suite
-//! comparison mirrors `determinism_sweep.rs` and is `#[ignore]`d under
-//! debug builds (release-mode CI runs it via `-- --ignored`).
+//! Both runs are same-seed runs, so this is also the suite's double-run
+//! determinism check: every simulation carries a sanitizer digest, and a
+//! divergence names the first diverging simulation and digest checkpoint
+//! (`SanitizerReport::first_divergence`). The cheap experiments run in every
+//! `cargo test`; the full suite is `#[ignore]`d under debug builds
+//! (release-mode CI runs it via `-- --include-ignored`).
 
+#[path = "support/same_seed.rs"]
+mod same_seed;
+
+use same_seed::assert_parallel_matches_serial;
 use skyrise_bench::experiments as e;
-use skyrise_bench::harness::{run_jobs, ExperimentJob};
-
-/// Run the named experiments through the harness with 1 worker and with
-/// `workers` workers, and assert the two runs are indistinguishable.
-/// Returns the serial results so callers can make further assertions
-/// against the (now provably job-count-independent) telemetry.
-fn assert_parallel_matches_serial(
-    names: &[&str],
-    workers: usize,
-) -> Vec<skyrise_bench::harness::CompletedExperiment> {
-    let jobs = || -> Vec<ExperimentJob> {
-        e::ALL
-            .iter()
-            .filter(|(name, _)| names.contains(name))
-            .map(|&(name, run)| ExperimentJob {
-                name,
-                run,
-                trace_out: None,
-                metrics: true,
-            })
-            .collect()
-    };
-    let submitted = jobs().len();
-    assert_eq!(submitted, names.len(), "unknown experiment name in filter");
-    let serial = run_jobs(jobs(), 1);
-    let parallel = run_jobs(jobs(), workers);
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        // Submission order is preserved regardless of completion order.
-        assert_eq!(s.name, p.name, "result order diverged");
-        assert_eq!(s.sims, p.sims, "{}: simulation count diverged", s.name);
-        assert_eq!(
-            s.digests, p.digests,
-            "{}: sanitizer digests diverged between --jobs 1 and --jobs {workers}",
-            s.name
-        );
-        let sj = serde_json::to_string(&s.result).expect("results serialise");
-        let pj = serde_json::to_string(&p.result).expect("results serialise");
-        assert_eq!(sj, pj, "{}: ExperimentResult JSON diverged", s.name);
-        // Telemetry snapshots are part of the contract too: byte-identical
-        // canonical JSON between --jobs 1 and --jobs N.
-        assert_eq!(
-            s.metrics.canonical_json(),
-            p.metrics.canonical_json(),
-            "{}: telemetry snapshot diverged between --jobs 1 and --jobs {workers}",
-            s.name
-        );
-    }
-    serial
-}
 
 /// Cheap subset (static pricing tables + the fastest figure): always on.
 #[test]
@@ -80,30 +37,6 @@ fn cheap_experiments_identical_across_jobs() {
 fn full_suite_identical_across_jobs() {
     let all: Vec<&str> = e::ALL.iter().map(|&(name, _)| name).collect();
     assert_parallel_matches_serial(&all, 4);
-}
-
-/// The shuffle-read telemetry joins the determinism contract: the combining
-/// ablation replays Q12 over both whole-object (`combine = 1`) and ranged
-/// first fetches, and its `engine.shuffle.*` counters must land
-/// in the merged snapshot — byte-identically across job counts (the
-/// snapshot comparison in the shared helper) and with real traffic behind
-/// them. Release-mode CI only: the ablation runs four query sweeps.
-#[test]
-#[cfg_attr(debug_assertions, ignore)]
-fn shuffle_counters_identical_across_jobs() {
-    let results = assert_parallel_matches_serial(&["ablation_combining"], 4);
-    let snapshot = results[0].metrics.canonical_json();
-    for counter in [
-        "engine.shuffle.bytes_read",
-        "engine.shuffle.bytes_whole_object",
-        "engine.shuffle.bytes_pruned",
-        "engine.shuffle.bytes_decoded",
-    ] {
-        assert!(
-            snapshot.contains(counter),
-            "{counter} missing from the merged telemetry snapshot"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ use skyrise::prelude::*;
 use skyrise::sim::{AttrValue, TraceEvent};
 use skyrise_oracle::reference::{self, rows_approx_eq};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 const SF: f64 = 0.01;
 const SEED: u64 = 20_240_101;
@@ -241,7 +240,6 @@ fn determinism_same_seed_same_response() {
     assert_eq!(a.runtime_secs, b.runtime_secs);
     assert_eq!(a.rows, b.rows);
     assert_eq!(a.total_requests(), b.total_requests());
-    let _ = Rc::new(()); // silence unused-import lint paths
 }
 
 #[test]
