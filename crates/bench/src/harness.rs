@@ -15,12 +15,15 @@
 //!   handle is `Rc`-based and must not leave its thread);
 //! * results are collected into submission-order slots, so reporting
 //!   order — and therefore every byte of suite output — is independent
-//!   of scheduling. `tests/parallel_determinism.rs` pins the contract:
-//!   `--jobs 1` and `--jobs 4` produce byte-identical digests and JSON.
+//!   of scheduling.
+//!
+//! [`report`] writes each experiment's simulation digests beside its
+//! results (`results/<id>.digests.csv`): a rerun at any `--jobs` that
+//! leaves the committed `results/` unchanged kept every simulated bit.
 
 use crate::experiments::{Experiment, ALL};
 use crate::host::{self, HostSecs, Stopwatch};
-use crate::{capture_runs, finish, results_dir};
+use crate::{capture_runs, results_dir};
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport};
 use std::collections::VecDeque;
@@ -40,10 +43,6 @@ pub struct ExperimentJob {
     /// the merged Chrome-trace / JSONL strings are returned in the
     /// completed job for the reporter to write at this path.
     pub trace_out: Option<PathBuf>,
-    /// When set, a metric registry is installed in every simulation and
-    /// the merged snapshot is returned in the completed job (the CLI
-    /// merges further across experiments for `--metrics-out`).
-    pub metrics: bool,
 }
 
 /// Serialized trace artifacts produced on the worker thread. `Tracer`
@@ -63,19 +62,17 @@ pub struct CompletedExperiment {
     pub name: &'static str,
     /// The experiment's result tables.
     pub result: ExperimentResult,
-    /// Per-simulation sanitizer digests, in execution order. The parallel
-    /// determinism contract compares these against a serial run.
+    /// Per-simulation sanitizer digests, in execution order: the rows of
+    /// the experiment's digests file ([`digests_csv`]).
     pub digests: Vec<(String, SanitizerReport)>,
-    /// Simulations executed.
-    pub sims: u64,
     /// Total virtual time simulated (seconds).
     pub virtual_secs: f64,
     /// Trace events recorded (0 when tracing was off).
     pub events: u64,
     /// Serialized traces, when the job asked for them.
     pub trace: Option<TraceArtifacts>,
-    /// Merged telemetry snapshot (empty when the job ran without
-    /// metrics). Plain data, so it crosses the worker-thread boundary.
+    /// Telemetry snapshot merged over the job's simulations. Plain data,
+    /// so it crosses the worker-thread boundary.
     pub metrics: MetricsSnapshot,
     /// Wall-clock time the job took on its worker.
     pub wall: HostSecs,
@@ -85,7 +82,7 @@ pub struct CompletedExperiment {
 fn run_one(job: ExperimentJob) -> CompletedExperiment {
     // Host-side wall clock for the human-facing summary line only.
     let wall = Stopwatch::start();
-    let (result, summary) = capture_runs(job.trace_out.is_some(), job.metrics, 0, job.run);
+    let (result, summary) = capture_runs(job.trace_out.is_some(), 0, job.run);
     let trace = job.trace_out.map(|path| TraceArtifacts {
         path,
         chrome_json: summary.chrome_json(),
@@ -96,7 +93,6 @@ fn run_one(job: ExperimentJob) -> CompletedExperiment {
         result,
         events: summary.events(),
         digests: summary.digests,
-        sims: summary.sims,
         virtual_secs: summary.virtual_secs,
         trace,
         metrics: summary.metrics,
@@ -106,8 +102,7 @@ fn run_one(job: ExperimentJob) -> CompletedExperiment {
 
 /// Run `jobs` across up to `workers` OS threads and return the completed
 /// experiments **in submission order**, regardless of which worker finished
-/// when. `workers <= 1` runs everything serially on the calling thread —
-/// the baseline the parallel determinism test compares against.
+/// when. `workers <= 1` runs everything serially on the calling thread.
 ///
 /// A panic inside any experiment propagates out of this call once the
 /// remaining workers drain (std scoped-thread semantics).
@@ -140,16 +135,40 @@ pub fn run_jobs(jobs: Vec<ExperimentJob>, workers: usize) -> Vec<CompletedExperi
         .collect()
 }
 
+/// The digests file of an experiment: a `sim,digest,events` header, then
+/// one row per simulation in execution order, its label, its sanitizer
+/// digest as 16 hex digits and its event count.
+pub fn digests_csv(digests: &[(String, SanitizerReport)]) -> String {
+    use std::fmt::Write;
+    let mut csv = String::from("sim,digest,events\n");
+    for (label, report) in digests {
+        let _ = writeln!(csv, "{label},{:016x},{}", report.digest, report.events);
+    }
+    csv
+}
+
 /// Print and persist one completed experiment exactly as the serial
-/// harness would: result tables via [`finish`], traces to their requested
-/// paths, and the one-line summary. Call in submission order.
+/// harness would: its result tables, their JSON/CSV under [`results_dir`]
+/// with the digests file beside them, traces to their requested paths,
+/// and the one-line summary. Call in submission order.
 pub fn report(done: &CompletedExperiment) {
-    finish(&done.result);
-    let mut outputs = vec![format!(
-        "{}/{}.json",
-        results_dir().display(),
-        done.result.id
-    )];
+    let result = &done.result;
+    println!("=== {}: {} ===", result.id, result.title);
+    for (k, v) in &result.params {
+        println!("  param {k} = {v}");
+    }
+    for (k, v) in &result.scalars {
+        println!("  {k} = {v:.6}");
+    }
+    let dir = results_dir();
+    let [json, digests] =
+        ["json", "digests.csv"].map(|ext| format!("{}/{}.{ext}", dir.display(), result.id));
+    let saved = result.save(&dir);
+    match saved.and_then(|()| std::fs::write(&digests, digests_csv(&done.digests))) {
+        Ok(()) => println!("  saved to {json}\n"),
+        Err(e) => eprintln!("  (could not save results: {e})\n"),
+    }
+    let mut outputs = vec![json, digests];
     if let Some(trace) = &done.trace {
         match write_with_sidecar(&trace.path, &trace.chrome_json, "jsonl", &trace.jsonl) {
             Ok(jsonl_path) => {
@@ -167,7 +186,7 @@ pub fn report(done: &CompletedExperiment) {
         "[{}] virtual {:.1}s across {} sims, {} events traced, {} metrics, wall {:.1} -> {}",
         done.name,
         done.virtual_secs,
-        done.sims,
+        done.digests.len(),
         done.events,
         n_metrics,
         done.wall,
@@ -232,7 +251,6 @@ impl SuiteArgs {
                         trace_path_for(base, name)
                     }
                 }),
-                metrics: self.metrics_out.is_some(),
             })
             .collect()
     }
@@ -333,36 +351,19 @@ mod tests {
         r
     }
 
-    fn job_a() -> ExperimentResult {
-        tiny("harness_a", 3)
-    }
-    fn job_b() -> ExperimentResult {
-        tiny("harness_b", 5)
-    }
-    fn job_c() -> ExperimentResult {
-        tiny("harness_c", 7)
+    fn job(name: &'static str, run: fn() -> ExperimentResult) -> ExperimentJob {
+        ExperimentJob {
+            name,
+            run,
+            trace_out: None,
+        }
     }
 
     fn jobs() -> Vec<ExperimentJob> {
         vec![
-            ExperimentJob {
-                name: "a",
-                run: job_a,
-                trace_out: None,
-                metrics: false,
-            },
-            ExperimentJob {
-                name: "b",
-                run: job_b,
-                trace_out: None,
-                metrics: false,
-            },
-            ExperimentJob {
-                name: "c",
-                run: job_c,
-                trace_out: None,
-                metrics: false,
-            },
+            job("a", || tiny("harness_a", 3)),
+            job("b", || tiny("harness_b", 5)),
+            job("c", || tiny("harness_c", 7)),
         ]
     }
 
@@ -381,7 +382,6 @@ mod tests {
         let serial = run_jobs(jobs(), 1);
         let parallel = run_jobs(jobs(), 3);
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.sims, p.sims);
             assert_eq!(s.digests, p.digests, "digest diverged for {}", s.name);
         }
     }
@@ -445,11 +445,9 @@ mod tests {
                 PathBuf::from("/tmp/t-fig14.json")
             ]
         );
-        assert!(two.iter().all(|j| !j.metrics));
         // No flag, no capture.
         let plain = parsed(&["fig05"]).plan();
         assert_eq!(plain[0].trace_out, None);
-        assert!(parsed(&["fig05", "--metrics-out=/tmp/m.jsonl"]).plan()[0].metrics);
     }
 
     #[test]
@@ -474,35 +472,36 @@ mod tests {
 
     #[test]
     fn jobs_carry_metrics_snapshots() {
-        fn probe() -> ExperimentResult {
-            let r = ExperimentResult::new("harness_metrics", "metrics probe");
+        let probe = job("m", || {
             crate::in_sim(50, |ctx| {
                 Box::pin(async move {
                     ctx.metrics().counter("test.harness.probe").inc();
                     ctx.sleep(skyrise::sim::SimDuration::from_secs(1)).await;
                 })
             });
-            r
-        }
-        let done = run_jobs(
-            vec![ExperimentJob {
-                name: "m",
-                run: probe,
-                trace_out: None,
-                metrics: true,
-            }],
-            1,
-        );
+            ExperimentResult::new("harness_metrics", "metrics probe")
+        });
+        let done = run_jobs(vec![probe], 1);
         assert_eq!(done[0].metrics.counters["test.harness.probe"], 1);
-        let off = run_jobs(
-            vec![ExperimentJob {
-                name: "m",
-                run: probe,
-                trace_out: None,
-                metrics: false,
-            }],
-            1,
+    }
+
+    #[test]
+    fn digests_file_has_one_row_per_simulation_in_order() {
+        let two_sims = job("two", || {
+            tiny("harness_two", 1);
+            tiny("harness_two", 2)
+        });
+        let no_sim = job("none", || ExperimentResult::new("harness_none", "no sim"));
+        let done = run_jobs(vec![two_sims, no_sim], 1);
+        let [one, two] = [&done[0].digests[0].1, &done[0].digests[1].1];
+        assert_ne!(one.digest, two.digest, "a 1 s and a 2 s sleep");
+        assert_eq!(
+            digests_csv(&done[0].digests),
+            format!(
+                "sim,digest,events\nsim00-seed2a,{:016x},{}\nsim01-seed2a,{:016x},{}\n",
+                one.digest, one.events, two.digest, two.events
+            )
         );
-        assert!(off[0].metrics.is_empty());
+        assert_eq!(digests_csv(&done[1].digests), "sim,digest,events\n");
     }
 }

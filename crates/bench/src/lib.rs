@@ -1,11 +1,12 @@
 //! # skyrise-bench — the experiment harness
 //!
 //! One function per paper table/figure (see DESIGN.md §4), each returning
-//! an [`ExperimentResult`] and registered in [`experiments::ALL`]. The one
-//! binary, `skyrise-bench <name>... | all`, runs the selection through
-//! [`harness`], prints each result, persists JSON/CSV under `results/` and
-//! renders the paper's findings ([`findings::FINDINGS`]) against them into
-//! `results/findings.md`.
+//! an [`ExperimentResult`](skyrise::micro::ExperimentResult) and
+//! registered in [`experiments::ALL`]. The one binary, `skyrise-bench
+//! <name>... | all`, runs the selection through [`harness`], prints each
+//! result, persists JSON/CSV and the simulations' digests under `results/`
+//! and renders the paper's findings ([`findings::FINDINGS`]) against them
+//! into `results/findings.md`.
 //!
 //! Two profiles:
 //! * **fast** (default) — time-scaled variants of the long-running
@@ -27,7 +28,6 @@ pub mod findings;
 pub mod harness;
 pub mod host;
 
-use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport, Tracer};
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -59,23 +59,6 @@ pub fn full_profile() -> bool {
     })
 }
 
-/// Print and persist an experiment result.
-pub fn finish(result: &ExperimentResult) {
-    println!("=== {}: {} ===", result.id, result.title);
-    for (k, v) in &result.params {
-        println!("  param {k} = {v}");
-    }
-    for (k, v) in &result.scalars {
-        println!("  {k} = {v:.6}");
-    }
-    let dir = results_dir();
-    match result.save(&dir) {
-        Ok(()) => println!("  saved to {}/{}.json", dir.display(), result.id),
-        Err(e) => eprintln!("  (could not save results: {e})"),
-    }
-    println!();
-}
-
 // ---------------------------------------------------------------------------
 // Trace capture across simulations
 // ---------------------------------------------------------------------------
@@ -86,9 +69,6 @@ pub fn finish(result: &ExperimentResult) {
 struct CaptureState {
     /// Install a tracer in every simulation (set by `--trace-out`).
     trace_all: bool,
-    /// Install a metric registry in every simulation (set by
-    /// `--metrics-out`); snapshots merge into one per experiment.
-    metrics_all: bool,
     /// Added to every `in_sim` seed (the determinism test's lever for
     /// "different seed → different trace").
     seed_offset: u64,
@@ -100,21 +80,18 @@ thread_local! {
     static CAPTURE: RefCell<CaptureState> = RefCell::new(CaptureState::default());
 }
 
-/// What a traced experiment run produced, aside from its result.
+/// What an experiment's simulations produced, aside from its result.
 #[derive(Default)]
 pub struct RunSummary {
     /// One `(label, tracer)` per traced simulation, in execution order.
     pub runs: Vec<(String, Tracer)>,
-    /// One `(label, report)` per sanitized simulation, in execution order.
-    /// Two same-seed executions of the same experiment must produce
-    /// identical digest sequences; see `tests/parallel_determinism.rs`.
+    /// One `(label, report)` per simulation, in execution order: the rows
+    /// a same-seed run must reproduce (`results/<id>.digests.csv`).
     pub digests: Vec<(String, SanitizerReport)>,
     /// Telemetry registry snapshots merged across every simulation of the
-    /// run (empty unless metrics capture was on). Canonical and bit-stable:
-    /// same seeds → byte-identical `canonical_json()`.
+    /// run. Canonical and bit-stable: same seeds → byte-identical
+    /// `canonical_json()`.
     pub metrics: MetricsSnapshot,
-    /// Simulations executed.
-    pub sims: u64,
     /// Total virtual time simulated (seconds).
     pub virtual_secs: f64,
 }
@@ -144,20 +121,14 @@ impl RunSummary {
 }
 
 /// Run `f` with capture active: every [`in_sim`] inside it records its
-/// virtual time, and — when `trace` (resp. `metrics`) is set — installs a
-/// tracer (resp. metric registry) whose events are collected into the
+/// virtual time, sanitizer digest and telemetry snapshot, and — when
+/// `trace` is set — installs a tracer whose events are collected into the
 /// returned [`RunSummary`]. `seed_offset` shifts every simulation seed
 /// (0 for normal runs).
-pub fn capture_runs<T>(
-    trace: bool,
-    metrics: bool,
-    seed_offset: u64,
-    f: impl FnOnce() -> T,
-) -> (T, RunSummary) {
+pub fn capture_runs<T>(trace: bool, seed_offset: u64, f: impl FnOnce() -> T) -> (T, RunSummary) {
     CAPTURE.with(|c| {
         *c.borrow_mut() = CaptureState {
             trace_all: trace,
-            metrics_all: metrics,
             seed_offset,
             ..CaptureState::default()
         }
@@ -167,49 +138,25 @@ pub fn capture_runs<T>(
     (out, state.summary)
 }
 
-fn record_sim(
-    seed: u64,
-    end: skyrise::sim::SimTime,
-    tracer: Option<Tracer>,
-    report: Option<SanitizerReport>,
-    metrics: Option<MetricsSnapshot>,
-) {
-    CAPTURE.with(|c| {
-        let s = &mut c.borrow_mut().summary;
-        s.sims += 1;
-        s.virtual_secs += end.as_secs_f64();
-        let label = format!("sim{:02}-seed{:x}", s.sims - 1, seed);
-        if let Some(t) = tracer {
-            s.runs.push((label.clone(), t));
-        }
-        if let Some(r) = report {
-            s.digests.push((label, r));
-        }
-        if let Some(m) = metrics {
-            s.metrics.merge(&m);
-        }
-    });
-}
-
 /// What an experiment hands a simulation: a future over its context.
 type SimBody<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 
 /// The one simulation runner: a fresh `Sim` on `seed` (plus the capture's
 /// offset) with, in this order, the fault plan if any, a tracer when the
-/// capture or `force_trace` asks for one, the metric registry when the
-/// capture asks, and the sanitizer. Afterwards the registry snapshot's
-/// digest is folded into the sanitizer — so nondeterministic telemetry
-/// fails a digest comparison like any other divergent state — and the
-/// simulation is recorded into the active capture.
+/// capture or `force_trace` asks for one, the metric registry, and the
+/// sanitizer. Afterwards the registry snapshot's digest is folded into the
+/// sanitizer — so nondeterministic telemetry fails a digest comparison
+/// like any other divergent state — and the simulation is recorded into
+/// the active capture.
 fn run_sim<T: 'static>(
     seed: u64,
     faults: Option<skyrise::sim::FaultConfig>,
     force_trace: bool,
     f: impl FnOnce(skyrise::sim::SimCtx) -> SimBody<T> + 'static,
 ) -> T {
-    let (trace_all, metrics_all, offset) = CAPTURE.with(|c| {
+    let (trace_all, offset) = CAPTURE.with(|c| {
         let c = c.borrow();
-        (c.trace_all, c.metrics_all, c.seed_offset)
+        (c.trace_all, c.seed_offset)
     });
     let seed = seed.wrapping_add(offset);
     let mut sim = skyrise::sim::Sim::new(seed);
@@ -217,16 +164,24 @@ fn run_sim<T: 'static>(
         sim.install_faults(config);
     }
     let tracer = (trace_all || force_trace).then(|| sim.install_tracer());
-    let registry = metrics_all.then(|| sim.install_metrics());
+    let registry = sim.install_metrics();
     let sanitizer = sim.enable_sanitizer();
     let ctx = sim.ctx();
     let h = sim.spawn(f(ctx));
     let end = sim.run();
-    let snapshot = registry.map(|r| r.snapshot());
-    if let Some(snap) = &snapshot {
-        sanitizer.observe("telemetry", snap.digest());
-    }
-    record_sim(seed, end, tracer, sanitizer.report(), snapshot);
+    let snapshot = registry.snapshot();
+    sanitizer.observe("telemetry", snapshot.digest());
+    let report = sanitizer.report().expect("sanitizer enabled");
+    CAPTURE.with(|c| {
+        let s = &mut c.borrow_mut().summary;
+        let label = format!("sim{:02}-seed{:x}", s.digests.len(), seed);
+        s.virtual_secs += end.as_secs_f64();
+        s.metrics.merge(&snapshot);
+        if let Some(t) = tracer {
+            s.runs.push((label.clone(), t));
+        }
+        s.digests.push((label, report));
+    });
     h.try_take().expect("experiment completed")
 }
 
@@ -285,7 +240,7 @@ mod tests {
 
     #[test]
     fn capture_collects_traces_and_virtual_time() {
-        let (out, summary) = capture_runs(true, false, 0, || {
+        let (out, summary) = capture_runs(true, 0, || {
             in_sim(7, |ctx| {
                 Box::pin(async move {
                     let tracer = ctx.tracer();
@@ -297,7 +252,7 @@ mod tests {
             })
         });
         assert_eq!(out, 1);
-        assert_eq!(summary.sims, 1);
+        assert_eq!(summary.digests.len(), 1);
         assert_eq!(summary.virtual_secs, 3.0);
         assert_eq!(summary.events(), 1);
         assert!(summary.chrome_json().contains("\"work\""));
@@ -306,14 +261,14 @@ mod tests {
 
     #[test]
     fn capture_disabled_still_counts_sims() {
-        let ((), summary) = capture_runs(false, false, 0, || {
+        let ((), summary) = capture_runs(false, 0, || {
             in_sim(8, |ctx| {
                 Box::pin(async move {
                     ctx.sleep(skyrise::sim::SimDuration::from_secs(1)).await;
                 })
             })
         });
-        assert_eq!(summary.sims, 1);
+        assert_eq!(summary.digests.len(), 1);
         assert_eq!(summary.events(), 0);
         assert!(summary.runs.is_empty());
     }
@@ -321,7 +276,7 @@ mod tests {
     #[test]
     fn seed_offset_shifts_sim_seeds() {
         fn seed_of(offset: u64) -> u64 {
-            let ((), summary) = capture_runs(true, false, offset, || {
+            let ((), summary) = capture_runs(true, offset, || {
                 in_sim(100, |ctx| {
                     Box::pin(async move {
                         let tracer = ctx.tracer();
@@ -338,7 +293,7 @@ mod tests {
     #[test]
     fn sanitizer_digests_recorded_and_reproducible() {
         fn one(seed: u64) -> RunSummary {
-            capture_runs(false, false, 0, || {
+            capture_runs(false, 0, || {
                 in_sim(seed, |ctx| {
                     Box::pin(async move {
                         ctx.sleep(skyrise::sim::SimDuration::from_secs(2)).await;
@@ -357,7 +312,7 @@ mod tests {
 
     #[test]
     fn metrics_capture_merges_across_sims() {
-        let ((), summary) = capture_runs(false, true, 0, || {
+        let ((), summary) = capture_runs(false, 0, || {
             for seed in [21, 22] {
                 in_sim(seed, |ctx| {
                     Box::pin(async move {
@@ -368,7 +323,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(summary.sims, 2);
+        assert_eq!(summary.digests.len(), 2);
         assert_eq!(summary.metrics.counters["test.capture.runs"], 2);
         // Executor self-profiling rides along once a registry is live.
         assert!(summary.metrics.counters["sim.executor.polls"] > 0);
@@ -376,8 +331,8 @@ mod tests {
 
     #[test]
     fn telemetry_digest_feeds_the_sanitizer() {
-        fn digest_of(metrics: bool, extra: u64) -> u64 {
-            let ((), summary) = capture_runs(false, metrics, 0, || {
+        fn digest_of(extra: u64) -> u64 {
+            let ((), summary) = capture_runs(false, 0, || {
                 in_sim(31, move |ctx| {
                     Box::pin(async move {
                         ctx.metrics().counter("test.sanitizer.value").add(extra);
@@ -388,9 +343,8 @@ mod tests {
             summary.digests[0].1.digest
         }
         // Same telemetry, same digest; different telemetry, different
-        // digest; telemetry off leaves the baseline digest untouched.
-        assert_eq!(digest_of(true, 1), digest_of(true, 1));
-        assert_ne!(digest_of(true, 1), digest_of(true, 2));
-        assert_eq!(digest_of(false, 1), digest_of(false, 2));
+        // digest.
+        assert_eq!(digest_of(1), digest_of(1));
+        assert_ne!(digest_of(1), digest_of(2));
     }
 }

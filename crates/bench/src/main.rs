@@ -1,7 +1,8 @@
 //! `skyrise-bench <name>... | all [--jobs N] [--trace-out P] [--metrics-out
 //! P]` — regenerate the named tables and figures of the
 //! paper, or all of them. Run with `--release`; set `SKYRISE_FULL=1` for
-//! paper-scale durations. Results land under `results/`; each experiment
+//! paper-scale durations. Results land under `results/`, each experiment's
+//! simulation digests beside them in `<id>.digests.csv`; each experiment
 //! prints a summary line: virtual time simulated, wall-clock elapsed,
 //! events traced, and output paths. Afterwards the paper's findings are
 //! rendered against the results directory into `findings.md`, and each
@@ -19,10 +20,10 @@
 //! experiment name (`all --trace-out /tmp/all.json` yields
 //! `/tmp/all-fig05.json`, ...).
 //!
-//! With `--metrics-out <path>`, every simulation runs with a telemetry
-//! registry installed and the snapshot merged over the selection is
-//! written as JSONL at `<path>` plus Prometheus text exposition at
-//! `<path>.prom`.
+//! Every simulation runs with a telemetry registry installed, its digest
+//! folded into the simulation's. With `--metrics-out <path>`, the snapshot
+//! merged over the selection is written as JSONL at `<path>` plus
+//! Prometheus text exposition at `<path>.prom`.
 
 use skyrise_bench::findings;
 use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_with_sidecar};

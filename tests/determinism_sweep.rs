@@ -1,8 +1,8 @@
 //! Same-seed determinism in every debug `cargo test`: each cheap experiment
-//! run twice at once, on two harness workers, against the same two runs
-//! back to back, and one query at smoke size. The same contract (digests,
-//! telemetry and result JSON) over the whole suite, serial against four
-//! workers, lives in `tests/parallel_determinism.rs`.
+//! run once, on one harness worker, against the simulation digests
+//! committed in `results/<id>.digests.csv`, and one query at smoke size
+//! run twice. The seven together on four workers are
+//! `tests/parallel_determinism.rs`'s.
 
 #[path = "support/same_seed.rs"]
 mod same_seed;
@@ -13,7 +13,7 @@ macro_rules! sweep {
             #[test]
             fn $name() {
                 let name = stringify!($name);
-                same_seed::assert_parallel_matches_serial(&[name, name], 2);
+                same_seed::assert_matches_committed(&[name], 1);
             }
         )+
     };

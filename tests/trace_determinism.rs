@@ -10,8 +10,8 @@ use skyrise_bench::{capture_runs, experiments as e};
 
 #[test]
 fn same_seed_traces_are_byte_identical() {
-    let (r1, s1) = capture_runs(true, false, 0, e::fig05);
-    let (r2, s2) = capture_runs(true, false, 0, e::fig05);
+    let (r1, s1) = capture_runs(true, 0, e::fig05);
+    let (r2, s2) = capture_runs(true, 0, e::fig05);
 
     let json1 = serde_json::to_string(&r1).expect("result json");
     let json2 = serde_json::to_string(&r2).expect("result json");
@@ -24,8 +24,8 @@ fn same_seed_traces_are_byte_identical() {
 
 #[test]
 fn different_seed_changes_the_trace() {
-    let (_, base) = capture_runs(true, false, 0, e::fig05);
-    let (_, shifted) = capture_runs(true, false, 1, e::fig05);
+    let (_, base) = capture_runs(true, 0, e::fig05);
+    let (_, shifted) = capture_runs(true, 1, e::fig05);
     assert!(base.events() > 0 && shifted.events() > 0);
     assert_ne!(
         base.jsonl(),
