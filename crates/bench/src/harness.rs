@@ -19,11 +19,13 @@
 //!
 //! [`report`] writes each experiment's simulation digests beside its
 //! results (`results/<id>.digests.csv`): a rerun at any `--jobs` that
-//! leaves the committed `results/` unchanged kept every simulated bit.
+//! leaves the committed `results/` unchanged kept every simulated bit. It
+//! says whether every output was written, so a run that could not save
+//! one fails instead of leaving stale files to compare.
 
+use crate::capture_runs;
 use crate::experiments::{Experiment, ALL};
 use crate::host::{self, HostSecs, Stopwatch};
-use crate::{capture_runs, results_dir};
 use skyrise::micro::ExperimentResult;
 use skyrise::sim::{MetricsSnapshot, SanitizerReport};
 use std::collections::VecDeque;
@@ -40,20 +42,18 @@ pub struct ExperimentJob {
     /// The experiment body; runs entirely on one worker thread.
     pub run: fn() -> ExperimentResult,
     /// When set, tracing is enabled for every simulation in the job and
-    /// the merged Chrome-trace / JSONL strings are returned in the
-    /// completed job for the reporter to write at this path.
+    /// the merged Chrome-trace JSON is returned in the completed job for
+    /// the reporter to write at this path.
     pub trace_out: Option<PathBuf>,
 }
 
-/// Serialized trace artifacts produced on the worker thread. `Tracer`
-/// handles are `Rc`-based and cannot leave their thread; strings can.
+/// A serialized trace produced on the worker thread. `Tracer` handles are
+/// `Rc`-based and cannot leave their thread; strings can.
 pub struct TraceArtifacts {
     /// Where the reporter should write the Chrome-trace JSON.
     pub path: PathBuf,
     /// Merged Chrome-trace JSON over the job's simulations.
     pub chrome_json: String,
-    /// Flat JSONL event log over the job's simulations.
-    pub jsonl: String,
 }
 
 /// Everything a finished experiment produced, as plain `Send` data.
@@ -69,7 +69,7 @@ pub struct CompletedExperiment {
     pub virtual_secs: f64,
     /// Trace events recorded (0 when tracing was off).
     pub events: u64,
-    /// Serialized traces, when the job asked for them.
+    /// The serialized trace, when the job asked for one.
     pub trace: Option<TraceArtifacts>,
     /// Telemetry snapshot merged over the job's simulations. Plain data,
     /// so it crosses the worker-thread boundary.
@@ -86,7 +86,6 @@ fn run_one(job: ExperimentJob) -> CompletedExperiment {
     let trace = job.trace_out.map(|path| TraceArtifacts {
         path,
         chrome_json: summary.chrome_json(),
-        jsonl: summary.jsonl(),
     });
     CompletedExperiment {
         name: job.name,
@@ -148,10 +147,11 @@ pub fn digests_csv(digests: &[(String, SanitizerReport)]) -> String {
 }
 
 /// Print and persist one completed experiment exactly as the serial
-/// harness would: its result tables, their JSON/CSV under [`results_dir`]
-/// with the digests file beside them, traces to their requested paths,
-/// and the one-line summary. Call in submission order.
-pub fn report(done: &CompletedExperiment) {
+/// harness would: its result tables, their JSON/CSV under `dir` with the
+/// digests file beside them, its trace at the requested path, and the
+/// one-line summary. Call in submission order. Every output is attempted;
+/// `false` means one or more could not be written (each is printed).
+pub fn report(done: &CompletedExperiment, dir: &Path) -> bool {
     let result = &done.result;
     println!("=== {}: {} ===", result.id, result.title);
     for (k, v) in &result.params {
@@ -160,22 +160,25 @@ pub fn report(done: &CompletedExperiment) {
     for (k, v) in &result.scalars {
         println!("  {k} = {v:.6}");
     }
-    let dir = results_dir();
     let [json, digests] =
         ["json", "digests.csv"].map(|ext| format!("{}/{}.{ext}", dir.display(), result.id));
-    let saved = result.save(&dir);
+    let saved = result.save(dir);
+    let mut written = true;
     match saved.and_then(|()| std::fs::write(&digests, digests_csv(&done.digests))) {
         Ok(()) => println!("  saved to {json}\n"),
-        Err(e) => eprintln!("  (could not save results: {e})\n"),
+        Err(e) => {
+            eprintln!("  (could not save results: {e})\n");
+            written = false;
+        }
     }
     let mut outputs = vec![json, digests];
     if let Some(trace) = &done.trace {
-        match write_with_sidecar(&trace.path, &trace.chrome_json, "jsonl", &trace.jsonl) {
-            Ok(jsonl_path) => {
-                outputs.push(trace.path.display().to_string());
-                outputs.push(jsonl_path.display().to_string());
+        match write_output(&trace.path, &trace.chrome_json) {
+            Ok(()) => outputs.push(trace.path.display().to_string()),
+            Err(e) => {
+                eprintln!("  (could not write trace to {}: {e})", trace.path.display());
+                written = false;
             }
-            Err(e) => eprintln!("  (could not write trace to {}: {e})", trace.path.display()),
         }
     }
     let n_metrics = done.metrics.counters.len()
@@ -192,28 +195,18 @@ pub fn report(done: &CompletedExperiment) {
         done.wall,
         outputs.join(", ")
     );
+    written
 }
 
-/// Write `body` at `path` (creating its directory) and `sidecar` alongside
-/// at `<path>.<ext>`: a Chrome trace with its `.jsonl` event log, a
-/// telemetry JSONL with its `.prom` exposition. Returns the sidecar path.
-pub fn write_with_sidecar(
-    path: &Path,
-    body: &str,
-    ext: &str,
-    sidecar: &str,
-) -> std::io::Result<PathBuf> {
+/// Write `body` at `path`, creating its directory: a Chrome trace, the
+/// suite's telemetry JSONL.
+pub fn write_output(path: &Path, body: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, body)?;
-    let mut sidecar_path = path.as_os_str().to_owned();
-    sidecar_path.push(format!(".{ext}"));
-    let sidecar_path = PathBuf::from(sidecar_path);
-    std::fs::write(&sidecar_path, sidecar)?;
-    Ok(sidecar_path)
+    std::fs::write(path, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +222,7 @@ pub struct SuiteArgs {
     /// Trace path: used as given for a single experiment, as the base of
     /// per-experiment `stem-<name>.ext` files for several.
     pub trace_out: Option<PathBuf>,
-    /// Path for the merged telemetry JSONL (+ `.prom` sidecar).
+    /// Path for the merged telemetry JSONL.
     pub metrics_out: Option<PathBuf>,
     /// Worker thread count.
     pub jobs: usize,
@@ -483,6 +476,25 @@ mod tests {
         });
         let done = run_jobs(vec![probe], 1);
         assert_eq!(done[0].metrics.counters["test.harness.probe"], 1);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a host test writing real files needs the host's temp dir; no simulation reads it"
+    )]
+    fn report_fails_when_an_output_cannot_be_written() {
+        let dir = std::env::temp_dir().join("skyrise-bench-report");
+        // A regular file cannot hold a directory entry.
+        let under_a_file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/trace.json");
+        let traced = ExperimentJob {
+            trace_out: Some(under_a_file),
+            ..job("traced", || tiny("harness_report", 1))
+        };
+        let done = run_jobs(vec![job("plain", || tiny("harness_report", 1)), traced], 1);
+        assert!(report(&done[0], &dir), "results and digests are written");
+        assert!(!report(&done[1], &dir), "the trace cannot be written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

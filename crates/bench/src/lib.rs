@@ -16,10 +16,11 @@
 //! * **full** (`SKYRISE_FULL=1`) — paper-scale durations.
 //!
 //! With `--trace-out <path>` every simulation runs with virtual-time
-//! tracing enabled, and each experiment's merged trace is written as
-//! Chrome-trace JSON (open in Perfetto) plus a flat JSONL log alongside at
-//! `.jsonl`: at `<path>` when one experiment is selected, at
-//! `stem-<name>.ext` next to it when several are. Traces are byte-identical
+//! tracing enabled, and each experiment's merged trace is written as one
+//! Chrome-trace JSON file (open in Perfetto): at `<path>` when one
+//! experiment is selected, at `stem-<name>.ext` next to it when several
+//! are. Its process names, `sim<NN>-seed<hex>/<service>`, say which
+//! simulation and seed each event came from. Traces are byte-identical
 //! across runs with identical seeds.
 
 pub mod datasets;
@@ -102,21 +103,14 @@ impl RunSummary {
         self.runs.iter().map(|(_, t)| t.len() as u64).sum()
     }
 
-    fn run_refs(&self) -> Vec<(String, &Tracer)> {
-        self.runs
-            .iter()
-            .map(|(label, t)| (label.clone(), t))
-            .collect()
-    }
-
     /// Merged Chrome-trace JSON over every traced simulation.
     pub fn chrome_json(&self) -> String {
-        skyrise::sim::chrome_trace_json_multi(&self.run_refs())
-    }
-
-    /// Merged JSONL event log over every traced simulation.
-    pub fn jsonl(&self) -> String {
-        skyrise::sim::jsonl_multi(&self.run_refs())
+        let runs: Vec<(String, &Tracer)> = self
+            .runs
+            .iter()
+            .map(|(label, t)| (label.clone(), t))
+            .collect();
+        skyrise::sim::chrome_trace_json_multi(&runs)
     }
 }
 
@@ -143,11 +137,11 @@ type SimBody<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 
 /// The one simulation runner: a fresh `Sim` on `seed` (plus the capture's
 /// offset) with, in this order, the fault plan if any, a tracer when the
-/// capture or `force_trace` asks for one, the metric registry, and the
-/// sanitizer. Afterwards the registry snapshot's digest is folded into the
-/// sanitizer — so nondeterministic telemetry fails a digest comparison
-/// like any other divergent state — and the simulation is recorded into
-/// the active capture.
+/// capture or `force_trace` asks for one, and the metric registry; its
+/// sanitizer comes with it. Afterwards the registry snapshot's digest is
+/// folded into the sanitizer — so nondeterministic telemetry fails a
+/// digest comparison like any other divergent state — and the simulation
+/// is recorded into the active capture.
 fn run_sim<T: 'static>(
     seed: u64,
     faults: Option<skyrise::sim::FaultConfig>,
@@ -171,7 +165,7 @@ fn run_sim<T: 'static>(
     let end = sim.run();
     let snapshot = registry.snapshot();
     sanitizer.observe("telemetry", snapshot.digest());
-    let report = sanitizer.report().expect("sanitizer enabled");
+    let report = sanitizer.report().expect("every simulation is sanitized");
     CAPTURE.with(|c| {
         let s = &mut c.borrow_mut().summary;
         let label = format!("sim{:02}-seed{:x}", s.digests.len(), seed);
@@ -255,8 +249,10 @@ mod tests {
         assert_eq!(summary.digests.len(), 1);
         assert_eq!(summary.virtual_secs, 3.0);
         assert_eq!(summary.events(), 1);
-        assert!(summary.chrome_json().contains("\"work\""));
-        assert_eq!(summary.jsonl().lines().count(), 1);
+        let chrome = summary.chrome_json();
+        assert!(chrome.contains(r#""name":"work""#), "{chrome}");
+        // One process_name record and one span.
+        assert_eq!(chrome.lines().count(), 4, "{chrome}");
     }
 
     #[test]

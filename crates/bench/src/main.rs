@@ -7,7 +7,9 @@
 //! events traced, and output paths. Afterwards the paper's findings are
 //! rendered against the results directory into `findings.md`, and each
 //! failing row is printed by name. An unknown or missing name lists the
-//! registry and exits 2.
+//! registry and exits 2; an output that cannot be written (results,
+//! digests, trace, findings, metrics) is printed, and once everything else
+//! is written the run exits 1.
 //!
 //! Experiments run in paper order, in parallel across worker threads
 //! (`--jobs N`, default one per hardware thread; `--jobs 1` forces the
@@ -15,18 +17,18 @@
 //! thread, so parallelism never touches simulation determinism — reports
 //! and result files are byte-identical at any job count.
 //!
-//! With `--trace-out <path>`, a single experiment's Chrome-trace is
+//! With `--trace-out <path>`, a single experiment's Chrome-trace JSON is
 //! written at `<path>`; several are written next to it, suffixed with the
 //! experiment name (`all --trace-out /tmp/all.json` yields
 //! `/tmp/all-fig05.json`, ...).
 //!
 //! Every simulation runs with a telemetry registry installed, its digest
 //! folded into the simulation's. With `--metrics-out <path>`, the snapshot
-//! merged over the selection is written as JSONL at `<path>` plus
-//! Prometheus text exposition at `<path>.prom`.
+//! merged over the selection is written as JSONL at `<path>`. Each flag
+//! writes that one file.
 
 use skyrise_bench::findings;
-use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_with_sidecar};
+use skyrise_bench::harness::{parse_suite_args, report, run_jobs, write_output};
 use skyrise_bench::host::{self, Stopwatch};
 
 fn main() {
@@ -45,12 +47,13 @@ fn main() {
     let done = run_jobs(jobs, args.jobs);
     // Merge in submission (paper) order, so the merged snapshot is
     // byte-identical at any job count.
+    let dir = skyrise_bench::results_dir();
     let mut suite_metrics = skyrise::sim::MetricsSnapshot::default();
+    let mut written = true;
     for experiment in &done {
-        report(experiment);
+        written &= report(experiment, &dir);
         suite_metrics.merge(&experiment.metrics);
     }
-    let dir = skyrise_bench::results_dir();
     match findings::write_report(&dir) {
         Ok(failures) => {
             eprintln!("findings -> {}", dir.join("findings.md").display());
@@ -58,21 +61,18 @@ fn main() {
                 eprintln!("finding fails: {failure}");
             }
         }
-        Err(e) => eprintln!("(could not write findings to {}: {e})", dir.display()),
+        Err(e) => {
+            eprintln!("(could not write findings to {}: {e})", dir.display());
+            written = false;
+        }
     }
     if let Some(path) = &args.metrics_out {
-        match write_with_sidecar(
-            path,
-            &suite_metrics.to_jsonl(),
-            "prom",
-            &suite_metrics.to_prometheus(),
-        ) {
-            Ok(prom_path) => eprintln!(
-                "suite metrics -> {}, {}",
-                path.display(),
-                prom_path.display()
-            ),
-            Err(e) => eprintln!("(could not write metrics to {}: {e})", path.display()),
+        match write_output(path, &suite_metrics.to_jsonl()) {
+            Ok(()) => eprintln!("suite metrics -> {}", path.display()),
+            Err(e) => {
+                eprintln!("(could not write metrics to {}: {e})", path.display());
+                written = false;
+            }
         }
     }
     eprintln!(
@@ -80,4 +80,8 @@ fn main() {
         t0.elapsed(),
         args.jobs
     );
+    if !written {
+        eprintln!("some outputs could not be written");
+        std::process::exit(1);
+    }
 }

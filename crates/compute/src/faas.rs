@@ -350,13 +350,12 @@ impl LambdaPlatform {
         // Sanitizer cross-check: the metered GB-seconds delta must equal the
         // invoke span's wall window times configured memory. A drift here
         // means billing and tracing disagree about how long the run took.
-        let san = self.ctx.sanitizer();
-        if san.enabled() {
-            let delta = self.meter.borrow().lambda.gb_seconds - gb_s_before;
-            san.check_close(delta, config.memory_gb() * duration.as_secs_f64(), || {
-                format!("lambda GB-seconds metered for `{name}` vs invoke span window")
-            });
-        }
+        let delta = self.meter.borrow().lambda.gb_seconds - gb_s_before;
+        self.ctx.sanitizer().check_close(
+            delta,
+            config.memory_gb() * duration.as_secs_f64(),
+            || format!("lambda GB-seconds metered for `{name}` vs invoke span window"),
+        );
         if run.is_some() {
             self.release_sandbox(name, sandbox, lane);
         } else {

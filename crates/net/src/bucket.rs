@@ -331,8 +331,8 @@ impl RateLimiter {
         (lhs - rhs).abs() / lhs.abs().max(rhs.abs()).max(1.0)
     }
 
-    /// Assert conservation against the simulation sanitizer (no-op when the
-    /// sanitizer is disabled). `what` names the bucket in the panic message.
+    /// Assert conservation against the simulation sanitizer. `what` names
+    /// the bucket in the panic message.
     pub fn assert_conserved(&self, san: &skyrise_sim::Sanitizer, what: &str) {
         san.check(self.conservation_error() < 1e-6, || {
             format!(

@@ -232,10 +232,8 @@ pub async fn transfer(
             // Commit the grant everywhere.
             src.borrow_mut().outbound.consume(now, allow);
             dst.borrow_mut().inbound.consume(now, allow);
-            if san.enabled() {
-                src.borrow().outbound.assert_conserved(&san, "src.outbound");
-                dst.borrow().inbound.assert_conserved(&san, "dst.inbound");
-            }
+            src.borrow().outbound.assert_conserved(&san, "src.outbound");
+            dst.borrow().inbound.assert_conserved(&san, "dst.inbound");
             if let Some(fabric) = &opts.fabric {
                 fabric.grant(now, slice, allow);
             }

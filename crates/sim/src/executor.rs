@@ -33,9 +33,10 @@
 //!   locked queue that the poll loop opens only when something was pushed;
 //! * the slot also holds the instant of the task's previous poll, which is
 //!   all the sanitizer's per-task monotonicity check needs;
-//! * the tracer, sanitizer, fault plan, and RNG sit behind a single
+//! * the tracer, fault plan, metric registry and RNG sit behind a single
 //!   [`RefCell`] of scheduler hooks, borrowed once per step rather than
-//!   once per handle.
+//!   once per handle; the sanitizer, installed once and never replaced,
+//!   sits beside them outside the cell.
 
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::rng::SimRng;
@@ -109,8 +110,6 @@ struct Hooks {
     rng: SimRng,
     /// Trace sink; disabled (no-op) unless installed via [`Sim::install_tracer`].
     tracer: Tracer,
-    /// Runtime determinism sanitizer; active by default in debug builds.
-    sanitizer: Sanitizer,
     /// Fault-injection plan; disabled (injects nothing) unless installed
     /// via [`Sim::install_faults`].
     faults: FaultPlan,
@@ -153,6 +152,8 @@ struct SimState {
     /// The task being polled, `None` between polls.
     current: Cell<Option<TaskId>>,
     hooks: RefCell<Hooks>,
+    /// Runtime determinism sanitizer, the same one for the whole run.
+    sanitizer: Sanitizer,
     wake_queue: Arc<WakeQueue>,
     /// Count of tasks that have been spawned but not yet completed.
     live_tasks: Cell<usize>,
@@ -202,17 +203,10 @@ impl Sim {
                 hooks: RefCell::new(Hooks {
                     rng: SimRng::new(seed),
                     tracer: Tracer::disabled(),
-                    // Debug builds (what `cargo test` runs) sanitize every
-                    // simulation; release experiment binaries opt in via
-                    // [`Sim::enable_sanitizer`].
-                    sanitizer: if cfg!(debug_assertions) {
-                        Sanitizer::new()
-                    } else {
-                        Sanitizer::disabled()
-                    },
                     faults: FaultPlan::disabled(),
                     metrics: MetricRegistry::disabled(),
                 }),
+                sanitizer: Sanitizer::new(),
                 wake_queue: Arc::new(WakeQueue::default()),
                 live_tasks: Cell::new(0),
                 stats: ExecStats::default(),
@@ -235,20 +229,13 @@ impl Sim {
         self.state.hooks.borrow().tracer.clone()
     }
 
-    /// Enable the runtime determinism sanitizer (fresh state) and return a
-    /// handle that outlives the simulation, for post-run [`report`]s and
-    /// cross-run digest comparison.
+    /// The runtime determinism sanitizer this simulation started with
+    /// (every simulation has one): a handle that outlives the simulation,
+    /// for post-run [`report`]s and cross-run digest comparison.
     ///
     /// [`report`]: Sanitizer::report
     pub fn enable_sanitizer(&self) -> Sanitizer {
-        let san = Sanitizer::new();
-        self.state.hooks.borrow_mut().sanitizer = san.clone();
-        san
-    }
-
-    /// The sanitizer currently installed.
-    pub fn sanitizer(&self) -> Sanitizer {
-        self.state.hooks.borrow().sanitizer.clone()
+        self.state.sanitizer.clone()
     }
 
     /// Install a fault-injection plan (seeded from this simulation's seed,
@@ -317,19 +304,17 @@ impl Sim {
     /// Run until quiescence or until the clock would pass `limit`,
     /// whichever comes first. Timers beyond `limit` stay pending.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        // The sanitizer handle shares its state with the installed one, so
-        // one clone up front covers the whole run — the hooks cell is not
-        // re-borrowed per step.
-        let sanitizer = self.state.hooks.borrow().sanitizer.clone();
         loop {
-            self.drain_ready(&sanitizer);
+            self.drain_ready();
             let stats = &self.state.stats;
             // No runnable tasks: advance to the next timer. Cancelled
             // timers were removed eagerly, so the head is always live.
             let next = self.state.timers.borrow().peek_deadline();
             match next {
                 Some(deadline) if deadline <= limit => {
-                    sanitizer.on_advance(self.state.now.get(), deadline);
+                    self.state
+                        .sanitizer
+                        .on_advance(self.state.now.get(), deadline);
                     self.state.now.set(deadline);
                     stats.advances.set(stats.advances.get() + 1);
                     // Fire every timer at this deadline, in registration
@@ -357,7 +342,7 @@ impl Sim {
                         live == 0,
                         "simulation deadlock: {live} task(s) blocked with no pending timer"
                     );
-                    sanitizer.check_ledger();
+                    self.state.sanitizer.check_ledger();
                     self.flush_metrics();
                     return self.state.now.get();
                 }
@@ -397,8 +382,9 @@ impl Sim {
     }
 
     /// Poll every woken task until the ready queue is empty.
-    fn drain_ready(&mut self, sanitizer: &Sanitizer) {
+    fn drain_ready(&mut self) {
         let state = &*self.state;
+        let sanitizer = &state.sanitizer;
         let queue = &*state.wake_queue;
         loop {
             // Collect the wakes of the poll before (or, first time round,
@@ -481,14 +467,11 @@ impl SimCtx {
         }
     }
 
-    /// The simulation's sanitizer (no-op when disabled). Model crates use
-    /// this to assert domain invariants — token conservation, meter
-    /// cross-checks — without holding state of their own.
+    /// The simulation's sanitizer. Model crates use this to assert domain
+    /// invariants — token conservation, meter cross-checks — without
+    /// holding state of their own.
     pub fn sanitizer(&self) -> Sanitizer {
-        match self.state.upgrade() {
-            Some(s) => s.hooks.borrow().sanitizer.clone(),
-            None => Sanitizer::disabled(),
-        }
+        self.state().sanitizer.clone()
     }
 
     /// The simulation's fault-injection plan (disabled, i.e. injecting
@@ -1251,7 +1234,6 @@ mod tests {
     #[should_panic(expected = "polled at t=50ns after being polled at t=100ns")]
     fn per_task_clock_regression_panics_through_the_executor() {
         let mut sim = Sim::new(1);
-        sim.enable_sanitizer();
         let (ctx, gate) = (sim.ctx(), crate::sync::Semaphore::new(0));
         let opened = gate.acquire();
         sim.spawn(async move {
@@ -1269,7 +1251,6 @@ mod tests {
     #[test]
     fn reused_task_slot_starts_with_a_fresh_clock() {
         let mut sim = Sim::new(1);
-        sim.enable_sanitizer();
         let ctx = sim.ctx();
         sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(100)).await });
         sim.run();

@@ -13,10 +13,10 @@
 //! * [`sync`] — the FIFO counting semaphore
 //! * [`metrics`] — interval throughput series, latency histograms, stats
 //! * [`telemetry`] — deterministic metric registry (counters, gauges,
-//!   latency sketches, utilization timelines) + Prometheus/JSONL export
-//! * [`trace`] — virtual-time spans/events, Chrome-trace + JSONL export
+//!   latency sketches, utilization timelines), exported as JSONL
+//! * [`trace`] — virtual-time spans/events, exported as Chrome-trace JSON
 //! * [`sanitizer`] — runtime determinism checks, per-event state digest,
-//!   storage byte ledger
+//!   storage byte ledger; installed in every simulation
 //! * [`faults`] — seeded fault-injection plan queried by the models
 //! * [`slab`] / [`timer_heap`] — the executor's generation-indexed task
 //!   table and cancellation-aware timer queue (exposed for the oracle
@@ -50,9 +50,7 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime};
 pub use timer_heap::{TimerHeap, TimerKey};
-pub use trace::{
-    chrome_trace_json_multi, jsonl_multi, AttrValue, EventKind, Span, TraceEvent, Tracer,
-};
+pub use trace::{chrome_trace_json_multi, AttrValue, EventKind, Span, TraceEvent, Tracer};
 
 /// Bytes in one kibibyte.
 pub const KIB: u64 = 1024;
@@ -83,6 +81,12 @@ pub fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_fold(FNV64_OFFSET, bytes)
+}
+
+/// `v` as JSON text, in the escaping and number format of `serde_json`:
+/// the exports write their lines field by field with it.
+fn json<T: serde::Serialize + ?Sized>(v: &T) -> String {
+    serde_json::to_string(v).expect("a plain value serializes")
 }
 
 #[cfg(test)]

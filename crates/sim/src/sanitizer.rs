@@ -5,10 +5,9 @@
 //!
 //! The sanitizer checks the run itself, where a violation is a fact: what
 //! the compiler can see (wall clock, env, host threads, hash containers)
-//! is clippy's, under the workspace's `clippy.toml`. It is enabled by
-//! default in debug builds — which is what `cargo test` runs — and off in
-//! release builds unless [`Sim::enable_sanitizer`](crate::Sim::enable_sanitizer)
-//! is called, so experiment binaries pay nothing for it.
+//! is clippy's, under the workspace's `clippy.toml`. Every simulation has
+//! one, in every build: [`Sim::new`](crate::Sim::new) installs it and
+//! [`Sim::enable_sanitizer`](crate::Sim::enable_sanitizer) hands it out.
 //!
 //! Checked invariants:
 //! * the global virtual clock never moves backwards ([`Sanitizer::on_advance`]);
@@ -237,38 +236,35 @@ impl Drop for Streaming {
     }
 }
 
-/// Handle onto the simulation's sanitizer. Cheap to clone; a disabled
-/// handle makes every call a no-op.
-#[derive(Debug, Clone, Default)]
+/// Handle onto the simulation's sanitizer. Cheap to clone; clones share
+/// one state.
+#[derive(Debug, Clone)]
 pub struct Sanitizer {
-    state: Option<Rc<SanitizerState>>,
+    state: Rc<SanitizerState>,
+}
+
+impl Default for Sanitizer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Sanitizer {
-    /// An active sanitizer with empty state.
+    /// A sanitizer with empty state.
     pub fn new() -> Self {
         Sanitizer {
-            state: Some(Rc::new(SanitizerState {
+            state: Rc::new(SanitizerState {
                 events: Cell::new(0),
                 digest: Cell::new(FNV_OFFSET),
                 trail: RefCell::new(Vec::new()),
                 services: Default::default(),
                 ledgers: Default::default(),
-            })),
+            }),
         }
     }
 
-    /// A no-op sanitizer.
-    pub fn disabled() -> Self {
-        Sanitizer { state: None }
-    }
-
-    /// True when checks are active.
-    pub fn enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    fn fold(&self, s: &SanitizerState, v: u64) {
+    fn fold(&self, v: u64) {
+        let s = &self.state;
         s.digest.set(fnv_fold(s.digest.get(), v));
         let n = s.events.get() + 1;
         s.events.set(n);
@@ -285,39 +281,33 @@ impl Sanitizer {
     /// virtual clock is monotone: a task can never be polled at an earlier
     /// time than it last ran.
     pub fn on_poll(&self, task: u64, last: SimTime, now: SimTime) {
-        let Some(s) = &self.state else { return };
         let (last, now) = (last.as_nanos(), now.as_nanos());
         assert!(
             now >= last,
             "sanitizer: task {task} polled at t={now}ns after \
              being polled at t={last}ns — virtual time ran backwards"
         );
-        self.fold(s, task);
-        self.fold(s, now);
+        self.fold(task);
+        self.fold(now);
     }
 
     /// Record a task completion. Its monotonicity clock dies with its task
     /// slot.
     pub fn on_complete(&self, task: u64) {
-        let Some(s) = &self.state else { return };
-        self.fold(s, task ^ 0x5eed_dead_beef_0000);
+        self.fold(task ^ 0x5eed_dead_beef_0000);
     }
 
     /// Record a global clock advance. Asserts the clock never rewinds.
     pub fn on_advance(&self, from: SimTime, to: SimTime) {
-        let Some(s) = &self.state else { return };
         assert!(
             to >= from,
             "sanitizer: virtual clock moved backwards: {from} -> {to}"
         );
-        self.fold(s, to.as_nanos());
+        self.fold(to.as_nanos());
     }
 
     /// Assert a domain invariant. The message closure only runs on failure.
     pub fn check(&self, cond: bool, msg: impl FnOnce() -> String) {
-        if self.state.is_none() {
-            return;
-        }
         assert!(cond, "sanitizer: {}", msg());
     }
 
@@ -326,9 +316,6 @@ impl Sanitizer {
     /// zero-vs-zero comparisons pass). Used for conservation laws where
     /// float rounding accumulates but real leaks are orders larger.
     pub fn check_close(&self, a: f64, b: f64, what: impl FnOnce() -> String) {
-        if self.state.is_none() {
-            return;
-        }
         let scale = a.abs().max(b.abs());
         let tol = (scale * 1e-6).max(1e-9);
         assert!(
@@ -343,27 +330,21 @@ impl Sanitizer {
     /// by a token bucket). Use for state that should be identical across
     /// same-seed runs but is invisible to the executor.
     pub fn observe(&self, label: &str, value: u64) {
-        let Some(s) = &self.state else { return };
-        let h = fnv1a64_fold(FNV_OFFSET, label.as_bytes());
-        self.fold(s, h);
-        self.fold(s, value);
+        self.fold(fnv1a64_fold(FNV_OFFSET, label.as_bytes()));
+        self.fold(value);
     }
 
     /// Open `service`'s account in the run ledger; a storage service opens
     /// its own when it is built. From then on every transfer labelled
     /// `service` must be billed, and every billed byte streamed.
     pub fn open_account(&self, service: &'static str) {
-        if let Some(s) = &self.state {
-            s.open(service);
-        }
+        self.state.open(service);
     }
 
     /// Credit `bytes` billed to `service` (opening its account) and hand
     /// them to the request until it streams them.
     pub fn bill(&self, service: &'static str, bytes: u64) -> Billed {
-        let Some(s) = &self.state else {
-            return Billed::default();
-        };
+        let s = &self.state;
         let i = s.open(service);
         s.credit(i, |l| {
             l.billed += bytes;
@@ -379,10 +360,8 @@ impl Sanitizer {
     /// whose label names no open account is not a storage transfer and is
     /// not ledgered.
     pub fn stream(&self, label: Option<&'static str>, bytes: u64) -> Streaming {
-        let (Some(s), Some(label)) = (&self.state, label) else {
-            return Streaming::default();
-        };
-        let Some(i) = s.account(label) else {
+        let s = &self.state;
+        let Some(i) = label.and_then(|label| s.account(label)) else {
             return Streaming::default();
         };
         s.credit(i, |l| {
@@ -398,13 +377,13 @@ impl Sanitizer {
 
     /// `service`'s totals in the run ledger, if its account is open.
     pub fn ledger(&self, service: &str) -> Option<ServiceLedger> {
-        let s = self.state.as_ref()?;
+        let s = &self.state;
         s.account(service).map(|i| s.ledgers[i].get())
     }
 
     /// Assert both ledger laws for every open account.
     pub fn check_ledger(&self) {
-        let Some(s) = &self.state else { return };
+        let s = &self.state;
         for (service, ledger) in s.services.iter().zip(&s.ledgers) {
             let (service, ledger) = (service.get(), ledger.get());
             if service.is_empty() {
@@ -416,11 +395,12 @@ impl Sanitizer {
         }
     }
 
-    /// Snapshot the current state, or `None` when disabled. Asserts the
-    /// run ledger first ([`Sanitizer::check_ledger`]).
+    /// Snapshot the current state; always `Some`. Asserts the run ledger
+    /// first ([`Sanitizer::check_ledger`]).
     pub fn report(&self) -> Option<SanitizerReport> {
         self.check_ledger();
-        self.state.as_ref().map(|s| SanitizerReport {
+        let s = &self.state;
+        Some(SanitizerReport {
             events: s.events.get(),
             digest: s.digest.get(),
             trail: s.trail.borrow().clone(),
@@ -480,16 +460,6 @@ mod tests {
         assert_eq!(a.first_divergence(&b), Some(2048));
         let c = mk(&[(1024, 10), (2048, 20), (3072, 30)], 99);
         assert_eq!(a.first_divergence(&c), None);
-    }
-
-    #[test]
-    fn disabled_sanitizer_is_noop() {
-        let san = Sanitizer::disabled();
-        // Would panic if enabled.
-        san.on_poll(1, SimTime::from_nanos(5), SimTime::from_nanos(1));
-        san.check(false, || unreachable!("message closure must not run"));
-        assert!(san.report().is_none());
-        assert!(!san.enabled());
     }
 
     #[test]
@@ -617,9 +587,18 @@ mod tests {
         );
     }
 
+    /// The sanitizer `enable_sanitizer` hands out is the one the `Sim`
+    /// started with, in every build: it saw the run before it was asked for.
     #[test]
     fn default_on_in_debug_builds() {
-        let sim = Sim::new(1);
-        assert_eq!(sim.sanitizer().enabled(), cfg!(debug_assertions));
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        sim.spawn(async move { ctx.sleep(SimDuration::from_micros(1)).await });
+        sim.run();
+        let report = sim.enable_sanitizer().report().expect("always on");
+        assert_eq!(
+            report.events, 6,
+            "two polls of two folds, an advance, a completion"
+        );
     }
 }

@@ -25,9 +25,10 @@
 //!
 //! Naming convention: `subsystem.object.metric`, e.g.
 //! `faas.sandbox.cold_starts`, `storage.s3_standard.op_secs`,
-//! `net.fabric.throttle_onsets`. Dots become underscores in the
-//! Prometheus exposition.
+//! `net.fabric.throttle_onsets`. A snapshot's one export is JSONL
+//! ([`MetricsSnapshot::to_jsonl`]), one metric per line.
 
+use crate::json;
 use crate::metrics::{Histogram, IntervalSeries};
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
@@ -480,87 +481,40 @@ impl MetricsSnapshot {
         crate::fnv1a64(self.canonical_json().as_bytes())
     }
 
-    /// JSONL export: one JSON object per metric per line. Histograms are
-    /// rendered as summaries with p50/p95/p99/p999.
+    /// JSONL export: one JSON object per metric per line, its keys in
+    /// sorted order. Histograms are rendered as summaries with
+    /// p50/p95/p99/p999.
     pub fn to_jsonl(&self) -> String {
-        use serde_json::json;
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&json!({"type": "counter", "name": name, "value": v}).to_string());
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&json!({"type": "gauge", "name": name, "peak": v}).to_string());
-            out.push('\n');
-        }
-        for (name, h) in &self.histograms {
-            let s = h.summary();
-            out.push_str(
-                &json!({
-                    "type": "histogram", "name": name,
-                    "count": s.count, "mean": s.mean, "min": s.min,
-                    "p50": s.p50, "p95": s.p95, "p99": s.p99, "p999": s.p999,
-                    "max": s.max,
-                })
-                .to_string(),
-            );
-            out.push('\n');
-        }
-        for (name, t) in &self.timelines {
-            out.push_str(
-                &json!({
-                    "type": "timeline", "name": name,
-                    "interval_secs": t.interval_secs, "points": t.points,
-                })
-                .to_string(),
-            );
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prometheus text exposition. Metric names have `.`, `-`, and spaces
-    /// mapped to `_`; histograms are exposed as summaries with
-    /// `quantile`-labelled sample lines plus `_sum`/`_count`. Timelines
-    /// have no Prometheus analogue and are exported only in the JSONL.
-    pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (name, v) in &self.counters {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
+            let name = json(name);
+            let _ = writeln!(out, r#"{{"name":{name},"type":"counter","value":{v}}}"#);
         }
         for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} gauge\n{n} {v}");
+            let (name, peak) = (json(name), json(v));
+            let _ = writeln!(out, r#"{{"name":{name},"peak":{peak},"type":"gauge"}}"#);
         }
         for (name, h) in &self.histograms {
-            let n = prom_name(name);
             let s = h.summary();
-            let _ = writeln!(out, "# TYPE {n} summary");
-            for (q, v) in [
-                ("0.5", s.p50),
-                ("0.95", s.p95),
-                ("0.99", s.p99),
-                ("0.999", s.p999),
-            ] {
-                let _ = writeln!(out, "{n}{{quantile=\"{q}\"}} {v}");
-            }
-            let _ = writeln!(out, "{n}_sum {}", s.mean * s.count as f64);
-            let _ = writeln!(out, "{n}_count {}", s.count);
+            let [mean, min, p50, p95, p99, p999, max] =
+                [s.mean, s.min, s.p50, s.p95, s.p99, s.p999, s.max].map(|v| json(&v));
+            let _ = writeln!(
+                out,
+                r#"{{"count":{},"max":{max},"mean":{mean},"min":{min},"name":{},"p50":{p50},"p95":{p95},"p99":{p99},"p999":{p999},"type":"histogram"}}"#,
+                s.count,
+                json(name)
+            );
+        }
+        for (name, t) in &self.timelines {
+            let (interval, name, points) = (json(&t.interval_secs), json(name), json(&t.points));
+            let _ = writeln!(
+                out,
+                r#"{{"interval_secs":{interval},"name":{name},"points":{points},"type":"timeline"}}"#
+            );
         }
         out
     }
-}
-
-/// Map a dotted metric name onto the Prometheus grammar.
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '_' | ':' => c,
-            _ => '_',
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -657,8 +611,8 @@ mod tests {
         assert_ne!(a.digest(), c.digest());
     }
 
-    #[test]
-    fn jsonl_and_prometheus_render_all_kinds() {
+    /// One metric of each kind.
+    fn all_kinds() -> MetricsSnapshot {
         let reg = MetricRegistry::new();
         reg.counter("faas.sandbox.cold_starts").add(2);
         reg.gauge("faas.pool.warm_size").set(4.0);
@@ -668,15 +622,33 @@ mod tests {
         }
         reg.timeline("net.lane.s3", SimDuration::from_secs(1))
             .record(SimTime::ZERO, 10.0);
-        let snap = reg.snapshot();
-        let jsonl = snap.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 4);
-        assert!(jsonl.contains("\"p999\""));
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE faas_sandbox_cold_starts counter"));
-        assert!(prom.contains("faas_invoke_latency_secs{quantile=\"0.999\"}"));
-        assert!(prom.contains("faas_pool_warm_size 4"));
-        assert!(!prom.contains("net_lane_s3"), "timelines stay out of prom");
+        reg.snapshot()
+    }
+
+    #[test]
+    fn jsonl_and_prometheus_render_all_kinds() {
+        let jsonl = all_kinds().to_jsonl();
+        let rows: Vec<serde_json::Value> = jsonl
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("valid JSONL line"))
+            .collect();
+        let kinds: Vec<_> = rows.iter().map(|r| r["type"].as_str().unwrap()).collect();
+        assert_eq!(kinds, ["counter", "gauge", "histogram", "timeline"]);
+        assert_eq!(rows[0]["value"].as_u64(), Some(2));
+        assert_eq!(rows[1]["peak"].as_f64(), Some(4.0));
+        assert!(rows[2]["p999"].as_f64().is_some());
+        assert_eq!(rows[3]["points"][0].as_f64(), Some(10.0));
+    }
+
+    /// The export's bytes, recorded at commit 4052da9, when the export was
+    /// built as `serde_json::Value` trees. A change to how the export is
+    /// written leaves these two constants alone.
+    #[test]
+    fn jsonl_export_is_pinned() {
+        let jsonl = all_kinds().to_jsonl();
+        assert_eq!(jsonl.len(), 399, "{jsonl}");
+        let digest = crate::fnv1a64(jsonl.as_bytes());
+        assert_eq!(digest, 0xde99_a40e_3f96_5664, "{digest:#018x}\n{jsonl}");
     }
 
     #[test]

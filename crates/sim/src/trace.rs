@@ -6,15 +6,17 @@
 //! default (disabled) tracer makes every recording call a no-op branch, so
 //! instrumented hot paths pay ~nothing when tracing is off.
 //!
-//! Two exporters are provided:
-//! * [`Tracer::chrome_trace_json`] — Chrome Trace Event Format (load in
-//!   Perfetto / `chrome://tracing`), pid = service, tid = lane.
-//! * [`Tracer::jsonl`] — flat JSONL event log, one event per line, raw
-//!   nanosecond timestamps.
+//! The one export is Chrome Trace Event Format JSON
+//! ([`Tracer::chrome_trace_json`], [`chrome_trace_json_multi`]; load it in
+//! Perfetto / `chrome://tracing`): pid = service, tid = lane, timestamps
+//! in microseconds. A merged export names each process `label/service`,
+//! so the run label (which carries the seed) travels with every event.
 
 use crate::executor::SimCtx;
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
@@ -71,12 +73,13 @@ impl From<String> for AttrValue {
 }
 
 impl AttrValue {
-    fn to_json(&self) -> serde_json::Value {
+    /// The value as JSON text.
+    fn json(&self) -> String {
         match self {
-            AttrValue::U64(v) => serde_json::Value::from(*v),
-            AttrValue::F64(v) => serde_json::Value::from(*v),
-            AttrValue::Bool(v) => serde_json::Value::from(*v),
-            AttrValue::Str(v) => serde_json::Value::from(v.as_str()),
+            AttrValue::U64(v) => json(v),
+            AttrValue::F64(v) => json(v),
+            AttrValue::Bool(v) => json(v),
+            AttrValue::Str(v) => json(v.as_str()),
         }
     }
 }
@@ -281,30 +284,20 @@ impl Tracer {
     pub fn chrome_trace_json(&self) -> String {
         chrome_trace_json_multi(&[(String::new(), self)])
     }
-
-    /// Export this run as a flat JSONL event log: one JSON object per line
-    /// with raw nanosecond timestamps, in execution order.
-    pub fn jsonl(&self) -> String {
-        jsonl_multi(&[(String::new(), self)])
-    }
 }
 
 /// Merge several traced runs into one Chrome-trace JSON document. Each run
 /// gets its services namespaced as `label/service` (label omitted when
 /// empty), so multi-seed experiments stay distinguishable in Perfetto.
+///
+/// Each event is one line, its keys in sorted order and its attributes an
+/// object in which a repeated key keeps its last value.
 pub fn chrome_trace_json_multi(runs: &[(String, &Tracer)]) -> String {
+    use std::fmt::Write as _;
     // Deterministic pid assignment: first-seen order across runs/events.
     let mut pid_names: Vec<String> = Vec::new();
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push_ev = |out: &mut String, first: &mut bool, v: serde_json::Value| {
-        if !*first {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&v.to_string());
-        *first = false;
-    };
+    let mut sep = "\n";
     for (label, tracer) in runs {
         tracer.with_events(|events| {
             for ev in events {
@@ -316,95 +309,49 @@ pub fn chrome_trace_json_multi(runs: &[(String, &Tracer)]) -> String {
                 let pid = match pid_names.iter().position(|p| *p == pname) {
                     Some(i) => i,
                     None => {
-                        pid_names.push(pname.clone());
-                        let pid = pid_names.len() - 1;
-                        push_ev(
-                            &mut out,
-                            &mut first,
-                            serde_json::json!({
-                                "name": "process_name",
-                                "ph": "M",
-                                "pid": pid,
-                                "tid": 0,
-                                "args": {"name": pname},
-                            }),
+                        let pid = pid_names.len();
+                        let _ = write!(
+                            out,
+                            "{sep}{{\"args\":{{\"name\":{}}},\"name\":\"process_name\",\
+                             \"ph\":\"M\",\"pid\":{pid},\"tid\":0}}",
+                            json(&pname)
                         );
+                        sep = ",\n";
+                        pid_names.push(pname);
                         pid
                     }
                 };
-                let mut args = serde_json::Map::new();
-                for (k, v) in &ev.attrs {
-                    args.insert((*k).to_string(), v.to_json());
+                let args: BTreeMap<&str, &AttrValue> =
+                    ev.attrs.iter().map(|(k, v)| (*k, v)).collect();
+                let mut args_json = String::from("{");
+                for (i, (k, v)) in args.iter().enumerate() {
+                    let comma = if i > 0 { "," } else { "" };
+                    let _ = write!(args_json, "{comma}{}:{}", json(k), v.json());
                 }
-                let ts_us = ev.ts.as_nanos() as f64 / 1e3;
-                let v = match ev.kind {
-                    EventKind::Span => serde_json::json!({
-                        "name": ev.name,
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": ev.lane,
-                        "ts": ts_us,
-                        "dur": ev.dur.unwrap_or(SimDuration::ZERO).as_nanos() as f64 / 1e3,
-                        "args": args,
-                    }),
-                    EventKind::Instant => serde_json::json!({
-                        "name": ev.name,
-                        "ph": "i",
-                        "s": "t",
-                        "pid": pid,
-                        "tid": ev.lane,
-                        "ts": ts_us,
-                        "args": args,
-                    }),
+                args_json.push('}');
+                let (name, lane) = (json(ev.name), ev.lane);
+                let ts = json(&(ev.ts.as_nanos() as f64 / 1e3));
+                let _ = match ev.kind {
+                    EventKind::Span => {
+                        let dur = ev.dur.unwrap_or(SimDuration::ZERO).as_nanos() as f64 / 1e3;
+                        write!(
+                            out,
+                            "{sep}{{\"args\":{args_json},\"dur\":{},\"name\":{name},\
+                             \"ph\":\"X\",\"pid\":{pid},\"tid\":{lane},\"ts\":{ts}}}",
+                            json(&dur)
+                        )
+                    }
+                    EventKind::Instant => write!(
+                        out,
+                        "{sep}{{\"args\":{args_json},\"name\":{name},\"ph\":\"i\",\
+                         \"pid\":{pid},\"s\":\"t\",\"tid\":{lane},\"ts\":{ts}}}"
+                    ),
                 };
-                push_ev(&mut out, &mut first, v);
+                sep = ",\n";
             }
         });
     }
     out.push_str("\n]}\n");
-    out
-}
-
-/// Merge several traced runs into one JSONL log. Each line carries the run
-/// label (when non-empty) and run id alongside the event fields.
-pub fn jsonl_multi(runs: &[(String, &Tracer)]) -> String {
-    let mut out = String::new();
-    for (label, tracer) in runs {
-        let run_id = tracer.run_id().unwrap_or(0);
-        tracer.with_events(|events| {
-            for (seq, ev) in events.iter().enumerate() {
-                let mut obj = serde_json::Map::new();
-                if !label.is_empty() {
-                    obj.insert("run".into(), serde_json::Value::from(label.as_str()));
-                }
-                obj.insert("run_id".into(), serde_json::Value::from(run_id));
-                obj.insert("seq".into(), serde_json::Value::from(seq));
-                obj.insert("ts_ns".into(), serde_json::Value::from(ev.ts.as_nanos()));
-                obj.insert(
-                    "kind".into(),
-                    serde_json::Value::from(match ev.kind {
-                        EventKind::Span => "span",
-                        EventKind::Instant => "instant",
-                    }),
-                );
-                obj.insert("service".into(), serde_json::Value::from(ev.service));
-                obj.insert("lane".into(), serde_json::Value::from(ev.lane));
-                obj.insert("name".into(), serde_json::Value::from(ev.name));
-                if let Some(d) = ev.dur {
-                    obj.insert("dur_ns".into(), serde_json::Value::from(d.as_nanos()));
-                }
-                let mut attrs = serde_json::Map::new();
-                for (k, v) in &ev.attrs {
-                    attrs.insert((*k).to_string(), v.to_json());
-                }
-                if !attrs.is_empty() {
-                    obj.insert("attrs".into(), serde_json::Value::Object(attrs));
-                }
-                out.push_str(&serde_json::Value::Object(obj).to_string());
-                out.push('\n');
-            }
-        });
-    }
     out
 }
 
@@ -484,7 +431,7 @@ mod tests {
         sim.run();
         assert!(!tracer.enabled());
         assert_eq!(tracer.len(), 0);
-        assert_eq!(tracer.jsonl(), "");
+        assert_eq!(tracer.chrome_trace_json(), "{\"traceEvents\":[\n]}\n");
     }
 
     #[test]
@@ -512,26 +459,28 @@ mod tests {
         });
     }
 
+    /// Three spans on fresh lanes, then an instant on another service.
+    fn chrome_scenario() -> String {
+        let mut sim = Sim::new(7);
+        let tracer = sim.install_tracer();
+        let ctx = sim.ctx();
+        let t2 = tracer.clone();
+        sim.spawn(async move {
+            for i in 0..3u64 {
+                let span = t2.span(&ctx, "net", t2.next_lane(), "transfer");
+                span.attr("bytes", 100 * i);
+                let d = ctx.with_rng(|r| r.gen_range_u64(1, 50));
+                ctx.sleep(SimDuration::from_micros(d)).await;
+            }
+            t2.instant(&ctx, "storage", 0, "throttle-503");
+        });
+        sim.run();
+        tracer.chrome_trace_json()
+    }
+
     #[test]
     fn exports_are_valid_json_and_deterministic() {
-        fn run() -> (String, String) {
-            let mut sim = Sim::new(7);
-            let tracer = sim.install_tracer();
-            let ctx = sim.ctx();
-            let t2 = tracer.clone();
-            sim.spawn(async move {
-                for i in 0..3u64 {
-                    let span = t2.span(&ctx, "net", t2.next_lane(), "transfer");
-                    span.attr("bytes", 100 * i);
-                    let d = ctx.with_rng(|r| r.gen_range_u64(1, 50));
-                    ctx.sleep(SimDuration::from_micros(d)).await;
-                }
-                t2.instant(&ctx, "storage", 0, "throttle-503");
-            });
-            sim.run();
-            (tracer.chrome_trace_json(), tracer.jsonl())
-        }
-        let (chrome, jsonl) = run();
+        let chrome = chrome_scenario();
         let parsed: serde_json::Value = serde_json::from_str(&chrome).expect("valid JSON");
         let events = parsed["traceEvents"].as_array().expect("traceEvents array");
         // 4 events + 2 process_name metadata records.
@@ -539,14 +488,42 @@ mod tests {
         assert!(events.iter().any(|e| e["ph"] == "X"));
         assert!(events.iter().any(|e| e["ph"] == "i"));
         assert!(events.iter().any(|e| e["ph"] == "M"));
-        for line in jsonl.lines() {
-            let _: serde_json::Value = serde_json::from_str(line).expect("valid JSONL line");
-        }
-        assert_eq!(jsonl.lines().count(), 4);
         // Byte-identical across same-seed runs.
-        let (chrome2, jsonl2) = run();
-        assert_eq!(chrome, chrome2);
-        assert_eq!(jsonl, jsonl2);
+        assert_eq!(chrome, chrome_scenario());
+    }
+
+    /// The export's bytes, recorded at commit 4052da9, when the export was
+    /// built as `serde_json::Value` trees. A change to how the export is
+    /// written leaves these two constants alone.
+    #[test]
+    fn chrome_export_is_pinned() {
+        let chrome = chrome_scenario();
+        assert_eq!(chrome.len(), 507, "{chrome}");
+        let digest = crate::fnv1a64(chrome.as_bytes());
+        assert_eq!(digest, 0x9d3b_1629_5058_25c3, "{digest:#018x}\n{chrome}");
+    }
+
+    #[test]
+    fn attributes_are_escaped_sorted_and_last_wins() {
+        let sim = Sim::new(1);
+        let tracer = sim.install_tracer();
+        tracer
+            .span_at(SimTime::ZERO, SimTime::from_nanos(1500), "s\"q", 0, "n")
+            .attr("z", "a\nb")
+            .attr("a", f64::NAN)
+            .attr("z", true);
+        let line = tracer
+            .chrome_trace_json()
+            .lines()
+            .nth(2)
+            .unwrap()
+            .to_string();
+        assert_eq!(
+            line,
+            r#"{"args":{"a":null,"z":true},"dur":1.5,"name":"n","ph":"X","pid":0,"tid":0,"ts":0.0}"#
+        );
+        let parsed: serde_json::Value = serde_json::from_str(&tracer.chrome_trace_json()).unwrap();
+        assert_eq!(parsed["traceEvents"][0]["args"]["name"], "s\"q");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Determinism of the tracing subsystem: running the same experiment
-//! twice with identical seeds must yield byte-identical JSONL traces
-//! (and Chrome-trace JSON, and result JSON); a different seed must yield
-//! a different trace.
+//! twice with identical seeds must yield byte-identical Chrome-trace JSON
+//! (and result JSON); a different seed must yield a different trace.
 //!
 //! Uses fig05 (two short token-bucket measurements in one simulation) —
 //! cheap enough to run three times even in debug builds.
@@ -18,7 +17,6 @@ fn same_seed_traces_are_byte_identical() {
     assert_eq!(json1, json2, "results diverged between identical runs");
 
     assert!(s1.events() > 0, "fig05 produced no trace events");
-    assert_eq!(s1.jsonl(), s2.jsonl(), "JSONL traces diverged");
     assert_eq!(s1.chrome_json(), s2.chrome_json(), "Chrome traces diverged");
 }
 
@@ -27,9 +25,11 @@ fn different_seed_changes_the_trace() {
     let (_, base) = capture_runs(true, 0, e::fig05);
     let (_, shifted) = capture_runs(true, 1, e::fig05);
     assert!(base.events() > 0 && shifted.events() > 0);
+    // fig05's token buckets draw nothing from the seed; the process names
+    // (`sim00-seed<hex>/<service>`) carry it.
     assert_ne!(
-        base.jsonl(),
-        shifted.jsonl(),
+        base.chrome_json(),
+        shifted.chrome_json(),
         "seed offset did not perturb the trace"
     );
 }
