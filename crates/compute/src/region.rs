@@ -15,11 +15,10 @@
 //!   more robustness" — coldstart latency carries the variance, amplified
 //!   by a diurnal load factor.
 
-use serde::{Deserialize, Serialize};
 use skyrise_sim::{SimDuration, SimRng, SimTime};
 
 /// A cloud region's contention characteristics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Region {
     /// AWS region name.
     pub name: &'static str,

@@ -5,7 +5,6 @@
 //! since the Unix epoch in `Int64` columns, strings as a [`Utf8Column`]:
 //! a sorted dictionary and one code per row.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
@@ -92,7 +91,7 @@ impl Schema {
 }
 
 /// A scalar value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer scalar.
     Int64(i64),
@@ -103,6 +102,7 @@ pub enum Value {
     /// Boolean scalar.
     Bool(bool),
 }
+serde::impl_json! { enum Value { Int64(v), Float64(v), Utf8(v), Bool(v) } }
 
 impl Value {
     /// Best-effort f64 view (for aggregate arithmetic).

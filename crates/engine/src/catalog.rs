@@ -12,12 +12,11 @@
 //! logical bytes; operator input sees the payload.
 
 use crate::error::EngineError;
-use serde::{Deserialize, Serialize};
 use skyrise_data::{spf, Batch};
 use skyrise_storage::{Blob, ByteRange, RequestOpts, RetryingClient, Storage};
 
 /// One partition (object) of a dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionMeta {
     /// Object key.
     pub key: String,
@@ -30,15 +29,19 @@ pub struct PartitionMeta {
     /// Logical rows (payload rows x scale).
     pub logical_rows: u64,
 }
+serde::impl_json! { struct PartitionMeta {
+    key, payload_bytes, logical_bytes, payload_rows, logical_rows,
+} }
 
 /// Catalog entry of one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetMeta {
     /// Dataset name (catalog key stem).
     pub name: String,
     /// Per-partition metadata, in key order.
     pub partitions: Vec<PartitionMeta>,
 }
+serde::impl_json! { struct DatasetMeta { name, partitions } }
 
 impl DatasetMeta {
     /// Catalog object key for a dataset name.

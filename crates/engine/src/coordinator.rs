@@ -14,12 +14,10 @@ use crate::catalog::{fetch_dataset, DatasetMeta};
 use crate::error::EngineError;
 use crate::plan::{InputSpec, PhysicalPlan};
 use crate::worker::{result_key, InputAssignment, WorkerTask};
-use serde::{Deserialize, Serialize};
 use skyrise_compute::{ComputePlatform, ExecEnv, FaasError};
 use skyrise_sim::{first_completed, race, Either, SimCtx, SimDuration};
 use skyrise_storage::{ByteRange, RequestOpts, RetryPolicy, RetryingClient, Storage};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Fragment threshold beyond which the two-level invocation kicks in.
 pub const TWO_LEVEL_THRESHOLD: usize = 256;
@@ -29,7 +27,7 @@ pub const FANOUT_GROUP: usize = 64;
 pub const DISPATCH_LATENCY: SimDuration = SimDuration::from_micros(1_500);
 
 /// Per-query tunables carried in the request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryConfig {
     /// Target logical input bytes per worker when sizing fragments.
     pub target_bytes_per_worker: u64,
@@ -38,9 +36,11 @@ pub struct QueryConfig {
     /// Inline the result rows in the response when small.
     pub include_rows: bool,
     /// Fault-tolerance policy applied to every task invocation.
-    #[serde(default)]
     pub task_policy: TaskPolicy,
 }
+serde::impl_json! { struct QueryConfig {
+    target_bytes_per_worker, max_parallelism, include_rows, task_policy = TaskPolicy::default(),
+} }
 
 impl Default for QueryConfig {
     fn default() -> Self {
@@ -58,7 +58,7 @@ impl Default for QueryConfig {
 /// re-execution of stragglers (a duplicate invoke after a size-based
 /// timeout; the first completion wins and the abandoned duplicate still
 /// runs — and bills — to completion).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskPolicy {
     /// Maximum invocations per task (first + retries + speculative
     /// duplicates) before the query fails.
@@ -73,6 +73,9 @@ pub struct TaskPolicy {
     /// Launch speculative duplicates for stragglers.
     pub speculate: bool,
 }
+serde::impl_json! { struct TaskPolicy {
+    max_attempts, straggler_base_secs, straggler_bw, straggler_slack, speculate,
+} }
 
 impl Default for TaskPolicy {
     fn default() -> Self {
@@ -120,7 +123,7 @@ impl TaskPolicy {
 }
 
 /// The request the driver sends to the coordinator function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRequest {
     /// Unique id of this execution (also keys shuffle/result objects).
     pub query_id: String,
@@ -129,13 +132,14 @@ pub struct QueryRequest {
     /// Per-query tunables.
     pub config: QueryConfig,
 }
+serde::impl_json! { struct QueryRequest { query_id, plan, config } }
 
 /// The one accounting record of the engine. A worker reports one fragment
 /// of it, the dispatcher books a task's attempts in it (`task_retries`,
 /// `speculative_invokes`, `failed_attempt_secs` only), a stage is the
 /// [`add`](StageStats::add) fold of its dispatch record and its reports,
 /// and [`QueryResponse::totals`] is the same fold over the stages.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StageStats {
     /// Pipeline id this stage executed (the coordinator's).
     pub pipeline: u32,
@@ -176,6 +180,11 @@ pub struct StageStats {
     /// Wall seconds spent in attempts that ultimately failed.
     pub failed_attempt_secs: f64,
 }
+serde::impl_json! { struct StageStats {
+    pipeline, fragments, downstream_fragments, start_secs, duration_secs, cumulative_worker_secs,
+    io_secs_total, cpu_secs_total, logical_bytes_read, logical_bytes_written, storage_requests,
+    rows_in, rows_out, cold_starts, task_retries, speculative_invokes, failed_attempt_secs,
+} }
 
 impl StageStats {
     /// Fold `other` in: every field is summed except the coordinator's
@@ -217,7 +226,7 @@ impl<'a> std::iter::Sum<&'a StageStats> for StageStats {
 
 /// The coordinator's JSON response ("the location of the query result in
 /// serverless storage, the query runtime and cost").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryResponse {
     /// Echoed query id.
     pub query_id: String,
@@ -232,6 +241,9 @@ pub struct QueryResponse {
     /// Inlined result rows (when small and requested).
     pub rows: Option<Vec<Vec<skyrise_data::Value>>>,
 }
+serde::impl_json! { struct QueryResponse {
+    query_id, result_key, runtime_secs, cumulative_worker_secs, stages, rows,
+} }
 
 impl QueryResponse {
     /// The stages folded into one record: the query's totals.
@@ -261,14 +273,14 @@ impl QueryResponse {
 }
 
 /// Payload of the fan-out helper: worker tasks serialised individually.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FanoutRequest {
     /// Worker tasks this helper dispatches.
     pub tasks: Vec<WorkerTask>,
     /// Fault-tolerance policy the helper applies per worker invocation.
-    #[serde(default)]
     pub policy: TaskPolicy,
 }
+serde::impl_json! { struct FanoutRequest { tasks, policy = TaskPolicy::default() } }
 
 /// Run the coordinator logic inside its function environment.
 pub async fn run_coordinator(
@@ -690,9 +702,6 @@ pub async fn run_fanout(
     )
     .await
 }
-
-/// `Rc` alias used by the driver to share platform handles into handlers.
-pub type SharedPlatform = Rc<ComputePlatform>;
 
 #[cfg(test)]
 mod tests {

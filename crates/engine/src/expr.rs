@@ -5,13 +5,12 @@
 //! TPCx-BB Q3 are "join queries with a broad set of operators, including
 //! user-defined functions").
 
-use serde::{Deserialize, Serialize};
 use skyrise_data::{Batch, Column, Utf8Column, Value};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -26,9 +25,10 @@ pub enum CmpOp {
     /// Greater than or equal.
     Ge,
 }
+serde::impl_json! { enum CmpOp { Eq, Ne, Lt, Le, Gt, Ge } }
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// Addition.
     Add,
@@ -39,9 +39,10 @@ pub enum ArithOp {
     /// Division (integer operands promote to float).
     Div,
 }
+serde::impl_json! { enum ArithOp { Add, Sub, Mul, Div } }
 
 /// A scalar expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference by name.
     Col(String),
@@ -95,6 +96,18 @@ pub enum Expr {
         args: Vec<Expr>,
     },
 }
+serde::impl_json! { enum Expr {
+    Col(name),
+    Lit(value),
+    Cmp { op, left, right },
+    And(parts),
+    Or(parts),
+    Not(inner),
+    Arith { op, left, right },
+    InList { expr, list },
+    Case { when, then, otherwise },
+    Udf { name, args },
+} }
 
 impl Expr {
     /// `Col` helper.
@@ -165,13 +178,14 @@ impl Expr {
 }
 
 /// A named output expression (projection item).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamedExpr {
     /// Output column name.
     pub name: String,
     /// The expression computing it.
     pub expr: Expr,
 }
+serde::impl_json! { struct NamedExpr { name, expr } }
 
 impl NamedExpr {
     /// Shorthand constructor.

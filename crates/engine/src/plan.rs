@@ -10,11 +10,10 @@
 
 use crate::error::EngineError;
 use crate::expr::{Expr, NamedExpr};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// Sum of the argument.
     Sum,
@@ -27,9 +26,10 @@ pub enum AggFunc {
     /// Maximum value.
     Max,
 }
+serde::impl_json! { enum AggFunc { Sum, Count, Avg, Min, Max } }
 
 /// One aggregate in a `HashAggregate`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggExpr {
     /// Aggregate function to apply.
     pub func: AggFunc,
@@ -38,6 +38,7 @@ pub struct AggExpr {
     /// Output column name.
     pub name: String,
 }
+serde::impl_json! { struct AggExpr { func, expr, name } }
 
 impl AggExpr {
     /// Shorthand constructor.
@@ -51,7 +52,7 @@ impl AggExpr {
 }
 
 /// Aggregation phase in a distributed plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggMode {
     /// Produce per-fragment partial states (sums and counts).
     Partial,
@@ -60,9 +61,10 @@ pub enum AggMode {
     /// Single-phase (only valid when one fragment sees all data).
     Single,
 }
+serde::impl_json! { enum AggMode { Partial, Final, Single } }
 
 /// A physical operator within a pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Row filter.
     Filter {
@@ -123,6 +125,16 @@ pub enum Op {
         name: String,
     },
 }
+serde::impl_json! { enum Op {
+    Filter { predicate },
+    Project { exprs },
+    HashAggregate { group_by, aggregates, mode },
+    HashJoin { build_input, build_key, probe_key, build_columns },
+    Sort { by },
+    Limit { n },
+    SessionizeQ3 { category_input, window },
+    Barrier { name },
+} }
 
 impl Op {
     /// Stable name of the operator kind, in trace spans and `engine.op.*`
@@ -142,7 +154,7 @@ impl Op {
 }
 
 /// Where a pipeline's input rows come from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InputSpec {
     /// Scan a catalogued dataset with projection and an optional zone-map
     /// predicate pushed into the SPF reader.
@@ -161,13 +173,13 @@ pub enum InputSpec {
         from_pipeline: u32,
     },
 }
-
-fn one() -> u32 {
-    1
-}
+serde::impl_json! { enum InputSpec {
+    Scan { dataset, projection, predicate },
+    Shuffle { from_pipeline },
+} }
 
 /// Pipeline sink.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Sink {
     /// Hash-partition rows by key columns and write one object per
     /// `combine` downstream fragments. `combine > 1` is the paper's
@@ -177,15 +189,15 @@ pub enum Sink {
         /// Hash-partitioning key columns (empty = everything to bucket 0).
         partition_by: Vec<String>,
         /// Buckets per written object (write combining).
-        #[serde(default = "one")]
         combine: u32,
     },
     /// Write the final query result object.
     Result,
 }
+serde::impl_json! { enum Sink { ShuffleWrite { partition_by, combine = 1 }, Result } }
 
 /// One pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     /// Unique id within the plan.
     pub id: u32,
@@ -199,15 +211,17 @@ pub struct Pipeline {
     /// bytes.
     pub fragments: Option<u32>,
 }
+serde::impl_json! { struct Pipeline { id, inputs, ops, sink, fragments } }
 
 /// A complete physical plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     /// Human-readable query name (e.g. "tpch-q6").
     pub name: String,
     /// The pipeline DAG.
     pub pipelines: Vec<Pipeline>,
 }
+serde::impl_json! { struct PhysicalPlan { name, pipelines } }
 
 impl PhysicalPlan {
     /// Check what the accessors below take for granted. A plan arrives at

@@ -24,7 +24,6 @@ use crate::cpu;
 use crate::error::EngineError;
 use crate::expr::{evaluate_mask, Expr, UdfRegistry};
 use crate::plan::{InputSpec, Op, Pipeline, Sink};
-use serde::{Deserialize, Serialize};
 use skyrise_compute::ExecEnv;
 use skyrise_data::columnar::{Batch, Schema};
 use skyrise_data::spf;
@@ -36,7 +35,7 @@ use std::rc::Rc;
 
 /// Input assignment for one worker fragment, parallel to the pipeline's
 /// `inputs`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum InputAssignment {
     /// Read these partition objects (input 0: this fragment's share;
     /// other inputs: a broadcast of the whole dataset).
@@ -53,13 +52,16 @@ pub enum InputAssignment {
         /// Fragment count of the producing pipeline.
         upstream_fragments: u32,
         /// Buckets per object written upstream.
-        #[serde(default = "default_combine")]
         combine: u32,
     },
 }
+serde::impl_json! { enum InputAssignment {
+    Scan { partitions },
+    Shuffle { from_pipeline, upstream_fragments, combine = 1 },
+} }
 
 /// The task payload a worker receives (JSON over the invocation path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerTask {
     /// Query this fragment belongs to.
     pub query_id: String,
@@ -75,9 +77,12 @@ pub struct WorkerTask {
     pub inputs: Vec<InputAssignment>,
     /// Logical bytes this fragment is expected to read (coordinator's
     /// estimate; sizes the straggler re-trigger timeout).
-    #[serde(default)]
     pub expected_input_bytes: u64,
 }
+serde::impl_json! { struct WorkerTask {
+    query_id, pipeline, fragment, n_fragments, downstream_fragments, inputs,
+    expected_input_bytes = 0,
+} }
 
 /// Concurrent ranged chunk requests per worker.
 pub const CHUNK_CONCURRENCY: usize = 8;
@@ -98,10 +103,6 @@ const SHUFFLE_READ_FANIN: usize = 2;
 /// multi-bucket footers in one request while staying a sliver of any
 /// segment worth ranging into.
 pub const SHUFFLE_TAIL_HINT: u64 = 4096;
-
-fn default_combine() -> u32 {
-    1
-}
 
 /// Shuffle object key: `query/pipeline/source fragment/destination bucket
 /// group` (a group holds `combine` consecutive buckets).

@@ -62,7 +62,6 @@ pub async fn measure(ctx: &SimCtx, client: &SharedNic, cfg: &NetIoConfig) -> Int
         flows: cfg.flows,
         flow_cap: cfg.flow_cap,
         fabric: cfg.fabric.clone(),
-        slice: None,
         recorder: Some(Rc::clone(&recorder)),
         label: None,
     };

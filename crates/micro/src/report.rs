@@ -4,18 +4,18 @@
 //! to a plotter for visualization" (Sec. 3.1). Ours renders ASCII charts
 //! and writes CSV/JSON artifacts under `results/`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A named data series: `(x, y)` points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NamedSeries {
     /// Series label.
     pub name: String,
     /// `(x, y)` points.
     pub points: Vec<(f64, f64)>,
 }
+serde::impl_json! { struct NamedSeries { name, points } }
 
 impl NamedSeries {
     /// Shorthand constructor.
@@ -28,7 +28,7 @@ impl NamedSeries {
 }
 
 /// The persisted outcome of one experiment run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentResult {
     /// Experiment id: "fig05", "table07", ...
     pub id: String,
@@ -41,6 +41,7 @@ pub struct ExperimentResult {
     /// Scalar findings (break-evens, medians, ...).
     pub scalars: BTreeMap<String, f64>,
 }
+serde::impl_json! { struct ExperimentResult { id, title, params, series, scalars } }
 
 impl ExperimentResult {
     /// Start a result for an experiment id.

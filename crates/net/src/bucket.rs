@@ -13,11 +13,10 @@
 //!
 //! Both are expressed by [`RateLimiter`] with a [`RefillPolicy`].
 
-use serde::{Deserialize, Serialize};
 use skyrise_sim::{SimDuration, SimTime};
 
 /// How tokens return to the bucket.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum RefillPolicy {
     /// Tokens accrue continuously at `rate` bytes/second (EC2 style).
     Continuous {
@@ -35,7 +34,7 @@ pub enum RefillPolicy {
 }
 
 /// Refill-on-idle behaviour (Lambda style).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IdleRefill {
     /// Minimum gap without traffic before the refill triggers.
     pub threshold: SimDuration,
@@ -44,7 +43,7 @@ pub struct IdleRefill {
 }
 
 /// A directional token bucket limiting one endpoint's ingress or egress.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateLimiter {
     /// Maximum instantaneous rate while tokens are available (bytes/s).
     burst_rate: f64,

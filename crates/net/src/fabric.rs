@@ -7,13 +7,12 @@
 //! ~20 GiB/s aggregate ceiling the paper observes inside a customer VPC).
 
 use crate::bucket::RateLimiter;
-use serde::{Deserialize, Serialize};
 use skyrise_sim::telemetry::{Counter, TimelineHandle};
 use skyrise_sim::{IntervalSeries, SimCtx, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Default scheduling slice for transfers.
+/// Scheduling slice of every transfer.
 pub const DEFAULT_SLICE: SimDuration = SimDuration::from_millis(10);
 
 /// A network interface with independent ingress/egress buckets — the paper
@@ -101,8 +100,6 @@ pub struct TransferOpts {
     pub flow_cap: Option<f64>,
     /// Shared fabric constraint (e.g. a VPC).
     pub fabric: Option<Fabric>,
-    /// Scheduling slice; defaults to [`DEFAULT_SLICE`].
-    pub slice: Option<SimDuration>,
     /// Receive-side throughput recorder.
     pub recorder: Option<Rc<RefCell<IntervalSeries>>>,
     /// Endpoint label attached to trace spans (e.g. the storage service);
@@ -111,7 +108,7 @@ pub struct TransferOpts {
 }
 
 /// Outcome of a completed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferStats {
     /// Bytes moved.
     pub bytes: u64,
@@ -153,7 +150,7 @@ pub async fn transfer(
     bytes: u64,
     opts: &TransferOpts,
 ) -> TransferStats {
-    let slice = opts.slice.unwrap_or(DEFAULT_SLICE);
+    let slice = DEFAULT_SLICE;
     let start = ctx.now();
     let mut remaining = bytes as f64;
     let flow_allow_per_slice = opts
@@ -517,7 +514,7 @@ mod tests {
             opts: &TransferOpts,
             long_stall: &Cell<bool>,
         ) -> (TransferStats, u64) {
-            let slice = opts.slice.unwrap_or(DEFAULT_SLICE);
+            let slice = DEFAULT_SLICE;
             let start = ctx.now();
             let mut remaining = bytes as f64;
             let flow_allow_per_slice = opts

@@ -3,8 +3,6 @@
 //!
 //! All monetary values are US dollars unless a field name says otherwise.
 
-use serde::{Deserialize, Serialize};
-
 // ---------------------------------------------------------------------------
 // Lambda
 // ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ pub fn ec2_instance(name: &str) -> Option<Ec2InstanceSpec> {
 // ---------------------------------------------------------------------------
 
 /// Identifier of a storage service in the catalog and usage meter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StorageService {
     /// S3 Standard object storage.
     S3Standard,
@@ -256,6 +254,7 @@ pub enum StorageService {
     /// EFS elastic throughput.
     Efs,
 }
+serde::impl_json! { enum StorageService { S3Standard, S3Express, DynamoDb, Efs } }
 
 impl StorageService {
     /// Stable display name.

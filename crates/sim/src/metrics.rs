@@ -8,7 +8,6 @@
 //!   coefficient of variation, percentiles) used throughout Sec. 4.6.
 
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 // ---------------------------------------------------------------------------
 // IntervalSeries
@@ -127,7 +126,7 @@ impl IntervalSeries {
 /// Log-bucketed histogram over positive values with ~4.5% relative bucket
 /// resolution, plus exact count/sum/min/max. Records values in seconds
 /// (or any positive unit).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// log-spaced bucket counts; bucket i covers [BASE^i*MIN, BASE^(i+1)*MIN)
     counts: Vec<u64>,
@@ -136,6 +135,7 @@ pub struct Histogram {
     min: f64,
     max: f64,
 }
+serde::impl_json! { struct Histogram { counts, count, sum, min, max } }
 
 /// Smallest representable value (1 ns when values are seconds).
 const HIST_MIN: f64 = 1e-9;

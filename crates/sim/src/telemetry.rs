@@ -31,7 +31,6 @@
 use crate::json;
 use crate::metrics::{Histogram, IntervalSeries};
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -229,6 +228,24 @@ struct RegistryState {
     timelines: RefCell<BTreeMap<String, Rc<RefCell<IntervalSeries>>>>,
 }
 
+/// The instrument named `name` in `map`, made by `make` on first use. A
+/// name already interned costs a shared borrow and an `Rc` clone: no
+/// `String` is built and no mutable borrow taken.
+fn intern<T>(
+    map: &RefCell<BTreeMap<String, Rc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Rc<T> {
+    let hit = map.borrow().get(name).cloned();
+    hit.unwrap_or_else(|| {
+        Rc::clone(
+            map.borrow_mut()
+                .entry(name.to_string())
+                .or_insert_with(|| Rc::new(make())),
+        )
+    })
+}
+
 /// Handle onto a simulation's metric registry. Cheap to clone; a disabled
 /// registry hands out disabled metric handles and snapshots to empty.
 ///
@@ -264,7 +281,7 @@ impl MetricRegistry {
         Counter(
             self.state
                 .as_ref()
-                .map(|s| Rc::clone(s.counters.borrow_mut().entry(name.to_string()).or_default())),
+                .map(|s| intern(&s.counters, name, Cell::default)),
         )
     }
 
@@ -273,20 +290,17 @@ impl MetricRegistry {
         Gauge(
             self.state
                 .as_ref()
-                .map(|s| Rc::clone(s.gauges.borrow_mut().entry(name.to_string()).or_default())),
+                .map(|s| intern(&s.gauges, name, GaugeCell::default)),
         )
     }
 
     /// Resolve (interning on first use) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(self.state.as_ref().map(|s| {
-            Rc::clone(
-                s.histograms
-                    .borrow_mut()
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
+        HistogramHandle(
+            self.state
+                .as_ref()
+                .map(|s| intern(&s.histograms, name, RefCell::default)),
+        )
     }
 
     /// Resolve (interning on first use) the timeline named `name`, with
@@ -294,14 +308,9 @@ impl MetricRegistry {
     /// first caller's interval wins; later calls reuse the series as-is.
     pub fn timeline(&self, name: &str, interval: SimDuration) -> TimelineHandle {
         TimelineHandle(self.state.as_ref().map(|s| {
-            Rc::clone(
-                s.timelines
-                    .borrow_mut()
-                    .entry(name.to_string())
-                    .or_insert_with(|| {
-                        Rc::new(RefCell::new(IntervalSeries::new(SimTime::ZERO, interval)))
-                    }),
-            )
+            intern(&s.timelines, name, || {
+                RefCell::new(IntervalSeries::new(SimTime::ZERO, interval))
+            })
         }))
     }
 
@@ -352,13 +361,14 @@ impl MetricRegistry {
 /// coarsened) window width. Produced by [`MetricRegistry::snapshot`];
 /// windows beyond `MAX_TIMELINE_POINTS` (512) are pair-summed until the series
 /// fits, doubling `interval_secs` each pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimelineSnapshot {
     /// Window width in (virtual) seconds.
     pub interval_secs: f64,
     /// Quantity accumulated per window, from virtual time zero.
     pub points: Vec<f64>,
 }
+serde::impl_json! { struct TimelineSnapshot { interval_secs, points } }
 
 impl TimelineSnapshot {
     /// Downsampled snapshot of a series.
@@ -420,7 +430,7 @@ impl TimelineSnapshot {
 /// JSON encoding canonical: two equal snapshots serialize to identical
 /// bytes, which is what the determinism tests compare and what
 /// [`digest`](MetricsSnapshot::digest) hashes.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Monotonic counters. Merge: sum.
     pub counters: BTreeMap<String, u64>,
@@ -431,6 +441,7 @@ pub struct MetricsSnapshot {
     /// Utilization timelines. Merge: window-wise sum.
     pub timelines: BTreeMap<String, TimelineSnapshot>,
 }
+serde::impl_json! { struct MetricsSnapshot { counters, gauges, histograms, timelines } }
 
 impl MetricsSnapshot {
     /// True when no metric was ever registered.

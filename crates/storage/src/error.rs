@@ -1,10 +1,9 @@
 //! Storage error types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors a simulated storage service can return.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// Request rejected by rate limiting (S3's `503 SlowDown`,
     /// DynamoDB's `ProvisionedThroughputExceededException`).
