@@ -141,7 +141,8 @@ type SimBody<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 /// sanitizer comes with it. Afterwards the registry snapshot's digest is
 /// folded into the sanitizer — so nondeterministic telemetry fails a
 /// digest comparison like any other divergent state — and the simulation
-/// is recorded into the active capture.
+/// is recorded into the active capture, with the timer queue's lane share
+/// (`sim.timer.fifo_inserts`) added to its metrics outside the digest.
 fn run_sim<T: 'static>(
     seed: u64,
     faults: Option<skyrise::sim::FaultConfig>,
@@ -171,6 +172,10 @@ fn run_sim<T: 'static>(
         let label = format!("sim{:02}-seed{:x}", s.digests.len(), seed);
         s.virtual_secs += end.as_secs_f64();
         s.metrics.merge(&snapshot);
+        *s.metrics
+            .counters
+            .entry("sim.timer.fifo_inserts".into())
+            .or_insert(0) += sim.timer_fifo_inserts();
         if let Some(t) = tracer {
             s.runs.push((label.clone(), t));
         }
@@ -304,6 +309,23 @@ mod tests {
         assert!(a.digests[0].1.events > 0);
         assert_eq!(a.digests, b.digests, "same seed, same digest trail");
         assert_eq!(a.digests[0].1.first_divergence(&b.digests[0].1), None);
+    }
+
+    #[test]
+    fn timer_lane_share_is_in_the_capture_metrics() {
+        let ((), summary) = capture_runs(false, 0, || {
+            in_sim(5, |ctx| {
+                Box::pin(async move {
+                    for _ in 0..3 {
+                        ctx.sleep(skyrise::sim::SimDuration::from_millis(10)).await;
+                    }
+                })
+            })
+        });
+        assert_eq!(summary.metrics.counters["sim.timer.inserts"], 3);
+        // The span's first timer finds its lanes unclaimed; the next two
+        // take one.
+        assert_eq!(summary.metrics.counters["sim.timer.fifo_inserts"], 2);
     }
 
     #[test]

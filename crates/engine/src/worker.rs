@@ -456,6 +456,10 @@ pub async fn run_worker(
                         .spawn(async move { client.put(&key, blob, &opts).await }),
                 );
             }
+            // Every bucket is encoded into a PUT by now: release the
+            // decoded partitions rather than hold them across the PUTs'
+            // virtual duration.
+            drop(buckets);
             for p in skyrise_sim::join_all(puts).await {
                 write_requests += p?.attempts as u64;
             }

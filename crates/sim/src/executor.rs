@@ -21,9 +21,13 @@
 //! * tasks live in a generation-indexed [`Slab`] — a `Vec` indexed by the
 //!   low bits of the `TaskId`, so a poll is an array load, not a hash —
 //!   with free-list reuse and generation checks that make stale wakes miss;
-//! * timers live in a cancellation-aware quaternary [`TimerHeap`]: a
-//!   cancelled sleep is removed immediately instead of leaving a tombstone
-//!   that must bubble to the top of a `BinaryHeap`;
+//! * timers live in a [`TimerHeap`]: a quaternary heap fed by FIFO lanes
+//!   for the fixed-delay sleeps that make up most of a run (one span per
+//!   lane, pushed in O(1), only the lane's front in the heap), ordered by
+//!   the full `(deadline, armed_at, seq)` rank so the firing order is that
+//!   of one heap over every timer; a cancelled heap entry is removed at
+//!   once, and a cancelled timer behind a lane's front is skipped when it
+//!   would become the front;
 //! * a timer carries the [`TaskId`] of the task whose poll armed it, not a
 //!   [`Waker`]: a sleep costs no reference count, and a fired timer goes
 //!   straight onto the ready queue;
@@ -163,7 +167,7 @@ struct SimState {
     seed: u64,
 }
 
-/// The simulation: owns the virtual clock, task set, and timer wheel.
+/// The simulation: owns the virtual clock, task set, and timer queue.
 ///
 /// Typical structure of an experiment:
 ///
@@ -270,6 +274,14 @@ impl Sim {
         self.state.hooks.borrow().metrics.clone()
     }
 
+    /// How many of the `sim.timer.inserts` timers were taken by one of the
+    /// timer queue's FIFO lanes. Not a registry
+    /// counter: a registry snapshot is folded into determinism digests,
+    /// and the lane share belongs to the queue, not to the schedule.
+    pub fn timer_fifo_inserts(&self) -> u64 {
+        self.state.timers.borrow().lane_inserts()
+    }
+
     /// A handle for spawning and sleeping from inside tasks.
     pub fn ctx(&self) -> SimCtx {
         SimCtx {
@@ -307,8 +319,8 @@ impl Sim {
         loop {
             self.drain_ready();
             let stats = &self.state.stats;
-            // No runnable tasks: advance to the next timer. Cancelled
-            // timers were removed eagerly, so the head is always live.
+            // No runnable tasks: advance to the next timer. The queue's
+            // heap holds only live timers, so the head always fires.
             let next = self.state.timers.borrow().peek_deadline();
             match next {
                 Some(deadline) if deadline <= limit => {

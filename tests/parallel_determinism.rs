@@ -93,6 +93,14 @@ mod scheduler_props {
             prop_oneof![
                 3 => (0u64..1_000).prop_map(|d| TimerOp::Insert(d, None)),
                 2 => (0u64..1_000, 0u64..300).prop_map(|(d, lead)| TimerOp::Insert(d, Some(lead))),
+                // Spans that repeat, as a transfer's slices and a throttled
+                // request's rejects do, so the heap's FIFO lanes fill: an
+                // ordinary sleep, or a chained one whose lead may equal its
+                // delta (armed now) or fall short of it (armed ahead).
+                3 => (0usize..2, 0usize..3).prop_map(|(d, lead)| {
+                    let spans = [10u64, 40];
+                    TimerOp::Insert(spans[d], spans.get(lead).copied())
+                }),
                 1 => (0usize..64).prop_map(TimerOp::Cancel),
                 1 => (0usize..64).prop_map(TimerOp::Refresh),
                 1 => (0usize..64, 1usize..6, 0u64..1_000)
@@ -114,6 +122,8 @@ mod scheduler_props {
         live: BTreeMap<u64, (TimerKey, u64)>,
         /// Keys that fired or were cancelled.
         stale: Vec<TimerKey>,
+        /// Deadline of every insert, by seq.
+        deadlines: Vec<u64>,
         inserts: u64,
     }
 
@@ -125,6 +135,7 @@ mod scheduler_props {
             let (d, a) = (SimTime::from_nanos(deadline), SimTime::from_nanos(armed_at));
             let key = self.heap.insert(d, a, payload);
             self.oracle.push(Reverse((deadline, armed_at, seq)));
+            self.deadlines.push(deadline);
             self.live.insert(seq, (key, payload));
             key
         }
@@ -139,9 +150,10 @@ mod scheduler_props {
     }
 
     proptest! {
-        /// The quaternary heap pops the same payloads at the same virtual
-        /// times as a `BinaryHeap<Reverse<(deadline, armed_at, seq)>>`
-        /// oracle with tombstone cancellation — including ties on the
+        /// The timer queue (FIFO lanes beside a quaternary heap) pops the
+        /// same payloads at the same virtual times as a
+        /// `BinaryHeap<Reverse<(deadline, armed_at, seq)>>` oracle with
+        /// tombstone cancellation — including ties on the
         /// deadline, which must fire in armed-at order, and ties on both,
         /// which must fire in insertion order. Payloads are refreshed and
         /// slots recycled on the way: a timer fires with the payload it was
@@ -205,6 +217,10 @@ mod scheduler_props {
                     prop_assert!(!m.heap.update_payload(key, 0));
                 }
                 prop_assert_eq!(m.heap.len(), m.live.len());
+                // The head is always a live timer: cancelled entries never
+                // show through.
+                let earliest = m.live.keys().map(|&seq| m.deadlines[seq as usize]).min();
+                prop_assert_eq!(m.heap.peek_deadline(), earliest.map(SimTime::from_nanos));
             }
         }
 
