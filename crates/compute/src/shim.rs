@@ -76,34 +76,8 @@ impl ShimCluster {
         name: &str,
         payload: String,
     ) -> Result<InvokeResult, FaasError> {
-        let (config, handler) = {
-            let fns = self.functions.borrow();
-            let reg = fns
-                .get(name)
-                .ok_or_else(|| FaasError::UnknownFunction(name.to_string()))?;
-            (reg.0.clone(), Rc::clone(&reg.1))
-        };
-        let vm = Rc::clone(&self.vms[0]);
-        let started = self.ctx.now();
-        let env = ExecEnv {
-            ctx: self.ctx.clone(),
-            nic: Rc::clone(&vm.nic),
-            cold_start: false,
-            vcpus: self.vcpus_per_worker as f64,
-            memory_mib: config.memory_mib,
-            instance_id: vm.id,
-        };
-        let result = handler(env, payload).await;
-        let duration = self.ctx.now().duration_since(started);
-        match result {
-            Ok(output) => Ok(InvokeResult {
-                output,
-                duration,
-                cold_start: false,
-                sandbox_id: vm.id,
-            }),
-            Err(e) => Err(FaasError::HandlerFailed(e)),
-        }
+        let function = self.lookup(name)?;
+        self.run(function, 0, payload).await
     }
 
     /// Invoke a function: queue for a slot, run on its VM. No coldstarts.
@@ -112,13 +86,7 @@ impl ShimCluster {
         name: &str,
         payload: String,
     ) -> Result<InvokeResult, FaasError> {
-        let (config, handler) = {
-            let fns = self.functions.borrow();
-            let reg = fns
-                .get(name)
-                .ok_or_else(|| FaasError::UnknownFunction(name.to_string()))?;
-            (reg.0.clone(), Rc::clone(&reg.1))
-        };
+        let function = self.lookup(name)?;
         // Queue for a slot — "it queues and distributes the fragments
         // across the available worker slots".
         let _guard = self.slots.acquire().await;
@@ -127,6 +95,27 @@ impl ShimCluster {
             .borrow_mut()
             .pop()
             .expect("slot semaphore and free list in sync");
+        let result = self.run(function, vm_idx, payload).await;
+        self.free_slots.borrow_mut().push(vm_idx);
+        result
+    }
+
+    /// The registered function `name`.
+    fn lookup(&self, name: &str) -> Result<(FunctionConfig, Handler), FaasError> {
+        let fns = self.functions.borrow();
+        let (config, handler) = fns
+            .get(name)
+            .ok_or_else(|| FaasError::UnknownFunction(name.to_string()))?;
+        Ok((config.clone(), Rc::clone(handler)))
+    }
+
+    /// Run a looked-up function on VM `vm_idx`.
+    async fn run(
+        &self,
+        (config, handler): (FunctionConfig, Handler),
+        vm_idx: usize,
+        payload: String,
+    ) -> Result<InvokeResult, FaasError> {
         let vm = Rc::clone(&self.vms[vm_idx]);
         let started = self.ctx.now();
         let env = ExecEnv {
@@ -137,18 +126,15 @@ impl ShimCluster {
             memory_mib: config.memory_mib,
             instance_id: vm.id,
         };
-        let result = handler(env, payload).await;
-        self.free_slots.borrow_mut().push(vm_idx);
-        let duration = self.ctx.now().duration_since(started);
-        match result {
-            Ok(output) => Ok(InvokeResult {
-                output,
-                duration,
-                cold_start: false,
-                sandbox_id: vm.id,
-            }),
-            Err(e) => Err(FaasError::HandlerFailed(e)),
-        }
+        let output = handler(env, payload)
+            .await
+            .map_err(FaasError::HandlerFailed)?;
+        Ok(InvokeResult {
+            output,
+            duration: self.ctx.now().duration_since(started),
+            cold_start: false,
+            sandbox_id: vm.id,
+        })
     }
 }
 

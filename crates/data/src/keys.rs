@@ -270,22 +270,14 @@ impl KeyBuffer {
     /// key column's type — callers resolve and type-check names first.
     pub fn encode(batches: &[&Batch], columns: &[usize]) -> KeyBuffer {
         let parts: Vec<(&Batch, SelSpec)> = batches.iter().map(|b| (*b, SelSpec::All)).collect();
-        KeyBuffer::encode_selected(&parts, columns, Vec::new())
+        KeyBuffer::encode_selected(&parts, columns)
     }
 
     /// Encode only the selected rows of each batch (in stream order).
-    /// `reuse` is a recycled word buffer (pass `Vec::new()` when none is
-    /// available).
-    pub fn encode_selected(
-        parts: &[(&Batch, SelSpec)],
-        columns: &[usize],
-        reuse: Vec<u64>,
-    ) -> KeyBuffer {
+    pub fn encode_selected(parts: &[(&Batch, SelSpec)], columns: &[usize]) -> KeyBuffer {
         let rows: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
         let width = columns.len();
-        let mut words = reuse;
-        words.clear();
-        words.resize(rows * width, 0);
+        let mut words = vec![0; rows * width];
         let (encodings, spans) = columns
             .iter()
             .enumerate()
@@ -325,15 +317,12 @@ impl KeyBuffer {
     /// Row indices sorted by normalized key (ties keep row order, so the
     /// permutation is stable). Equal slices group equal composite keys.
     pub fn sort_indices(&self) -> Vec<u32> {
-        let mut order = Vec::with_capacity(self.rows);
-        self.argsort(&vec![true; self.width], &mut Vec::new(), &mut order);
-        order
+        self.argsort(&vec![true; self.width])
     }
 
-    /// Fill `order` with the row indices sorted by key column 0, then 1,
-    /// ..., column `c` ascending or, where `ascending[c]` is false,
-    /// descending; ties keep row order. `scratch` is a recycled buffer the
-    /// sort grows to two words per row.
+    /// The row indices sorted by key column 0, then 1, ..., column `c`
+    /// ascending or, where `ascending[c]` is false, descending; ties keep
+    /// row order. The sort's scratch is two words per row.
     ///
     /// One stable LSD radix sort of one word per row: the row index in
     /// the low bits, and above it as many key bits as fit, taken from the
@@ -344,12 +333,11 @@ impl KeyBuffer {
     /// the previous round's order. Digits are at most 11 bits and never
     /// wider than the input is long, which keeps the histogram in L1 and
     /// lets a sort of a few hundred rows pay for a few hundred counters.
-    pub fn argsort(&self, ascending: &[bool], scratch: &mut Vec<u64>, order: &mut Vec<u32>) {
+    pub fn argsort(&self, ascending: &[bool]) -> Vec<u32> {
         let (n, width) = (self.rows, self.width);
         assert_eq!(ascending.len(), width, "one direction per key column");
-        order.clear();
         if n < 2 || width == 0 {
-            return order.extend(0..n as u32);
+            return (0..n as u32).collect();
         }
         let row_bits = (n - 1).ilog2() + 1;
         let (row_of, room) = (|word: u64| word & ((1 << row_bits) - 1), 64 - row_bits);
@@ -374,10 +362,9 @@ impl KeyBuffer {
             }
         }
         if rounds.is_empty() {
-            return order.extend(0..n as u32);
+            return (0..n as u32).collect();
         }
-        scratch.clear();
-        scratch.resize(2 * n, 0);
+        let mut scratch = vec![0; 2 * n];
         let (mut src, mut dst) = scratch.split_at_mut(n);
         let digit_max = n.ilog2().clamp(4, 11);
         for (round, (pieces, bits)) in rounds.iter().enumerate() {
@@ -417,7 +404,7 @@ impl KeyBuffer {
                 (src, dst) = (dst, src);
             }
         }
-        order.extend(src.iter().map(|&word| row_of(word) as u32));
+        src.iter().map(|&word| row_of(word) as u32).collect()
     }
 
     /// Decode key column `c` of row `r` back to a [`Value`].
@@ -464,11 +451,6 @@ impl KeyBuffer {
             _ => out.resize(sel.count(n), None),
         }
         out
-    }
-
-    /// Hand the word buffer back for recycling (arena reuse).
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
     }
 }
 
@@ -658,9 +640,7 @@ mod tests {
             ]);
             let kb = KeyBuffer::encode(&[&b], &[0, 1, 2, 3]);
             let ascending: Vec<bool> = (0..4).map(|c| directions & (1 << c) == 0).collect();
-            let (mut scratch, mut order) = (vec![7; 3], vec![9; 5]);
-            kb.argsort(&ascending, &mut scratch, &mut order);
-            prop_assert_eq!(order, comparator_argsort(&kb, &ascending));
+            prop_assert_eq!(kb.argsort(&ascending), comparator_argsort(&kb, &ascending));
         }
     }
 
@@ -682,9 +662,10 @@ mod tests {
         let kb = KeyBuffer::encode(&[&b], &[0, 1]);
         assert_eq!(kb.sort_indices(), comparator_argsort(&kb, &[true, true]));
         let by_user = KeyBuffer::encode(&[&b], &[0]);
-        let (mut scratch, mut order) = (Vec::new(), Vec::new());
-        by_user.argsort(&[false], &mut scratch, &mut order);
-        assert_eq!(order, comparator_argsort(&by_user, &[false]));
+        assert_eq!(
+            by_user.argsort(&[false]),
+            comparator_argsort(&by_user, &[false])
+        );
     }
 
     #[test]
@@ -719,7 +700,7 @@ mod tests {
             ("f", Column::Float64(vec![0.5, -0.0, f64::NAN, 2.0, -3.0])),
         ]);
         let sel = [1u32, 3, 4];
-        let kb = KeyBuffer::encode_selected(&[(&b, SelSpec::Rows(&sel))], &[0, 1, 2], Vec::new());
+        let kb = KeyBuffer::encode_selected(&[(&b, SelSpec::Rows(&sel))], &[0, 1, 2]);
         // Materialised reference: take the same rows, encode fully.
         let taken = b.take(&[1, 3, 4]);
         let want = KeyBuffer::encode(&[&taken], &[0, 1, 2]);
@@ -731,7 +712,7 @@ mod tests {
             }
         }
         // Prefix selections behave like slices.
-        let kp = KeyBuffer::encode_selected(&[(&b, SelSpec::Prefix(2))], &[1], Vec::new());
+        let kp = KeyBuffer::encode_selected(&[(&b, SelSpec::Prefix(2))], &[1]);
         assert_eq!(kp.rows(), 2);
         assert_eq!(kp.value(0, 0), Value::Int64(5));
         assert_eq!(kp.value(1, 0), Value::Int64(1));
@@ -764,7 +745,7 @@ mod tests {
                 .collect();
             let spec: Vec<(&Batch, SelSpec)> =
                 batches.iter().zip(&sels).map(|(b, s)| (b, SelSpec::Rows(s))).collect();
-            let kb = KeyBuffer::encode_selected(&spec, &[0], Vec::new());
+            let kb = KeyBuffer::encode_selected(&spec, &[0]);
             let model: Vec<&str> = parts
                 .iter()
                 .zip(&sels)

@@ -25,9 +25,10 @@
 //!    [`skyrise_data::KeyBuffer`]'s contiguous fixed-width encoding
 //!    (order-equal to the oracle's per-row scalar keys), with typed
 //!    per-group accumulators instead of per-row `Value` boxing.
-//! 4. **Arena scratch** — transient buffers (sel vectors, key words,
-//!    gather tables) come from the per-invocation [`crate::arena::Arena`].
-//!    String columns arrive as codes into sorted dictionaries
+//! 4. **Metered scratch** — transient buffers (sel vectors, key words,
+//!    gather tables) are plain `Vec`s; each invocation counts the bytes
+//!    its kernels ask for into an [`ArenaReport`], the `engine.arena.*`
+//!    metrics. String columns arrive as codes into sorted dictionaries
 //!    ([`skyrise_data::Utf8Column`]), so no kernel builds one.
 //!
 //! Every kernel reproduces, bit for bit, the row-at-a-time oracle that
@@ -37,13 +38,13 @@
 //! keys, per-group float accumulation order equals its stream-row order,
 //! and join match lists keep build-row order.
 
-use crate::arena::{Arena, ArenaReport};
 use crate::error::EngineError;
 use crate::expr::{self, Expr, ExprError, NamedExpr, UdfRegistry};
 use crate::operators::{self, column_from_values, OpChainStats};
 use crate::plan::{AggExpr, AggFunc, AggMode, Op};
 use skyrise_data::keys::SelSpec;
 use skyrise_data::{Batch, Column, Field, KeyBuffer, Schema, Value};
+use std::cell::Cell;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
@@ -374,11 +375,52 @@ fn materialise_all(stream: Vec<SelBatch>) -> Vec<Batch> {
 // the bound executor
 // ---------------------------------------------------------------------------
 
-/// Per-invocation execution context: scratch arena and the UDFs
+/// Kernel scratch of one chain invocation, in bytes (reported separately
+/// from `OpChainStats`, which must stay bit-compatible with the scalar
+/// oracle's).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ArenaReport {
+    /// Total bytes the kernels asked for during the invocation.
+    pub bytes_allocated: u64,
+    /// Those bytes attributed to each operator, in chain order.
+    pub per_op: Vec<(&'static str, u64)>,
+}
+
+/// Per-invocation execution context: the scratch meter and the UDFs
 /// expressions may call.
 struct Ctx<'a> {
-    arena: Arena,
+    /// Scratch bytes requested so far. A draw counts the capacity it asks
+    /// for, whatever the allocator hands out, so the count is the same on
+    /// every host and at every `--jobs`.
+    bytes: Cell<u64>,
     udfs: &'a UdfRegistry,
+}
+
+impl Ctx<'_> {
+    /// An empty `Vec` with room for `cap` elements, metered at that room.
+    fn scratch<T>(&self, cap: usize) -> Vec<T> {
+        self.note(cap * std::mem::size_of::<T>());
+        Vec::with_capacity(cap)
+    }
+
+    /// Meter `bytes` of scratch a callee allocates.
+    fn note(&self, bytes: usize) {
+        self.bytes.set(self.bytes.get() + bytes as u64);
+    }
+
+    /// [`KeyBuffer::encode_selected`], metered at its key words.
+    fn encode_keys(&self, parts: &[(&Batch, SelSpec)], cols: &[usize]) -> KeyBuffer {
+        let keys = KeyBuffer::encode_selected(parts, cols);
+        self.note(keys.rows() * keys.width() * 8);
+        keys
+    }
+
+    /// [`KeyBuffer::argsort`], metered at its order (4 bytes a row) and its
+    /// radix scratch (16 bytes a row).
+    fn argsort(&self, keys: &KeyBuffer, ascending: &[bool]) -> Vec<u32> {
+        self.note(keys.rows() * (4 + 16));
+        keys.argsort(ascending)
+    }
 }
 
 /// Field names of a pipeline input, read off its first batch.
@@ -410,24 +452,23 @@ pub fn execute_chain_sel(
         .collect::<Result<_, _>>()?;
     let bound = bind_ops(ops, input_names(0, &stream)?, &build_names, udfs)?;
     let ctx = Ctx {
-        arena: Arena::current(),
+        bytes: Cell::new(0),
         udfs,
     };
-    ctx.arena.reset();
     let mut stream: Vec<SelBatch> = stream.into_iter().map(SelBatch::wrap).collect();
     let rows_in = stream.iter().map(|b| b.rows() as u64).sum();
     let mut per_op: Vec<(&'static str, u64)> = Vec::with_capacity(bound.len());
     for (op, bound) in ops.iter().zip(&bound) {
-        let before = ctx.arena.bytes_allocated();
+        let before = ctx.bytes.get();
         stream = apply_bound(bound, stream, builds, &ctx)?;
-        per_op.push((op.label(), ctx.arena.bytes_allocated() - before));
+        per_op.push((op.label(), ctx.bytes.get() - before));
     }
     let stats = OpChainStats {
         rows_in,
         rows_out: stream.iter().map(|b| b.rows() as u64).sum(),
     };
     let report = ArenaReport {
-        bytes_allocated: ctx.arena.bytes_allocated(),
+        bytes_allocated: ctx.bytes.get(),
         per_op,
     };
     Ok((stream, stats, report))
@@ -467,7 +508,7 @@ fn apply_bound(
                     Sel::Prefix(k) => (*k).min(n),
                     Sel::Rows(r) => r.len(),
                 };
-                let mut keep = ctx.arena.u32s(total);
+                let mut keep = ctx.scratch(total);
                 match &sel {
                     Sel::All => keep.extend((0..n as u32).filter(|&i| mask[i as usize])),
                     Sel::Prefix(k) => {
@@ -475,14 +516,10 @@ fn apply_bound(
                     }
                     Sel::Rows(r) => keep.extend(r.iter().copied().filter(|&i| mask[i as usize])),
                 }
+                // Nothing filtered out: the old selection still holds.
                 let sel = if keep.len() == total {
-                    // Nothing filtered out: the old selection still holds.
-                    ctx.arena.recycle_u32(keep);
                     sel
                 } else {
-                    if let Sel::Rows(old) = sel {
-                        ctx.arena.recycle_u32(old);
-                    }
                     Sel::Rows(keep)
                 };
                 Ok(SelBatch { batch, sel })
@@ -595,11 +632,9 @@ struct Grouping {
 }
 
 fn group_rows(parts: &[(&Batch, SelSpec)], cols: &[usize], ctx: &Ctx) -> Grouping {
-    let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
-    let words = ctx.arena.u64s(total * cols.len());
-    let keys = KeyBuffer::encode_selected(parts, cols, words);
+    let keys = ctx.encode_keys(parts, cols);
     let order = keys.sort_indices();
-    let mut group_of = ctx.arena.u32s(keys.rows());
+    let mut group_of = ctx.scratch(keys.rows());
     group_of.resize(keys.rows(), 0);
     let mut rep: Vec<u32> = Vec::new();
     let mut i = 0usize;
@@ -850,9 +885,6 @@ fn hash_aggregate(
         }
     }
 
-    let Grouping { keys, group_of, .. } = grouping;
-    ctx.arena.recycle_u64(keys.into_words());
-    ctx.arena.recycle_u32(group_of);
     Ok(Batch::new(Schema::new(fields), columns))
 }
 
@@ -874,7 +906,7 @@ fn hash_join(
     // build-row order, matching the oracle table's insertion order.
     let kb = KeyBuffer::encode(&[&build_all], &[build_key]);
     let order = kb.sort_indices();
-    let mut sorted = ctx.arena.u64s(order.len());
+    let mut sorted = ctx.scratch(order.len());
     sorted.extend(order.iter().map(|&r| kb.word(r as usize, 0)));
     let build_col_refs: Vec<(&Field, &Column)> = build_cols
         .iter()
@@ -889,8 +921,8 @@ fn hash_join(
         let pb = sb.batch.as_ref();
         let n = pb.num_rows();
         let enc = kb.encode_probe_sel(0, &pb.columns[probe_key], sb.spec());
-        let mut probe_idx = ctx.arena.u32s(enc.len());
-        let mut build_idx = ctx.arena.u32s(enc.len());
+        let mut probe_idx = ctx.scratch(enc.len());
+        let mut build_idx = ctx.scratch(enc.len());
         for (prow, e) in sb.spec().iter(n).zip(&enc) {
             let Some(k) = e else { continue };
             let mut j = sorted.partition_point(|&x| x < *k);
@@ -906,21 +938,9 @@ fn hash_join(
             fields.push((*f).clone());
             columns.push(c.take_u32(&build_idx));
         }
-        ctx.arena.recycle_u32(probe_idx);
-        ctx.arena.recycle_u32(build_idx);
         out.push(SelBatch::wrap(Batch::new(Schema::new(fields), columns)));
     }
-    ctx.arena.recycle_u64(sorted);
     Ok(out)
-}
-
-/// [`KeyBuffer::argsort`] with its order and scratch drawn from the arena.
-fn argsort(keys: &KeyBuffer, ascending: &[bool], ctx: &Ctx) -> Vec<u32> {
-    let mut order = ctx.arena.u32s(keys.rows());
-    let mut scratch = ctx.arena.u64s(2 * keys.rows());
-    keys.argsort(ascending, &mut scratch, &mut order);
-    ctx.arena.recycle_u64(scratch);
-    order
 }
 
 fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, EngineError> {
@@ -933,25 +953,19 @@ fn sort(stream: &[SelBatch], by: &[(usize, bool)], ctx: &Ctx) -> Result<Batch, E
         .collect();
     let (cols, ascending): (Vec<usize>, Vec<bool>) = by.iter().copied().unzip();
     let total: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
-    let words = ctx.arena.u64s(total * cols.len());
-    let kb = KeyBuffer::encode_selected(&parts, &cols, words);
+    let kb = ctx.encode_keys(&parts, &cols);
     // Location table in live stream order (== the oracle's concat order), then
     // a stable argsort of positions, then one gather straight from the
     // original batches — the concat itself never happens.
-    let mut locs = ctx.arena.locs(total);
+    let mut locs = ctx.scratch(total);
     for (pi, (b, s)) in parts.iter().enumerate() {
         locs.extend(s.iter(b.num_rows()).map(|r| (pi as u32, r as u32)));
     }
-    let idx = argsort(&kb, &ascending, ctx);
-    let mut out_locs = ctx.arena.locs(total);
+    let idx = ctx.argsort(&kb, &ascending);
+    let mut out_locs = ctx.scratch(total);
     out_locs.extend(idx.iter().map(|&i| locs[i as usize]));
     let batches: Vec<&Batch> = stream.iter().map(|sb| sb.batch.as_ref()).collect();
-    let out = Batch::gather(&batches, &out_locs);
-    ctx.arena.recycle_u64(kb.into_words());
-    ctx.arena.recycle_locs(locs);
-    ctx.arena.recycle_locs(out_locs);
-    ctx.arena.recycle_u32(idx);
-    Ok(out)
+    Ok(Batch::gather(&batches, &out_locs))
 }
 
 fn sessionize_q3(
@@ -992,10 +1006,9 @@ fn sessionize_q3(
         .collect();
     let total: usize = clicks.iter().map(SelBatch::rows).sum();
     let key_cols = [cols.users, cols.dates, cols.times];
-    let words = ctx.arena.u64s(total * key_cols.len());
-    let keys = KeyBuffer::encode_selected(&parts, &key_cols, words);
-    let mut item_sk = ctx.arena.i64s(total);
-    let mut sales = ctx.arena.i64s(total);
+    let keys = ctx.encode_keys(&parts, &key_cols);
+    let mut item_sk = ctx.scratch(total);
+    let mut sales = ctx.scratch(total);
     for (b, sel) in &parts {
         for (out, col) in [(&mut item_sk, cols.items), (&mut sales, cols.sales)] {
             let v = b.columns[col].as_i64();
@@ -1005,7 +1018,7 @@ fn sessionize_q3(
             }
         }
     }
-    let idx = argsort(&keys, &[true; 3], ctx);
+    let idx = ctx.argsort(&keys, &[true; 3]);
     let user = |click: u32| keys.word(click as usize, 0);
 
     let mut views: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
@@ -1033,19 +1046,13 @@ fn sessionize_q3(
         start = end;
     }
 
-    let out = Batch::new(
+    Ok(Batch::new(
         out_schema,
         vec![
             Column::Int64(views.keys().copied().collect()),
             Column::Int64(views.values().copied().collect()),
         ],
-    );
-    ctx.arena.recycle_u32(idx);
-    ctx.arena.recycle_u64(keys.into_words());
-    for v in [item_sk, sales] {
-        ctx.arena.recycle_i64(v);
-    }
-    Ok(out)
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,10 +1256,31 @@ pub(crate) mod tests {
         ];
         let (out, stats, report) = execute_chain_sel(&ops, lineitems(), &[], &udfs()).unwrap();
         assert_eq!(stats.rows_out, out.iter().map(|b| b.rows() as u64).sum());
-        assert!(report.bytes_allocated > 0);
-        assert_eq!(report.per_op.len(), 2);
-        assert_eq!(report.per_op[0].0, "filter");
-        assert_eq!(report.per_op[1].0, "hash-aggregate");
-        assert!(report.per_op.iter().map(|(_, b)| b).sum::<u64>() <= report.bytes_allocated);
+        // Filter: a keep list over 3 + 2 rows. Aggregate over the 4 kept
+        // rows: one key word and one group id each.
+        assert_eq!(report.bytes_allocated, 68);
+        assert_eq!(report.per_op, [("filter", 20), ("hash-aggregate", 48)]);
+        assert_eq!(
+            report.per_op.iter().map(|(_, b)| b).sum::<u64>(),
+            report.bytes_allocated
+        );
+    }
+
+    /// A draw counts the room it asks for: a `Vec` that grows past it
+    /// does not move the meter.
+    #[test]
+    fn draws_are_metered_by_request_not_capacity() {
+        let udfs = udfs();
+        let ctx = Ctx {
+            bytes: Cell::new(0),
+            udfs: &udfs,
+        };
+        let mut ids = ctx.scratch::<u32>(100);
+        assert_eq!(ctx.bytes.get(), 400);
+        ids.extend(0..1000);
+        let _locs = ctx.scratch::<(u32, u32)>(10);
+        assert_eq!(ctx.bytes.get(), 480);
+        ctx.note(5);
+        assert_eq!(ctx.bytes.get(), 485);
     }
 }

@@ -11,7 +11,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bind;
 pub mod catalog;
 pub mod coordinator;

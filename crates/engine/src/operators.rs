@@ -2,7 +2,6 @@
 //! chain statistics, the partial-aggregate naming convention, typed column
 //! assembly, and hash partitioning of whole batches.
 
-use crate::arena::Arena;
 use crate::error::EngineError;
 use crate::plan::{AggExpr, AggFunc};
 use skyrise_data::keys::{self, SelSpec};
@@ -114,9 +113,8 @@ pub(crate) fn partition_parts(
     n: usize,
 ) -> Result<Vec<Batch>, EngineError> {
     assert!(n > 0);
-    let arena = Arena::current();
     let live: usize = parts.iter().map(|(b, s)| s.count(b.num_rows())).sum();
-    let mut ids = arena.u32s(live);
+    let mut ids = Vec::with_capacity(live);
     let mut counts = vec![0usize; n];
     for (batch, sel) in parts {
         let hashes = partition_hashes(batch, partition_by)?;
@@ -154,7 +152,6 @@ pub(crate) fn partition_parts(
             bucket.push(column);
         }
     }
-    arena.recycle_u32(ids);
     Ok(buckets
         .into_iter()
         .map(|columns| Batch::new(Rc::clone(schema), columns))

@@ -638,8 +638,9 @@ async fn read_partition(
     let scale = (part.logical_bytes as f64 / part.payload_bytes.max(1) as f64).max(1.0);
     let expected = |len: u64| (len as f64 * scale) as u64;
 
-    // 1.+2. Trailer, then footer.
-    let trailer = bytes(part.payload_bytes - spf::TRAILER_LEN, spf::TRAILER_LEN);
+    // 1.+2. Trailer, then footer. The trailer is the object's last bytes
+    // whatever size the catalog entry claims.
+    let trailer = ByteRange::Suffix(spf::TRAILER_LEN);
     let footer = read_segment_meta(client, opts, &part.key, trailer, expected, tally)
         .await?
         .footer;
@@ -1081,6 +1082,71 @@ mod tests {
         }
     }
 
+    /// Scan a 1,000-row SPF object (four row groups of columns `k` and
+    /// `v`) stored on the storage `store` builds, as the one partition of
+    /// dataset `t`, described to the worker as `payload_bytes` long (`None`:
+    /// its true length). Returns the worker's report and the usage meter.
+    fn scan_thousand_rows(
+        store: impl FnOnce(&skyrise_sim::SimCtx, &skyrise_pricing::SharedMeter) -> Storage,
+        payload_bytes: Option<u64>,
+    ) -> (StageStats, skyrise_pricing::SharedMeter) {
+        use skyrise_data::{Column, DataType, Field};
+        let mut sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let storage = store(&ctx, &meter);
+        let worker = sim.spawn(async move {
+            let batch = Batch::new(
+                Schema::new(vec![
+                    Field::new("k", DataType::Int64),
+                    Field::new("v", DataType::Float64),
+                ]),
+                vec![
+                    Column::Int64((0..1_000).collect()),
+                    Column::Float64((0..1_000).map(|i| i as f64).collect()),
+                ],
+            );
+            let blob = Blob::new(spf::write(&[batch], 250));
+            let partition = PartitionMeta {
+                key: "t/part-0.spf".into(),
+                payload_bytes: payload_bytes.unwrap_or(blob.len() as u64),
+                logical_bytes: blob.logical_len(),
+                payload_rows: 1_000,
+                logical_rows: 1_000,
+            };
+            storage.backdoor_put(&partition.key, blob);
+            let task = WorkerTask {
+                query_id: "q".into(),
+                pipeline: Pipeline {
+                    id: 0,
+                    inputs: vec![InputSpec::Scan {
+                        dataset: "t".into(),
+                        projection: vec![],
+                        predicate: None,
+                    }],
+                    ops: vec![],
+                    sink: Sink::Result,
+                    fragments: None,
+                },
+                fragment: 0,
+                n_fragments: 1,
+                downstream_fragments: 1,
+                inputs: vec![InputAssignment::Scan {
+                    partitions: vec![partition],
+                }],
+                expected_input_bytes: 0,
+            };
+            let env = test_env(ctx);
+            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+        });
+        sim.run();
+        let report = worker
+            .try_take()
+            .expect("worker ran to completion")
+            .expect("scan succeeds");
+        (report, meter)
+    }
+
     /// Fragment `fragment` of `n_fragments` consumers reading pipeline 0's
     /// shuffle output straight into a result object.
     fn consumer_task(fragment: u32, n_fragments: u32, upstream: u32, combine: u32) -> WorkerTask {
@@ -1280,72 +1346,25 @@ mod tests {
     /// the slices it asked for.
     #[test]
     fn scan_on_efs_reports_the_bytes_the_meter_billed() {
-        use skyrise_data::{Column, DataType, Field};
-        let mut sim = skyrise_sim::Sim::new(7);
-        let ctx = sim.ctx();
-        let meter = skyrise_pricing::shared_meter();
-        let storage = Storage::Efs(skyrise_storage::EfsFilesystem::elastic(&ctx, &meter));
-        let worker = sim.spawn(async move {
-            let batch = Batch::new(
-                Schema::new(vec![
-                    Field::new("k", DataType::Int64),
-                    Field::new("v", DataType::Float64),
-                ]),
-                vec![
-                    Column::Int64((0..1_000).collect()),
-                    Column::Float64((0..1_000).map(|i| i as f64).collect()),
-                ],
-            );
-            let blob = Blob::new(spf::write(&[batch], 250));
-            let partition = PartitionMeta {
-                key: "t/part-0.spf".into(),
-                payload_bytes: blob.len() as u64,
-                logical_bytes: blob.logical_len(),
-                payload_rows: 1_000,
-                logical_rows: 1_000,
-            };
-            storage.backdoor_put(&partition.key, blob);
-            let env = ExecEnv {
-                ctx,
-                nic: skyrise_net::presets::lambda_nic(),
-                cold_start: false,
-                vcpus: 1.0,
-                memory_mib: 1024,
-                instance_id: 0,
-            };
-            let task = WorkerTask {
-                query_id: "q".into(),
-                pipeline: Pipeline {
-                    id: 0,
-                    inputs: vec![InputSpec::Scan {
-                        dataset: "t".into(),
-                        projection: vec![],
-                        predicate: None,
-                    }],
-                    ops: vec![],
-                    sink: Sink::Result,
-                    fragments: None,
-                },
-                fragment: 0,
-                n_fragments: 1,
-                downstream_fragments: 1,
-                inputs: vec![InputAssignment::Scan {
-                    partitions: vec![partition],
-                }],
-                expected_input_bytes: 0,
-            };
-            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
-        });
-        sim.run();
-        let report = worker
-            .try_take()
-            .expect("worker ran to completion")
-            .expect("scan succeeds");
+        let efs =
+            |ctx: &_, meter: &_| Storage::Efs(skyrise_storage::EfsFilesystem::elastic(ctx, meter));
+        let (report, meter) = scan_thousand_rows(efs, None);
         assert_eq!(report.rows_in, 1_000);
         let billed = meter.borrow().storage[&skyrise_pricing::StorageService::Efs].bytes_read;
         // Trailer + footer + 4 row groups x 2 columns: 10 whole-file reads.
         assert_eq!(report.storage_requests, 10 + 1);
         assert_eq!(report.logical_bytes_read, billed);
+    }
+
+    /// A catalog entry is parsed from a storage object, so its sizes may be
+    /// damaged. One that claims fewer bytes than an SPF trailer must not
+    /// steer the scan: the trailer is the object's last bytes, and the
+    /// footer it points to lists every row group.
+    #[test]
+    fn scan_finds_the_trailer_whatever_size_the_catalog_claims() {
+        let s3 = |ctx: &_, meter: &_| Storage::S3(skyrise_storage::S3Bucket::standard(ctx, meter));
+        let (report, _) = scan_thousand_rows(s3, Some(3));
+        assert_eq!(report.rows_in, 1_000);
     }
 
     #[test]

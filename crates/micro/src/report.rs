@@ -76,23 +76,10 @@ impl ExperimentResult {
         serde_json::to_string_pretty(self).expect("results serialise")
     }
 
-    /// Write JSON (and a CSV per series) under `dir`.
+    /// Write the result as `<id>.json` under `dir`.
     pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{}.json", self.id)), self.to_json())?;
-        for s in &self.series {
-            let mut csv = String::from("x,y\n");
-            for (x, y) in &s.points {
-                let _ = writeln!(csv, "{x},{y}");
-            }
-            let safe: String = s
-                .name
-                .chars()
-                .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                .collect();
-            std::fs::write(dir.join(format!("{}_{safe}.csv", self.id)), csv)?;
-        }
-        Ok(())
+        std::fs::write(dir.join(format!("{}.json", self.id)), self.to_json())
     }
 }
 
@@ -202,9 +189,12 @@ mod tests {
         r.push_series(NamedSeries::new("a b", vec![(1.0, 2.0)]));
         r.save(&dir).unwrap();
         assert!(dir.join("t1.json").exists());
-        assert!(dir.join("t1_a_b.csv").exists());
-        let csv = std::fs::read_to_string(dir.join("t1_a_b.csv")).unwrap();
-        assert!(csv.contains("1,2"));
+        // The series lives in the JSON only: no per-series CSV beside it.
+        let csvs = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("csv".as_ref()))
+            .count();
+        assert_eq!(csvs, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
