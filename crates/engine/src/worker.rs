@@ -28,9 +28,11 @@ use skyrise_compute::ExecEnv;
 use skyrise_data::columnar::{Batch, Schema};
 use skyrise_data::spf;
 use skyrise_data::Value;
+use skyrise_sim::sync::Semaphore;
 use skyrise_storage::{
     Blob, ByteRange, ObjectRead, RequestOpts, RetryPolicy, RetryStats, RetryingClient, Storage,
 };
+use std::future::Future;
 use std::rc::Rc;
 
 /// Input assignment for one worker fragment, parallel to the pipeline's
@@ -180,12 +182,77 @@ fn bytes(offset: u64, len: u64) -> ByteRange {
     ByteRange::Bytes { offset, len }
 }
 
+/// A piece of one input as it was fetched: stored bytes, decoded only by
+/// [`materialise`] where the chain runs. The bytes are zero-copy slices of
+/// the stored object (a suffix and a corrective prefix joined are the one
+/// copy), so a worker waiting on storage holds no decoded columns.
+enum Fetched {
+    /// One scan row group: its projected chunks, and the residual filter
+    /// its zone maps could not apply.
+    RowGroup {
+        schema: Rc<Schema>,
+        chunks: Vec<(spf::ChunkMeta, bytes::Bytes)>,
+        predicate: Option<Rc<Expr>>,
+    },
+    /// One shuffle segment's kept row groups of this consumer's bucket:
+    /// `footer` lists only those, `window` is the file from offset `base`.
+    Segment {
+        footer: spf::Footer,
+        proj: Vec<usize>,
+        base: u64,
+        window: bytes::Bytes,
+    },
+    /// The typed marker batch of an input no row group survived.
+    Empty(Rc<Schema>),
+}
+
+/// Decode an input's fetched pages into the chain's batches, in fetch
+/// order. The virtual decode charge was made from the read tally as the
+/// pages landed; this is host work only.
+fn materialise(pages: Vec<Fetched>, udfs: &UdfRegistry) -> Result<Vec<Batch>, EngineError> {
+    let mut batches = Vec::with_capacity(pages.len());
+    for page in pages {
+        match page {
+            Fetched::RowGroup {
+                schema,
+                chunks,
+                predicate,
+            } => {
+                let columns = chunks
+                    .iter()
+                    .map(|(meta, data)| spf::decode_chunk(meta, data))
+                    .collect::<Result<_, _>>()?;
+                let batch = Batch::new(schema, columns);
+                // Residual filter (zone maps are row-group granular).
+                batches.push(match predicate {
+                    Some(pred) => batch.filter(&evaluate_mask(&pred, &batch, udfs)?),
+                    None => batch,
+                });
+            }
+            Fetched::Segment {
+                footer,
+                proj,
+                base,
+                window,
+            } => batches.extend(spf::decode_row_groups(
+                &footer,
+                &footer.row_groups,
+                &proj,
+                base,
+                &window,
+            )?),
+            Fetched::Empty(schema) => batches.push(Batch::empty(schema)),
+        }
+    }
+    Ok(batches)
+}
+
 /// What reading one input, or one object of it, produced.
 #[derive(Default)]
 struct ReadOutcome {
-    batches: Vec<Batch>,
-    /// Projected schema of a shuffle segment that yielded no batch (its
-    /// bucket empty or pruned away), so that an input without any batch can
+    pages: Vec<Fetched>,
+    /// Projected schema of a shuffle segment that kept no row group (its
+    /// bucket empty or pruned away), so that an input without any page can
     /// still hand the chain a typed marker batch.
     schema: Option<Rc<Schema>>,
     tally: ReadTally,
@@ -194,10 +261,19 @@ struct ReadOutcome {
 impl ReadOutcome {
     /// Append what `part` read.
     fn absorb(&mut self, part: ReadOutcome) {
-        self.batches.extend(part.batches);
+        self.pages.extend(part.pages);
         self.schema = self.schema.take().or(part.schema);
         self.tally.merge(&part.tally);
     }
+}
+
+/// Wait for a slot of `gate`, then run the read `start` makes. The read's
+/// future is built and boxed only once the slot is held: a worker spawns
+/// all its gated reads at once, and a queued one then holds its captures,
+/// not the request's whole state machine.
+async fn gated<F: Future>(gate: &Semaphore, start: impl FnOnce() -> F) -> F::Output {
+    let _slot = gate.acquire().await;
+    Box::pin(start()).await
 }
 
 /// Run one worker fragment to completion. Base tables and results live on
@@ -256,8 +332,8 @@ pub async fn run_worker(
 
     // Materialise inputs.
     let io_started = env.ctx.now();
-    let mut stream: Vec<Batch> = Vec::new();
-    let mut builds: Vec<Vec<Batch>> = Vec::new();
+    let mut stream: Vec<Fetched> = Vec::new();
+    let mut builds: Vec<Vec<Fetched>> = Vec::new();
     // What every input read, and what the shuffle inputs read alone.
     let (mut reads, mut shuffle_reads) = (ReadTally::default(), ReadTally::default());
     let mut stream_scale = 1.0f64;
@@ -294,7 +370,6 @@ pub async fn run_worker(
                     partitions,
                     &projection,
                     predicate.as_ref(),
-                    udfs,
                 )
                 .await?
             }
@@ -340,9 +415,9 @@ pub async fn run_worker(
         read_span.end();
         if idx == 0 {
             stream_scale = outcome.tally.scale();
-            stream = outcome.batches;
+            stream = outcome.pages;
         } else {
-            builds.push(outcome.batches);
+            builds.push(outcome.pages);
         }
     }
     // I/O-stack CPU charge for ingesting the inputs.
@@ -359,6 +434,15 @@ pub async fn run_worker(
         .await;
     io_span.end();
     let io_secs = (env.ctx.now() - io_started).as_secs_f64();
+
+    // Decode the inputs here, where the chain runs, not as each page
+    // landed: the fleet's workers share one host, and one waiting on
+    // storage then holds stored bytes, not columns.
+    let stream = materialise(stream, udfs)?;
+    let builds = builds
+        .into_iter()
+        .map(|pages| materialise(pages, udfs))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Execute the operator chain, charging virtual CPU for logical rows.
     let cpu_started = env.ctx.now();
@@ -573,8 +657,7 @@ async fn read_scan(
     env: &ExecEnv,
     partitions: &[PartitionMeta],
     projection: &[String],
-    predicate: Option<&crate::expr::Expr>,
-    udfs: &UdfRegistry,
+    predicate: Option<&Expr>,
 ) -> Result<ReadOutcome, EngineError> {
     let mut outcome = ReadOutcome::default();
 
@@ -582,15 +665,15 @@ async fn read_scan(
     // into smaller chunks to process them in parallel"), but the worker
     // bounds in-flight ranged requests so each gets a predictable share of
     // the sandbox NIC (and its size-based timeout stays meaningful).
-    let chunk_gate = Rc::new(skyrise_sim::sync::Semaphore::new(CHUNK_CONCURRENCY));
+    let chunk_gate = Rc::new(Semaphore::new(CHUNK_CONCURRENCY));
+    let predicate = predicate.cloned().map(Rc::new);
     let mut handles = Vec::with_capacity(partitions.len());
     for part in partitions {
         let client = client.clone();
         let opts = opts.clone();
         let part = part.clone();
         let projection = projection.to_vec();
-        let predicate = predicate.cloned();
-        let udfs = udfs.clone();
+        let predicate = predicate.clone();
         let ctx = env.ctx.clone();
         let vcpus = env.vcpus;
         let gate = Rc::clone(&chunk_gate);
@@ -603,7 +686,6 @@ async fn read_scan(
                 &part,
                 &projection,
                 predicate.as_ref(),
-                &udfs,
                 &gate,
             )
             .await
@@ -627,9 +709,8 @@ async fn read_partition(
     vcpus: f64,
     part: &PartitionMeta,
     projection: &[String],
-    predicate: Option<&crate::expr::Expr>,
-    udfs: &UdfRegistry,
-    chunk_gate: &Rc<skyrise_sim::sync::Semaphore>,
+    predicate: Option<&Rc<Expr>>,
+    chunk_gate: &Rc<Semaphore>,
 ) -> Result<ReadOutcome, EngineError> {
     let mut outcome = ReadOutcome::default();
     let tally = &mut outcome.tally;
@@ -651,6 +732,7 @@ async fn read_partition(
         .map_err(|n| EngineError::Plan(format!("unknown scan column {n}")))?;
 
     // 3. Column chunks, zone-map pruned, fetched in parallel per row group.
+    let schema = footer.schema.project(&proj);
     for rg in &footer.row_groups {
         if let Some(pred) = predicate {
             if crate::pushdown::prune_row_group(pred, &footer.schema, rg) {
@@ -667,37 +749,28 @@ async fn read_partition(
             let exp = expected(meta.len);
             let range = bytes(meta.offset, meta.len);
             chunk_handles.push(ctx.spawn(async move {
-                let _slot = gate.acquire().await;
-                client
-                    .read(&key, range, exp, &opts)
+                gated(&gate, || client.read(&key, range, exp, &opts))
                     .await
                     .map(|(read, stats)| (meta, read, stats))
             }));
         }
-        let mut columns = Vec::with_capacity(proj.len());
+        let mut chunks = Vec::with_capacity(proj.len());
         for h in skyrise_sim::join_all(chunk_handles).await {
             let (meta, read, stats) = h?;
             tally.add(&read, stats);
-            columns.push(spf::decode_chunk(&meta, &read.blob.bytes)?);
+            chunks.push((meta, read.blob.bytes));
         }
-        let batch = Batch::new(footer.schema.project(&proj), columns);
-        // Residual filter (zone maps are row-group granular).
-        let batch = match predicate {
-            Some(pred) => {
-                let mask = evaluate_mask(pred, &batch, udfs)?;
-                batch.filter(&mask)
-            }
-            None => batch,
-        };
-        outcome.batches.push(batch);
+        outcome.pages.push(Fetched::RowGroup {
+            schema: Rc::clone(&schema),
+            chunks,
+            predicate: predicate.cloned(),
+        });
     }
 
     // Zone maps may prune every row group; keep the schema alive with an
     // empty batch so downstream operators see consistent shapes.
-    if outcome.batches.is_empty() {
-        outcome
-            .batches
-            .push(Batch::empty(footer.schema.project(&proj)));
+    if outcome.pages.is_empty() {
+        outcome.pages.push(Fetched::Empty(schema));
     }
 
     // Decode CPU charge for the logical bytes materialised.
@@ -796,6 +869,15 @@ async fn read_segment_meta(
         tally.add(&fb, s2);
         spf::parse_footer_indexed(&fb.blob.bytes)?
     };
+    // A bucket's pages lie before the footer; `ShuffleLayout` subtracts
+    // their offsets from the object's length.
+    if index
+        .iter()
+        .flat_map(|i| &i.buckets)
+        .any(|b| b.byte_end > fstart)
+    {
+        return Err(spf::SpfError::Corrupt("bucket past the footer").into());
+    }
     Ok(SegmentMeta {
         tail_bytes,
         tail_start,
@@ -862,7 +944,7 @@ async fn read_shuffle(
     // Bounded fan-in: a worker pulls its buckets a few at a time rather
     // than hammering the storage service with one request per upstream
     // fragment simultaneously.
-    let gate = Rc::new(skyrise_sim::sync::Semaphore::new(SHUFFLE_READ_FANIN));
+    let gate = Rc::new(Semaphore::new(SHUFFLE_READ_FANIN));
     let mut handles = Vec::with_capacity(upstream_fragments as usize);
     for src in 0..upstream_fragments {
         let key = shuffle_key(query_id, from_pipeline, src, my_group);
@@ -879,17 +961,18 @@ async fn read_shuffle(
         };
         let probed = if src == 0 { probed.take() } else { None };
         handles.push(client.ctx.clone().spawn(async move {
-            let _slot = gate.acquire().await;
-            read_shuffle_object(
-                &client,
-                &opts,
-                &key,
-                first,
-                probed,
-                my_bucket,
-                projection.as_deref(),
-                &predicates,
-            )
+            gated(&gate, || {
+                read_shuffle_object(
+                    &client,
+                    &opts,
+                    &key,
+                    first,
+                    probed,
+                    my_bucket,
+                    projection.as_deref(),
+                    &predicates,
+                )
+            })
             .await
         }));
     }
@@ -899,9 +982,9 @@ async fn read_shuffle(
     }
     // Bucket-indexed segments carry no marker row group for empty buckets;
     // keep the schema alive so the chain sees consistent shapes.
-    if outcome.batches.is_empty() {
+    if outcome.pages.is_empty() {
         if let Some(s) = &outcome.schema {
-            outcome.batches.push(Batch::empty(Rc::clone(s)));
+            outcome.pages.push(Fetched::Empty(Rc::clone(s)));
         }
     }
     // Decompression + deserialisation CPU for what the modelled reader
@@ -979,7 +1062,7 @@ async fn read_shuffle_object(
 
     // 3. Select this bucket's row groups, zone-pruned against the pushed
     //    predicates (pruning only — the chain's filters still run).
-    let mut kept: Vec<&spf::RowGroupMeta> = Vec::new();
+    let mut kept: Vec<spf::RowGroupMeta> = Vec::new();
     let (mut kept_bytes, mut pruned_bytes) = (0, 0);
     for rg in index.row_groups(&footer, my_bucket) {
         let keep = !predicates
@@ -993,7 +1076,7 @@ async fn read_shuffle_object(
             }
         }
         if keep {
-            kept.push(rg);
+            kept.push(rg.clone());
         }
     }
 
@@ -1003,16 +1086,15 @@ async fn read_shuffle_object(
     let wanted = kept
         .iter()
         .flat_map(|rg| proj.iter().map(|&ci| &rg.chunks[ci]));
-    let fetched: Vec<u8>;
-    let (base, window): (u64, &[u8]) = match wanted.map(|c| c.offset).min() {
+    let (base, window) = match wanted.map(|c| c.offset).min() {
         Some(lo) if lo < tail_start => {
             let prefix = bytes(lo, tail_start - lo);
             let (rb, s3) = client.read(key, prefix, 0, opts).await?;
             obj.tally.add(&rb, s3);
-            fetched = [&rb.blob.bytes[..], &tail_bytes[..]].concat();
-            (lo, &fetched)
+            let joined = [&rb.blob.bytes[..], &tail_bytes[..]].concat();
+            (lo, bytes::Bytes::from(joined))
         }
-        _ => (tail_start, &tail_bytes),
+        _ => (tail_start, tail_bytes),
     };
 
     // The modelled reader (DESIGN.md §5, Accounting): a whole-object fetch
@@ -1023,11 +1105,20 @@ async fn read_shuffle_object(
         _ => (kept_bytes, pruned_bytes),
     };
 
-    // 5. Late-materialized decode: dictionary chunks stay codes into their
-    //    sorted dictionaries.
-    obj.batches = spf::decode_row_groups(&footer, kept, &proj, base, window)?;
-    if obj.batches.is_empty() {
+    // 5. Late materialisation: the kept pages decode where the chain runs,
+    //    dictionary chunks as codes into their sorted dictionaries.
+    if kept.is_empty() {
         obj.schema = Some(footer.schema.project(&proj));
+    } else {
+        obj.pages.push(Fetched::Segment {
+            footer: spf::Footer {
+                schema: footer.schema,
+                row_groups: kept,
+            },
+            proj,
+            base,
+            window,
+        });
     }
     Ok(obj)
 }
@@ -1082,39 +1173,68 @@ mod tests {
         }
     }
 
-    /// Scan a 1,000-row SPF object (four row groups of columns `k` and
-    /// `v`) stored on the storage `store` builds, as the one partition of
-    /// dataset `t`, described to the worker as `payload_bytes` long (`None`:
-    /// its true length). Returns the worker's report and the usage meter.
-    fn scan_thousand_rows(
-        store: impl FnOnce(&skyrise_sim::SimCtx, &skyrise_pricing::SharedMeter) -> Storage,
-        payload_bytes: Option<u64>,
-    ) -> (StageStats, skyrise_pricing::SharedMeter) {
+    /// 1,000 rows of columns `k` and `v`.
+    fn thousand_rows_batch() -> Batch {
         use skyrise_data::{Column, DataType, Field};
+        Batch::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("v", DataType::Float64),
+            ]),
+            vec![
+                Column::Int64((0..1_000).collect()),
+                Column::Float64((0..1_000).map(|i| i as f64).collect()),
+            ],
+        )
+    }
+
+    /// [`thousand_rows_batch`] as an SPF object of four row groups.
+    fn thousand_rows() -> Vec<u8> {
+        spf::write(&[thousand_rows_batch()], 250).to_vec()
+    }
+
+    /// Overwrite the bytes of chunk `column` of row group `group` of the
+    /// SPF object `file` with unterminated varints.
+    fn damage_chunk(file: &mut [u8], group: usize, column: usize) {
+        let footer = spf::read_footer(file).expect("intact footer");
+        let c = &footer.row_groups[group].chunks[column];
+        assert_eq!(c.encoding, spf::Encoding::DeltaVarint);
+        file[c.offset as usize..(c.offset + c.len) as usize].fill(0x80);
+    }
+
+    /// The one partition of dataset `t`, 1,000 rows: `object`, stored on
+    /// `storage` and described to the worker as `payload_bytes` long
+    /// (`None`: its true length).
+    fn partition(storage: &Storage, object: Vec<u8>, payload_bytes: Option<u64>) -> PartitionMeta {
+        let blob = Blob::new(object);
+        let partition = PartitionMeta {
+            key: "t/part-0.spf".into(),
+            payload_bytes: payload_bytes.unwrap_or(blob.len() as u64),
+            logical_bytes: blob.logical_len(),
+            payload_rows: 1_000,
+            logical_rows: 1_000,
+        };
+        storage.backdoor_put(&partition.key, blob);
+        partition
+    }
+
+    /// Scan `object` as the one [`partition`] of dataset `t`, stored on the
+    /// storage `store` builds. Returns the worker's result and the usage
+    /// meter.
+    fn scan_object(
+        store: impl FnOnce(&skyrise_sim::SimCtx, &skyrise_pricing::SharedMeter) -> Storage,
+        object: Vec<u8>,
+        payload_bytes: Option<u64>,
+    ) -> (
+        Result<StageStats, EngineError>,
+        skyrise_pricing::SharedMeter,
+    ) {
         let mut sim = skyrise_sim::Sim::new(7);
         let ctx = sim.ctx();
         let meter = skyrise_pricing::shared_meter();
         let storage = store(&ctx, &meter);
         let worker = sim.spawn(async move {
-            let batch = Batch::new(
-                Schema::new(vec![
-                    Field::new("k", DataType::Int64),
-                    Field::new("v", DataType::Float64),
-                ]),
-                vec![
-                    Column::Int64((0..1_000).collect()),
-                    Column::Float64((0..1_000).map(|i| i as f64).collect()),
-                ],
-            );
-            let blob = Blob::new(spf::write(&[batch], 250));
-            let partition = PartitionMeta {
-                key: "t/part-0.spf".into(),
-                payload_bytes: payload_bytes.unwrap_or(blob.len() as u64),
-                logical_bytes: blob.logical_len(),
-                payload_rows: 1_000,
-                logical_rows: 1_000,
-            };
-            storage.backdoor_put(&partition.key, blob);
+            let partition = partition(&storage, object, payload_bytes);
             let task = WorkerTask {
                 query_id: "q".into(),
                 pipeline: Pipeline {
@@ -1140,11 +1260,21 @@ mod tests {
             run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
         });
         sim.run();
-        let report = worker
-            .try_take()
-            .expect("worker ran to completion")
-            .expect("scan succeeds");
+        let report = worker.try_take().expect("worker ran to completion");
         (report, meter)
+    }
+
+    /// [`scan_object`] of the intact [`thousand_rows`], which must succeed.
+    fn scan_thousand_rows(
+        store: impl FnOnce(&skyrise_sim::SimCtx, &skyrise_pricing::SharedMeter) -> Storage,
+        payload_bytes: Option<u64>,
+    ) -> (StageStats, skyrise_pricing::SharedMeter) {
+        let (report, meter) = scan_object(store, thousand_rows(), payload_bytes);
+        (report.expect("scan succeeds"), meter)
+    }
+
+    fn s3(ctx: &skyrise_sim::SimCtx, meter: &skyrise_pricing::SharedMeter) -> Storage {
+        Storage::S3(skyrise_storage::S3Bucket::standard(ctx, meter))
     }
 
     /// Fragment `fragment` of `n_fragments` consumers reading pipeline 0's
@@ -1171,6 +1301,22 @@ mod tests {
         }
     }
 
+    /// Run consumer `task` on S3 with `segment` stored as the one upstream
+    /// fragment's object of bucket group 0.
+    fn read_one_segment(segment: Vec<u8>, task: WorkerTask) -> Result<StageStats, EngineError> {
+        let mut sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let storage = s3(&ctx, &meter);
+        storage.backdoor_put(&shuffle_key("q", 0, 0, 0), Blob::new(segment));
+        let worker = sim.spawn(async move {
+            let env = test_env(ctx);
+            run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
+        });
+        sim.run();
+        worker.try_take().expect("worker ran to completion")
+    }
+
     /// A shuffle key holding a plain `spf::write` object — no bucket
     /// directory — is not something this program's sink can have produced:
     /// the reader must refuse it whatever its first fetch was, a suffix
@@ -1180,31 +1326,12 @@ mod tests {
     fn shuffle_segment_without_directory_is_a_typed_error() {
         use skyrise_data::{Column, DataType, Field};
         for combine in [2, 1] {
-            let mut sim = skyrise_sim::Sim::new(7);
-            let ctx = sim.ctx();
-            let meter = skyrise_pricing::shared_meter();
-            let storage = Storage::S3(skyrise_storage::S3Bucket::standard(&ctx, &meter));
-            let worker = sim.spawn(async move {
-                let env = test_env(ctx);
-                let batch = Batch::new(
-                    Schema::new(vec![Field::new("k", DataType::Int64)]),
-                    vec![Column::Int64(vec![1, 2, 3])],
-                );
-                storage
-                    .put(
-                        &shuffle_key("q", 0, 0, 0),
-                        Blob::new(spf::write(&[batch], 1024)),
-                        &RequestOpts::from_nic(&env.nic),
-                    )
-                    .await
-                    .expect("segment stored");
-                let task = consumer_task(0, 2, 1, combine);
-                run_worker(&env, &storage, &storage, &UdfRegistry::new(), &task).await
-            });
-            sim.run();
-            let err = worker
-                .try_take()
-                .expect("worker ran to completion")
+            let batch = Batch::new(
+                Schema::new(vec![Field::new("k", DataType::Int64)]),
+                vec![Column::Int64(vec![1, 2, 3])],
+            );
+            let segment = spf::write(&[batch], 1024).to_vec();
+            let err = read_one_segment(segment, consumer_task(0, 2, 1, combine))
                 .expect_err("an index-less segment must not be read");
             assert!(
                 matches!(
@@ -1362,9 +1489,111 @@ mod tests {
     /// footer it points to lists every row group.
     #[test]
     fn scan_finds_the_trailer_whatever_size_the_catalog_claims() {
-        let s3 = |ctx: &_, meter: &_| Storage::S3(skyrise_storage::S3Bucket::standard(ctx, meter));
         let (report, _) = scan_thousand_rows(s3, Some(3));
         assert_eq!(report.rows_in, 1_000);
+    }
+
+    /// A scan decodes its pages where the chain runs, after the I/O-stack
+    /// charge; a damaged chunk found there is still a typed format error.
+    #[test]
+    fn damaged_scan_chunk_is_a_typed_error() {
+        let mut object = thousand_rows();
+        damage_chunk(&mut object, 1, 0);
+        let (report, _) = scan_object(s3, object, None);
+        let err = report.expect_err("a damaged chunk must not decode");
+        assert!(matches!(err, EngineError::Format(_)), "{err}");
+    }
+
+    /// The same for a damaged page of a shuffle segment, fetched whole.
+    #[test]
+    fn damaged_shuffle_page_is_a_typed_error() {
+        let mut segment = spf::write_bucketed(&[thousand_rows_batch()], 250).to_vec();
+        damage_chunk(&mut segment, 0, 0);
+        let err = read_one_segment(segment, consumer_task(0, 1, 1, 1))
+            .expect_err("a damaged page must not decode");
+        assert!(matches!(err, EngineError::Format(_)), "{err}");
+    }
+
+    /// A bucket directory whose entries point past the footer is refused as
+    /// the first fetch lands, before a sibling's suffix is sized from it.
+    #[test]
+    fn bucket_directory_past_the_footer_is_a_typed_error() {
+        let empty = Batch::empty(thousand_rows_batch().schema);
+        let mut segment = spf::write_bucketed(&[empty.clone(), empty], 250).to_vec();
+        // The directory's two 32-byte entries end the footer, right before
+        // the 8-byte trailer; each ends with `byte_start` and `byte_end`.
+        let trailer = segment.len() - spf::TRAILER_LEN as usize;
+        for entry_end in [trailer - 32, trailer] {
+            for field in [entry_end - 16, entry_end - 8] {
+                segment[field..field + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+            }
+        }
+        let err = read_one_segment(segment, consumer_task(0, 2, 1, 2))
+            .expect_err("a directory past the footer must not be read");
+        assert!(
+            matches!(
+                err,
+                EngineError::Format(spf::SpfError::Corrupt("bucket past the footer"))
+            ),
+            "{err}"
+        );
+    }
+
+    /// A scan row group waits for the chain as slices of the stored object,
+    /// not as a copy of it.
+    #[test]
+    fn fetched_row_group_shares_the_stored_allocation() {
+        let mut sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let bucket = skyrise_storage::S3Bucket::standard(&ctx, &meter);
+        let storage = Storage::S3(Rc::clone(&bucket));
+        let read = sim.spawn(async move {
+            let partition = partition(&storage, thousand_rows(), None);
+            let stored = bucket.backdoor().get(&partition.key).expect("stored");
+            let client = RetryingClient::new(storage, ctx.clone(), RetryPolicy::eager());
+            let opts = RequestOpts::from_nic(&skyrise_net::presets::lambda_nic());
+            let gate = Rc::new(Semaphore::new(CHUNK_CONCURRENCY));
+            let outcome = read_partition(&client, &opts, &ctx, 1.0, &partition, &[], None, &gate)
+                .await
+                .expect("scan reads");
+            (stored.bytes, outcome.pages)
+        });
+        sim.run();
+        let (stored, pages) = read.try_take().expect("read ran to completion");
+        let within = stored.as_ptr_range();
+        assert_eq!(pages.len(), 4);
+        for page in &pages {
+            let Fetched::RowGroup { chunks, .. } = page else {
+                panic!("a scan page is a row group");
+            };
+            for (_, data) in chunks {
+                let range = data.as_ptr_range();
+                assert!(
+                    within.start <= range.start && range.end <= within.end,
+                    "chunk bytes copied out of the stored object"
+                );
+            }
+        }
+    }
+
+    /// A read queued behind a gate is a few captures; the segment read it
+    /// wraps is the request's whole state machine, built once it may run.
+    #[test]
+    fn a_queued_gated_read_is_small() {
+        let sim = skyrise_sim::Sim::new(7);
+        let ctx = sim.ctx();
+        let meter = skyrise_pricing::shared_meter();
+        let client = RetryingClient::new(s3(&ctx, &meter), ctx, RetryPolicy::eager());
+        let opts = RequestOpts::from_nic(&skyrise_net::presets::lambda_nic());
+        let read = || read_shuffle_object(&client, &opts, "k", ByteRange::Full, None, 0, None, &[]);
+        let wrapped = std::mem::size_of_val(&read());
+        let gate = Semaphore::new(SHUFFLE_READ_FANIN);
+        let queued = std::mem::size_of_val(&gated(&gate, read));
+        assert!(
+            wrapped > 1536 && queued < 512,
+            "segment read {wrapped} B, queued behind its gate {queued} B"
+        );
     }
 
     #[test]
